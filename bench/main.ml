@@ -373,19 +373,41 @@ let fig6 () =
   let names =
     if !quick then [ "rd84"; "alu2"; "f51m" ] else Suite.fig6_names
   in
-  let builders =
-    List.filter_map
-      (fun n -> Option.map (fun spec () -> Suite.mapped spec) (Suite.find n))
-      names
-  in
   let percents =
     if !quick then [ 0.0; 30.0; 200.0 ]
     else [ 0.0; 10.0; 20.0; 30.0; 50.0; 80.0; 120.0; 200.0 ]
   in
   Printf.eprintf "[fig6] sweeping %d circuits x %d constraints...\n%!"
-    (List.length builders) (List.length percents);
-  let points = Powder.Tradeoff.sweep ~config:base_config ~percents builders in
-  Format.printf "%a@." Powder.Tradeoff.pp_series points;
+    (List.length names) (List.length percents);
+  let specs = List.map (fun p -> Pareto.Sweep.Scale (1.0 +. (p /. 100.0))) percents in
+  (* one sweep per circuit; row i of the figure sums point i of each *)
+  let sweeps =
+    List.filter_map
+      (fun name ->
+        Option.map
+          (fun spec ->
+            (Pareto.Sweep.run ~config:base_config ~specs ~name (fun () ->
+                 Suite.mapped spec))
+              .Pareto.Sweep.reports
+            |> List.map snd)
+          (Suite.find name))
+      names
+  in
+  print_endline "% constraint | rel. delay | rel. power | substs";
+  List.iteri
+    (fun i percent ->
+      let row = List.map (fun reports -> List.nth reports i) sweeps in
+      let sum f = List.fold_left (fun acc r -> acc +. f r) 0.0 row in
+      let ratio final initial =
+        let total = sum initial in
+        if total > 0.0 then sum final /. total else 1.0
+      in
+      Printf.printf "%11.0f%% | %10.3f | %10.3f | %6d\n" percent
+        (ratio (fun r -> r.Optimizer.final_delay) (fun r -> r.Optimizer.initial_delay))
+        (ratio (fun r -> r.Optimizer.final_power) (fun r -> r.Optimizer.initial_power))
+        (List.fold_left (fun acc r -> acc + r.Optimizer.funnel.substitutions) 0 row))
+    percents;
+  print_newline ();
   print_endline
     "(paper shape: ~26% reduction at 0% constraint growing to ~38% at 200%,\n\
     \ two thirds of the extra gain within +15% delay, flat beyond +80%)\n"
@@ -956,7 +978,7 @@ let scale () =
         let ec = exact_check r in
         let ratio = if ec > 0.0 then off_exact /. ec else Float.infinity in
         Printf.printf "%10s %10.3f %9.0f %12.3f %8d %8d %9.1fx\n" (label_of w)
-          total gps ec r.Optimizer.window_proved r.Optimizer.window_escalated
+          total gps ec r.Optimizer.funnel.window_proved r.Optimizer.funnel.window_escalated
           ratio;
         ( label_of w,
           Obs.Json.Obj
@@ -965,9 +987,9 @@ let scale () =
               ("cpu_seconds", Obs.Json.Float total);
               ("gates_per_second", Obs.Json.Float gps);
               ("exact_check_seconds", Obs.Json.Float ec);
-              ("window_proved", Obs.Json.Int r.Optimizer.window_proved);
+              ("window_proved", Obs.Json.Int r.Optimizer.funnel.window_proved);
               ( "window_escalated",
-                Obs.Json.Int r.Optimizer.window_escalated );
+                Obs.Json.Int r.Optimizer.funnel.window_escalated );
               ("final_power", Obs.Json.Float r.Optimizer.final_power);
             ] ))
       runs
@@ -984,8 +1006,8 @@ let scale () =
   let off = List.assoc None runs in
   let final w = (List.assoc w runs).Optimizer.final_power in
   if
-    off.Optimizer.rejected_by_giveup = 0
-    && off.Optimizer.rejected_by_timeout = 0
+    off.Optimizer.funnel.rejected_by_giveup = 0
+    && off.Optimizer.funnel.rejected_by_timeout = 0
     && final (Some 16) <> final None
   then begin
     Printf.eprintf

@@ -41,28 +41,7 @@ let jobs_arg =
                  Results are byte-identical for any value; only wall-clock \
                  changes.")
 
-(* Like --jobs, the signature index is an execution-strategy knob:
-   results are byte-identical either way (CI enforces it), so it stays
-   out of the hashed run-manifest options. *)
-let sig_index_arg =
-  let parse = function
-    | "hash" -> Ok Powder.Candidates.Hash
-    | "scan" -> Ok Powder.Candidates.Scan
-    | _ -> Error (`Msg "expected hash or scan")
-  in
-  let print fmt = function
-    | Powder.Candidates.Hash -> Format.pp_print_string fmt "hash"
-    | Powder.Candidates.Scan -> Format.pp_print_string fmt "scan"
-  in
-  Arg.(value
-       & opt (conv (parse, print)) Powder.Candidates.Hash
-       & info [ "sig-index" ] ~docv:"MODE"
-           ~doc:"Signature-store lookup strategy for the 2-signal classes: \
-                 hash (default; bucket lookup on the masked row) or scan \
-                 (linear reference scan).  Candidates, reports and netlists \
-                 are byte-identical across modes; only speed differs.")
-
-(* Unlike --jobs / --sig-index, the window size CAN change results (a
+(* Unlike --jobs, the window size CAN change results (a
    window may prove a candidate the global engine gives up on), so it
    goes into the hashed run-manifest options. *)
 let window_arg =
@@ -102,14 +81,6 @@ let cost_arg =
                  simulation over PAIRS random vector pairs, default 64).  \
                  The glitch model changes which substitutions are accepted \
                  and adds timed before/after power to the report.")
-
-let is3_credit_arg =
-  Arg.(value & flag & info [ "is3-credit" ]
-         ~doc:"Experimental: credit IS3 candidates with the sink gate's \
-               first-order downstream activity reduction during \
-               pre-selection, so they can survive the positive-gain filter \
-               (their new-gate load charge structurally outweighs the \
-               one-pin relief).  Exact PG_C still decides at refinement.")
 
 let delay_mode =
   let parse s =
@@ -210,41 +181,190 @@ let emit out_file circ =
 (* Commands.                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let engine_arg =
-  let parse = function
-    | "sat" -> Ok `Sat
-    | "podem" -> Ok `Podem
-    | "bdd" -> Ok `Bdd
-    | _ -> Error (`Msg "expected sat, podem or bdd")
-  in
-  let print fmt = function
-    | `Sat -> Format.pp_print_string fmt "sat"
-    | `Podem -> Format.pp_print_string fmt "podem"
-    | `Bdd -> Format.pp_print_string fmt "bdd"
-  in
-  Arg.(value
-       & opt (conv (parse, print)) `Sat
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Exact permissibility engine: sat (default), podem or bdd.")
-
 let delay_to_string = function
   | Optimizer.Unconstrained -> "none"
   | Optimizer.Keep_initial -> "keep"
   | Optimizer.Ratio r -> Printf.sprintf "+%g%%" (100.0 *. r)
   | Optimizer.Absolute d -> Printf.sprintf "%g" d
 
+let opt_str f = function None -> "-" | Some v -> f v
+
+(* What optimize and pareto share: the input, an optimizer config built
+   from the common flags, the run-manifest options those flags
+   contribute, and the output files. *)
+type run_args = {
+  circuit : string;  (** the manifest's circuit label *)
+  load : unit -> Circuit.t;
+  config : Optimizer.config;
+  options : (string * string) list;
+  trace_file : string option;
+  json_file : string option;
+  profile_dir : string option;
+}
+
+let run_args =
+  let make in_file circuit_name words seed classes window cost max_rounds
+      time_budget jobs trace_file json_file profile_dir =
+    {
+      circuit =
+        (match circuit_name with
+        | Some n -> n
+        | None -> Option.value in_file ~default:"-");
+      load = (fun () -> load_circuit in_file circuit_name);
+      config =
+        {
+          Optimizer.default_config with
+          words;
+          seed = Int64.of_int seed;
+          classes;
+          window;
+          cost;
+          run_seconds = time_budget;
+          max_rounds =
+            Option.value max_rounds
+              ~default:Optimizer.default_config.Optimizer.max_rounds;
+          jobs;
+        };
+      options =
+        [
+          ("words", string_of_int words);
+          ("classes", String.concat "," (List.map Powder.Subst.klass_name classes));
+          ("window", match window with None -> "off" | Some k -> string_of_int k);
+          ("cost", Pareto.Cost.to_string cost);
+          ("max_rounds", opt_str string_of_int max_rounds);
+          ("time_budget", opt_str string_of_float time_budget);
+        ];
+      trace_file;
+      json_file;
+      profile_dir;
+    }
+  in
+  let max_rounds =
+    Arg.(value & opt (some int) None & info [ "max-rounds" ] ~docv:"N"
+           ~doc:"Stop after N candidate-generation rounds (per point under \
+                 pareto).")
+  in
+  let time_budget =
+    Arg.(value & opt (some float) None & info [ "time-budget" ] ~docv:"SECONDS"
+           ~doc:"Wall-clock budget for the run (per point under pareto); on \
+                 expiry the optimizer stops cleanly with \
+                 stopped_by=run_budget.")
+  in
+  let trace_file =
+    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
+           ~doc:"Write a JSONL event trace of the optimization loop (one JSON \
+                 object per line: rounds, per-candidate verdicts, accepted \
+                 substitutions with estimated vs. realized gain, timed spans; \
+                 pareto adds a pareto.point span per constraint).")
+  in
+  let json_file =
+    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
+           ~doc:"Write the final report as machine-readable JSON with the run \
+                 manifest embedded: the candidate funnel and per-phase \
+                 timings, or for pareto the points, the dominance-pruned \
+                 frontier and the per-point reports.  Byte-identical across \
+                 --jobs values modulo the volatile timing fields json_check \
+                 --compare-reports ignores.")
+  in
+  let profile_dir =
+    Arg.(value & opt (some string) None & info [ "profile" ] ~docv:"DIR"
+           ~doc:"Profile the run: write an attributed call-tree profile \
+                 (profile.json), flamegraph collapsed stacks \
+                 (profile.folded) and a Chrome trace-event file \
+                 (trace.chrome.json) into DIR.  Inspect with the report \
+                 command, a flamegraph viewer, or chrome://tracing.")
+  in
+  Term.(const make $ in_file $ circuit_name $ words $ seed $ classes
+        $ window_arg $ cost_arg $ max_rounds $ time_budget $ jobs_arg
+        $ trace_file $ json_file $ profile_dir)
+
+(* The run path optimize and pareto share: build the manifest, open
+   every output before the (possibly long) run so a bad path fails
+   immediately, install the trace/profile sinks, run, then print the
+   report and write the profile and the JSON report (with the manifest
+   embedded, so artifacts can be compared safely). *)
+let run_reported a ~seed ~options ~pp ~to_json run =
+  let manifest =
+    Obs.Runinfo.create ~jobs:a.config.Optimizer.jobs ~seed ~circuit:a.circuit
+      ~options:(a.options @ options) ()
+  in
+  let fail_sys msg = prerr_endline ("powder_cli: " ^ msg); exit 1 in
+  (* the profile directory first: --json may point into it *)
+  let profile =
+    match a.profile_dir with
+    | None -> None
+    | Some dir -> (
+      try
+        (try Unix.mkdir dir 0o755
+         with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+        let chrome_oc = open_out (Filename.concat dir "trace.chrome.json") in
+        Some (dir, Obs.Profile.create (), chrome_oc)
+      with Sys_error m | Unix.Unix_error (Unix.EACCES, _, m) -> fail_sys m)
+  in
+  let json_out =
+    match a.json_file with
+    | None -> None
+    | Some f -> (try Some (f, open_out f) with Sys_error m -> fail_sys m)
+  in
+  let sinks =
+    (match a.trace_file with
+    | Some f -> (
+      try [ Obs.Trace.jsonl_sink f ] with Sys_error m -> fail_sys m)
+    | None -> [])
+    @
+    match profile with
+    | Some (_, p, chrome_oc) ->
+      [ Obs.Profile.sink p; Obs.Profile.chrome_sink chrome_oc ]
+    | None -> []
+  in
+  (match sinks with
+  | [] -> ()
+  | [ s ] -> Obs.Trace.set_sink s
+  | ss -> Obs.Trace.set_sink (Obs.Trace.tee_sink ss));
+  (* the manifest header must be the stream's first record *)
+  if sinks <> [] then Obs.Runinfo.emit_run_start manifest;
+  let report = run () in
+  Obs.Trace.close_sink ();
+  (match profile with
+  | None -> ()
+  | Some (dir, p, _) ->
+    let write name s =
+      let f = Filename.concat dir name in
+      let oc = open_out f in
+      output_string oc s;
+      close_out oc;
+      Printf.printf "wrote %s\n" f
+    in
+    write "profile.json"
+      (Obs.Json.to_string
+         (Obs.Profile.to_json ~run:(Obs.Runinfo.to_json manifest) p)
+      ^ "\n");
+    write "profile.folded" (Obs.Profile.to_folded p);
+    Printf.printf "wrote %s\n" (Filename.concat dir "trace.chrome.json"));
+  Format.printf "%a@." pp report;
+  (match json_out with
+  | Some (f, oc) ->
+    let report_json =
+      match to_json report with
+      | Obs.Json.Obj fields ->
+        Obs.Json.Obj (("run", Obs.Runinfo.to_json manifest) :: fields)
+      | other -> other
+    in
+    output_string oc (Obs.Json.to_string report_json);
+    output_char oc '\n';
+    close_out oc;
+    Printf.printf "wrote %s\n" f
+  | None -> ());
+  report
+
 let optimize_cmd =
-  let run in_file circuit_name out_file words seed delay classes engine verify
-      trace_file json_file profile_dir metrics time_budget check_seconds
-      round_seconds max_rounds checkpoint resume verify_applies
-      checkpoint_every jobs sig_index window cost is3_credit =
-    let circ = load_circuit in_file circuit_name in
+  let run a out_file delay verify metrics check_seconds round_seconds
+      checkpoint resume verify_applies checkpoint_every =
+    let circ = a.load () in
     let original = Circuit.clone circ in
-    (* Resume: pick the checkpoint up before building the config so the
-       run continues with the seed it was started with, not the CLI
-       default.  A missing checkpoint file with --resume just starts
-       fresh — that is what lets one command line be re-run after a
-       kill, whether or not a checkpoint had been written yet. *)
+    (* A missing checkpoint file with --resume just starts fresh — that
+       is what lets one command line be re-run after a kill, whether or
+       not a checkpoint had been written yet. *)
     let resume_ck =
       if not resume then None
       else
@@ -257,138 +377,39 @@ let optimize_cmd =
             | Ok ck -> Some ck
             | Error e -> failwith (Powder.Checkpoint.error_to_string e))
     in
-    let seed =
-      match resume_ck with
-      | Some ck -> ck.Powder.Checkpoint.seed
-      | None -> Int64.of_int seed
-    in
     let config =
-      { Optimizer.default_config with
-        words;
-        seed;
+      {
+        a.config with
         delay;
-        classes;
-        check_engine = engine;
-        run_seconds = time_budget;
         check_seconds;
         round_seconds;
-        max_rounds =
-          (match max_rounds with
-          | Some n -> n
-          | None -> Optimizer.default_config.Optimizer.max_rounds);
         verify_applies;
         checkpoint_file = checkpoint;
         checkpoint_every =
           (if checkpoint_every > 0 then checkpoint_every
            else if checkpoint <> None then 1
            else 0);
-        jobs;
-        sig_index;
-        window;
-        cost;
-        is3_credit;
       }
     in
-    (* The run manifest: identity of this run (host, toolchain, every
-       deterministic knob), embedded in the trace header, the profile
-       and the JSON report so artifacts can be compared safely. *)
-    let manifest =
-      let opt_str f = function None -> "-" | Some v -> f v in
-      Obs.Runinfo.create ~jobs ~seed
-        ~circuit:
-          (match circuit_name with
-          | Some n -> n
-          | None -> Option.value in_file ~default:"-")
+    (* a resumed run continues on the checkpoint's seed; the manifest
+       records the seed the run actually uses *)
+    let seed =
+      match resume_ck with
+      | Some ck -> ck.Powder.Checkpoint.seed
+      | None -> config.Optimizer.seed
+    in
+    let _report : Optimizer.report =
+      run_reported a ~seed
         ~options:
           [
-            ("words", string_of_int words);
             ("delay", delay_to_string delay);
-            ( "classes",
-              String.concat "," (List.map Powder.Subst.klass_name classes) );
-            ( "engine",
-              match engine with `Sat -> "sat" | `Podem -> "podem" | `Bdd -> "bdd"
-            );
-            ( "window",
-              match window with None -> "off" | Some k -> string_of_int k );
-            ("cost", Pareto.Cost.to_string cost);
-            ("is3_credit", string_of_bool is3_credit);
             ("verify_applies", string_of_bool verify_applies);
-            ("max_rounds", opt_str string_of_int max_rounds);
-            ("time_budget", opt_str string_of_float time_budget);
             ("check_seconds", opt_str string_of_float check_seconds);
             ("round_seconds", opt_str string_of_float round_seconds);
           ]
-        ()
+        ~pp:Optimizer.pp_report ~to_json:Optimizer.report_to_json
+        (fun () -> Optimizer.optimize ~config ?resume:resume_ck circ)
     in
-    (* Open both output files before the (possibly long) run so a bad
-       path fails immediately instead of after the work is done. *)
-    let fail_sys msg = prerr_endline ("powder_cli: " ^ msg); exit 1 in
-    (* the profile directory first: --json may point into it *)
-    let profile =
-      match profile_dir with
-      | None -> None
-      | Some dir -> (
-        try
-          (try Unix.mkdir dir 0o755
-           with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-          let chrome_oc = open_out (Filename.concat dir "trace.chrome.json") in
-          Some (dir, Obs.Profile.create (), chrome_oc)
-        with Sys_error m | Unix.Unix_error (Unix.EACCES, _, m) -> fail_sys m)
-    in
-    let json_out =
-      match json_file with
-      | None -> None
-      | Some f -> (try Some (f, open_out f) with Sys_error m -> fail_sys m)
-    in
-    let sinks =
-      (match trace_file with
-      | Some f -> (
-        try [ Obs.Trace.jsonl_sink f ] with Sys_error m -> fail_sys m)
-      | None -> [])
-      @
-      match profile with
-      | Some (_, p, chrome_oc) ->
-        [ Obs.Profile.sink p; Obs.Profile.chrome_sink chrome_oc ]
-      | None -> []
-    in
-    (match sinks with
-    | [] -> ()
-    | [ s ] -> Obs.Trace.set_sink s
-    | ss -> Obs.Trace.set_sink (Obs.Trace.tee_sink ss));
-    (* the manifest header must be the stream's first record *)
-    if sinks <> [] then Obs.Runinfo.emit_run_start manifest;
-    let report = Optimizer.optimize ~config ?resume:resume_ck circ in
-    Obs.Trace.close_sink ();
-    (match profile with
-    | None -> ()
-    | Some (dir, p, _) ->
-      let write name s =
-        let f = Filename.concat dir name in
-        let oc = open_out f in
-        output_string oc s;
-        close_out oc;
-        Printf.printf "wrote %s\n" f
-      in
-      write "profile.json"
-        (Obs.Json.to_string
-           (Obs.Profile.to_json ~run:(Obs.Runinfo.to_json manifest) p)
-        ^ "\n");
-      write "profile.folded" (Obs.Profile.to_folded p);
-      Printf.printf "wrote %s\n" (Filename.concat dir "trace.chrome.json"));
-    Format.printf "%a@." Optimizer.pp_report report;
-    (match json_out with
-    | Some (f, oc) ->
-      let report_json =
-        match Optimizer.report_to_json report with
-        | Obs.Json.Obj fields ->
-          Obs.Json.Obj (("run", Obs.Runinfo.to_json manifest) :: fields)
-        | other -> other
-      in
-      output_string oc (Obs.Json.to_string report_json);
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "wrote %s\n" f
-    | None -> ());
     if metrics then Format.printf "=== metrics ===@.%a@." Obs.Metrics.dump ();
     if verify then begin
       match Atpg.Equiv.check ~exhaustive_limit:16 original circ with
@@ -404,35 +425,11 @@ let optimize_cmd =
     Arg.(value & flag & info [ "verify" ]
            ~doc:"Re-check input/output equivalence of the final netlist.")
   in
-  let trace_file =
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Write a JSONL event trace of the optimization loop (one JSON \
-                 object per line: rounds, per-candidate verdicts, accepted \
-                 substitutions with estimated vs. realized gain, timed spans).")
-  in
-  let json_file =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
-           ~doc:"Write the final report as machine-readable JSON, including \
-                 the candidate funnel and per-phase timings.")
-  in
-  let profile_dir =
-    Arg.(value & opt (some string) None & info [ "profile" ] ~docv:"DIR"
-           ~doc:"Profile the run: write an attributed call-tree profile \
-                 (profile.json), flamegraph collapsed stacks \
-                 (profile.folded) and a Chrome trace-event file \
-                 (trace.chrome.json) into DIR.  Inspect with the report \
-                 command, a flamegraph viewer, or chrome://tracing.")
-  in
   let metrics =
     Arg.(value & flag & info [ "metrics" ]
            ~doc:"Dump the telemetry registry (counters and latency \
                  histograms from the simulator, power estimator, STA and the \
                  ATPG proof engines) after the run.")
-  in
-  let time_budget =
-    Arg.(value & opt (some float) None & info [ "time-budget" ] ~docv:"SECONDS"
-           ~doc:"Wall-clock budget for the whole run; on expiry the \
-                 optimizer stops cleanly with stopped_by=run_budget.")
   in
   let check_seconds =
     Arg.(value & opt (some float) None & info [ "check-seconds" ] ~docv:"SECONDS"
@@ -443,10 +440,6 @@ let optimize_cmd =
     Arg.(value & opt (some float) None & info [ "round-seconds" ] ~docv:"SECONDS"
            ~doc:"Wall-clock budget per optimization round; expiry escalates \
                  the degradation ladder.")
-  in
-  let max_rounds =
-    Arg.(value & opt (some int) None & info [ "max-rounds" ] ~docv:"N"
-           ~doc:"Stop after N candidate-generation rounds.")
   in
   let checkpoint =
     Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE"
@@ -472,12 +465,63 @@ let optimize_cmd =
   in
   Cmd.v
     (Cmd.info "optimize" ~doc:"Reduce power by permissible substitutions (POWDER).")
-    Term.(const run $ in_file $ circuit_name $ out_file $ words $ seed
-          $ delay_mode $ classes $ engine_arg $ verify $ trace_file
-          $ json_file $ profile_dir $ metrics $ time_budget $ check_seconds
-          $ round_seconds $ max_rounds $ checkpoint $ resume $ verify_applies
-          $ checkpoint_every $ jobs_arg $ sig_index_arg $ window_arg
-          $ cost_arg $ is3_credit_arg)
+    Term.(const run $ run_args $ out_file $ delay_mode $ verify $ metrics
+          $ check_seconds $ round_seconds $ checkpoint $ resume $ verify_applies
+          $ checkpoint_every)
+
+(* ------------------------------------------------------------------ *)
+(* pareto: power/delay frontier exploration.                           *)
+(* ------------------------------------------------------------------ *)
+
+let pareto_cmd =
+  let run a constraints checkpoint_dir =
+    ignore (a.load ());  (* fail on a bad input before any work is done *)
+    let _report : Pareto.Sweep.report =
+      run_reported a ~seed:a.config.Optimizer.seed
+        ~options:
+          [
+            ("mode", "pareto");
+            ( "constraints",
+              String.concat ","
+                (List.map Pareto.Sweep.spec_to_string constraints) );
+          ]
+        ~pp:Pareto.Sweep.pp ~to_json:Pareto.Sweep.to_json
+        (fun () ->
+          (* fresh circuit per point: each constraint optimizes its own copy *)
+          Pareto.Sweep.run ~config:a.config ~specs:constraints
+            ~jobs:a.config.Optimizer.jobs ?checkpoint_dir ~name:a.circuit a.load)
+    in
+    ()
+  in
+  let constraints =
+    let parse s =
+      match Pareto.Sweep.spec_of_string s with
+      | Ok sp -> Ok sp
+      | Error m -> Error (`Msg m)
+    in
+    let print fmt sp =
+      Format.pp_print_string fmt (Pareto.Sweep.spec_to_string sp)
+    in
+    Arg.(value
+         & opt (list (conv (parse, print))) Pareto.Sweep.default_specs
+         & info [ "constraints" ] ~docv:"LIST"
+             ~doc:"Comma-separated delay constraints, each a multiple of the \
+                   mapped netlist's initial critical path (e.g. 1.0,1.25) or \
+                   unbounded.  Default 1.0,1.1,1.25,unbounded.")
+  in
+  let checkpoint_dir =
+    Arg.(value & opt (some string) None & info [ "checkpoint-dir" ] ~docv:"DIR"
+           ~doc:"Per-point crash recovery: each constraint checkpoints to \
+                 DIR/point-LABEL.json and an existing checkpoint there is \
+                 resumed, so re-running an interrupted sweep redoes only the \
+                 unfinished points.")
+  in
+  Cmd.v
+    (Cmd.info "pareto"
+       ~doc:"Explore the power/delay trade-off: optimize under a list of \
+             delay constraints and report the dominance-pruned frontier, \
+             optionally under the glitch-aware cost model.")
+    Term.(const run $ run_args $ constraints $ checkpoint_dir)
 
 (* ------------------------------------------------------------------ *)
 (* Profile report: human-readable view of a --profile directory.       *)
@@ -719,214 +763,6 @@ let glitch_cmd =
     (Cmd.info "glitch"
        ~doc:"Timed power estimation: quantify hazards the zero-delay model skips.")
     Term.(const run $ in_file $ circuit_name $ pairs)
-
-let sweep_cmd =
-  let run circuit_names words =
-    let builders =
-      List.filter_map
-        (fun n ->
-          Option.map
-            (fun spec () -> Circuits.Suite.mapped spec)
-            (Circuits.Suite.find n))
-        circuit_names
-    in
-    if builders = [] then failwith "no valid circuits given";
-    let config = { Optimizer.default_config with words } in
-    let points = Powder.Tradeoff.sweep ~config builders in
-    Format.printf "%a@." Powder.Tradeoff.pp_series points
-  in
-  let names =
-    Arg.(value & pos_all string [ "rd84"; "alu2" ] & info [] ~docv:"CIRCUIT")
-  in
-  Cmd.v
-    (Cmd.info "sweep" ~doc:"Power-delay trade-off sweep (Figure 6 experiment).")
-    Term.(const run $ names $ words)
-
-(* ------------------------------------------------------------------ *)
-(* pareto: power/delay frontier exploration.                           *)
-(* ------------------------------------------------------------------ *)
-
-let pareto_cmd =
-  let run in_file circuit_name words seed classes engine cost is3_credit
-      constraints jobs json_file profile_dir trace_file checkpoint_dir
-      max_rounds time_budget window sig_index =
-    let name =
-      match circuit_name with
-      | Some n -> n
-      | None -> Option.value in_file ~default:"-"
-    in
-    (* fresh circuit per point: each constraint optimizes its own copy *)
-    let build () = load_circuit in_file circuit_name in
-    ignore (build ());  (* fail on a bad input before any work is done *)
-    let config =
-      {
-        Optimizer.default_config with
-        words;
-        seed = Int64.of_int seed;
-        classes;
-        check_engine = engine;
-        cost;
-        is3_credit;
-        run_seconds = time_budget;
-        max_rounds =
-          (match max_rounds with
-          | Some n -> n
-          | None -> Optimizer.default_config.Optimizer.max_rounds);
-        sig_index;
-        window;
-      }
-    in
-    let manifest =
-      let opt_str f = function None -> "-" | Some v -> f v in
-      Obs.Runinfo.create ~jobs ~seed:(Int64.of_int seed) ~circuit:name
-        ~options:
-          [
-            ("mode", "pareto");
-            ("words", string_of_int words);
-            ( "constraints",
-              String.concat ","
-                (List.map Pareto.Sweep.spec_to_string constraints) );
-            ( "classes",
-              String.concat "," (List.map Powder.Subst.klass_name classes) );
-            ( "engine",
-              match engine with `Sat -> "sat" | `Podem -> "podem" | `Bdd -> "bdd"
-            );
-            ( "window",
-              match window with None -> "off" | Some k -> string_of_int k );
-            ("cost", Pareto.Cost.to_string cost);
-            ("is3_credit", string_of_bool is3_credit);
-            ("max_rounds", opt_str string_of_int max_rounds);
-            ("time_budget", opt_str string_of_float time_budget);
-          ]
-        ()
-    in
-    let fail_sys msg = prerr_endline ("powder_cli: " ^ msg); exit 1 in
-    let profile =
-      match profile_dir with
-      | None -> None
-      | Some dir -> (
-        try
-          (try Unix.mkdir dir 0o755
-           with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-          let chrome_oc = open_out (Filename.concat dir "trace.chrome.json") in
-          Some (dir, Obs.Profile.create (), chrome_oc)
-        with Sys_error m | Unix.Unix_error (Unix.EACCES, _, m) -> fail_sys m)
-    in
-    let json_out =
-      match json_file with
-      | None -> None
-      | Some f -> (try Some (f, open_out f) with Sys_error m -> fail_sys m)
-    in
-    let sinks =
-      (match trace_file with
-      | Some f -> (
-        try [ Obs.Trace.jsonl_sink f ] with Sys_error m -> fail_sys m)
-      | None -> [])
-      @
-      match profile with
-      | Some (_, p, chrome_oc) ->
-        [ Obs.Profile.sink p; Obs.Profile.chrome_sink chrome_oc ]
-      | None -> []
-    in
-    (match sinks with
-    | [] -> ()
-    | [ s ] -> Obs.Trace.set_sink s
-    | ss -> Obs.Trace.set_sink (Obs.Trace.tee_sink ss));
-    if sinks <> [] then Obs.Runinfo.emit_run_start manifest;
-    let report =
-      Pareto.Sweep.run ~config ~specs:constraints ~jobs ?checkpoint_dir ~name
-        build
-    in
-    Obs.Trace.close_sink ();
-    (match profile with
-    | None -> ()
-    | Some (dir, p, _) ->
-      let write fname s =
-        let f = Filename.concat dir fname in
-        let oc = open_out f in
-        output_string oc s;
-        close_out oc;
-        Printf.printf "wrote %s\n" f
-      in
-      write "profile.json"
-        (Obs.Json.to_string
-           (Obs.Profile.to_json ~run:(Obs.Runinfo.to_json manifest) p)
-        ^ "\n");
-      write "profile.folded" (Obs.Profile.to_folded p);
-      Printf.printf "wrote %s\n" (Filename.concat dir "trace.chrome.json"));
-    Format.printf "%a@." Pareto.Sweep.pp report;
-    match json_out with
-    | Some (f, oc) ->
-      let report_json =
-        match Pareto.Sweep.to_json report with
-        | Obs.Json.Obj fields ->
-          Obs.Json.Obj (("run", Obs.Runinfo.to_json manifest) :: fields)
-        | other -> other
-      in
-      output_string oc (Obs.Json.to_string report_json);
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "wrote %s\n" f
-    | None -> ()
-  in
-  let constraints =
-    let parse s =
-      match Pareto.Sweep.spec_of_string s with
-      | Ok sp -> Ok sp
-      | Error m -> Error (`Msg m)
-    in
-    let print fmt sp =
-      Format.pp_print_string fmt (Pareto.Sweep.spec_to_string sp)
-    in
-    Arg.(value
-         & opt (list (conv (parse, print))) Pareto.Sweep.default_specs
-         & info [ "constraints" ] ~docv:"LIST"
-             ~doc:"Comma-separated delay constraints, each a multiple of the \
-                   mapped netlist's initial critical path (e.g. 1.0,1.25) or \
-                   unbounded.  Default 1.0,1.1,1.25,unbounded.")
-  in
-  let json_file =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
-           ~doc:"Write the sweep report (points, dominance-pruned frontier, \
-                 per-point optimizer reports) as machine-readable JSON.  \
-                 Byte-identical across --jobs values modulo the volatile \
-                 timing fields json_check --compare-reports ignores.")
-  in
-  let profile_dir =
-    Arg.(value & opt (some string) None & info [ "profile" ] ~docv:"DIR"
-           ~doc:"Profile the sweep: write profile.json, profile.folded and \
-                 trace.chrome.json into DIR (see the optimize command).")
-  in
-  let trace_file =
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Write a JSONL event trace of the sweep (pareto.point spans \
-                 plus each point's optimizer events).")
-  in
-  let checkpoint_dir =
-    Arg.(value & opt (some string) None & info [ "checkpoint-dir" ] ~docv:"DIR"
-           ~doc:"Per-point crash recovery: each constraint checkpoints to \
-                 DIR/point-LABEL.json and an existing checkpoint there is \
-                 resumed, so re-running an interrupted sweep redoes only the \
-                 unfinished points.")
-  in
-  let time_budget =
-    Arg.(value & opt (some float) None & info [ "time-budget" ] ~docv:"SECONDS"
-           ~doc:"Wall-clock budget per point (each point's optimizer stops \
-                 cleanly with stopped_by=run_budget on expiry).")
-  in
-  let max_rounds =
-    Arg.(value & opt (some int) None & info [ "max-rounds" ] ~docv:"N"
-           ~doc:"Round cap per point.")
-  in
-  Cmd.v
-    (Cmd.info "pareto"
-       ~doc:"Explore the power/delay trade-off: optimize under a list of \
-             delay constraints and report the dominance-pruned frontier, \
-             optionally under the glitch-aware cost model.")
-    Term.(const run $ in_file $ circuit_name $ words $ seed $ classes
-          $ engine_arg $ cost_arg $ is3_credit_arg $ constraints $ jobs_arg
-          $ json_file $ profile_dir $ trace_file $ checkpoint_dir $ max_rounds
-          $ time_budget $ window_arg $ sig_index_arg)
 
 let fuzz_cmd =
   let run seed budget cases max_ins candidates out_dir inject replay jobs =
@@ -1195,5 +1031,5 @@ let () =
     (Cmd.eval
        (Cmd.group ~default info
           [ optimize_cmd; pareto_cmd; report_cmd; map_cmd; stats_cmd;
-            suite_cmd; atpg_cmd; sweep_cmd; redundancy_cmd; resize_cmd;
+            suite_cmd; atpg_cmd; redundancy_cmd; resize_cmd;
             glitch_cmd; fuzz_cmd; serve_cmd ]))

@@ -95,7 +95,6 @@ let opt_config ~case_seed ~words ~verify =
     seed = Rng.derive case_seed "fuzz/opt";
     max_rounds = 4;
     max_substitutions = 50;
-    check_engine = `Sat;
     verify_applies = verify;
     checkpoint_every = 0;
     checkpoint_file = None;
@@ -124,7 +123,6 @@ let candidates_of ~case_seed ~words c k =
       per_target = 2;
       pool_limit = 30;
       require_positive = false;
-      credit_downstream = false;
       index = Powder.Candidates.Hash;
     }
   in
@@ -388,7 +386,7 @@ let run_case ~config ~deadline ~inject ~forge i =
   (match opt_result with
   | Error msg -> fail "optimizer_crash" ("optimizer raised: " ^ msg)
   | Ok r -> (
-    accepts := r.Optimizer.substitutions;
+    accepts := r.Optimizer.funnel.substitutions;
     let invalid =
       match Circuit.validate opt with Error e -> Some e | Ok () -> None
     in

@@ -56,7 +56,7 @@ let point_of spec (r : Optimizer.report) =
     glitch_power = r.Optimizer.final_glitch_power;
     delay = r.Optimizer.final_delay;
     area = r.Optimizer.final_area;
-    substitutions = r.Optimizer.substitutions;
+    substitutions = r.Optimizer.funnel.substitutions;
   }
 
 let run ?(config = Optimizer.default_config) ?(specs = default_specs) ?(jobs = 1)

@@ -13,7 +13,6 @@ type config = {
   per_target : int;
   pool_limit : int;
   require_positive : bool;
-  credit_downstream : bool;
   index : index_mode;
 }
 
@@ -23,7 +22,6 @@ let default_config =
     per_target = 4;
     pool_limit = 16;
     require_positive = true;
-    credit_downstream = false;
     index = Hash;
   }
 
@@ -131,7 +129,7 @@ let branch_targets circ store =
 (* Total candidate order: gain descending, then purely structural keys.
    Both index modes and every chunking of the parallel fan-out emit the
    same candidate SET; this order makes the emitted LIST identical too,
-   so reports and netlists stay byte-identical across [--sig-index] and
+   so reports and netlists stay byte-identical across index modes and
    [--jobs]. *)
 let target_key = function
   | Subst.Stem a -> (0, a, 0)
@@ -374,12 +372,7 @@ let scan_target ~config ~store ~est ~gates2 ti =
          | Subst.Gate2 _ -> false)
     in
     if not skip then begin
-      let credit_downstream = config.credit_downstream in
-      let g =
-        match dom with
-        | Some d -> Subst.gain_ab ~dom:(Lazy.force d) ~credit_downstream est subst
-        | None -> Subst.gain_ab ~credit_downstream est subst
-      in
+      let g = Subst.gain_ab ?dom:(Option.map Lazy.force dom) est subst in
       if (not config.require_positive) || Subst.total_gain g > margin then
         acc := (subst, g) :: !acc
     end

@@ -16,7 +16,7 @@
     whole classes are ruled out by an early-abort distance bound); with
     [index = Scan] every signal row is tested individually.  Both modes
     emit the identical candidate list — [Scan] is the auditable
-    reference the CI determinism leg compares against.
+    reference the tests and the fuzz harness compare against.
 
     2-signal candidates scan all signals; 3-signal candidates (new
     2-input gate) scan ordered pairs from a bounded pool of the closest
@@ -31,9 +31,6 @@ type config = {
   per_target : int;            (** keep the best k per target (by PG_A+PG_B) *)
   pool_limit : int;            (** pool size for 3-signal pair enumeration *)
   require_positive : bool;     (** drop candidates with PG_A+PG_B+margin <= 0 *)
-  credit_downstream : bool;
-      (** score IS3 candidates with the first-order downstream credit
-          of {!Subst.gain_ab} ([--is3-credit]); off by default *)
   index : index_mode;          (** how signatures are matched *)
 }
 

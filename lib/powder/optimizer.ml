@@ -25,7 +25,6 @@ type config = {
   pool_limit : int;
   backtrack_limit : int;
   exhaustive_limit : int;
-  check_engine : [ `Sat | `Podem | `Bdd ];
   max_substitutions : int;
   max_rounds : int;
   check_seconds : float option;
@@ -36,10 +35,8 @@ type config = {
   checkpoint_every : int;
   checkpoint_file : string option;
   jobs : int;
-  sig_index : Candidates.index_mode;
   window : int option;
   cost : cost_model;
-  is3_credit : bool;
 }
 
 let default_config =
@@ -55,7 +52,6 @@ let default_config =
     pool_limit = 16;
     backtrack_limit = 10_000;
     exhaustive_limit = 12;
-    check_engine = `Sat;
     max_substitutions = 10_000;
     max_rounds = 200;
     check_seconds = None;
@@ -66,16 +62,79 @@ let default_config =
     checkpoint_every = 0;
     checkpoint_file = None;
     jobs = 1;
-    sig_index = Candidates.Hash;
     window = None;
     cost = Zero_delay;
-    is3_credit = false;
   }
 
 module Trace = Obs.Trace
 module Metrics = Obs.Metrics
 
 type class_stats = { accepted : int; power_gain : float; area_gain : float }
+
+type funnel = {
+  mutable rounds : int;
+  mutable substitutions : int;
+  mutable candidates_generated : int;
+  mutable checks_run : int;
+  mutable rejected_by_delay : int;
+  mutable rejected_by_atpg : int;
+  mutable rejected_by_giveup : int;
+  mutable rejected_by_timeout : int;
+  mutable rejected_by_cex : int;
+  mutable sig_hits : int;
+  mutable sig_filtered : int;
+  mutable sig_resim_nodes : int;
+  mutable is3_candidates : int;
+  mutable rolled_back : int;
+  mutable verified_applies : int;
+  mutable window_checks : int;
+  mutable window_proved : int;
+  mutable window_escalated : int;
+}
+
+let funnel_of_checkpoint (ck : Checkpoint.t) =
+  {
+    rounds = ck.round;
+    substitutions = ck.substitutions;
+    candidates_generated = ck.candidates_generated;
+    checks_run = ck.checks_run;
+    rejected_by_delay = ck.rejected_by_delay;
+    rejected_by_atpg = ck.rejected_by_atpg;
+    rejected_by_giveup = ck.rejected_by_giveup;
+    rejected_by_timeout = ck.rejected_by_timeout;
+    rejected_by_cex = ck.rejected_by_cex;
+    sig_hits = ck.sig_hits;
+    sig_filtered = ck.sig_filtered;
+    sig_resim_nodes = ck.sig_resim_nodes;
+    is3_candidates = ck.is3_candidates;
+    rolled_back = ck.rolled_back;
+    verified_applies = ck.verified_applies;
+    window_checks = ck.window_checks;
+    window_proved = ck.window_proved;
+    window_escalated = ck.window_escalated;
+  }
+
+let zero_funnel () =
+  {
+    rounds = 0;
+    substitutions = 0;
+    candidates_generated = 0;
+    checks_run = 0;
+    rejected_by_delay = 0;
+    rejected_by_atpg = 0;
+    rejected_by_giveup = 0;
+    rejected_by_timeout = 0;
+    rejected_by_cex = 0;
+    sig_hits = 0;
+    sig_filtered = 0;
+    sig_resim_nodes = 0;
+    is3_candidates = 0;
+    rolled_back = 0;
+    verified_applies = 0;
+    window_checks = 0;
+    window_proved = 0;
+    window_escalated = 0;
+  }
 
 type report = {
   initial_power : float;
@@ -88,60 +147,17 @@ type report = {
   cost_model : string;
   initial_glitch_power : float option;
   final_glitch_power : float option;
-  substitutions : int;
   by_class : (Subst.klass * class_stats) list;
-  candidates_generated : int;
-  checks_run : int;
-  rejected_by_delay : int;
-  rejected_by_atpg : int;
-  rejected_by_giveup : int;
-  rejected_by_timeout : int;
-  rejected_by_cex : int;
-      (** screened out by accumulated counterexample patterns, without
-          running an exact proof *)
-  sig_hits : int;
-      (** 2-signal signature matches emitted by the store scans *)
-  sig_filtered : int;
-      (** 2-signal pairs the signature comparison ruled out *)
-  sig_resim_nodes : int;
-      (** nodes re-evaluated by incremental TFO re-simulation on accepts *)
-  is3_candidates : int;
-      (** 3-signal candidates generated on branch targets (IS3 funnel) *)
-  rolled_back : int;
-  verified_applies : int;
-  window_checks : int;
-      (** candidates sent through the windowed check (--window K) *)
-  window_proved : int;
-      (** proved permissible inside the window, no global miter needed *)
-  window_escalated : int;
-      (** escalated to the global miter; reasons appear in
-          [giveup_breakdown] under [window/overflow], [window/cex],
-          [window/giveup] without touching [rejected_by_giveup] *)
+  funnel : funnel;
   giveup_breakdown : (string * int) list;
   degradation_level : int;
   stopped_by : string;
-  rounds : int;
   jobs : int;
   phase_seconds : (string * float) list;
   cpu_seconds : float;
 }
 
 let phase_names = [ "generate"; "rank"; "refine-pgc"; "exact-check"; "apply"; "sta" ]
-
-(* registry mirrors of the funnel counters, for [--metrics] dumps *)
-let m_candidates = Metrics.counter "powder.candidates.generated"
-let m_checks = Metrics.counter "powder.checks"
-let m_accepted = Metrics.counter "powder.accepted"
-let m_rej_delay = Metrics.counter "powder.rejected.delay"
-let m_rej_atpg = Metrics.counter "powder.rejected.atpg"
-let m_rej_giveup = Metrics.counter "powder.rejected.giveup"
-let m_rej_timeout = Metrics.counter "powder.rejected.timeout"
-let m_rej_cex = Metrics.counter "powder.rejected.cex"
-let m_rolled_back = Metrics.counter "powder.rolled_back"
-let m_rounds = Metrics.counter "powder.rounds"
-let m_window_checks = Metrics.counter "powder.window.checks"
-let m_window_proved = Metrics.counter "powder.window.proved"
-let m_window_escalated = Metrics.counter "powder.window.escalated"
 
 (* Per-round GC telemetry.  [Gc.quick_stat] reads counters without
    walking the heap, so sampling every round is free.  Gauges keep the
@@ -212,6 +228,13 @@ let escalate_after_timeouts = 3
 
 let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
   let t0 = Obs.Clock.now () in
+  (* every simulation stream derives from the seed, so a resumed run
+     must continue on the checkpoint's, whatever the caller passed *)
+  let config =
+    match resume with
+    | Some (ck : Checkpoint.t) -> { config with seed = ck.seed }
+    | None -> config
+  in
   (* span histograms are process-global; remember their current sums so
      this run's phase breakdown is a delta, not a lifetime total *)
   let phase_base = List.map (fun n -> (n, Trace.span_seconds n)) phase_names in
@@ -302,24 +325,9 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
   List.iter
     (fun k -> Hashtbl.add stats k { accepted = 0; power_gain = 0.0; area_gain = 0.0 })
     Subst.all_klasses;
-  let candidates_generated = ref 0 in
-  let checks = ref 0 in
-  let rej_delay = ref 0 in
-  let rej_atpg = ref 0 in
-  let rej_giveup = ref 0 in
-  let rej_timeout = ref 0 in
-  let rej_cex = ref 0 in
-  let sig_hits = ref 0 in
-  let sig_filtered = ref 0 in
-  let sig_resim_nodes = ref 0 in
-  let is3_cands = ref 0 in
-  let rolled_back = ref 0 in
-  let verified_applies = ref 0 in
-  let window_checks = ref 0 in
-  let window_proved = ref 0 in
-  let window_escalated = ref 0 in
-  let substitutions = ref 0 in
-  let rounds = ref 0 in
+  let f =
+    match resume with Some ck -> funnel_of_checkpoint ck | None -> zero_funnel ()
+  in
   let giveups : (string, int) Hashtbl.t = Hashtbl.create 8 in
   let bump_giveup key =
     Hashtbl.replace giveups key
@@ -420,24 +428,6 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
   (match resume with
   | None -> ()
   | Some ck ->
-    rounds := ck.Checkpoint.round;
-    substitutions := ck.Checkpoint.substitutions;
-    candidates_generated := ck.Checkpoint.candidates_generated;
-    checks := ck.Checkpoint.checks_run;
-    rej_delay := ck.Checkpoint.rejected_by_delay;
-    rej_atpg := ck.Checkpoint.rejected_by_atpg;
-    rej_giveup := ck.Checkpoint.rejected_by_giveup;
-    rej_timeout := ck.Checkpoint.rejected_by_timeout;
-    rej_cex := ck.Checkpoint.rejected_by_cex;
-    sig_hits := ck.Checkpoint.sig_hits;
-    sig_filtered := ck.Checkpoint.sig_filtered;
-    sig_resim_nodes := ck.Checkpoint.sig_resim_nodes;
-    is3_cands := ck.Checkpoint.is3_candidates;
-    rolled_back := ck.Checkpoint.rolled_back;
-    verified_applies := ck.Checkpoint.verified_applies;
-    window_checks := ck.Checkpoint.window_checks;
-    window_proved := ck.Checkpoint.window_proved;
-    window_escalated := ck.Checkpoint.window_escalated;
     List.iter (fun (k, n) -> Hashtbl.replace giveups k n)
       ck.Checkpoint.giveup_breakdown;
     List.iter
@@ -558,14 +548,7 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
               if (not used.(i)) && still_valid circ s
                  && not (Subst.creates_cycle circ s)
               then begin
-                let g =
-                  match dom_for s with
-                  | Some d ->
-                    Subst.gain_ab ~dom:d ~credit_downstream:config.is3_credit
-                      !est s
-                  | None ->
-                    Subst.gain_ab ~credit_downstream:config.is3_credit !est s
-                in
+                let g = Subst.gain_ab ?dom:(dom_for s) !est s in
                 if scored s g > 0.0 then ranked := (i, s, g) :: !ranked
                 else used.(i) <- true
               end
@@ -650,17 +633,17 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
           | Some _ -> Subst.delay_ok !sta s
         in
         if not delay_fine then begin
-          incr rej_delay;
+          f.rejected_by_delay <- f.rejected_by_delay + 1;
           reject rank s "delay";
           true
         end
         else if Check.refuted_on_patterns !cex_eng s then begin
-          incr rej_cex;
+          f.rejected_by_cex <- f.rejected_by_cex + 1;
           reject rank s "cex";
           true
         end
         else begin
-          incr checks;
+          f.checks_run <- f.checks_run + 1;
           false
         end
       in
@@ -674,8 +657,7 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
         let global () =
           match
             Check.permissible ~backtrack_limit
-              ~exhaustive_limit:config.exhaustive_limit
-              ~engine:config.check_engine ~deadline circ s
+              ~exhaustive_limit:config.exhaustive_limit ~deadline circ s
           with
           | v -> v
           | exception Invalid_argument _ ->
@@ -705,11 +687,11 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
         (match window_outcome with
         | `Window_off -> ()
         | `Window_proved ->
-          incr window_checks;
-          incr window_proved
+          f.window_checks <- f.window_checks + 1;
+          f.window_proved <- f.window_proved + 1
         | `Window_escalated r ->
-          incr window_checks;
-          incr window_escalated;
+          f.window_checks <- f.window_checks + 1;
+          f.window_escalated <- f.window_escalated + 1;
           bump_giveup ("window/" ^ r));
         (* test-only fault: report a refuted candidate as permissible
            so the transactional apply must catch it downstream *)
@@ -731,9 +713,9 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
                 | Some v -> (
                   match Guard.transactional_apply v circ s with
                   | Guard.Applied src ->
-                    incr verified_applies;
-                    sig_resim_nodes :=
-                      !sig_resim_nodes
+                    f.verified_applies <- f.verified_applies + 1;
+                    f.sig_resim_nodes <-
+                      f.sig_resim_nodes
                       + Estimator.update_after_edit !est src
                       + Engine.resim_after_edit !cex_eng src;
                     Sim.Sigstore.update_after_edit !sigstore src;
@@ -741,8 +723,8 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
                   | Guard.Rolled_back err -> `Rolled_back err)
                 | None ->
                   let src = Subst.apply circ s in
-                  sig_resim_nodes :=
-                    !sig_resim_nodes
+                  f.sig_resim_nodes <-
+                    f.sig_resim_nodes
                     + Estimator.update_after_edit !est src
                     + Engine.resim_after_edit !cex_eng src;
                   Sim.Sigstore.update_after_edit !sigstore src;
@@ -750,7 +732,7 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
           in
           match outcome with
           | `Rolled_back err ->
-            incr rolled_back;
+            f.rolled_back <- f.rolled_back + 1;
             Trace.event_f "rollback" (fun () ->
                 [
                   ("error", Trace.String (Guard.error_name err));
@@ -763,7 +745,7 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
             `Continue
           | `Ok _src ->
             update_sta ();
-            incr substitutions;
+            f.substitutions <- f.substitutions + 1;
             let realized = power_before -. Estimator.total !est in
             let area_delta = area_before -. Circuit.area circ in
             let k = Subst.klass s in
@@ -789,14 +771,14 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
             `Accepted)
         | Check.Not_permissible cex ->
           consecutive_timeouts := 0;
-          incr rej_atpg;
+          f.rejected_by_atpg <- f.rejected_by_atpg + 1;
           reject rank s "atpg";
           inject_cex cex;
           `Continue
         | Check.Gave_up { engine; limit } ->
           bump_giveup (engine ^ "/" ^ limit);
           if String.equal limit "deadline" then begin
-            incr rej_timeout;
+            f.rejected_by_timeout <- f.rejected_by_timeout + 1;
             Guard.count_error Guard.Check_timeout;
             reject rank s "timeout";
             incr consecutive_timeouts;
@@ -808,7 +790,7 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
           end
           else begin
             consecutive_timeouts := 0;
-            incr rej_giveup;
+            f.rejected_by_giveup <- f.rejected_by_giveup + 1;
             reject rank s "giveup";
             `Continue
           end
@@ -959,9 +941,12 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
         attempt_par p refined
       | _ -> attempt_seq refined)
   in
+  let giveup_breakdown () =
+    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) giveups [])
+  in
   while
-    !continue_ && !rounds < config.max_rounds
-    && !substitutions < config.max_substitutions
+    !continue_ && f.rounds < config.max_rounds
+    && f.substitutions < config.max_substitutions
   do
     if Deadline.expired run_deadline then begin
       Guard.count_error Guard.Budget_exhausted;
@@ -969,16 +954,14 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
       continue_ := false
     end
     else begin
-      incr rounds;
+      f.rounds <- f.rounds + 1;
       round_deadline := Deadline.of_option config.round_seconds;
       let cand_config =
         {
-          Candidates.classes = effective_classes ();
+          Candidates.default_config with
+          classes = effective_classes ();
           per_target = config.per_target;
           pool_limit = config.pool_limit;
-          require_positive = true;
-          credit_downstream = config.is3_credit;
-          index = config.sig_index;
         }
       in
       let pool, gen_stats =
@@ -989,12 +972,12 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
             in
             (Array.of_list cands, st))
       in
-      sig_hits := !sig_hits + gen_stats.Candidates.pairs_hit;
-      sig_filtered := !sig_filtered + gen_stats.Candidates.pairs_filtered;
-      is3_cands := !is3_cands + gen_stats.Candidates.is3_candidates;
-      candidates_generated := !candidates_generated + Array.length pool;
+      f.sig_hits <- f.sig_hits + gen_stats.Candidates.pairs_hit;
+      f.sig_filtered <- f.sig_filtered + gen_stats.Candidates.pairs_filtered;
+      f.is3_candidates <- f.is3_candidates + gen_stats.Candidates.is3_candidates;
+      f.candidates_generated <- f.candidates_generated + Array.length pool;
       Trace.event "round"
-        [ ("round", Trace.Int !rounds); ("pool", Trace.Int (Array.length pool)) ];
+        [ ("round", Trace.Int f.rounds); ("pool", Trace.Int (Array.length pool)) ];
       if Array.length pool = 0 then continue_ := false
       else begin
         let used = Array.make (Array.length pool) false in
@@ -1005,7 +988,7 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
         while
           !batch_active
           && !accepted_this_round < config.repeat
-          && !substitutions < config.max_substitutions
+          && f.substitutions < config.max_substitutions
         do
           match try_pick pool used !ranked_cache with
           | `Accepted ->
@@ -1026,10 +1009,10 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
         if !accepted_this_round = 0 && not !round_expired then
           continue_ := false
       end;
-      sample_gc ~round:!rounds;
+      sample_gc ~round:f.rounds;
       (* Checkpoint barrier (also taken with no file configured, so a
          checkpointing run and a resumed one share identical state). *)
-      if config.checkpoint_every > 0 && !rounds mod config.checkpoint_every = 0
+      if config.checkpoint_every > 0 && f.rounds mod config.checkpoint_every = 0
       then begin
         let blif = canonicalize () in
         match config.checkpoint_file with
@@ -1044,32 +1027,30 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
           let status = if !continue_ then "running" else !stopped_by in
           Checkpoint.save file
             {
-              Checkpoint.round = !rounds;
+              Checkpoint.round = f.rounds;
               status;
-              substitutions = !substitutions;
+              substitutions = f.substitutions;
               seed = config.seed;
               blif;
               cex = List.rev !cex_log;
               cex_cursor = !cex_cursor;
-              candidates_generated = !candidates_generated;
-              checks_run = !checks;
-              rejected_by_delay = !rej_delay;
-              rejected_by_atpg = !rej_atpg;
-              rejected_by_giveup = !rej_giveup;
-              rejected_by_timeout = !rej_timeout;
-              rejected_by_cex = !rej_cex;
-              sig_hits = !sig_hits;
-              sig_filtered = !sig_filtered;
-              sig_resim_nodes = !sig_resim_nodes;
-              is3_candidates = !is3_cands;
-              rolled_back = !rolled_back;
-              verified_applies = !verified_applies;
-              window_checks = !window_checks;
-              window_proved = !window_proved;
-              window_escalated = !window_escalated;
-              giveup_breakdown =
-                List.sort compare
-                  (Hashtbl.fold (fun k v acc -> (k, v) :: acc) giveups []);
+              candidates_generated = f.candidates_generated;
+              checks_run = f.checks_run;
+              rejected_by_delay = f.rejected_by_delay;
+              rejected_by_atpg = f.rejected_by_atpg;
+              rejected_by_giveup = f.rejected_by_giveup;
+              rejected_by_timeout = f.rejected_by_timeout;
+              rejected_by_cex = f.rejected_by_cex;
+              sig_hits = f.sig_hits;
+              sig_filtered = f.sig_filtered;
+              sig_resim_nodes = f.sig_resim_nodes;
+              is3_candidates = f.is3_candidates;
+              rolled_back = f.rolled_back;
+              verified_applies = f.verified_applies;
+              window_checks = f.window_checks;
+              window_proved = f.window_proved;
+              window_escalated = f.window_escalated;
+              giveup_breakdown = giveup_breakdown ();
               by_class =
                 List.map
                   (fun k ->
@@ -1090,28 +1071,15 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
      This applies to finished resumes too: a run that converged exactly
      in its last allowed round checkpoints the raw "converged", and the
      resumed report must repeat the promoted reason the uninterrupted
-     run printed.  [!rounds] / [!substitutions] come from the
+     run printed.  The funnel's rounds / substitutions come from the
      checkpoint on resume, so the comparison is against the same
      counters either way. *)
   if String.equal !stopped_by "converged" then begin
-    if !substitutions >= config.max_substitutions then
+    if f.substitutions >= config.max_substitutions then
       stopped_by := "max_substitutions"
-    else if !rounds >= config.max_rounds then stopped_by := "max_rounds"
+    else if f.rounds >= config.max_rounds then stopped_by := "max_rounds"
   end;
   let final_sta = analyze_timed circ in
-  Metrics.add m_candidates !candidates_generated;
-  Metrics.add m_checks !checks;
-  Metrics.add m_accepted !substitutions;
-  Metrics.add m_rej_delay !rej_delay;
-  Metrics.add m_rej_atpg !rej_atpg;
-  Metrics.add m_rej_giveup !rej_giveup;
-  Metrics.add m_rej_timeout !rej_timeout;
-  Metrics.add m_rej_cex !rej_cex;
-  Metrics.add m_rolled_back !rolled_back;
-  Metrics.add m_rounds !rounds;
-  Metrics.add m_window_checks !window_checks;
-  Metrics.add m_window_proved !window_proved;
-  Metrics.add m_window_escalated !window_escalated;
   let phase_seconds =
     List.map (fun (n, base) -> (n, Trace.span_seconds n -. base)) phase_base
   in
@@ -1126,29 +1094,11 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
     cost_model = cost_model_name config.cost;
     initial_glitch_power;
     final_glitch_power = measure_glitch ();
-    substitutions = !substitutions;
     by_class = List.map (fun k -> (k, Hashtbl.find stats k)) Subst.all_klasses;
-    candidates_generated = !candidates_generated;
-    checks_run = !checks;
-    rejected_by_delay = !rej_delay;
-    rejected_by_atpg = !rej_atpg;
-    rejected_by_giveup = !rej_giveup;
-    rejected_by_timeout = !rej_timeout;
-    rejected_by_cex = !rej_cex;
-    sig_hits = !sig_hits;
-    sig_filtered = !sig_filtered;
-    sig_resim_nodes = !sig_resim_nodes;
-    is3_candidates = !is3_cands;
-    rolled_back = !rolled_back;
-    verified_applies = !verified_applies;
-    window_checks = !window_checks;
-    window_proved = !window_proved;
-    window_escalated = !window_escalated;
-    giveup_breakdown =
-      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) giveups []);
+    funnel = f;
+    giveup_breakdown = giveup_breakdown ();
     degradation_level = !degradation;
     stopped_by = !stopped_by;
-    rounds = !rounds;
     jobs;
     phase_seconds;
     cpu_seconds = Obs.Clock.now () -. t0;
@@ -1166,6 +1116,7 @@ let optimize ?(config = default_config) ?resume circ =
     (fun () -> optimize_with ~pool ~jobs ~config ?resume circ)
 
 let pp_report fmt r =
+  let f = r.funnel in
   Format.fprintf fmt
     "@[<v>power: %.4f -> %.4f (%.1f%%)@,area: %.0f -> %.0f (%.1f%%)@,\
      delay: %.2f -> %.2f%s@,funnel: %d generated -> %d checked -> %d accepted@,\
@@ -1179,12 +1130,12 @@ let pp_report fmt r =
     (match r.delay_constraint with
     | None -> ""
     | Some d -> Printf.sprintf " (constraint %.2f)" d)
-    r.candidates_generated r.checks_run r.substitutions r.substitutions
-    r.checks_run r.rejected_by_delay r.rejected_by_atpg r.rejected_by_giveup
-    r.rejected_by_timeout r.rejected_by_cex r.rolled_back r.rounds
-    r.sig_hits r.sig_filtered r.is3_candidates r.sig_resim_nodes
-    r.window_checks r.window_proved r.window_escalated
-    r.verified_applies r.degradation_level r.stopped_by;
+    f.candidates_generated f.checks_run f.substitutions f.substitutions
+    f.checks_run f.rejected_by_delay f.rejected_by_atpg f.rejected_by_giveup
+    f.rejected_by_timeout f.rejected_by_cex f.rolled_back f.rounds
+    f.sig_hits f.sig_filtered f.is3_candidates f.sig_resim_nodes
+    f.window_checks f.window_proved f.window_escalated
+    f.verified_applies r.degradation_level r.stopped_by;
   (match (r.initial_glitch_power, r.final_glitch_power) with
   | Some gi, Some gf ->
     Format.fprintf fmt "glitch power (timed, %s cost): %.4f -> %.4f@,"
@@ -1209,6 +1160,7 @@ let pp_report fmt r =
 
 let report_to_json r =
   let open Obs.Json in
+  let f = r.funnel in
   Obj
     [
       ("initial_power", Float r.initial_power);
@@ -1226,7 +1178,7 @@ let report_to_json r =
         match r.initial_glitch_power with None -> Null | Some g -> Float g );
       ( "final_glitch_power",
         match r.final_glitch_power with None -> Null | Some g -> Float g );
-      ("substitutions", Int r.substitutions);
+      ("substitutions", Int f.substitutions);
       ( "by_class",
         Obj
           (List.map
@@ -1242,34 +1194,34 @@ let report_to_json r =
       ( "funnel",
         Obj
           [
-            ("candidates_generated", Int r.candidates_generated);
-            ("checks_run", Int r.checks_run);
-            ("accepted", Int r.substitutions);
-            ("rejected_by_delay", Int r.rejected_by_delay);
-            ("rejected_by_atpg", Int r.rejected_by_atpg);
-            ("rejected_by_giveup", Int r.rejected_by_giveup);
-            ("rejected_by_timeout", Int r.rejected_by_timeout);
-            ("rejected_by_cex", Int r.rejected_by_cex);
-            ("sig_hits", Int r.sig_hits);
-            ("sig_filtered", Int r.sig_filtered);
-            ("sig_resim_nodes", Int r.sig_resim_nodes);
-            ("is3_candidates", Int r.is3_candidates);
-            ("rolled_back", Int r.rolled_back);
-            ("window_checks", Int r.window_checks);
-            ("window_proved", Int r.window_proved);
-            ("window_escalated", Int r.window_escalated);
+            ("candidates_generated", Int f.candidates_generated);
+            ("checks_run", Int f.checks_run);
+            ("accepted", Int f.substitutions);
+            ("rejected_by_delay", Int f.rejected_by_delay);
+            ("rejected_by_atpg", Int f.rejected_by_atpg);
+            ("rejected_by_giveup", Int f.rejected_by_giveup);
+            ("rejected_by_timeout", Int f.rejected_by_timeout);
+            ("rejected_by_cex", Int f.rejected_by_cex);
+            ("sig_hits", Int f.sig_hits);
+            ("sig_filtered", Int f.sig_filtered);
+            ("sig_resim_nodes", Int f.sig_resim_nodes);
+            ("is3_candidates", Int f.is3_candidates);
+            ("rolled_back", Int f.rolled_back);
+            ("window_checks", Int f.window_checks);
+            ("window_proved", Int f.window_proved);
+            ("window_escalated", Int f.window_escalated);
           ] );
       ( "guard",
         Obj
           [
-            ("verified_applies", Int r.verified_applies);
-            ("rolled_back", Int r.rolled_back);
+            ("verified_applies", Int f.verified_applies);
+            ("rolled_back", Int f.rolled_back);
             ("degradation_level", Int r.degradation_level);
             ("stopped_by", String r.stopped_by);
             ( "giveup_breakdown",
               Obj (List.map (fun (k, n) -> (k, Int n)) r.giveup_breakdown) );
           ] );
-      ("rounds", Int r.rounds);
+      ("rounds", Int f.rounds);
       ("jobs", Int r.jobs);
       ( "phase_seconds",
         Obj (List.map (fun (n, s) -> (n, Float s)) r.phase_seconds) );

@@ -50,8 +50,6 @@ type config = {
   pool_limit : int;
   backtrack_limit : int;        (** PODEM/SAT abort threshold *)
   exhaustive_limit : int;       (** max PI count for exhaustive equivalence *)
-  check_engine : [ `Sat | `Podem | `Bdd ];
-      (** exact-check engine above the exhaustive cutoff *)
   max_substitutions : int;
   max_rounds : int;             (** outer-loop safety bound *)
   check_seconds : float option;
@@ -76,29 +74,19 @@ type config = {
           and spawns nothing.  Any value produces byte-identical
           reports, substitutions and final BLIF — see the determinism
           contract in [Par.Pool]. *)
-  sig_index : Candidates.index_mode;
-      (** how candidate generation matches signatures: [Hash] scans the
-          store's compatibility classes (fast path), [Scan] tests every
-          signal row (auditable reference).  Both emit byte-identical
-          results. *)
   window : int option;
       (** [Some k]: try a windowed permissibility check (cut budget [k],
           see {!Check.windowed}) before the global miter; window proofs
           are globally sound, anything inconclusive escalates to the
           global check, so final verdicts stay exact.  [None] (default)
-          always uses the global miter.  NOTE: unlike [jobs] /
-          [sig_index], windowing can change results — a window can
+          always uses the global miter.  NOTE: unlike [jobs], windowing
+          can change results — a window can
           prove a candidate the global engine gives up on — so the
           window size belongs in a run's manifest. *)
   cost : cost_model;
       (** acceptance/ranking cost model (default [Zero_delay]).  NOTE:
           like [window], the cost model changes which substitutions are
           accepted, so it belongs in a run's manifest. *)
-  is3_credit : bool;
-      (** experimental: pass [~credit_downstream:true] to
-          {!Subst.gain_ab} during generation and ranking, crediting IS3
-          candidates with the sink's first-order activity drop so they
-          survive the positive-gain filter (see [--is3-credit]). *)
 }
 
 val default_config : config
@@ -107,6 +95,58 @@ type class_stats = {
   accepted : int;
   power_gain : float;   (** measured switched-capacitance reduction *)
   area_gain : float;    (** measured area reduction (negative = growth) *)
+}
+
+(** The candidate funnel: every counter the loop keeps, in one record
+    that checkpoints save and restore and the report carries.  Counts
+    are cumulative over the whole run, resumed slices included. *)
+type funnel = {
+  mutable rounds : int;
+  mutable substitutions : int;
+  mutable candidates_generated : int;
+  mutable checks_run : int;
+  mutable rejected_by_delay : int;
+  mutable rejected_by_atpg : int;
+      (** proven wrong: the exact check found a distinguishing vector *)
+  mutable rejected_by_giveup : int;
+      (** inconclusive: the proof engine hit its conflict/backtrack/node
+          budget; the candidate may well have been permissible *)
+  mutable rejected_by_timeout : int;
+      (** inconclusive: the per-check wall-clock deadline expired
+          (disjoint from [rejected_by_giveup]) *)
+  mutable rejected_by_cex : int;
+      (** screened out by accumulated counterexample patterns before
+          any exact proof was attempted *)
+  mutable sig_hits : int;
+      (** 2-signal signature matches emitted by the store scans
+          (pre-gain-filter), summed over rounds *)
+  mutable sig_filtered : int;
+      (** 2-signal pairs the signature comparison ruled out — the work
+          the funnel's downstream never sees *)
+  mutable sig_resim_nodes : int;
+      (** nodes re-evaluated by incremental (levelized, change-pruned)
+          re-simulation on the accept path, both engines *)
+  mutable is3_candidates : int;
+      (** 3-signal candidates generated on branch targets, before gain
+          filtering — diagnoses the IS3 leg of Table 2 *)
+  mutable rolled_back : int;
+      (** applies reverted by the {!Guard} transaction (verification
+          mismatch or validation failure) *)
+  mutable verified_applies : int;
+      (** applies that passed independent re-verification *)
+  mutable window_checks : int;
+      (** candidates that went through the windowed check ([--window K]);
+          0 with windowing off *)
+  mutable window_proved : int;
+      (** proved permissible inside the window — the global miter was
+          skipped entirely *)
+  mutable window_escalated : int;
+      (** windowed checks that escalated to the global miter
+          ([window_checks = window_proved + window_escalated]); the
+          reasons are in the report's [giveup_breakdown] under
+          [window/overflow], [window/cex] and [window/giveup], and do
+          NOT count toward [rejected_by_giveup] — the escalated
+          candidate got a full global verdict *)
 }
 
 type report = {
@@ -123,52 +163,8 @@ type report = {
           the run; [None] under [Zero_delay] cost *)
   final_glitch_power : float option;
       (** same measurement after the run, on the same derived seed *)
-  substitutions : int;
   by_class : (Subst.klass * class_stats) list;
-  candidates_generated : int;
-  checks_run : int;
-  rejected_by_delay : int;
-  rejected_by_atpg : int;
-      (** proven wrong: the exact check found a distinguishing vector *)
-  rejected_by_giveup : int;
-      (** inconclusive: the proof engine hit its conflict/backtrack/node
-          budget; the candidate may well have been permissible *)
-  rejected_by_timeout : int;
-      (** inconclusive: the per-check wall-clock deadline expired
-          (disjoint from [rejected_by_giveup]) *)
-  rejected_by_cex : int;
-      (** screened out by accumulated counterexample patterns before
-          any exact proof was attempted *)
-  sig_hits : int;
-      (** 2-signal signature matches emitted by the store scans
-          (pre-gain-filter), summed over rounds *)
-  sig_filtered : int;
-      (** 2-signal pairs the signature comparison ruled out — the work
-          the funnel's downstream never sees *)
-  sig_resim_nodes : int;
-      (** nodes re-evaluated by incremental (levelized, change-pruned)
-          re-simulation on the accept path, both engines *)
-  is3_candidates : int;
-      (** 3-signal candidates generated on branch targets, before gain
-          filtering — diagnoses the IS3 leg of Table 2 *)
-  rolled_back : int;
-      (** applies reverted by the {!Guard} transaction (verification
-          mismatch or validation failure) *)
-  verified_applies : int;
-      (** applies that passed independent re-verification *)
-  window_checks : int;
-      (** candidates that went through the windowed check ([--window K]);
-          0 with windowing off *)
-  window_proved : int;
-      (** proved permissible inside the window — the global miter was
-          skipped entirely *)
-  window_escalated : int;
-      (** windowed checks that escalated to the global miter
-          ([window_checks = window_proved + window_escalated]); the
-          reasons are in [giveup_breakdown] under [window/overflow],
-          [window/cex] and [window/giveup], and do NOT count toward
-          [rejected_by_giveup] — the escalated candidate got a full
-          global verdict *)
+  funnel : funnel;
   giveup_breakdown : (string * int) list;
       (** give-up counts keyed ["engine/limit"], e.g. ["sat/conflicts"],
           ["podem/deadline"]; covers both giveup and timeout buckets,
@@ -180,7 +176,6 @@ type report = {
   stopped_by : string;
       (** ["converged"], ["max_rounds"], ["max_substitutions"],
           ["run_budget"] or ["degradation"] *)
-  rounds : int;
   jobs : int;
       (** executors actually used (1 when nested inside a pool task) *)
   phase_seconds : (string * float) list;
@@ -216,8 +211,9 @@ val optimize : ?config:config -> ?resume:Checkpoint.t -> Netlist.Circuit.t -> re
     [checkpoint_file] is set, saves a {!Checkpoint.t}.  Passing
     [?resume] continues such a run: the caller's circuit is
     overwritten in place from the checkpointed BLIF, counters and
-    counterexamples are restored, and the run proceeds exactly as the
-    uninterrupted checkpointing run would have.
+    counterexamples are restored, the seed is taken from the
+    checkpoint (the config's [seed] is ignored), and the run proceeds
+    exactly as the uninterrupted checkpointing run would have.
 
     Parallelism: with [jobs > 1] the ranked candidates of each pick are
     proved permissible speculatively, [jobs] at a time, on a
@@ -237,9 +233,7 @@ val optimize : ?config:config -> ?resume:Checkpoint.t -> Netlist.Circuit.t -> re
     [pool]), a [reject] event per discarded candidate (fields [reason]
     in [delay]/[cex]/[atpg]/[giveup], [rank], [cand]) and an [accept]
     event per applied substitution (fields [class], [rank],
-    [est_gain], [realized_gain], [area_delta], [cand]).  Funnel
-    counters are also mirrored into the {!Obs.Metrics} registry under
-    [powder.*]. *)
+    [est_gain], [realized_gain], [area_delta], [cand]). *)
 
 val pp_report : Format.formatter -> report -> unit
 

@@ -165,7 +165,7 @@ let source_words_on eng s =
 
 let source_words est s = source_words_on (Estimator.engine est) s
 
-let gain_ab ?dom ?(credit_downstream = false) est s =
+let gain_ab ?dom est s =
   let circ = Estimator.circuit est in
   let eng = Estimator.engine est in
   let moved = moved_load circ s in
@@ -247,40 +247,7 @@ let gain_ab ?dom ?(credit_downstream = false) est s =
          +. (c.Cell.pin_caps.(1) *. Estimator.transition_prob est d)
          +. ((moved +. c.Cell.out_cap) *. e_g))
   in
-  (* Experimental IS3 credit (--is3-credit): PG_B charges the new gate's
-     pins plus the moved load at the gate's own density, which
-     structurally out-charges the single-pin PG_A relief of a branch
-     target — IS3 candidates rarely survive the positive-gain filter
-     even though the paper's Table 2 accepts them.  The credit is the
-     first-order term of PG_C restricted to the sink itself: re-evaluate
-     the sink's output words with the pin overridden by the source and
-     credit the sink-load activity drop.  One bit-parallel gate
-     evaluation per candidate, credit-only (never a charge), and
-     superseded by the exact PG_C during refinement. *)
-  let pg_c =
-    if not credit_downstream then 0.0
-    else
-      match (s.target, s.source) with
-      | Branch { sink; pin }, Gate2 _ -> (
-        match Circuit.kind circ sink with
-        | Circuit.Cell (c, fs) ->
-          let src = source_words est s in
-          let inputs =
-            Array.mapi
-              (fun i f -> if i = pin then src else Engine.value eng f)
-              fs
-          in
-          let w = Engine.apply_gate_words c.Cell.func inputs in
-          let e_new =
-            Estimator.transition_of_words w
-              ~total_patterns:(Engine.num_patterns eng)
-          in
-          let e_old = Estimator.transition_prob est sink in
-          Float.max 0.0 (Circuit.load_of circ sink *. (e_old -. e_new))
-        | Circuit.Pi | Circuit.Const _ | Circuit.Po _ -> 0.0)
-      | _ -> 0.0
-  in
-  { pg_a; pg_b; pg_c }
+  { pg_a; pg_b; pg_c = 0.0 }
 
 let gain_full est s =
   let base = gain_ab est s in

@@ -65,7 +65,6 @@ val total_gain : gain -> float
 
 val gain_ab :
   ?dom:bool array * int array ->
-  ?credit_downstream:bool ->
   Power.Estimator.t ->
   t ->
   gain
@@ -75,16 +74,7 @@ val gain_ab :
     target stem together with its member ids in ascending order —
     callers scoring many substitutions against the same stem compute
     both once and pass them here; the function copies the mask before
-    carving out the surviving source cones.
-
-    [?credit_downstream] (default false, the experimental
-    [--is3-credit] knob): for IS3 candidates (branch target, [Gate2]
-    source) also fill [pg_c] with the first-order downstream credit —
-    the sink's own activity drop under the overridden pin, re-evaluated
-    bit-parallel and clamped to [>= 0].  PG_B's charge for the new
-    gate structurally out-weighs the one-pin PG_A relief, so without
-    this credit the positive-gain filter starves the IS3 class; the
-    exact PG_C of {!gain_full} supersedes the credit at refinement. *)
+    carving out the surviving source cones. *)
 
 val gain_full : Power.Estimator.t -> t -> gain
 (** Adds [pg_c] by re-simulating the target's transitive fanout under

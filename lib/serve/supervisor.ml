@@ -302,10 +302,7 @@ let prepare_optimize st (entry : Jobq.entry) =
     {
       Powder.Optimizer.default_config with
       words = o.Protocol.words;
-      seed =
-        (match resume with
-        | Some ck -> ck.Powder.Checkpoint.seed
-        | None -> Int64.of_int o.Protocol.seed);
+      seed = Int64.of_int o.Protocol.seed;
       max_rounds = slice_max;
       run_seconds;
       checkpoint_every = 1;
@@ -471,8 +468,8 @@ let finalize st (entry : Jobq.entry) (report : Powder.Optimizer.report) blif =
     ~report_json:(Powder.Optimizer.report_to_json report)
     ~done_fields:
       [
-        ("rounds", J.Int report.Powder.Optimizer.rounds);
-        ("substitutions", J.Int report.Powder.Optimizer.substitutions);
+        ("rounds", J.Int report.Powder.Optimizer.funnel.rounds);
+        ("substitutions", J.Int report.Powder.Optimizer.funnel.substitutions);
         ("stopped_by", J.String report.Powder.Optimizer.stopped_by);
         ( "power_reduction_percent",
           J.Float (Powder.Optimizer.power_reduction_percent report) );
@@ -566,7 +563,7 @@ let handle_outcome st prep result =
     else begin
       let finished =
         (not (String.equal report.Powder.Optimizer.stopped_by "max_rounds"))
-        || report.Powder.Optimizer.rounds >= o.Protocol.max_rounds
+        || report.Powder.Optimizer.funnel.rounds >= o.Protocol.max_rounds
       in
       (* Job-level stop reason: a retried {e final} slice resumes a
          checkpoint that already sits at the round cap, so the
@@ -578,7 +575,7 @@ let handle_outcome st prep result =
         if
           finished
           && String.equal report.Powder.Optimizer.stopped_by "converged"
-          && report.Powder.Optimizer.rounds >= o.Protocol.max_rounds
+          && report.Powder.Optimizer.funnel.rounds >= o.Protocol.max_rounds
         then { report with Powder.Optimizer.stopped_by = "max_rounds" }
         else report
       in

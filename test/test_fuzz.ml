@@ -127,7 +127,7 @@ let test_oracle_agrees_on_fuzzed () =
         ~config:
           { Powder.Candidates.classes = Powder.Subst.all_klasses;
             per_target = 2; pool_limit = 16; require_positive = false;
-            credit_downstream = false; index = Powder.Candidates.Hash }
+            index = Powder.Candidates.Hash }
         est
     in
     List.iteri

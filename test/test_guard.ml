@@ -112,7 +112,7 @@ let test_optimizer_survives_corrupt_apply () =
   Guard.inject Guard.Corrupt_apply;
   let report = Optimizer.optimize ~config:small_config c in
   Guard.clear_injection ();
-  Alcotest.(check int) "one rollback" 1 report.Optimizer.rolled_back;
+  Alcotest.(check int) "one rollback" 1 report.Optimizer.funnel.rolled_back;
   check_valid "after run" c;
   check_equiv "final netlist equivalent" original c
 
@@ -127,7 +127,7 @@ let test_optimizer_catches_forged_verdict () =
   let report = Optimizer.optimize ~config c in
   Guard.clear_injection ();
   Alcotest.(check bool) "forged apply rolled back" true
-    (report.Optimizer.rolled_back >= 1);
+    (report.Optimizer.funnel.rolled_back >= 1);
   check_valid "after run" c;
   check_equiv "final netlist equivalent" original c
 
@@ -138,7 +138,7 @@ let test_optimizer_survives_expired_deadline () =
   let report = Optimizer.optimize ~config:small_config c in
   Guard.clear_injection ();
   Alcotest.(check bool) "timeout counted" true
-    (report.Optimizer.rejected_by_timeout >= 1);
+    (report.Optimizer.funnel.rejected_by_timeout >= 1);
   check_valid "after run" c;
   check_equiv "final netlist equivalent" original c
 
@@ -170,9 +170,9 @@ let test_zero_check_budget_degrades () =
   Alcotest.(check string) "stopped by ladder" "degradation"
     report.Optimizer.stopped_by;
   Alcotest.(check int) "ladder exhausted" 3 report.Optimizer.degradation_level;
-  Alcotest.(check int) "nothing applied" 0 report.Optimizer.substitutions;
+  Alcotest.(check int) "nothing applied" 0 report.Optimizer.funnel.substitutions;
   Alcotest.(check bool) "timeouts counted" true
-    (report.Optimizer.rejected_by_timeout >= 3);
+    (report.Optimizer.funnel.rejected_by_timeout >= 3);
   check_valid "after run" c;
   check_equiv "netlist untouched" original c
 
@@ -185,7 +185,7 @@ let test_zero_run_budget_stops () =
   let report = Optimizer.optimize ~config c in
   Alcotest.(check string) "stopped by run budget" "run_budget"
     report.Optimizer.stopped_by;
-  Alcotest.(check int) "nothing applied" 0 report.Optimizer.substitutions;
+  Alcotest.(check int) "nothing applied" 0 report.Optimizer.funnel.substitutions;
   check_valid "after run" c;
   check_equiv "netlist untouched" original c
 
@@ -205,7 +205,7 @@ let test_tiny_proof_budget_gives_up () =
   in
   let report = Optimizer.optimize ~config c in
   Alcotest.(check bool) "give-ups counted" true
-    (report.Optimizer.rejected_by_giveup >= 1);
+    (report.Optimizer.funnel.rejected_by_giveup >= 1);
   List.iter
     (fun (key, n) ->
       Alcotest.(check bool) ("breakdown key " ^ key) true
@@ -215,7 +215,7 @@ let test_tiny_proof_budget_gives_up () =
     List.fold_left (fun acc (_, n) -> acc + n) 0 report.Optimizer.giveup_breakdown
   in
   Alcotest.(check int) "breakdown covers giveups and timeouts"
-    (report.Optimizer.rejected_by_giveup + report.Optimizer.rejected_by_timeout)
+    (report.Optimizer.funnel.rejected_by_giveup + report.Optimizer.funnel.rejected_by_timeout)
     breakdown_total;
   check_valid "after run" c;
   check_equiv "final netlist equivalent" original c
@@ -405,13 +405,13 @@ let resume_matches ?(half_jobs = 1) ?(resume_jobs = 1) name =
   let r_res =
     Optimizer.optimize ~config:{ config with jobs = resume_jobs } ~resume:ck c_res
   in
-  Alcotest.(check int) "substitutions" r_ref.Optimizer.substitutions
-    r_res.Optimizer.substitutions;
-  Alcotest.(check int) "rounds" r_ref.Optimizer.rounds r_res.Optimizer.rounds;
-  Alcotest.(check int) "candidates" r_ref.Optimizer.candidates_generated
-    r_res.Optimizer.candidates_generated;
-  Alcotest.(check int) "checks" r_ref.Optimizer.checks_run
-    r_res.Optimizer.checks_run;
+  Alcotest.(check int) "substitutions" r_ref.Optimizer.funnel.substitutions
+    r_res.Optimizer.funnel.substitutions;
+  Alcotest.(check int) "rounds" r_ref.Optimizer.funnel.rounds r_res.Optimizer.funnel.rounds;
+  Alcotest.(check int) "candidates" r_ref.Optimizer.funnel.candidates_generated
+    r_res.Optimizer.funnel.candidates_generated;
+  Alcotest.(check int) "checks" r_ref.Optimizer.funnel.checks_run
+    r_res.Optimizer.funnel.checks_run;
   Alcotest.(check string) "stopped_by" r_ref.Optimizer.stopped_by
     r_res.Optimizer.stopped_by;
   Alcotest.(check (float 0.0)) "final power" r_ref.Optimizer.final_power

@@ -63,7 +63,7 @@ let test_flow_small_exact () =
 let test_flow_wide () =
   let original, optimized, report = run_flow "comp" in
   check_equiv "comp" original optimized;
-  Alcotest.(check bool) "no failure" true (report.Optimizer.rounds >= 1)
+  Alcotest.(check bool) "no failure" true (report.Optimizer.funnel.rounds >= 1)
 
 let test_flow_delay_constrained () =
   List.iter
@@ -121,22 +121,7 @@ let test_optimizer_report_consistency () =
     List.fold_left (fun acc (_, st) -> acc + st.Optimizer.accepted) 0
       report.Optimizer.by_class
   in
-  Alcotest.(check int) "class counts sum" report.Optimizer.substitutions class_count
-
-let test_tradeoff_sweep_shape () =
-  match Suite.find "rd84" with
-  | None -> Alcotest.fail "rd84 missing"
-  | Some spec ->
-    let builders = [ (fun () -> Suite.mapped spec) ] in
-    let points =
-      Powder.Tradeoff.sweep ~config:small_cfg ~percents:[ 0.0; 50.0 ] builders
-    in
-    Alcotest.(check int) "two points" 2 (List.length points);
-    List.iter
-      (fun p ->
-        Alcotest.(check bool) "relative power <= 1" true
-          (p.Powder.Tradeoff.relative_power <= 1.0 +. 1e-9))
-      points
+  Alcotest.(check int) "class counts sum" report.Optimizer.funnel.substitutions class_count
 
 let suite =
   [
@@ -147,6 +132,5 @@ let suite =
         Alcotest.test_case "delay-constrained flow" `Slow test_flow_delay_constrained;
         Alcotest.test_case "looser constraint not worse" `Slow test_looser_constraint_never_worse;
         Alcotest.test_case "report consistency" `Slow test_optimizer_report_consistency;
-        Alcotest.test_case "tradeoff sweep" `Slow test_tradeoff_sweep_shape;
       ] );
   ]

@@ -259,9 +259,9 @@ let test_optimizer_trace () =
   in
   let accepts = by_ev "accept" in
   Alcotest.(check int) "one accept event per substitution"
-    report.Powder.Optimizer.substitutions (List.length accepts);
+    report.Powder.Optimizer.funnel.substitutions (List.length accepts);
   Alcotest.(check bool) "optimizer did accept something" true
-    (report.Powder.Optimizer.substitutions > 0);
+    (report.Powder.Optimizer.funnel.substitutions > 0);
   List.iter
     (fun a ->
       Alcotest.(check bool) "accept carries estimated gain" true
@@ -270,7 +270,7 @@ let test_optimizer_trace () =
         (Option.bind (Json.member "realized_gain" a) Json.get_float <> None))
     accepts;
   Alcotest.(check int) "one round event per round"
-    report.Powder.Optimizer.rounds
+    report.Powder.Optimizer.funnel.rounds
     (List.length (by_ev "round"));
   (* every reject event's reason is one of the funnel reasons, and the
      per-reason totals match the report *)
@@ -281,13 +281,13 @@ let test_optimizer_trace () =
            Option.bind (Json.member "reason" j) Json.get_string = Some reason)
          (by_ev "reject"))
   in
-  Alcotest.(check int) "atpg rejects" report.Powder.Optimizer.rejected_by_atpg
+  Alcotest.(check int) "atpg rejects" report.Powder.Optimizer.funnel.rejected_by_atpg
     (reject_count "atpg");
   Alcotest.(check int) "giveup rejects"
-    report.Powder.Optimizer.rejected_by_giveup (reject_count "giveup");
-  Alcotest.(check int) "cex rejects" report.Powder.Optimizer.rejected_by_cex
+    report.Powder.Optimizer.funnel.rejected_by_giveup (reject_count "giveup");
+  Alcotest.(check int) "cex rejects" report.Powder.Optimizer.funnel.rejected_by_cex
     (reject_count "cex");
-  Alcotest.(check int) "delay rejects" report.Powder.Optimizer.rejected_by_delay
+  Alcotest.(check int) "delay rejects" report.Powder.Optimizer.funnel.rejected_by_delay
     (reject_count "delay");
   (* phase accounting: every declared phase is present and the span
      histogram actually fired for the phases a successful run must hit *)
@@ -327,7 +327,7 @@ let test_report_json () =
       checked
       (accepted + get "rejected_by_atpg" + get "rejected_by_giveup"
       + get "rejected_by_timeout" + get "rolled_back");
-    Alcotest.(check (option int)) "substitutions" (Some report.Powder.Optimizer.substitutions)
+    Alcotest.(check (option int)) "substitutions" (Some report.Powder.Optimizer.funnel.substitutions)
       (Option.bind (Json.member "substitutions" j') Json.get_int))
 
 (* ------------------------------------------------------------------ *)

@@ -5,7 +5,6 @@
 
 module Circuit = Netlist.Circuit
 module Optimizer = Powder.Optimizer
-module Candidates = Powder.Candidates
 
 exception Boom of int
 
@@ -211,9 +210,9 @@ let optimizer_determinism name () =
 
 (* Windowed runs carry the same guarantee: the window verdict is a
    deterministic function of (circuit, substitution, cut budget), so
-   neither the job width nor the signature-index strategy may change a
-   single byte of the result — only [--window] itself may. *)
-let windowed_optimize ~jobs ~sig_index name =
+   the job width may not change a single byte of the result — only
+   [--window] itself may. *)
+let windowed_optimize ~jobs name =
   let c = mapped name in
   let config =
     {
@@ -221,7 +220,6 @@ let windowed_optimize ~jobs ~sig_index name =
       words = 8;
       max_rounds = 3;
       jobs;
-      sig_index;
       window = Some 16;
     }
   in
@@ -230,13 +228,10 @@ let windowed_optimize ~jobs ~sig_index name =
     Blif.Blif_io.circuit_to_string c )
 
 let windowed_determinism name () =
-  let j1, b1 = windowed_optimize ~jobs:1 ~sig_index:Candidates.Hash name in
-  let j4, b4 = windowed_optimize ~jobs:4 ~sig_index:Candidates.Hash name in
-  let js, bs = windowed_optimize ~jobs:1 ~sig_index:Candidates.Scan name in
+  let j1, b1 = windowed_optimize ~jobs:1 name in
+  let j4, b4 = windowed_optimize ~jobs:4 name in
   Alcotest.(check string) "windowed report identical across jobs" j1 j4;
-  Alcotest.(check string) "windowed netlist identical across jobs" b1 b4;
-  Alcotest.(check string) "windowed report identical across sig-index" j1 js;
-  Alcotest.(check string) "windowed netlist identical across sig-index" b1 bs
+  Alcotest.(check string) "windowed netlist identical across jobs" b1 b4
 
 let fuzz_at jobs =
   let config =

@@ -176,7 +176,13 @@ let test_sweep_structure () =
     (fun p ->
       Alcotest.(check bool) "no glitch power under zero-delay cost" true
         (p.Frontier.glitch_power = None))
-    r.Sweep.points
+    r.Sweep.points;
+  (* no point, constrained or not, ends with more power than it began *)
+  List.iter
+    (fun (label, rep) ->
+      Alcotest.(check bool) (label ^ " power never increases") true
+        (rep.Optimizer.final_power <= rep.Optimizer.initial_power +. 1e-9))
+    r.Sweep.reports
 
 let test_sweep_delay_rejections () =
   (* Section 3.4 satellite: at the keep-initial-delay constraint some
@@ -187,7 +193,7 @@ let test_sweep_delay_rejections () =
   in
   let _, rep = List.hd r.Sweep.reports in
   Alcotest.(check bool) "rejected_by_delay > 0" true
-    (rep.Optimizer.rejected_by_delay > 0);
+    (rep.Optimizer.funnel.rejected_by_delay > 0);
   (match rep.Optimizer.delay_constraint with
   | None -> Alcotest.fail "1.00x point lost its constraint"
   | Some c ->
@@ -196,7 +202,7 @@ let test_sweep_delay_rejections () =
     Alcotest.(check (float 1e-6)) "constraint = initial delay"
       rep.Optimizer.initial_delay c);
   Alcotest.(check bool) "still finds substitutions" true
-    (rep.Optimizer.substitutions > 0)
+    (rep.Optimizer.funnel.substitutions > 0)
 
 let test_sweep_jobs_deterministic () =
   let specs = [ Sweep.Scale 1.0; Sweep.Unbounded ] in
@@ -232,19 +238,6 @@ let test_sweep_glitch_cost () =
         (rep.Optimizer.initial_glitch_power <> None
         && rep.Optimizer.final_glitch_power <> None))
     r.Sweep.reports
-
-let test_is3_credit_smoke () =
-  (* the experimental credit changes ranking inputs, never soundness:
-     the run must complete with a coherent report *)
-  let config = { test_config with Optimizer.is3_credit = true } in
-  let r =
-    Sweep.run ~config ~specs:[ Sweep.Unbounded ] ~name:"rd84" rd84
-  in
-  let _, rep = List.hd r.Sweep.reports in
-  Alcotest.(check bool) "run completes with substitutions" true
-    (rep.Optimizer.substitutions >= 0);
-  Alcotest.(check bool) "power never increases" true
-    (rep.Optimizer.final_power <= rep.Optimizer.initial_power +. 1e-9)
 
 let with_temp_dir f =
   let dir =
@@ -284,7 +277,25 @@ let test_sweep_checkpoint_resume () =
          the uninterrupted report byte-for-byte *)
       let second = strip_volatile (Sweep.to_json (run ())) in
       Alcotest.(check string) "resumed sweep identical"
-        (Obs.Json.to_string first) (Obs.Json.to_string second))
+        (Obs.Json.to_string first) (Obs.Json.to_string second));
+  (* a sweep stopped after round 1 and re-run over the same directory
+     with a different seed finishes on the checkpoint's seed: mixing
+     the two would produce a netlist neither seed does *)
+  let sweep ~dir seed max_rounds =
+    let config = { test_config with Optimizer.seed; max_rounds } in
+    strip_volatile
+      (Sweep.to_json
+         (Sweep.run ~config ~specs:[ Sweep.Unbounded ] ~checkpoint_dir:dir
+            ~name:"rd84" rd84))
+  in
+  let reference = with_temp_dir (fun dir -> sweep ~dir 1L 2) in
+  let resumed =
+    with_temp_dir (fun dir ->
+        ignore (sweep ~dir 1L 1);
+        sweep ~dir 99L 2)
+  in
+  Alcotest.(check string) "resumed on the checkpoint's seed"
+    (Obs.Json.to_string reference) (Obs.Json.to_string resumed)
 
 let suite =
   [
@@ -301,7 +312,6 @@ let suite =
           test_sweep_delay_rejections;
         Alcotest.test_case "jobs-deterministic" `Quick test_sweep_jobs_deterministic;
         Alcotest.test_case "glitch cost sweep" `Quick test_sweep_glitch_cost;
-        Alcotest.test_case "is3 credit smoke" `Quick test_is3_credit_smoke;
         Alcotest.test_case "checkpoint resume" `Quick test_sweep_checkpoint_resume;
       ] );
   ]

@@ -213,8 +213,8 @@ let test_optimizer_deterministic () =
   let r1 = run () and r2 = run () in
   Alcotest.(check (float 1e-12)) "same final power" r1.Optimizer.final_power
     r2.Optimizer.final_power;
-  Alcotest.(check int) "same substitutions" r1.Optimizer.substitutions
-    r2.Optimizer.substitutions;
+  Alcotest.(check int) "same substitutions" r1.Optimizer.funnel.substitutions
+    r2.Optimizer.funnel.substitutions;
   Alcotest.(check (float 1e-12)) "same area" r1.Optimizer.final_area
     r2.Optimizer.final_area
 
@@ -258,7 +258,7 @@ let test_gain_identity_on_fuzzed_accepts () =
       true
       (Float.abs (summed -. delta)
       <= 1e-6 *. Float.max 1.0 (Float.abs r.Optimizer.initial_power));
-    accepts := !accepts + r.Optimizer.substitutions;
+    accepts := !accepts + r.Optimizer.funnel.substitutions;
     incr seed
   done;
   Alcotest.(check bool) "covered >= 50 accepted substitutions" true

@@ -160,34 +160,55 @@ let test_cex_folding_splits_class () =
 
 (* --- hash index == linear scan, candidate for candidate ----------- *)
 
+let same_candidates label circ hash scan =
+  Alcotest.(check int) (label ^ ": same count") (List.length hash) (List.length scan);
+  List.iter2
+    (fun (s1, g1) (s2, g2) ->
+      Alcotest.(check string) (label ^ ": same candidate")
+        (Subst.describe circ s1) (Subst.describe circ s2);
+      Alcotest.(check bool) "same gain" true
+        (Subst.total_gain g1 = Subst.total_gain g2))
+    hash scan
+
 let test_hash_matches_scan () =
+  let generate ?store est index =
+    Candidates.generate ?store ~config:{ Candidates.default_config with index } est
+  in
   List.iter
     (fun seed ->
       let circ = Build.random_circuit ~seed ~n_pis:7 ~n_gates:50 in
       let eng = Engine.create circ ~words:8 in
       Engine.randomize eng (Sim.Rng.create 31L);
       let est = Estimator.create eng in
-      let hash =
-        Candidates.generate
-          ~config:{ Candidates.default_config with index = Candidates.Hash }
-          est
+      same_candidates (Printf.sprintf "seed %d" seed) circ
+        (generate est Candidates.Hash) (generate est Candidates.Scan);
+      (* the same identity on a store kept up to date incrementally
+         across accepted substitutions, as the optimizer's accept path
+         does *)
+      let cex = Engine.create circ ~words:2 in
+      Engine.randomize cex (Sim.Rng.create 37L);
+      let store = Sigstore.create ~cex ~base:eng () in
+      let accepted (s, _) =
+        (not (Subst.creates_cycle circ s))
+        && Powder.Check.permissible circ s = Powder.Check.Permissible
       in
-      let scan =
-        Candidates.generate
-          ~config:{ Candidates.default_config with index = Candidates.Scan }
-          est
+      let rec edit_and_compare edits =
+        let hash = generate ~store est Candidates.Hash in
+        same_candidates
+          (Printf.sprintf "seed %d after %d edits" seed edits)
+          circ hash
+          (generate ~store est Candidates.Scan);
+        if edits < 3 then
+          match List.find_opt accepted hash with
+          | None -> Alcotest.fail "no permissible candidate to apply"
+          | Some (s, _) ->
+            let src = Subst.apply circ s in
+            ignore (Estimator.update_after_edit est src);
+            ignore (Engine.resim_after_edit cex src);
+            Sigstore.update_after_edit store src;
+            edit_and_compare (edits + 1)
       in
-      Alcotest.(check int)
-        (Printf.sprintf "seed %d: same count" seed)
-        (List.length hash) (List.length scan);
-      List.iter2
-        (fun (s1, g1) (s2, g2) ->
-          Alcotest.(check string)
-            (Printf.sprintf "seed %d: same candidate" seed)
-            (Subst.describe circ s1) (Subst.describe circ s2);
-          Alcotest.(check bool) "same gain" true
-            (Subst.total_gain g1 = Subst.total_gain g2))
-        hash scan)
+      edit_and_compare 0)
     [ 2; 29; 77 ]
 
 let suite =

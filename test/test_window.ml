@@ -24,7 +24,6 @@ let candidates_of ~seed c k =
       per_target = 2;
       pool_limit = 30;
       require_positive = false;
-      credit_downstream = false;
       index = Powder.Candidates.Hash;
     }
   in
