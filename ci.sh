@@ -11,7 +11,8 @@
 #     perf    bench self-consistency + committed-baseline perf gate
 #     pareto  frontier sweep: jobs determinism, frontier invariants,
 #             glitch cost model, bench gate vs the committed baseline
-#     scale   synthetic large-netlist bench: windowed-vs-global check
+#     scale   synth:4000 round: jobs determinism + top-heap gate;
+#             synthetic large-netlist bench: windowed-vs-global check
 #             agreement + throughput gate vs the committed baseline
 #     all     every stage above, in that order (the default)
 #
@@ -352,6 +353,31 @@ stage_pareto() {
 # scale                                                              #
 # ------------------------------------------------------------------ #
 stage_scale() {
+  echo "== scale: synth:4000 round, determinism and memory (--jobs 2 == --jobs 1) =="
+  # One windowed round on a 4000-gate netlist, where candidate
+  # generation and ranking dominate.  Both job counts must emit
+  # matching reports and byte-identical netlists, and the top heap must
+  # stay under 6e7 words: per-target work and memory are proportional
+  # to the target's cone (~2.7e7 words here); an N-sized mask per
+  # target took it to ~1.8e8.
+  scale_dir=$(mktemp -d /tmp/powder_ci_synth_XXXXXX)
+  for j in 1 2; do
+    hard_timeout 600 dune exec bin/powder_cli.exe -- optimize \
+      --circuit synth:4000 --window 16 --max-rounds 1 --metrics --jobs "$j" \
+      --json "$scale_dir/j$j.json" -o "$scale_dir/j$j.blif" > "$scale_dir/j$j.txt"
+    awk -v j="$j" '$1 == "gc.top_heap_words" {
+        seen = 1
+        if ($2 > 6e7) { print "top heap " $2 " words > 6e7 at --jobs " j; bad = 1 }
+      }
+      END {
+        if (!seen) print "no gc.top_heap_words gauge at --jobs " j
+        exit (bad || !seen)
+      }' "$scale_dir/j$j.txt"
+  done
+  dune exec bin/json_check.exe -- --compare-reports "$scale_dir/j1.json" "$scale_dir/j2.json"
+  cmp "$scale_dir/j1.blif" "$scale_dir/j2.blif"
+  rm -rf "$scale_dir"
+
   echo "== scale: synthetic netlist, windowed vs global checking =="
   # The bench itself fails if the windowed and global legs disagree on
   # the final power (windowing must never change the verdict, only the

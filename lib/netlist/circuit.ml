@@ -30,6 +30,11 @@ type journal_op =
 
 type journal = { mutable ops : journal_op list; saved_fresh : int }
 
+(* Memoized topological order of one structural version, with each
+   node's position in it ([max_int] for nodes outside the order: POs
+   and dead nodes). *)
+type topo_memo = { topo_version : int; order : node_id array; pos : int array }
+
 type t = {
   lib : Library.t;
   mutable nodes : node array;
@@ -39,7 +44,7 @@ type t = {
   names : (string, node_id) Hashtbl.t;
   mutable fresh : int;
   mutable version : int;
-  mutable topo_cache : (int * node_id array) option;
+  mutable topo_cache : topo_memo option;
   mutable journal : journal option;
   (* Edit log: every structural mutation appends the ids whose local
      timing/power inputs (fanins, fanout loads, cell, liveness) may have
@@ -246,15 +251,7 @@ let clone t =
 (* Traversals                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let rec topo_order t =
-  match t.topo_cache with
-  | Some (v, order) when v = t.version -> order
-  | Some _ | None ->
-    let order = compute_topo_order t in
-    t.topo_cache <- Some (t.version, order);
-    order
-
-and compute_topo_order t =
+let compute_topo_order t =
   (* Kahn over live non-PO nodes. *)
   let indeg = Array.make t.count 0 in
   iter_live t (fun id ->
@@ -279,6 +276,19 @@ and compute_topo_order t =
       (node t id).fanouts
   done;
   Array.sub order 0 !k
+
+let topo_memo t =
+  match t.topo_cache with
+  | Some m when m.topo_version = t.version -> m
+  | Some _ | None ->
+    let order = compute_topo_order t in
+    let pos = Array.make t.count max_int in
+    Array.iteri (fun k id -> pos.(id) <- k) order;
+    let m = { topo_version = t.version; order; pos } in
+    t.topo_cache <- Some m;
+    m
+
+let topo_order t = (topo_memo t).order
 
 let tfo t s =
   let marked = Array.make t.count false in
@@ -308,47 +318,116 @@ let tfi t s =
   visit s;
   marked
 
+(* Per-domain traversal scratch.  A node is visited by the current
+   traversal iff [stamp.(id) = epoch], so starting a traversal costs an
+   epoch bump instead of clearing (or allocating) an N-sized array, and
+   the walks below cost O(cone), not O(circuit).  Each walk pushes a
+   node at most once, so the stack never outgrows [stamp].  Domain-local,
+   so pool tasks never share one; no walk calls another while it holds
+   it. *)
+type scratch = {
+  mutable stamp : int array;
+  mutable pending : int array;  (* [dominated_region]: pins left to count *)
+  mutable stack : node_id array;
+  mutable epoch : int;
+  mutable sp : int;
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      { stamp = [||]; pending = [||]; stack = [||]; epoch = 0; sp = 0 })
+
+let scratch_for t =
+  let sc = Domain.DLS.get scratch_key in
+  if Array.length sc.stamp < t.count then begin
+    let n = max t.count (2 * Array.length sc.stamp) in
+    sc.stamp <- Array.make n 0;
+    sc.pending <- Array.make n 0;
+    sc.stack <- Array.make n 0;
+    sc.epoch <- 0
+  end;
+  sc.epoch <- sc.epoch + 1;
+  sc.sp <- 0;
+  sc
+
+let push sc id =
+  sc.stack.(sc.sp) <- id;
+  sc.sp <- sc.sp + 1
+
+let pop sc =
+  sc.sp <- sc.sp - 1;
+  sc.stack.(sc.sp)
+
 let reaches t a b =
-  if a = b then true
-  else begin
-    let seen = Array.make t.count false in
-    let rec visit id =
-      id = b
-      || List.exists
-           (fun p ->
-             (node t p.sink).live && not seen.(p.sink)
-             && begin
-                  seen.(p.sink) <- true;
-                  visit p.sink
-                end)
-           (node t id).fanouts
+  a = b
+  || begin
+    ignore (node t a);
+    (* A node at or after [b] in a topological order cannot reach it, so
+       with a current memo the walk never expands one.  The memo is only
+       read: [reaches] runs inside pool tasks and inside edits, where
+       recomputing it would race or see a half-made edit. *)
+    let pos, limit =
+      match t.topo_cache with
+      | Some m when m.topo_version = t.version && b >= 0 && b < t.count ->
+        (m.pos, m.pos.(b))
+      | Some _ | None -> ([||], max_int)
     in
-    visit a
+    let expands id = limit = max_int || pos.(id) < limit in
+    let sc = scratch_for t in
+    let found = ref false in
+    sc.stamp.(a) <- sc.epoch;
+    if expands a then push sc a;
+    while (not !found) && sc.sp > 0 do
+      let id = pop sc in
+      List.iter
+        (fun p ->
+          let x = p.sink in
+          if (not !found) && t.nodes.(x).live && sc.stamp.(x) <> sc.epoch
+          then begin
+            sc.stamp.(x) <- sc.epoch;
+            if x = b then found := true else if expands x then push sc x
+          end)
+        t.nodes.(id).fanouts
+    done;
+    !found
   end
 
-let dominated_region t s =
-  (* Process TFI(s) union {s} in reverse topological order; a node is
-     dominated iff it has fanouts and every fanout sink is [s]-dominated
-     (PO sinks are never dominated). *)
-  let in_tfi = tfi t s in
-  in_tfi.(s) <- true;
+let dominated_region_members t s =
+  (* A node is dominated iff it has fanouts and every fanout sink is a
+     dominated non-PO node.  Walking back from [s], each fanin counts
+     down its fanout pins into the region and joins it when the last
+     one is counted: the same fixed point as a reverse-topological
+     sweep of TFI(s), but the walk costs O(|Dom(s)| + boundary). *)
+  let n = node t s in
+  let sc = scratch_for t in
   let dom = Array.make t.count false in
   dom.(s) <- true;
-  let order = topo_order t in
-  for k = Array.length order - 1 downto 0 do
-    let id = order.(k) in
-    if in_tfi.(id) && id <> s then begin
-      let fo = (node t id).fanouts in
-      let all_dominated =
-        fo <> []
-        && List.for_all
-             (fun p -> (not (is_po_node t p.sink)) && dom.(p.sink))
-             fo
-      in
-      if all_dominated then dom.(id) <- true
-    end
+  let members = ref [ s ] in
+  let is_po = match n.kind with Po _ -> true | Pi | Const _ | Cell _ -> false in
+  sc.stamp.(s) <- sc.epoch;
+  sc.pending.(s) <- 0;
+  if n.live && not is_po then push sc s;
+  while sc.sp > 0 do
+    let d = pop sc in
+    Array.iter
+      (fun f ->
+        if sc.stamp.(f) <> sc.epoch then begin
+          sc.stamp.(f) <- sc.epoch;
+          sc.pending.(f) <- List.length t.nodes.(f).fanouts
+        end;
+        sc.pending.(f) <- sc.pending.(f) - 1;
+        if sc.pending.(f) = 0 then begin
+          dom.(f) <- true;
+          members := f :: !members;
+          push sc f
+        end)
+      (fanins t d)
   done;
-  dom
+  let members = Array.of_list !members in
+  Array.sort Int.compare members;
+  (dom, members)
+
+let dominated_region t s = fst (dominated_region_members t s)
 
 let inputs_of_region t region =
   let result = ref [] in
@@ -374,8 +453,9 @@ let would_cycle_stem t a b =
        (fun p -> (not (is_po_node t p.sink)) && reaches t p.sink b)
        (node t a).fanouts
 
+(* Edits validate before they [touch]: a rejected edit keeps the
+   topological memo (and with it [reaches]' pruning) intact. *)
 let set_fanin t sink pin b =
-  touch t;
   let n = node t sink in
   if not (node t b).live then invalid_arg "Circuit.set_fanin: dead driver";
   match n.kind with
@@ -386,6 +466,7 @@ let set_fanin t sink pin b =
     else begin
       if would_cycle_pin t sink pin b then
         invalid_arg "Circuit.set_fanin: would create a cycle";
+      touch t;
       record t (U_set_fanin { sink; pin; old_driver = fs.(pin) });
       log_edit t sink;
       remove_fanout t fs.(pin) { sink; pin_index = pin };
@@ -397,6 +478,7 @@ let set_fanin t sink pin b =
     if pin <> 0 then invalid_arg "Circuit.set_fanin: bad PO pin";
     if d = b then ()
     else begin
+      touch t;
       record t (U_set_fanin { sink; pin = 0; old_driver = d });
       log_edit t sink;
       remove_fanout t d { sink; pin_index = 0 };
@@ -406,11 +488,11 @@ let set_fanin t sink pin b =
   | Pi | Const _ -> invalid_arg "Circuit.set_fanin: node has no fanins"
 
 let replace_stem t a b =
-  touch t;
   if a = b then invalid_arg "Circuit.replace_stem: a = b";
   if not (node t b).live then invalid_arg "Circuit.replace_stem: dead driver";
   if would_cycle_stem t a b then
     invalid_arg "Circuit.replace_stem: would create a cycle";
+  touch t;
   let moved = (node t a).fanouts in
   record t (U_replace_stem { a; moved });
   log_edit t a;
@@ -493,6 +575,7 @@ let journal_commit t =
 let undo_alloc t id =
   if id <> t.count - 1 then
     invalid_arg "Circuit journal: alloc undo out of order";
+  touch t;
   log_edit t id;
   let n = t.nodes.(id) in
   (match n.kind with
@@ -513,6 +596,7 @@ let undo_alloc t id =
    byte-identical to the pre-kill order — only membership is — which is
    fine for every consumer (validate, simulation, traversals). *)
 let resurrect t id =
+  touch t;
   let n = t.nodes.(id) in
   n.live <- true;
   log_edit t id;
@@ -524,6 +608,7 @@ let resurrect t id =
   | Pi | Po _ -> assert false
 
 let unreplace_stem t a moved =
+  touch t;
   List.iter
     (fun p ->
       let s = node t p.sink in

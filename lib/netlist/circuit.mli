@@ -78,11 +78,18 @@ val tfi : t -> node_id -> bool array
 
 val reaches : t -> node_id -> node_id -> bool
 (** [reaches c a b]: is there a directed path from [a] to [b]? (true if
-    [a = b]). *)
+    [a = b]).  Costs O(cone) with a current {!topo_order} memo (nodes
+    ordered after [b] are never expanded) and never computes the memo
+    itself, so it is safe from pool tasks; callers that issue many
+    queries warm the memo once with {!topo_order}. *)
 
 val dominated_region : t -> node_id -> bool array
 (** [Dom(s)]: nodes all of whose paths to any PO pass through [s];
     includes [s].  Per the paper's Section 2. *)
+
+val dominated_region_members : t -> node_id -> bool array * node_id array
+(** {!dominated_region} together with its members in ascending id
+    order, found by a backward walk costing O(|Dom(s)| + boundary). *)
 
 val inputs_of_region : t -> bool array -> node_id list
 (** Nodes outside the region with at least one fanout pin inside it. *)
@@ -93,12 +100,14 @@ val set_fanin : t -> node_id -> int -> node_id -> unit
 (** [set_fanin c sink pin b] reconnects pin [pin] of [sink] to driver
     [b], updating fanout lists.  This is the IS2 edit.
     @raise Invalid_argument on arity violation or if it would create a
-    cycle. *)
+    cycle; a rejected edit leaves the circuit, its edit log and its
+    {!topo_order} memo untouched. *)
 
 val replace_stem : t -> node_id -> node_id -> unit
 (** [replace_stem c a b] moves every fanout of [a] to [b] (the OS2
     edit).  [a] keeps its fanins but loses all fanouts.
-    @raise Invalid_argument if a cycle would result or [a = b]. *)
+    @raise Invalid_argument if a cycle would result or [a = b]; as with
+    {!set_fanin}, a rejected edit changes nothing. *)
 
 val set_cell : t -> node_id -> Gatelib.Cell.t -> unit
 (** Swap the library cell of a gate for another of the same arity

@@ -49,50 +49,18 @@ type target_info = {
   target : Subst.target;
   a : Circuit.node_id;         (* substituted signal *)
   care : int64 array;          (* folded: base words @ cex words *)
-  forbidden : bool array;      (* source base signals that risk a cycle *)
-  forbidden_signals : int;     (* store signals inside [forbidden] *)
+  root : Circuit.node_id option;
+      (* cone root: sources in TFO(root) + root risk a cycle *)
 }
-
-(* [Circuit.tfo] plus the number of store signals inside the mask:
-   counting during the walk keeps the eligible-signal count (needed
-   for the [sig/filtered] statistic) O(|TFO|) instead of a per-target
-   sweep over the whole store. *)
-let tfo_with_signal_count circ store s =
-  let marked = Array.make (Circuit.num_nodes circ) false in
-  let cnt = ref 0 in
-  let rec visit id =
-    List.iter
-      (fun p ->
-        let s' = p.Circuit.sink in
-        if Circuit.is_live circ s' && not marked.(s') then begin
-          marked.(s') <- true;
-          if Sigstore.position store s' >= 0 then incr cnt;
-          visit s'
-        end)
-      (Circuit.fanouts circ id)
-  in
-  visit s;
-  (marked, !cnt)
-
-let mark_self store marked cnt id =
-  if not marked.(id) then begin
-    marked.(id) <- true;
-    if Sigstore.position store id >= 0 then cnt + 1 else cnt
-  end
-  else cnt
 
 let stem_targets circ store =
   List.filter_map
     (fun id ->
       if Circuit.num_fanouts circ id = 0 then None
-      else begin
-        let care = Sigstore.stem_care store id in
-        let forbidden, cnt = tfo_with_signal_count circ store id in
-        let cnt = mark_self store forbidden cnt id in
+      else
         Some
-          { target = Subst.Stem id; a = id; care; forbidden;
-            forbidden_signals = cnt }
-      end)
+          { target = Subst.Stem id; a = id;
+            care = Sigstore.stem_care store id; root = Some id })
     (Circuit.live_gates circ)
 
 let is_signal_node circ id =
@@ -110,19 +78,8 @@ let branch_targets circ store =
           (fun p ->
             let sink = p.Circuit.sink and pin = p.Circuit.pin_index in
             let care = Sigstore.branch_care store ~sink ~pin in
-            let forbidden, forbidden_signals =
-              if Circuit.is_po_node circ sink then
-                (Array.make (Circuit.num_nodes circ) false, 0)
-              else begin
-                let f, cnt = tfo_with_signal_count circ store sink in
-                let cnt = mark_self store f cnt sink in
-                (f, cnt)
-              end
-            in
-            out :=
-              { target = Subst.Branch { sink; pin }; a = id; care; forbidden;
-                forbidden_signals }
-              :: !out)
+            let root = if Circuit.is_po_node circ sink then None else Some sink in
+            out := { target = Subst.Branch { sink; pin }; a = id; care; root } :: !out)
           (Circuit.fanouts circ id));
   List.rev !out
 
@@ -206,7 +163,46 @@ let minpool_insert mp d p =
     if mp.n < mp.limit then mp.n <- mp.n + 1
   end
 
-let scan_target ~config ~store ~est ~gates2 ti =
+(* Cycle-risk marks for one scan chunk: [stamp.(id) = epoch] iff [id]
+   lies in the current target's TFO(root) + root.  One array per chunk,
+   reused across its targets by bumping the epoch, so the memory is
+   O(circuit) per chunk instead of per target and no two pool tasks
+   share one.  A walk pushes each node at most once, so the stack never
+   outgrows the circuit. *)
+type marks = { stamp : int array; stack : int array; mutable epoch : int }
+
+let marks_create circ =
+  let n = Circuit.num_nodes circ in
+  { stamp = Array.make n 0; stack = Array.make n 0; epoch = 0 }
+
+(* Stamps TFO(root) + root (nothing when [root] is [None]) and returns
+   how many store signals it stamped. *)
+let mark_cone circ store mk root =
+  mk.epoch <- mk.epoch + 1;
+  match root with
+  | None -> 0
+  | Some r ->
+    let e = mk.epoch in
+    let signal id = if Sigstore.position store id >= 0 then 1 else 0 in
+    mk.stamp.(r) <- e;
+    mk.stack.(0) <- r;
+    let sp = ref 1 and cnt = ref (signal r) in
+    while !sp > 0 do
+      decr sp;
+      List.iter
+        (fun p ->
+          let s = p.Circuit.sink in
+          if mk.stamp.(s) <> e && Circuit.is_live circ s then begin
+            mk.stamp.(s) <- e;
+            cnt := !cnt + signal s;
+            mk.stack.(!sp) <- s;
+            incr sp
+          end)
+        (Circuit.fanouts circ mk.stack.(!sp))
+    done;
+    !cnt
+
+let scan_target ~config ~store ~est ~gates2 mk ti =
   let want k = List.mem k config.classes in
   let signals = Sigstore.signals store in
   let nsig = Array.length signals in
@@ -292,9 +288,10 @@ let scan_target ~config ~store ~est ~gates2 ti =
     done;
     !d
   in
-  let eligible p =
-    p <> p_a && not ti.forbidden.(Array.unsafe_get signals p)
-  in
+  let circ = Estimator.circuit est in
+  let forbidden_signals = mark_cone circ store mk ti.root in
+  let forbidden id = mk.stamp.(id) = mk.epoch in
+  let eligible p = p <> p_a && not (forbidden (Array.unsafe_get signals p)) in
   (* Every substitution against the same stem shares Dom(a); compute it
      at most once per target; [gain_ab] mutates the mask in place and
      restores it before returning. *)
@@ -303,10 +300,7 @@ let scan_target ~config ~store ~est ~gates2 ti =
     | Subst.Stem _ ->
       Some
         (lazy
-          (let d = Circuit.dominated_region (Estimator.circuit est) ti.a in
-           let m = ref [] in
-           Array.iteri (fun i inside -> if inside then m := i :: !m) d;
-           (d, Array.of_list (List.rev !m))))
+          (Circuit.dominated_region_members circ ti.a))
     | Subst.Branch _ -> None
   in
   let margin = 1e-12 in
@@ -330,7 +324,6 @@ let scan_target ~config ~store ~est ~gates2 ti =
      density is not a cached lookup), and the fast path is off when
      [require_positive] is, since only the final filter makes the
      skip sound. *)
-  let circ = Estimator.circuit est in
   let pos_bound =
     lazy
       (let dummy = { Subst.target = ti.target; source = Subst.Signal ti.a } in
@@ -361,20 +354,54 @@ let scan_target ~config ~store ~est ~gates2 ti =
        in
        (moved, (pa *. (1.0 +. 1e-9)) +. 1e-9))
   in
-  let acc = ref [] in
-  let consider subst =
-    let skip =
-      config.require_positive
-      && (match subst.Subst.source with
-         | Subst.Signal b | Subst.Inverted b ->
-           let moved, bound = Lazy.force pos_bound in
-           moved *. Estimator.transition_prob est b >= bound
-         | Subst.Gate2 _ -> false)
+  (* The best [per_target] candidates so far, worst first: the head is
+     the one a better candidate evicts, and its gain is the bar every
+     further candidate must clear.  Insertion keeps [cand_compare] order
+     with a newcomer placed before its equals, as a stable sort of the
+     newest-first candidate list would, so the kept set is exactly the
+     first [per_target] of that sort. *)
+  let k = config.per_target in
+  let kept = ref [] and nkept = ref 0 in
+  let keep c =
+    let rec ins = function
+      | x :: rest when cand_compare x c >= 0 -> x :: ins rest
+      | l -> c :: l
     in
-    if not skip then begin
+    if !nkept < k then begin
+      kept := ins !kept;
+      incr nkept
+    end
+    else
+      match !kept with
+      | worst :: _ when cand_compare c worst <= 0 -> kept := List.tl (ins !kept)
+      | _ -> ()
+  in
+  (* total gain of the k-th best candidate, [neg_infinity] until [k] are
+     kept *)
+  let bar () =
+    match !kept with
+    | (_, g) :: _ when !nkept >= k -> Subst.total_gain g
+    | _ -> Float.neg_infinity
+  in
+  (* [total_gain <= bound - moved * E(b)] for a 1-signal source (see
+     [pos_bound]): the source is skipped when that bound cannot clear
+     the positive-gain margin, or cannot reach the bar and so could only
+     land behind [per_target] better candidates *)
+  let skips subst =
+    config.require_positive
+    &&
+    match subst.Subst.source with
+    | Subst.Signal b | Subst.Inverted b ->
+      let moved, bound = Lazy.force pos_bound in
+      let eb = moved *. Estimator.transition_prob est b in
+      eb >= bound || bound -. eb < bar ()
+    | Subst.Gate2 _ -> false
+  in
+  let consider subst =
+    if k > 0 && not (skips subst) then begin
       let g = Subst.gain_ab ?dom:(Option.map Lazy.force dom) est subst in
       if (not config.require_positive) || Subst.total_gain g > margin then
-        acc := (subst, g) :: !acc
+        keep (subst, g)
     end
   in
   let two_signal_wanted =
@@ -391,7 +418,7 @@ let scan_target ~config ~store ~est ~gates2 ti =
      the forbidden set, minus [a] itself when it is not already there
      (stems mark themselves forbidden; branch drivers never are). *)
   let n_eligible =
-    nsig - ti.forbidden_signals - (if ti.forbidden.(ti.a) then 0 else 1)
+    nsig - forbidden_signals - (if forbidden ti.a then 0 else 1)
   in
   let ti_is3 = ref 0 in
   let hits2 = ref 0 in
@@ -642,10 +669,7 @@ let scan_target ~config ~store ~est ~gates2 ti =
         done;
         Obs.Metrics.add m_is3_candidates !is3;
         ti_is3 := !is3);
-  let best =
-    List.sort cand_compare !acc
-    |> List.filteri (fun k _ -> k < config.per_target)
-  in
+  let best = List.rev !kept in
   let filtered =
     if two_signal_wanted then max 0 ((2 * n_eligible) - !hits2) else 0
   in
@@ -684,7 +708,8 @@ let generate_stats ?(config = default_config) ?pool ?store est =
         else [])
   in
   let targets = Array.of_list targets in
-  let scan ti = scan_target ~config ~store ~est ~gates2 ti in
+  let scan mk ti = scan_target ~config ~store ~est ~gates2 mk ti in
+  let scan_chunk c = Array.map (scan (marks_create circ)) c in
   let results =
     Obs.Trace.with_span span_scan (fun () ->
     match pool with
@@ -704,12 +729,12 @@ let generate_stats ?(config = default_config) ?pool ?store est =
             Array.sub targets lo (min chunk (Array.length targets - lo)))
       in
       let per_chunk =
-        Par.Pool.map p ~f:(fun c -> Array.map scan c) chunks
+        Par.Pool.map p ~f:scan_chunk chunks
       in
       Array.concat
         (Array.to_list
            (Array.map (function Some r -> r | None -> [||]) per_chunk))
-    | _ -> Array.map scan targets)
+    | _ -> scan_chunk targets)
   in
   let stats =
     Array.fold_left (fun s (_, st) -> add_stats s st) zero_stats results

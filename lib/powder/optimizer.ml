@@ -521,10 +521,8 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
   let try_pick pool used ranked_cache =
     let compute_ranked () =
       (* rank the still-valid unused candidates by fresh PG_A+PG_B;
-         pool entries against the same stem share one dominated-region
-         mask (the pool holds up to [per_target] candidates per
-         target, so recomputing it per entry multiplies the O(circuit)
-         traversal cost for nothing) *)
+         pool entries against the same stem share one dominated region
+         (the pool holds up to [per_target] candidates per target) *)
       let doms = Hashtbl.create 64 in
       let dom_for s =
         match s.Subst.target with
@@ -534,14 +532,15 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
             (match Hashtbl.find_opt doms a with
             | Some d -> d
             | None ->
-              let d = Circuit.dominated_region circ a in
-              let m = ref [] in
-              Array.iteri (fun i inside -> if inside then m := i :: !m) d;
-              let v = (d, Array.of_list (List.rev !m)) in
-              Hashtbl.add doms a v;
-              v)
+              let d = Circuit.dominated_region_members circ a in
+              Hashtbl.add doms a d;
+              d)
       in
       Trace.with_span "rank" (fun () ->
+          (* warm the topological memo: with it every [creates_cycle]
+             query below only walks the part of the cone that precedes
+             its goal *)
+          ignore (Circuit.topo_order circ);
           let ranked = ref [] in
           Array.iteri
             (fun i (s, _) ->

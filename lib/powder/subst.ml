@@ -183,10 +183,8 @@ let gain_ab ?dom est s =
         match dom with
         | Some (d, m) -> (d, m, true)
         | None ->
-          let d = Circuit.dominated_region circ a in
-          let m = ref [] in
-          Array.iteri (fun i inside -> if inside then m := i :: !m) d;
-          (d, Array.of_list (List.rev !m), false)
+          let d, m = Circuit.dominated_region_members circ a in
+          (d, m, false)
       in
       let cleared = ref [] in
       (* Strip TFI(root) ∩ Dom(a) by a backward walk restricted to the

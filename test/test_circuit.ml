@@ -175,3 +175,158 @@ let suite =
        @ [ Alcotest.test_case "topo cache invalidation" `Quick
              test_topo_cache_invalidation ]) ]
   | other -> other
+
+(* A rejected edit must leave every cache alone: the topological memo
+   (which [reaches] prunes with) and the edit log. *)
+let test_rejected_edit_keeps_caches () =
+  let c, _, _, _, d, e, f = Build.fig2_a () in
+  let cur = Circuit.edit_cursor c in
+  Circuit.set_fanin c d 0 e;
+  let log = Circuit.edits_since c cur in
+  let order = Circuit.topo_order c in
+  Alcotest.check_raises "cyclic set_fanin"
+    (Invalid_argument "Circuit.set_fanin: would create a cycle") (fun () ->
+      Circuit.set_fanin c d 1 f);
+  Alcotest.check_raises "cyclic replace_stem"
+    (Invalid_argument "Circuit.replace_stem: would create a cycle") (fun () ->
+      Circuit.replace_stem c d f);
+  Alcotest.(check bool) "topo order kept" true (Circuit.topo_order c == order);
+  Alcotest.(check (option (list int))) "edit log unchanged" log
+    (Circuit.edits_since c cur)
+
+(* Reference traversals: the plain whole-circuit versions the pruned,
+   scratch-reusing ones in [Circuit] must agree with. *)
+let ref_reaches c a b =
+  a = b
+  || begin
+    let seen = Array.make (Circuit.num_nodes c) false in
+    let rec visit id =
+      id = b
+      || List.exists
+           (fun p ->
+             let s = p.Circuit.sink in
+             Circuit.is_live c s && (not seen.(s))
+             && begin
+                  seen.(s) <- true;
+                  visit s
+                end)
+           (Circuit.fanouts c id)
+    in
+    visit a
+  end
+
+let ref_dominated_region c s =
+  let in_tfi = Circuit.tfi c s in
+  in_tfi.(s) <- true;
+  let dom = Array.make (Circuit.num_nodes c) false in
+  dom.(s) <- true;
+  let order = Circuit.topo_order c in
+  for k = Array.length order - 1 downto 0 do
+    let id = order.(k) in
+    if in_tfi.(id) && id <> s then begin
+      let fo = Circuit.fanouts c id in
+      if fo <> []
+         && List.for_all
+              (fun p -> (not (Circuit.is_po_node c p.Circuit.sink)) && dom.(p.Circuit.sink))
+              fo
+      then dom.(id) <- true
+    end
+  done;
+  dom
+
+let ref_would_cycle_pin c sink b = (not (Circuit.is_po_node c sink)) && ref_reaches c sink b
+
+let ref_would_cycle_stem c a b =
+  a = b
+  || List.exists
+       (fun p -> (not (Circuit.is_po_node c p.Circuit.sink)) && ref_reaches c p.Circuit.sink b)
+       (Circuit.fanouts c a)
+
+let members_of mask =
+  List.filter (fun i -> mask.(i)) (List.init (Array.length mask) Fun.id)
+
+(* Everything the traversals answer about node [a]: its reach row, its
+   cycle-check rows, its dominated region (mask and members). *)
+let traversal_row ~reaches ~pin ~stem ~dom c a =
+  let n = Circuit.num_nodes c in
+  let row f = List.init n (fun b -> f a b) in
+  let mask, members = dom c a in
+  (row (reaches c), row (pin c), row (stem c), Array.to_list mask, members)
+
+let new_row c a =
+  traversal_row c a ~reaches:Circuit.reaches
+    ~pin:(fun c sink b -> Circuit.would_cycle_pin c sink 0 b)
+    ~stem:Circuit.would_cycle_stem
+    ~dom:(fun c s ->
+      let mask, members = Circuit.dominated_region_members c s in
+      (mask, Array.to_list members))
+
+let reference_row c a =
+  traversal_row c a ~reaches:ref_reaches ~pin:ref_would_cycle_pin
+    ~stem:ref_would_cycle_stem
+    ~dom:(fun c s ->
+      let mask = ref_dominated_region c s in
+      (mask, members_of mask))
+
+let test_traversals_match_reference () =
+  let module Engine = Sim.Engine in
+  let module Estimator = Power.Estimator in
+  let module Subst = Powder.Subst in
+  let edits = ref 0 in
+  Par.Pool.with_pool ~jobs:4 (fun pool ->
+      for seed = 1 to 50 do
+        let c = Fuzz.Gen.generate (Fuzz.Gen.spec_of_seed (Int64.of_int seed)) in
+        let compare_all label =
+          let ids = Array.init (Circuit.num_nodes c) Fun.id in
+          (* with the memo stale ([reaches] walks unpruned), then warm *)
+          let stale = Array.map (new_row c) ids in
+          ignore (Circuit.topo_order c);
+          let expected = Array.map (reference_row c) ids in
+          let warm = Array.map (new_row c) ids in
+          let in_tasks = Par.Pool.map pool ~f:(new_row c) ids in
+          Array.iteri
+            (fun a want ->
+              let check what got =
+                Alcotest.(check bool)
+                  (Printf.sprintf "seed %d %s node %d: %s" seed label a what)
+                  true (got = want)
+              in
+              check "stale memo" stale.(a);
+              check "warm memo" warm.(a);
+              check "pool task" (Option.get in_tasks.(a)))
+            expected
+        in
+        compare_all "fresh";
+        let eng = Engine.create c ~words:4 in
+        Engine.randomize eng (Sim.Rng.create (Int64.of_int seed));
+        let est = Estimator.create eng in
+        let accepted (s, _) =
+          (not (Subst.creates_cycle c s))
+          && Powder.Check.permissible c s = Powder.Check.Permissible
+        in
+        let rec edit k =
+          if k < 3 then
+            match List.find_opt accepted (Powder.Candidates.generate est) with
+            | None -> ()
+            | Some (s, _) ->
+              let src = Subst.apply c s in
+              incr edits;
+              (* before anything re-warms the memo the edit made stale *)
+              compare_all (Printf.sprintf "after edit %d" (k + 1));
+              ignore (Estimator.update_after_edit est src);
+              edit (k + 1)
+        in
+        edit 0
+      done);
+  Alcotest.(check bool) (Printf.sprintf "%d edits exercised" !edits) true (!edits >= 50)
+
+let suite =
+  match suite with
+  | [ (name, tests) ] ->
+    [ (name,
+       tests
+       @ [ Alcotest.test_case "rejected edit keeps caches" `Quick
+             test_rejected_edit_keeps_caches;
+           Alcotest.test_case "traversals match reference" `Quick
+             test_traversals_match_reference ]) ]
+  | other -> other

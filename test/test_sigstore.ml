@@ -211,6 +211,45 @@ let test_hash_matches_scan () =
       edit_and_compare 0)
     [ 2; 29; 77 ]
 
+(* Top-k pruning is exact: keeping the best 4 per target must give, for
+   every target, the first 4 of the unbounded list (where the prune
+   never fires), in both index modes. *)
+let test_top_k_pruning_exact () =
+  let generate est index per_target =
+    Candidates.generate ~config:{ Candidates.default_config with index; per_target } est
+  in
+  let first_per_target k cands =
+    let seen = Hashtbl.create 64 in
+    List.filter
+      (fun (s, _) ->
+        let n = Option.value ~default:0 (Hashtbl.find_opt seen s.Subst.target) in
+        Hashtbl.replace seen s.Subst.target (n + 1);
+        n < k)
+      cands
+  in
+  let check label circ =
+    let eng = Engine.create circ ~words:8 in
+    Engine.randomize eng (Sim.Rng.create 41L);
+    let est = Estimator.create eng in
+    List.iter
+      (fun index ->
+        let label =
+          label ^ match index with Candidates.Hash -> " hash" | Candidates.Scan -> " scan"
+        in
+        same_candidates label circ (generate est index 4)
+          (first_per_target 4 (generate est index max_int));
+        Alcotest.(check int) (label ^ ": per_target 0") 0
+          (List.length (generate est index 0)))
+      [ Candidates.Hash; Candidates.Scan ]
+  in
+  (match Circuits.Suite.find "cps" with
+  | None -> Alcotest.fail "cps not in the suite"
+  | Some spec -> check "cps" (Circuits.Suite.mapped spec));
+  for seed = 1 to 20 do
+    check (Printf.sprintf "fuzz %d" seed)
+      (Fuzz.Gen.generate (Fuzz.Gen.spec_of_seed (Int64.of_int seed)))
+  done
+
 let suite =
   [
     ( "sigstore",
@@ -223,5 +262,7 @@ let suite =
           test_cex_folding_splits_class;
         Alcotest.test_case "hash index == linear scan" `Quick
           test_hash_matches_scan;
+        Alcotest.test_case "top-k pruning is exact" `Quick
+          test_top_k_pruning_exact;
       ] );
   ]
