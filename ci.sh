@@ -373,6 +373,14 @@ stage_scale() {
         if (!seen) print "no gc.top_heap_words gauge at --jobs " j
         exit (bad || !seen)
       }' "$scale_dir/j$j.txt"
+    # Branch observability rows come from the local rule over the stem
+    # table, so no branch may be flipped and re-simulated (a missing
+    # counter counts as zero).
+    awk -v j="$j" '$1 == "sim.observability.branch.calls" && $2 != 0 {
+        print "branch observability perturbed " $2 " times at --jobs " j
+        bad = 1
+      }
+      END { exit bad }' "$scale_dir/j$j.txt"
   done
   dune exec bin/json_check.exe -- --compare-reports "$scale_dir/j1.json" "$scale_dir/j2.json"
   cmp "$scale_dir/j1.blif" "$scale_dir/j2.blif"

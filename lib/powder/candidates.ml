@@ -25,6 +25,15 @@ let default_config =
     index = Hash;
   }
 
+(* [Bits.popcount62], copied so the 3-signal pool loop's per-limb
+   popcount is inlined: a call there spills the loop's state to the
+   stack on every limb *)
+let[@inline] popcount62 x =
+  let x = x - ((x lsr 1) land 0x1555555555555555) in
+  let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
+  let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F0F in
+  (x * 0x0101010101010101) lsr 56 land 0x7F
+
 (* Number of care positions the 3-signal pool ranks on (see
    [scan_target]); exact when a target's care set is smaller. *)
 let pool_rank_bits = 128
@@ -60,7 +69,7 @@ let stem_targets circ store =
       else
         Some
           { target = Subst.Stem id; a = id;
-            care = Sigstore.stem_care store id; root = Some id })
+            care = Sigstore.stem_obs store id; root = Some id })
     (Circuit.live_gates circ)
 
 let is_signal_node circ id =
@@ -77,7 +86,7 @@ let branch_targets circ store =
         List.iter
           (fun p ->
             let sink = p.Circuit.sink and pin = p.Circuit.pin_index in
-            let care = Sigstore.branch_care store ~sink ~pin in
+            let care = Sigstore.branch_obs store ~sink ~pin in
             let root = if Circuit.is_po_node circ sink then None else Some sink in
             out := { target = Subst.Branch { sink; pin }; a = id; care; root } :: !out)
           (Circuit.fanouts circ id));
@@ -206,6 +215,7 @@ let scan_target ~config ~store ~est ~gates2 mk ti =
   let want k = List.mem k config.classes in
   let signals = Sigstore.signals store in
   let nsig = Array.length signals in
+  let compl = Sigstore.complemented store in
   let p_a = Sigstore.position store ti.a in
   assert (p_a >= 0);
   let care = ti.care in
@@ -244,25 +254,27 @@ let scan_target ~config ~store ~est ~gates2 mk ti =
     a
   in
   let nh = Array.length nzh in
-  (* single pass deciding both polarities: eq ⟺ rows agree on every
-     care position, cq ⟺ they disagree on every care position.  [off]
-     lets the row live inside a flat concatenation
-     ({!Sigstore.icanon_flat}). *)
+  (* single pass deciding both polarities: bit [eq_bit] ⟺ rows agree
+     on every care position, bit [cq_bit] ⟺ they disagree on every care
+     position.  [off] lets the row live inside a flat concatenation
+     ({!Sigstore.icanon_flat}).  Returns an int, not a pair, so the
+     per-class call allocates nothing. *)
+  let eq_bit = 1 and cq_bit = 2 in
   let eq_and_compl irow off =
-    let eq = ref true and cq = ref true in
+    let r = ref (eq_bit lor cq_bit) in
     let k = ref 0 in
-    while (!eq || !cq) && !k < nh do
+    while !r <> 0 && !k < nh do
       let i = Array.unsafe_get nzh !k in
       let m = Array.unsafe_get icare i in
       let x =
         (Array.unsafe_get isig i lxor Array.unsafe_get irow (off + i))
         land m
       in
-      if x <> 0 then eq := false;
-      if x <> m then cq := false;
+      if x <> 0 then r := !r land lnot eq_bit;
+      if x <> m then r := !r land lnot cq_bit;
       incr k
     done;
-    (!eq, !cq)
+    !r
   in
   let eq_only irow =
     let rec go k =
@@ -440,8 +452,8 @@ let scan_target ~config ~store ~est ~gates2 mk ti =
           (* reference path: test every signal row individually *)
           for p = 0 to nsig - 1 do
             if eligible p then begin
-              let direct, inv = eq_and_compl (Sigstore.irow store p) 0 in
-              emit p ~direct ~inv
+              let r = eq_and_compl (Sigstore.irow store p) 0 in
+              emit p ~direct:(r land eq_bit <> 0) ~inv:(r land cq_bit <> 0)
             end
           done
         | Hash ->
@@ -454,11 +466,11 @@ let scan_target ~config ~store ~est ~gates2 mk ti =
                classes unify complements) is the target's own.  Every
                other class is decided without a row test, which is
                what keeps fully observable targets O(|class|). *)
-            let tf = Sigstore.member_complemented store p_a in
+            let tf = compl.(p_a) in
             Array.iter
               (fun p ->
                 if eligible p then begin
-                  let f = Sigstore.member_complemented store p in
+                  let f = compl.(p) in
                   emit p ~direct:(f = tf) ~inv:(f <> tf)
                 end)
               (Sigstore.class_members store (Sigstore.class_of store p_a))
@@ -469,16 +481,18 @@ let scan_target ~config ~store ~est ~gates2 mk ti =
             let flat = Sigstore.icanon_flat store in
             let stride = Sigstore.icanon_stride store in
             for c = 0 to Sigstore.num_classes store - 1 do
-              let eq, cq = eq_and_compl flat (c * stride) in
-              if eq || cq then
+              let r = eq_and_compl flat (c * stride) in
+              if r <> 0 then begin
+                let eq = r land eq_bit <> 0 and cq = r land cq_bit <> 0 in
                 Array.iter
                   (fun p ->
                     if eligible p then
-                      let f = Sigstore.member_complemented store p in
+                      let f = compl.(p) in
                       emit p
                         ~direct:(if f then cq else eq)
                         ~inv:(if f then eq else cq))
                   (Sigstore.class_members store c)
+              end
             done
           end);
   if three_signal_wanted && gates2 <> [] then
@@ -520,7 +534,9 @@ let scan_target ~config ~store ~est ~gates2 mk ti =
              within it.  The polarity flags come from the store
              (membership only); scoring a class whose relevant members
              all turn out ineligible wastes a few limbs but inserts
-             nothing, so the pool is unchanged. *)
+             nothing, so the pool is unchanged.  A class visit is ~3
+             limbs, so the loop reads the store's flat arrays directly,
+             inlines [popcount62] and captures no ref in a closure. *)
           let flat = Sigstore.icanon_flat store in
           let stride = Sigstore.icanon_stride store in
           (* target rows gathered into prefix order once per target:
@@ -529,60 +545,59 @@ let scan_target ~config ~store ~est ~gates2 mk ti =
           let gidx = Array.sub nzh 0 lp in
           let gsig = Array.map (fun i -> isig.(i)) gidx in
           let gcare = Array.map (fun i -> icare.(i)) gidx in
+          let polarity = Sigstore.class_polarity store in
           for c = 0 to Sigstore.num_classes store - 1 do
-            let has_plus = Sigstore.class_has_plus store c in
-            let has_minus = Sigstore.class_has_minus store c in
-            if has_plus || has_minus then begin
-              let off = c * stride in
-              let thr = minpool_threshold mp in
-              let d = ref 0 in
-              let viable = ref true in
-              (if has_minus then begin
-                 (* two-sided abort; the minus side's tight lower bound
-                    is [prefix_care(k) - d] *)
-                 let k = ref 0 in
-                 while !viable && !k < lp do
-                   let i = Array.unsafe_get gidx !k in
-                   d :=
-                     !d
-                     + Bits.popcount62
-                         ((Array.unsafe_get gsig !k
-                          lxor Array.unsafe_get flat (off + i))
-                         land Array.unsafe_get gcare !k);
-                   incr k;
-                   let plus_ok = has_plus && !d <= thr in
-                   let minus_ok = care_pop - (!d + suffix.(!k)) <= thr in
-                   viable := plus_ok || minus_ok
-                 done
-               end
-               else begin
-                 (* plus-only class (the common case): the partial
-                    distance is monotone, so abort purely on
-                    [d > threshold] *)
-                 let k = ref 0 in
-                 while !d <= thr && !k < lp do
-                   let i = Array.unsafe_get gidx !k in
-                   d :=
-                     !d
-                     + Bits.popcount62
-                         ((Array.unsafe_get gsig !k
-                          lxor Array.unsafe_get flat (off + i))
-                         land Array.unsafe_get gcare !k);
-                   incr k
-                 done;
-                 viable := !d <= thr
-               end);
-              if !viable then
-                Array.iter
-                  (fun p ->
-                    if eligible p then
-                      let dm =
-                        if Sigstore.member_complemented store p then
-                          covered - !d
-                        else !d
-                      in
-                      minpool_insert mp dm p)
-                  (Sigstore.class_members store c)
+            let pol = Array.unsafe_get polarity c in
+            let off = c * stride in
+            let thr = minpool_threshold mp in
+            let d = ref 0 and k = ref 0 in
+            let viable =
+              if pol land Sigstore.polarity_minus <> 0 then begin
+                (* two-sided abort; the minus side's tight lower bound
+                   is [prefix_care(k) - d] *)
+                let has_plus = pol land Sigstore.polarity_plus <> 0 in
+                let viable = ref true in
+                while !viable && !k < lp do
+                  let i = Array.unsafe_get gidx !k in
+                  d :=
+                    !d
+                    + popcount62
+                        ((Array.unsafe_get gsig !k
+                         lxor Array.unsafe_get flat (off + i))
+                        land Array.unsafe_get gcare !k);
+                  incr k;
+                  viable :=
+                    (has_plus && !d <= thr)
+                    || care_pop - (!d + Array.unsafe_get suffix !k) <= thr
+                done;
+                !viable
+              end
+              else begin
+                (* plus-only class (the common case): the partial
+                   distance is monotone, so abort purely on
+                   [d > threshold] *)
+                while !d <= thr && !k < lp do
+                  let i = Array.unsafe_get gidx !k in
+                  d :=
+                    !d
+                    + popcount62
+                        ((Array.unsafe_get gsig !k
+                         lxor Array.unsafe_get flat (off + i))
+                        land Array.unsafe_get gcare !k);
+                  incr k
+                done;
+                !d <= thr
+              end
+            in
+            if viable then begin
+              let members = Sigstore.class_members store c in
+              for m = 0 to Array.length members - 1 do
+                let p = Array.unsafe_get members m in
+                if eligible p then
+                  minpool_insert mp
+                    (if Array.unsafe_get compl p then covered - !d else !d)
+                    p
+              done
             end
           done);
         let pool = Array.sub mp.ps 0 mp.n in
@@ -695,14 +710,20 @@ let generate_stats ?(config = default_config) ?pool ?store est =
   in
   let want k = List.mem k config.classes in
   let gates2 = Library.two_input_cells (Circuit.library circ) in
+  let stems = want Subst.Os2 || want Subst.Os3 in
+  let branches = want Subst.Is2 || want Subst.Is3 in
   let targets =
     Obs.Trace.with_span span_targets (fun () ->
-        (if want Subst.Os2 || want Subst.Os3 then
-           Obs.Trace.with_span span_targets_stem (fun () ->
-               stem_targets circ store)
-         else [])
+        (* the observability table holds every stem row and feeds every
+           branch row, so it is built under the stem span either way *)
+        let stem_ts =
+          Obs.Trace.with_span span_targets_stem (fun () ->
+              if stems || branches then Sigstore.compute_care store;
+              if stems then stem_targets circ store else [])
+        in
+        stem_ts
         @
-        if want Subst.Is2 || want Subst.Is3 then
+        if branches then
           Obs.Trace.with_span span_targets_branch (fun () ->
               branch_targets circ store)
         else [])

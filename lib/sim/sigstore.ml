@@ -10,8 +10,6 @@ type cls = {
   icanon : int array; (* canon packed as 62-bit limbs (Bits.pack_words) *)
   mutable members : int list; (* positions, descending while building *)
   mutable member_arr : int array; (* ascending, frozen after build *)
-  mutable has_plus : bool; (* some member carries canon's polarity *)
-  mutable has_minus : bool; (* some member is complemented wrt canon *)
 }
 
 type t = {
@@ -30,8 +28,18 @@ type t = {
      one small array per class *)
   mutable icanon_flat : int array;
   mutable icanon_stride : int;
+  (* per class: [polarity_plus] if some member carries canon's polarity,
+     lor [polarity_minus] if some member is complemented wrt canon *)
+  mutable polarity : int array;
   index : (int, int list ref) Hashtbl.t; (* signature hash -> class ids *)
+  (* observability table, per node id: the folded stem care row of every
+     live cell ([||] elsewhere); [None] until [compute_care] and after
+     any maintenance *)
+  mutable care : int64 array array option;
 }
+
+let polarity_plus = 1
+let polarity_minus = 2
 
 let m_rebuilds = Obs.Metrics.counter "sig/store.rebuilds"
 let m_refreshed = Obs.Metrics.counter "sig/store.refreshed_rows"
@@ -63,7 +71,9 @@ let create ?cex ~base () =
     classes = [||];
     icanon_flat = [||];
     icanon_stride = 0;
+    polarity = [||];
     index = Hashtbl.create 1024;
+    care = None;
   }
 
 let circuit t = Engine.circuit t.base
@@ -124,7 +134,7 @@ let intern t nclasses_ref row =
       incr nclasses_ref;
       let c =
         { canon; icanon = Bits.pack_words canon; members = [];
-          member_arr = [||]; has_plus = false; has_minus = false }
+          member_arr = [||] }
       in
       if id >= Array.length t.classes then begin
         let bigger =
@@ -185,10 +195,15 @@ let resync t ~refresh =
     cls_of.(p) <- id;
     compl_.(p) <- comp;
     let c = t.classes.(id) in
-    if comp then c.has_minus <- true else c.has_plus <- true;
     c.members <- p :: c.members
   done;
   let classes = Array.sub t.classes 0 !nclasses in
+  let polarity = Array.make !nclasses 0 in
+  for p = 0 to n - 1 do
+    let c = cls_of.(p) in
+    polarity.(c) <-
+      polarity.(c) lor if compl_.(p) then polarity_minus else polarity_plus
+  done;
   Array.iter
     (fun c -> c.member_arr <- Array.of_list (List.rev c.members))
     classes;
@@ -200,6 +215,8 @@ let resync t ~refresh =
     classes;
   t.icanon_flat <- flat;
   t.icanon_stride <- stride;
+  t.polarity <- polarity;
+  t.care <- None;
   t.signals <- signals;
   t.pos_of <- pos_of;
   t.rows <- rows;
@@ -214,7 +231,9 @@ let rebuild t =
   Obs.Metrics.incr m_rebuilds;
   resync t ~refresh:(fun _ -> true)
 
-let invalidate t = t.dirty <- true
+let invalidate t =
+  t.dirty <- true;
+  t.care <- None
 let sync t = if t.dirty then rebuild t
 
 (* After an accepted substitution rooted at [src], only [src] and its
@@ -243,10 +262,9 @@ let class_canon t c = t.classes.(c).canon
 let class_icanon t c = t.classes.(c).icanon
 let icanon_flat t = t.icanon_flat
 let icanon_stride t = t.icanon_stride
-let class_has_plus t c = t.classes.(c).has_plus
-let class_has_minus t c = t.classes.(c).has_minus
+let class_polarity t = t.polarity
 let class_members t c = t.classes.(c).member_arr
-let member_complemented t p = t.compl_.(p)
+let complemented t = t.compl_
 let class_of t p = t.cls_of.(p)
 
 let lookup t sig_ =
@@ -265,18 +283,99 @@ let lookup t sig_ =
     in
     find !bucket
 
-(* Care masks extended over the folded words: observability computed
-   pattern-by-pattern on each engine independently (each pattern column
-   is independent), concatenated in row order.  Mutates and restores
-   engine state, so these must be called sequentially. *)
+(* ------------------------------------------------------------------ *)
+(* Observability table                                                *)
+(* ------------------------------------------------------------------ *)
+
+let m_local_rows = Obs.Metrics.counter "sim.observability.local_rows"
+
+(* Stem observability by flip-and-resimulate on each engine (each
+   pattern column is independent), concatenated in row order.  Mutates
+   and restores engine state, so it must run sequentially. *)
 let stem_care t id =
   let base = Engine.stem_observability t.base id in
   match t.cex with
   | None -> base
   | Some e -> Array.append base (Engine.stem_observability e id)
 
-let branch_care t ~sink ~pin =
-  let base = Engine.branch_observability t.base ~sink ~pin in
-  match t.cex with
-  | None -> base
-  | Some e -> Array.append base (Engine.branch_observability e ~sink ~pin)
+(* Care of the branch into pin [pin] of [sink] by the local rule, given
+   the table rows [care] of every cell after [sink] in topological
+   order: all ones into a PO, otherwise the patterns on which flipping
+   the pin flips [sink]'s output, restricted to those on which flipping
+   [sink] is observed. *)
+let local_branch t care ~sink ~pin =
+  let circ = circuit t in
+  match Circuit.kind circ sink with
+  | Circuit.Po _ -> Array.make (words t) (-1L)
+  | Circuit.Cell (c, fs) ->
+    let obs = care.(sink) in
+    let out = Array.make (words t) 0L in
+    let fill e off =
+      let ins =
+        Array.mapi
+          (fun i f ->
+            let v = Engine.value e f in
+            if i = pin then Array.map Int64.lognot v else v)
+          fs
+      in
+      let flipped = Engine.apply_gate_words c.Gatelib.Cell.func ins in
+      let v = Engine.value e sink in
+      Array.iteri
+        (fun j x ->
+          out.(off + j) <- Int64.logand (Int64.logxor x v.(j)) obs.(off + j))
+        flipped
+    in
+    fill t.base 0;
+    Option.iter (fun e -> fill e (base_words t)) t.cex;
+    out
+  | Circuit.Pi | Circuit.Const _ ->
+    invalid_arg "Sigstore.branch_obs: sink has no pins"
+
+(* Reverse topological order puts every cell's fanout sinks before the
+   cell itself, so a single-fanout stem reads its sink's finished row.
+   A cell without live fanouts is observed nowhere; one with a single
+   live fanout branch is observed exactly where that branch is; only
+   cells with two or more live fanouts are flipped and re-simulated. *)
+let compute_care t =
+  let circ = circuit t in
+  let care = Array.make (Circuit.num_nodes circ) [||] in
+  let order = Circuit.topo_order circ in
+  let local = ref 0 in
+  for r = Array.length order - 1 downto 0 do
+    let id = order.(r) in
+    match Circuit.kind circ id with
+    | Circuit.Cell _ ->
+      let live =
+        List.filter
+          (fun p -> Circuit.is_live circ p.Circuit.sink)
+          (Circuit.fanouts circ id)
+      in
+      care.(id) <-
+        (match live with
+        | [] ->
+          incr local;
+          Array.make (words t) 0L
+        | [ p ] ->
+          incr local;
+          local_branch t care ~sink:p.Circuit.sink ~pin:p.Circuit.pin_index
+        | _ :: _ :: _ -> stem_care t id)
+    | Circuit.Pi | Circuit.Const _ | Circuit.Po _ -> ()
+  done;
+  Obs.Metrics.add m_local_rows !local;
+  t.care <- Some care
+
+let table t =
+  match t.care with
+  | Some care -> care
+  | None -> invalid_arg "Sigstore: observability table not computed"
+
+let stem_obs t id =
+  let care = table t in
+  if id >= Array.length care || Array.length care.(id) = 0 then
+    invalid_arg "Sigstore.stem_obs: not a live cell";
+  care.(id)
+
+let branch_obs t ~sink ~pin =
+  let care = table t in
+  Obs.Metrics.incr m_local_rows;
+  local_branch t care ~sink ~pin

@@ -59,7 +59,7 @@ val update_after_edit : t -> Netlist.Circuit.node_id -> unit
 
 val signals : t -> Netlist.Circuit.node_id array
 (** Live signal nodes (PIs and cells), ascending by id.  Positions
-    into this array index {!row}, {!class_of}, {!member_complemented}. *)
+    into this array index {!row}, {!class_of}, {!complemented}. *)
 
 val num_signals : t -> int
 
@@ -88,19 +88,21 @@ val icanon_flat : t -> int array
 
 val icanon_stride : t -> int
 
-val class_has_plus : t -> int -> bool
-(** Some member carries the canon's polarity (membership only — the
-    caller still filters member eligibility). *)
+val class_polarity : t -> int array
+(** Per class: {!polarity_plus} if some member carries the canon's
+    polarity, [lor] {!polarity_minus} if some member is complemented
+    with respect to it (membership only — the caller still filters
+    member eligibility).  Shared array; do not mutate. *)
 
-val class_has_minus : t -> int -> bool
-(** Some member is complemented with respect to the canon. *)
+val polarity_plus : int
+val polarity_minus : int
 
 val class_members : t -> int -> int array
 (** Member positions, ascending. *)
 
-val member_complemented : t -> int -> bool
-(** Whether the signal at this position is the complement of its
-    class canon. *)
+val complemented : t -> bool array
+(** Per position: whether the signal is the complement of its class
+    canon.  Shared array; do not mutate. *)
 
 val class_of : t -> int -> int
 
@@ -110,11 +112,33 @@ val lookup : t -> int64 array -> (int * bool) option
     signal carries this signature up to complement.
     @raise Invalid_argument on a width mismatch. *)
 
-(** {2 Care masks} — computed on the engines (perturb-and-restore), so
-    call sequentially, never from a pool task. *)
+(** {2 Observability table}
 
-val stem_care : t -> Netlist.Circuit.node_id -> int64 array
-(** Stem observability over the folded words: base-engine mask followed
-    by counterexample-engine mask. *)
+    One care row per live cell, folded like {!row}: the patterns of the
+    base engine, then those of the counterexample engine, on which
+    flipping the cell's output flips some primary output.  Every pattern
+    is simulated independently, so most rows follow exactly from a local
+    rule instead of a re-simulation: a branch into pin [i] of cell [g]
+    is observed where flipping pin [i] flips [g] and [g]'s stem is
+    observed (everywhere, into a primary output), and a cell with a
+    single live fanout branch is observed exactly where that branch is.
+    Only cells with two or more live fanouts are flipped and
+    re-simulated on the engines. *)
 
-val branch_care : t -> sink:Netlist.Circuit.node_id -> pin:int -> int64 array
+val compute_care : t -> unit
+(** Build the table from the engines' current state, in reverse
+    topological order.  Perturbs and restores engine state, so call
+    it sequentially, never from a pool task.  Every maintenance call
+    ({!rebuild}, {!invalidate}, {!update_after_edit}) drops the table. *)
+
+val stem_obs : t -> Netlist.Circuit.node_id -> int64 array
+(** Care row of a live cell's stem (shared array; do not mutate).
+    @raise Invalid_argument if the table is not computed or the node
+    is not a live cell. *)
+
+val branch_obs : t -> sink:Netlist.Circuit.node_id -> pin:int -> int64 array
+(** Care row of the branch into pin [pin] of [sink] (all ones when
+    [sink] is a primary output), by the local rule over the table.
+    A pure read of the engines and the table: safe from pool tasks.
+    @raise Invalid_argument if the table is not computed or [sink] has
+    no pins. *)

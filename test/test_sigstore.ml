@@ -24,11 +24,10 @@ let store_fingerprint st =
         ( Array.to_list (Sigstore.class_canon st c),
           Array.to_list (Sigstore.class_icanon st c),
           Array.to_list (Sigstore.class_members st c),
-          Sigstore.class_has_plus st c,
-          Sigstore.class_has_minus st c ))
+          (Sigstore.class_polarity st).(c) ))
   in
   let membership =
-    List.init n (fun p -> (Sigstore.class_of st p, Sigstore.member_complemented st p))
+    List.init n (fun p -> (Sigstore.class_of st p, (Sigstore.complemented st).(p)))
   in
   ( Array.to_list (Sigstore.signals st),
     rows,
@@ -250,6 +249,165 @@ let test_top_k_pruning_exact () =
       (Fuzz.Gen.generate (Fuzz.Gen.spec_of_seed (Int64.of_int seed)))
   done
 
+(* --- observability table == flip-and-resimulate, row for row ----- *)
+
+(* Every stem row of the table and every branch row it derives must
+   equal the perturbation mask computed on each engine and folded like
+   a signature row; computing the table leaves both engines as they
+   were. *)
+let check_care_table label store =
+  let circ = Sigstore.circuit store in
+  let engines = Sigstore.base_engine store :: Option.to_list (Sigstore.cex_engine store) in
+  let fold f = Array.concat (List.map f engines) in
+  let snapshot () =
+    List.map
+      (fun e -> List.init (Circuit.num_nodes circ) (fun id ->
+           if Circuit.is_live circ id then Array.to_list (Engine.value e id) else []))
+      engines
+  in
+  let before = snapshot () in
+  Sigstore.compute_care store;
+  Alcotest.(check bool) (label ^ ": engines restored") true (before = snapshot ());
+  let row = Alcotest.(array int64) in
+  Circuit.iter_live circ (fun id ->
+      (match Circuit.kind circ id with
+      | Circuit.Cell _ ->
+        Alcotest.check row
+          (Printf.sprintf "%s: stem %d" label id)
+          (fold (fun e -> Engine.stem_observability e id))
+          (Sigstore.stem_obs store id)
+      | Circuit.Pi | Circuit.Const _ | Circuit.Po _ -> ());
+      List.iter
+        (fun { Circuit.sink; pin_index = pin } ->
+          Alcotest.check row
+            (Printf.sprintf "%s: branch %d -> %d.%d" label id sink pin)
+            (fold (fun e -> Engine.branch_observability e ~sink ~pin))
+            (Sigstore.branch_obs store ~sink ~pin))
+        (Circuit.fanouts circ id))
+
+(* The table on a fresh netlist and after each of up to 3 accepted
+   substitutions, with every engine and the store maintained the way
+   the optimizer's accept path does. *)
+let care_table_across_edits label circ =
+  let base = Engine.create circ ~words:4 in
+  Engine.randomize base (Sim.Rng.create 43L);
+  let cex = Engine.create circ ~words:2 in
+  Engine.randomize cex (Sim.Rng.create 47L);
+  let est = Estimator.create base in
+  let store = Sigstore.create ~cex ~base () in
+  Sigstore.sync store;
+  let accepted (s, _) =
+    (not (Subst.creates_cycle circ s))
+    && Powder.Check.permissible circ s = Powder.Check.Permissible
+  in
+  let rec go edits =
+    let label = Printf.sprintf "%s after %d edits" label edits in
+    check_care_table label store;
+    if edits < 3 then
+      match List.find_opt accepted (Candidates.generate ~store est) with
+      | None -> ()
+      | Some (s, _) ->
+        let src = Subst.apply circ s in
+        ignore (Estimator.update_after_edit est src);
+        ignore (Engine.resim_after_edit cex src);
+        Sigstore.update_after_edit store src;
+        Alcotest.check_raises (label ^ ": maintenance drops the table")
+          (Invalid_argument "Sigstore: observability table not computed")
+          (fun () -> ignore (Sigstore.branch_obs store ~sink:src ~pin:0));
+        go (edits + 1)
+  in
+  go 0
+
+let test_care_table_matches_perturbation () =
+  (match Circuits.Suite.find "cps" with
+  | None -> Alcotest.fail "cps not in the suite"
+  | Some spec -> care_table_across_edits "cps" (Circuits.Suite.mapped spec));
+  for seed = 1 to 30 do
+    care_table_across_edits (Printf.sprintf "fuzz %d" seed)
+      (Fuzz.Gen.generate (Fuzz.Gen.spec_of_seed (Int64.of_int seed)))
+  done
+
+(* The local rule's corner cases on one hand-built netlist: [g1] drives
+   a PO and a gate (two live fanouts, one of them a PO branch), [g3] is
+   [and2(a, a)] (one signal on both pins), [g5] has no fanout at all,
+   and [g2] has a single fanout branch into [g4]. *)
+let test_care_table_corner_cases () =
+  let circ = Circuit.create lib in
+  let a = Circuit.add_pi circ ~name:"a" in
+  let b = Circuit.add_pi circ ~name:"b" in
+  let c = Circuit.add_pi circ ~name:"c" in
+  let g1 = Circuit.add_cell circ ~name:"g1" (cell "and2") [| a; b |] in
+  let g2 = Circuit.add_cell circ ~name:"g2" (cell "or2") [| g1; c |] in
+  let g3 = Circuit.add_cell circ ~name:"g3" (cell "and2") [| a; a |] in
+  let g4 = Circuit.add_cell circ ~name:"g4" (cell "xor2") [| g3; g2 |] in
+  let _g5 = Circuit.add_cell circ ~name:"g5" (cell "inv1") [| b |] in
+  ignore (Circuit.add_po circ ~name:"o1" g1);
+  ignore (Circuit.add_po circ ~name:"o4" g4);
+  List.iter
+    (fun cex_words ->
+      let base = Engine.create circ ~words:2 in
+      Engine.randomize base (Sim.Rng.create 53L);
+      let cex =
+        match cex_words with
+        | 0 -> None
+        | w ->
+          let e = Engine.create circ ~words:w in
+          Engine.randomize e (Sim.Rng.create 59L);
+          Some e
+      in
+      let store = Sigstore.create ?cex ~base () in
+      Sigstore.sync store;
+      check_care_table (Printf.sprintf "corner cases, %d cex words" cex_words) store)
+    [ 0; 1 ]
+
+(* --- the 3-signal pool: class-indexed loop == per-signal scan ------ *)
+
+(* Small pools make the abort threshold bite early, and a 3-signal-only
+   run leaves the pool as the only candidate source.  The second netlist
+   gives many classes both polarities (a gate and its inverter image,
+   each observed), so the two-sided abort and the complemented-member
+   distance both decide pool membership. *)
+let test_pool_matches_scan () =
+  (* compares every configuration; returns whether some class of the
+     netlist's store holds both polarities *)
+  let check label circ =
+    let eng = Engine.create circ ~words:8 in
+    Engine.randomize eng (Sim.Rng.create 61L);
+    let cex = Engine.create circ ~words:2 in
+    Engine.randomize cex (Sim.Rng.create 67L);
+    let est = Estimator.create eng in
+    let store = Sigstore.create ~cex ~base:eng () in
+    List.iter
+      (fun (pool_limit, classes) ->
+        let generate index =
+          Candidates.generate ~store
+            ~config:{ Candidates.default_config with index; pool_limit; classes }
+            est
+        in
+        let label =
+          Printf.sprintf "%s pool %d%s" label pool_limit
+            (if classes = Subst.all_klasses then "" else " 3-signal only")
+        in
+        same_candidates label circ (generate Candidates.Hash) (generate Candidates.Scan))
+      [ (2, Subst.all_klasses); (16, Subst.all_klasses);
+        (2, [ Subst.Os3; Subst.Is3 ]); (16, [ Subst.Os3; Subst.Is3 ]) ];
+    let both = Sigstore.polarity_plus lor Sigstore.polarity_minus in
+    Array.mem both (Sigstore.class_polarity store)
+  in
+  (match Circuits.Suite.find "cps" with
+  | None -> Alcotest.fail "cps not in the suite"
+  | Some spec -> ignore (check "cps" (Circuits.Suite.mapped spec)));
+  let circ = Build.random_circuit ~seed:29 ~n_pis:7 ~n_gates:50 in
+  List.iteri
+    (fun i g ->
+      if i < 12 then begin
+        let n = Circuit.add_cell circ (cell "inv1") [| g |] in
+        ignore (Circuit.add_po circ ~name:(Printf.sprintf "inv%d" i) n)
+      end)
+    (Circuit.live_gates circ);
+  Alcotest.(check bool) "some class holds both polarities" true
+    (check "inverted images" circ)
+
 let suite =
   [
     ( "sigstore",
@@ -264,5 +422,11 @@ let suite =
           test_hash_matches_scan;
         Alcotest.test_case "top-k pruning is exact" `Quick
           test_top_k_pruning_exact;
+        Alcotest.test_case "care table == perturbation" `Quick
+          test_care_table_matches_perturbation;
+        Alcotest.test_case "care table corner cases" `Quick
+          test_care_table_corner_cases;
+        Alcotest.test_case "pool loop == reference scan" `Quick
+          test_pool_matches_scan;
       ] );
   ]
