@@ -55,6 +55,15 @@ run_stage() {
   current_stage=""
 }
 
+# golden_md5 FILE.md5 BLIF: the netlist's md5 must be the recorded one
+golden_md5() {
+  got=$(md5sum < "$2" | cut -d' ' -f1)
+  if [ "$got" != "$(cat "$1")" ]; then
+    echo "$2: md5 $got differs from $1" >&2
+    exit 1
+  fi
+}
+
 # ------------------------------------------------------------------ #
 # build                                                              #
 # ------------------------------------------------------------------ #
@@ -175,6 +184,11 @@ stage_smoke() {
     --jobs 4 --json "$alt_json" -o "$alt_blif" >/dev/null
   cmp "$ref_blif" "$alt_blif"
   dune exec bin/json_check.exe -- --compare-reports "$ref_json" "$alt_json"
+
+  echo "== smoke: cps matches the golden report and netlist =="
+  # A deliberate output change updates test/golden/ in the same commit.
+  dune exec bin/json_check.exe -- --compare-reports test/golden/cps.report.json "$ref_json"
+  golden_md5 test/golden/cps.blif.md5 "$ref_blif"
   rm -f "$ref_json" "$ref_blif" "$alt_json" "$alt_blif"
 }
 
@@ -384,6 +398,15 @@ stage_scale() {
   done
   dune exec bin/json_check.exe -- --compare-reports "$scale_dir/j1.json" "$scale_dir/j2.json"
   cmp "$scale_dir/j1.blif" "$scale_dir/j2.blif"
+  # the 3-signal pool kernel's counters are deterministic too
+  grep '^sig/pool\.' "$scale_dir/j1.txt" > "$scale_dir/pool1.txt"
+  grep '^sig/pool\.' "$scale_dir/j2.txt" > "$scale_dir/pool2.txt"
+  test -s "$scale_dir/pool1.txt"
+  cmp "$scale_dir/pool1.txt" "$scale_dir/pool2.txt"
+  echo "== scale: synth:4000 round matches the golden report and netlist =="
+  dune exec bin/json_check.exe -- --compare-reports \
+    test/golden/synth4000-w16-r1.report.json "$scale_dir/j1.json"
+  golden_md5 test/golden/synth4000-w16-r1.blif.md5 "$scale_dir/j1.blif"
   rm -rf "$scale_dir"
 
   echo "== scale: synthetic netlist, windowed vs global checking =="

@@ -27,6 +27,14 @@ type solver = {
   trail_lim : int array;       (* trail length at each decision level *)
   mutable decision_level : int;
   activity : float array;
+  (* decision order: an indexed binary max-heap of variables by
+     activity, lower index first on ties — exactly the variable a
+     linear scan for the first maximum picks.  Every unassigned
+     variable is in the heap; assigned ones leave it lazily, when they
+     surface at the top. *)
+  heap : int array;
+  mutable heap_len : int;
+  heap_pos : int array; (* per var: index into [heap], -1 if absent *)
   mutable var_inc : float;
   mutable conflicts : int;
   seen : bool array;
@@ -105,14 +113,67 @@ let propagate s qhead_start =
     go old_watch
   done
 
+let before s a b =
+  let x = s.activity.(a) and y = s.activity.(b) in
+  x > y || (x = y && a < b)
+
+let heap_set s i v =
+  s.heap.(i) <- v;
+  s.heap_pos.(v) <- i
+
+let rec heap_up s i =
+  if i > 0 then begin
+    let parent = (i - 1) / 2 in
+    let v = s.heap.(i) and pv = s.heap.(parent) in
+    if before s v pv then begin
+      heap_set s parent v;
+      heap_set s i pv;
+      heap_up s parent
+    end
+  end
+
+let rec heap_down s i =
+  let l = (2 * i) + 1 in
+  if l < s.heap_len then begin
+    let r = l + 1 in
+    let c = if r < s.heap_len && before s s.heap.(r) s.heap.(l) then r else l in
+    let v = s.heap.(i) and cv = s.heap.(c) in
+    if before s cv v then begin
+      heap_set s i cv;
+      heap_set s c v;
+      heap_down s c
+    end
+  end
+
+let heap_insert s v =
+  if s.heap_pos.(v) < 0 then begin
+    heap_set s s.heap_len v;
+    s.heap_len <- s.heap_len + 1;
+    heap_up s (s.heap_len - 1)
+  end
+
+let heap_pop s =
+  s.heap_pos.(s.heap.(0)) <- -1;
+  s.heap_len <- s.heap_len - 1;
+  if s.heap_len > 0 then begin
+    heap_set s 0 s.heap.(s.heap_len);
+    heap_down s 0
+  end
+
 let bump s v =
   s.activity.(v) <- s.activity.(v) +. s.var_inc;
   if s.activity.(v) > 1e100 then begin
     for i = 0 to s.nvars - 1 do
       s.activity.(i) <- s.activity.(i) *. 1e-100
     done;
-    s.var_inc <- s.var_inc *. 1e-100
+    s.var_inc <- s.var_inc *. 1e-100;
+    (* rescaling can round distinct activities into ties, which the
+       index order must now break: rebuild the heap bottom-up *)
+    for i = (s.heap_len / 2) - 1 downto 0 do
+      heap_down s i
+    done
   end
+  else if s.heap_pos.(v) >= 0 then heap_up s s.heap_pos.(v)
 
 (* first-UIP learning *)
 let analyze s conflict =
@@ -171,7 +232,8 @@ let backtrack s lvl =
   for i = s.trail_len - 1 downto target do
     let v = var_of s.trail.(i) in
     s.assign.(v) <- 0;
-    s.reason.(v) <- None
+    s.reason.(v) <- None;
+    heap_insert s v
   done;
   s.trail_len <- target;
   s.decision_level <- lvl
@@ -193,16 +255,17 @@ let add_clause s lits =
   s.n_clauses <- s.n_clauses + 1;
   c
 
-let pick_branch s =
-  let best = ref (-1) in
-  let best_act = ref neg_infinity in
-  for v = 0 to s.nvars - 1 do
-    if s.assign.(v) = 0 && s.activity.(v) > !best_act then begin
-      best := v;
-      best_act := s.activity.(v)
+(* the unassigned variable of highest activity, lowest index on ties;
+   -1 when every variable is assigned *)
+let rec pick_branch s =
+  if s.heap_len = 0 then -1
+  else
+    let v = s.heap.(0) in
+    if s.assign.(v) = 0 then v
+    else begin
+      heap_pop s;
+      pick_branch s
     end
-  done;
-  !best
 
 let m_solve_seconds = Obs.Metrics.histogram "atpg.sat.solve_seconds"
 let m_conflicts = Obs.Metrics.counter "atpg.sat.conflicts"
@@ -230,6 +293,10 @@ let solve ?(conflict_limit = 200_000) ?(deadline = Obs.Deadline.never)
       trail_lim = Array.make (num_vars + 1) 0;
       decision_level = 0;
       activity = Array.make num_vars 0.0;
+      (* equal activities: ascending index is already a valid heap *)
+      heap = Array.init num_vars Fun.id;
+      heap_len = num_vars;
+      heap_pos = Array.init num_vars Fun.id;
       var_inc = 1.0;
       conflicts = 0;
       seen = Array.make num_vars false;

@@ -25,9 +25,8 @@ let default_config =
     index = Hash;
   }
 
-(* [Bits.popcount62], copied so the 3-signal pool loop's per-limb
-   popcount is inlined: a call there spills the loop's state to the
-   stack on every limb *)
+(* [Bits.popcount62], copied so the pool kernel's popcounts are inlined:
+   a call there spills the loop's state to the stack *)
 let[@inline] popcount62 x =
   let x = x - ((x lsr 1) land 0x1555555555555555) in
   let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
@@ -150,9 +149,6 @@ let minpool_create limit =
   { ds = Array.make limit max_int; ps = Array.make limit max_int; limit;
     n = 0 }
 
-(* worst disagreement still admissible (inclusive: position breaks ties) *)
-let minpool_threshold mp = if mp.n < mp.limit then max_int else mp.ds.(mp.limit - 1)
-
 let minpool_insert mp d p =
   let enters =
     mp.n < mp.limit
@@ -173,45 +169,345 @@ let minpool_insert mp d p =
   end
 
 (* Cycle-risk marks for one scan chunk: [stamp.(id) = epoch] iff [id]
-   lies in the current target's TFO(root) + root.  One array per chunk,
-   reused across its targets by bumping the epoch, so the memory is
-   O(circuit) per chunk instead of per target and no two pool tasks
-   share one.  A walk pushes each node at most once, so the stack never
-   outgrows the circuit. *)
-type marks = { stamp : int array; stack : int array; mutable epoch : int }
+   lies in the current target's TFO(root) + root, and [cone.(0 .. size)]
+   lists those nodes.  One pair of arrays per chunk, reused across its
+   targets by bumping the epoch, so the memory is O(circuit) per chunk
+   instead of per target and no two pool tasks share one.  A walk
+   enqueues each node at most once, so [cone] never outgrows the
+   circuit. *)
+type marks = {
+  stamp : int array;
+  cone : int array;
+  mutable size : int;
+  mutable epoch : int;
+}
 
 let marks_create circ =
   let n = Circuit.num_nodes circ in
-  { stamp = Array.make n 0; stack = Array.make n 0; epoch = 0 }
+  { stamp = Array.make n 0; cone = Array.make n 0; size = 0; epoch = 0 }
 
 (* Stamps TFO(root) + root (nothing when [root] is [None]) and returns
    how many store signals it stamped. *)
 let mark_cone circ store mk root =
   mk.epoch <- mk.epoch + 1;
+  mk.size <- 0;
   match root with
   | None -> 0
   | Some r ->
     let e = mk.epoch in
     let signal id = if Sigstore.position store id >= 0 then 1 else 0 in
     mk.stamp.(r) <- e;
-    mk.stack.(0) <- r;
-    let sp = ref 1 and cnt = ref (signal r) in
-    while !sp > 0 do
-      decr sp;
+    mk.cone.(0) <- r;
+    mk.size <- 1;
+    let head = ref 0 and cnt = ref (signal r) in
+    while !head < mk.size do
       List.iter
         (fun p ->
           let s = p.Circuit.sink in
           if mk.stamp.(s) <> e && Circuit.is_live circ s then begin
             mk.stamp.(s) <- e;
             cnt := !cnt + signal s;
-            mk.stack.(!sp) <- s;
-            incr sp
+            mk.cone.(mk.size) <- s;
+            mk.size <- mk.size + 1
           end)
-        (Circuit.fanouts circ mk.stack.(!sp))
+        (Circuit.fanouts circ mk.cone.(!head));
+      incr head
     done;
     !cnt
 
-let scan_target ~config ~store ~est ~gates2 mk ti =
+(* ------------------------------------------------------------------ *)
+(* Bit-sliced 3-signal pool kernel over {!Sigstore.lanes}: one word    *)
+(* operation advances 62 classes.                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Keys are below 190 (see [scan_target]), so 8 bit-planes hold them. *)
+let planes = 8
+
+(* Positions are consumed 16 at a time; a target has at most 189. *)
+let max_positions = 192
+
+(* Per-chunk scratch, reused across the chunk's targets like [marks]:
+   the gathered prefix positions, the per-class disagreement planes and
+   the selection masks.  Planes are plane-major: bit [k] of lane-word
+   [w] lives at [k * lane_words + w]. *)
+type lane_scratch = {
+  pos : int array;  (* disagreement column within a lane-word block *)
+  dpl : int array;  (* planes of d, the disagreement with the canon *)
+  mpl : int array;  (* planes of covered - d: complemented members *)
+  sel_p : int array; sel_m : int array;  (* lanes whose key ties T so far *)
+  lt_p : int array; lt_m : int array;    (* lanes whose key is below T *)
+  taint : int array;    (* lanes of classes with an ineligible member *)
+  tainted : int array;  (* those classes, [ntainted] of them *)
+  mutable ntainted : int;
+}
+
+let lane_scratch_create store =
+  let nc = Sigstore.num_classes store in
+  let w = (nc + 61) / 62 in
+  let mk n = Array.make n 0 in
+  { pos = mk max_positions; dpl = mk (planes * w);
+    mpl = mk (planes * w); sel_p = mk w; sel_m = mk w; lt_p = mk w;
+    lt_m = mk w; taint = mk w; tainted = mk nc; ntainted = 0 }
+
+(* Marks the class of store position [p] tainted (once). *)
+let taint_class ls store p =
+  let c = Sigstore.class_of store p in
+  let w = c / 62 and bit = 1 lsl (c mod 62) in
+  if ls.taint.(w) land bit = 0 then begin
+    ls.taint.(w) <- ls.taint.(w) lor bit;
+    ls.tainted.(ls.ntainted) <- c;
+    ls.ntainted <- ls.ntainted + 1
+  end
+
+(* Index of the single set bit of [low] (a power of two below 2^62):
+   the multiply shifts a de Bruijn-style constant whose 6-bit windows
+   at shifts 0..61 are distinct, so the top 6 bits name the shift. *)
+let debruijn62 = 0x10c51c9669eaedf
+
+let ctz_table =
+  let t = Array.make 64 0 in
+  for k = 0 to 61 do
+    t.(((1 lsl k) * debruijn62) lsr 57) <- k
+  done;
+  t
+
+let[@inline] bit_index low = Array.unsafe_get ctz_table ((low * debruijn62) lsr 57)
+
+let[@inline] csa_carry a b c = (a land b) lor ((a lxor b) land c)
+let[@inline] csa_sum a b c = a lxor b lxor c
+
+(* lane-wise disagreement of every class with the target at input [j] *)
+let[@inline] lane_in (cols : int array) base ls j =
+  Array.unsafe_get cols (base + Array.unsafe_get ls.pos j)
+
+(* Harley–Seal carry-save count of the columns [ls.pos.(0 .. n)] ([n] a
+   multiple of 16) of the lane-word block at [base]: each group of 16
+   goes through a tree of full adders into ones/twos/fours/eights, and
+   only the group's sixteens carry ripples into the high planes.
+   Writes the 8 planes of [d] for lane-word [w]. *)
+let count_lanes (cols : int array) base ls n nw w =
+  let ones = ref 0 and twos = ref 0 and fours = ref 0 and eights = ref 0 in
+  let h4 = ref 0 and h5 = ref 0 and h6 = ref 0 and h7 = ref 0 in
+  let g = ref 0 in
+  while !g < n do
+    let j = !g in
+    let a = lane_in cols base ls j and b = lane_in cols base ls (j + 1) in
+    let twos_a = csa_carry !ones a b in
+    ones := csa_sum !ones a b;
+    let a = lane_in cols base ls (j + 2) and b = lane_in cols base ls (j + 3) in
+    let twos_b = csa_carry !ones a b in
+    ones := csa_sum !ones a b;
+    let fours_a = csa_carry !twos twos_a twos_b in
+    twos := csa_sum !twos twos_a twos_b;
+    let a = lane_in cols base ls (j + 4) and b = lane_in cols base ls (j + 5) in
+    let twos_a = csa_carry !ones a b in
+    ones := csa_sum !ones a b;
+    let a = lane_in cols base ls (j + 6) and b = lane_in cols base ls (j + 7) in
+    let twos_b = csa_carry !ones a b in
+    ones := csa_sum !ones a b;
+    let fours_b = csa_carry !twos twos_a twos_b in
+    twos := csa_sum !twos twos_a twos_b;
+    let eights_a = csa_carry !fours fours_a fours_b in
+    fours := csa_sum !fours fours_a fours_b;
+    let a = lane_in cols base ls (j + 8) and b = lane_in cols base ls (j + 9) in
+    let twos_a = csa_carry !ones a b in
+    ones := csa_sum !ones a b;
+    let a = lane_in cols base ls (j + 10) and b = lane_in cols base ls (j + 11) in
+    let twos_b = csa_carry !ones a b in
+    ones := csa_sum !ones a b;
+    let fours_a = csa_carry !twos twos_a twos_b in
+    twos := csa_sum !twos twos_a twos_b;
+    let a = lane_in cols base ls (j + 12) and b = lane_in cols base ls (j + 13) in
+    let twos_a = csa_carry !ones a b in
+    ones := csa_sum !ones a b;
+    let a = lane_in cols base ls (j + 14) and b = lane_in cols base ls (j + 15) in
+    let twos_b = csa_carry !ones a b in
+    ones := csa_sum !ones a b;
+    let fours_b = csa_carry !twos twos_a twos_b in
+    twos := csa_sum !twos twos_a twos_b;
+    let eights_b = csa_carry !fours fours_a fours_b in
+    fours := csa_sum !fours fours_a fours_b;
+    let c = csa_carry !eights eights_a eights_b in
+    eights := csa_sum !eights eights_a eights_b;
+    let c5 = !h4 land c in
+    h4 := !h4 lxor c;
+    let c6 = !h5 land c5 in
+    h5 := !h5 lxor c5;
+    let c7 = !h6 land c6 in
+    h6 := !h6 lxor c6;
+    h7 := !h7 lxor c7;
+    g := j + 16
+  done;
+  let dpl = ls.dpl in
+  dpl.(w) <- !ones;
+  dpl.(nw + w) <- !twos;
+  dpl.((2 * nw) + w) <- !fours;
+  dpl.((3 * nw) + w) <- !eights;
+  dpl.((4 * nw) + w) <- !h4;
+  dpl.((5 * nw) + w) <- !h5;
+  dpl.((6 * nw) + w) <- !h6;
+  dpl.((7 * nw) + w) <- !h7
+
+(* [covered - d] lane-wise, as [covered + lnot d + 1] over 8 planes *)
+let complement_lanes ls covered nw w =
+  let carry = ref Bits.limb_mask in
+  for k = 0 to planes - 1 do
+    let a = Array.unsafe_get ls.dpl ((k * nw) + w) lxor Bits.limb_mask in
+    let b = if (covered lsr k) land 1 = 1 then Bits.limb_mask else 0 in
+    Array.unsafe_set ls.mpl ((k * nw) + w) (csa_sum a b !carry);
+    carry := csa_carry a b !carry
+  done
+
+(* Radix select, most significant plane first, over the [sides] sides
+   in [sel_p]/[sel_m]: finds [T], their [rank]-th smallest key, and
+   leaves in [lt_*] lor [sel_*] the sides whose key is at most [T] —
+   all of them when [sides <= rank].  Keys are below [2^nb]. *)
+let select_lanes ls nw nb rank sides =
+  Array.fill ls.lt_p 0 nw 0;
+  Array.fill ls.lt_m 0 nw 0;
+  if sides > rank then begin
+    let need = ref rank in
+    for k = nb - 1 downto 0 do
+      let o = k * nw in
+      let zeros = ref 0 in
+      for w = 0 to nw - 1 do
+        zeros :=
+          !zeros
+          + popcount62
+              (Array.unsafe_get ls.sel_p w land lnot (Array.unsafe_get ls.dpl (o + w)))
+          + popcount62
+              (Array.unsafe_get ls.sel_m w land lnot (Array.unsafe_get ls.mpl (o + w)))
+      done;
+      if !zeros >= !need then
+        (* T's bit k is 0: the sides with a 1 there are above T *)
+        for w = 0 to nw - 1 do
+          Array.unsafe_set ls.sel_p w
+            (Array.unsafe_get ls.sel_p w land lnot (Array.unsafe_get ls.dpl (o + w)));
+          Array.unsafe_set ls.sel_m w
+            (Array.unsafe_get ls.sel_m w land lnot (Array.unsafe_get ls.mpl (o + w)))
+        done
+      else begin
+        (* T's bit k is 1: the sides with a 0 there are below T *)
+        need := !need - !zeros;
+        for w = 0 to nw - 1 do
+          let sp = Array.unsafe_get ls.sel_p w and dp = Array.unsafe_get ls.dpl (o + w) in
+          let sm = Array.unsafe_get ls.sel_m w and dm = Array.unsafe_get ls.mpl (o + w) in
+          Array.unsafe_set ls.lt_p w (Array.unsafe_get ls.lt_p w lor (sp land lnot dp));
+          Array.unsafe_set ls.sel_p w (sp land dp);
+          Array.unsafe_set ls.lt_m w (Array.unsafe_get ls.lt_m w lor (sm land lnot dm));
+          Array.unsafe_set ls.sel_m w (sm land dm)
+        done
+      end
+    done
+  end
+
+(* d of lane [l] in lane-word [w], read back from its planes *)
+let lane_key ls nw nb w l =
+  let d = ref 0 in
+  for k = 0 to nb - 1 do
+    d := !d lor (((Array.unsafe_get ls.dpl ((k * nw) + w) lsr l) land 1) lsl k)
+  done;
+  !d
+
+let m_pool_word_adds = Obs.Metrics.counter "sig/pool.word_adds"
+let m_pool_collected = Obs.Metrics.counter "sig/pool.collected"
+let m_pool_tainted = Obs.Metrics.counter "sig/pool.tainted"
+
+(* Feeds [mp] the 3-signal pool of one target, bit-sliced over the
+   store's lane view.  The target is its packed row [isig] and care
+   [icare], whose first [lp] limbs in [nzh] order hold its [covered]
+   prefix care positions, and its cone in [mk].  One carry-save count per lane-word gives every
+   class its [d] at once, and a complemented member's key is
+   [covered - d].  A class is tainted when some member is ineligible
+   ([a] itself or in the cone); every member of an untainted class is
+   eligible.  A radix select over the untainted class sides finds [T],
+   their [pool_limit]-th smallest key, so at least [pool_limit]
+   eligible members have a key <= [T].  The pool is then fed every
+   untainted class with a side key <= [T] and every tainted class: a
+   superset of the members with a key <= [T].  The pool keeps the
+   lexicographic minimum of whatever it is fed, so it ends up exactly
+   the global one, in a single pass. *)
+let lane_pool ~store ~eligible ls mk mp ~p_a ~isig ~icare ~nzh ~lp ~covered =
+  let lv = Sigstore.lanes store in
+  let nw = lv.Sigstore.lane_words in
+  (* gather the prefix's care positions, set bit by set bit, as the
+     column that reads the disagreement with the target's bit there
+     (the canon's, or its complement's where the target has a 1), and
+     pad them to a multiple of 16 with the all-zero column *)
+  let np = ref 0 in
+  for k = 0 to lp - 1 do
+    let i = nzh.(k) in
+    let x = ref icare.(i) in
+    while !x <> 0 do
+      let low = !x land (- !x) in
+      ls.pos.(!np) <-
+        (62 * i) + bit_index low
+        + if isig.(i) land low <> 0 then lv.Sigstore.positions else 0;
+      incr np;
+      x := !x lxor low
+    done
+  done;
+  let n16 = (covered + 15) land lnot 15 in
+  Array.fill ls.pos covered (n16 - covered) (lv.Sigstore.block - 1);
+  for w = 0 to nw - 1 do
+    count_lanes lv.Sigstore.cols (w * lv.Sigstore.block) ls n16 nw w;
+    if lv.Sigstore.minus.(w) <> 0 then complement_lanes ls covered nw w
+  done;
+  Obs.Metrics.add m_pool_word_adds (covered * nw);
+  let nb =
+    let b = ref 0 in
+    while covered lsr !b <> 0 do incr b done;
+    !b
+  in
+  ls.ntainted <- 0;
+  taint_class ls store p_a;
+  for j = 0 to mk.size - 1 do
+    let p = Sigstore.position store mk.cone.(j) in
+    if p >= 0 then taint_class ls store p
+  done;
+  Obs.Metrics.add m_pool_tainted ls.ntainted;
+  let sides = ref 0 in
+  for w = 0 to nw - 1 do
+    let clean = lnot ls.taint.(w) in
+    ls.sel_p.(w) <- lv.Sigstore.plus.(w) land clean;
+    ls.sel_m.(w) <- lv.Sigstore.minus.(w) land clean;
+    sides := !sides + popcount62 ls.sel_p.(w) + popcount62 ls.sel_m.(w)
+  done;
+  select_lanes ls nw nb mp.limit !sides;
+  let compl = Sigstore.complemented store in
+  let collected = ref 0 in
+  let feed c d =
+    let members = Sigstore.class_members store c in
+    for j = 0 to Array.length members - 1 do
+      let p = Array.unsafe_get members j in
+      if eligible p then
+        minpool_insert mp (if Array.unsafe_get compl p then covered - d else d) p
+    done
+  in
+  for w = 0 to nw - 1 do
+    let m = ref (ls.lt_p.(w) lor ls.sel_p.(w) lor ls.lt_m.(w) lor ls.sel_m.(w)) in
+    while !m <> 0 do
+      let low = !m land (- !m) in
+      let l = bit_index low in
+      feed ((62 * w) + l) (lane_key ls nw nb w l);
+      incr collected;
+      m := !m lxor low
+    done
+  done;
+  (* a tainted class whose side keys both exceed the pool's worst entry
+     cannot place a member *)
+  for j = 0 to ls.ntainted - 1 do
+    let c = ls.tainted.(j) in
+    ls.taint.(c / 62) <- 0;
+    let d = lane_key ls nw nb (c / 62) (c mod 62) in
+    if mp.n < mp.limit || min d (covered - d) <= mp.ds.(mp.limit - 1) then begin
+      feed c d;
+      incr collected
+    end
+  done;
+  Obs.Metrics.add m_pool_collected !collected
+
+let scan_target ~config ~store ~est ~gates2 mk ls ti =
   let want k = List.mem k config.classes in
   let signals = Sigstore.signals store in
   let nsig = Array.length signals in
@@ -495,7 +791,7 @@ let scan_target ~config ~store ~est ~gates2 mk ti =
               end
             done
           end);
-  if three_signal_wanted && gates2 <> [] then
+  if three_signal_wanted && gates2 <> [] && config.pool_limit > 0 then
     unspanned (fun () ->
         (* pool: the signals closest to [a], by (masked disagreement,
            position).  Disagreement is counted on a deterministic
@@ -507,18 +803,18 @@ let scan_target ~config ~store ~est ~gates2 mk ti =
            pure function of the target, so both index modes and every
            chunking rank identically. *)
         let mp = minpool_create config.pool_limit in
-        let suffix = Array.make (nh + 1) 0 in
-        for k = nh - 1 downto 0 do
-          suffix.(k) <- suffix.(k + 1) + Bits.popcount62 icare.(nzh.(k))
-        done;
-        let care_pop = suffix.(0) in
-        let lp =
-          let want = min pool_rank_bits care_pop in
-          let l = ref 0 in
-          while care_pop - suffix.(!l) < want do incr l done;
-          !l
+        let care_pop =
+          Array.fold_left (fun a i -> a + Bits.popcount62 icare.(i)) 0 nzh
         in
-        let covered = care_pop - suffix.(lp) in
+        (* [lp] prefix limbs hold [covered] care positions, and
+           [covered < 190]: it stays below [pool_rank_bits] before the
+           last limb, which adds at most 62 *)
+        let lp = ref 0 and covered = ref 0 in
+        while !covered < min pool_rank_bits care_pop do
+          covered := !covered + Bits.popcount62 icare.(nzh.(!lp));
+          incr lp
+        done;
+        let lp = !lp and covered = !covered in
         (match config.index with
         | Scan ->
           for p = 0 to nsig - 1 do
@@ -526,80 +822,8 @@ let scan_target ~config ~store ~est ~gates2 mk ti =
               minpool_insert mp (hamming_prefix lp (Sigstore.irow store p)) p
           done
         | Hash ->
-          (* Score once per class; a complemented member\'s disagreement
-             is [covered - d].  The partial sum is monotone, so a class
-             aborts as soon as neither polarity can still reach the
-             pool: the plus side needs [d <= threshold], the minus side
-             needs its tight lower bound [prefix_care(k) - d] to stay
-             within it.  The polarity flags come from the store
-             (membership only); scoring a class whose relevant members
-             all turn out ineligible wastes a few limbs but inserts
-             nothing, so the pool is unchanged.  A class visit is ~3
-             limbs, so the loop reads the store's flat arrays directly,
-             inlines [popcount62] and captures no ref in a closure. *)
-          let flat = Sigstore.icanon_flat store in
-          let stride = Sigstore.icanon_stride store in
-          (* target rows gathered into prefix order once per target:
-             the scoring loops then walk three small contiguous arrays
-             plus one strided read of [flat] *)
-          let gidx = Array.sub nzh 0 lp in
-          let gsig = Array.map (fun i -> isig.(i)) gidx in
-          let gcare = Array.map (fun i -> icare.(i)) gidx in
-          let polarity = Sigstore.class_polarity store in
-          for c = 0 to Sigstore.num_classes store - 1 do
-            let pol = Array.unsafe_get polarity c in
-            let off = c * stride in
-            let thr = minpool_threshold mp in
-            let d = ref 0 and k = ref 0 in
-            let viable =
-              if pol land Sigstore.polarity_minus <> 0 then begin
-                (* two-sided abort; the minus side's tight lower bound
-                   is [prefix_care(k) - d] *)
-                let has_plus = pol land Sigstore.polarity_plus <> 0 in
-                let viable = ref true in
-                while !viable && !k < lp do
-                  let i = Array.unsafe_get gidx !k in
-                  d :=
-                    !d
-                    + popcount62
-                        ((Array.unsafe_get gsig !k
-                         lxor Array.unsafe_get flat (off + i))
-                        land Array.unsafe_get gcare !k);
-                  incr k;
-                  viable :=
-                    (has_plus && !d <= thr)
-                    || care_pop - (!d + Array.unsafe_get suffix !k) <= thr
-                done;
-                !viable
-              end
-              else begin
-                (* plus-only class (the common case): the partial
-                   distance is monotone, so abort purely on
-                   [d > threshold] *)
-                while !d <= thr && !k < lp do
-                  let i = Array.unsafe_get gidx !k in
-                  d :=
-                    !d
-                    + popcount62
-                        ((Array.unsafe_get gsig !k
-                         lxor Array.unsafe_get flat (off + i))
-                        land Array.unsafe_get gcare !k);
-                  incr k
-                done;
-                !d <= thr
-              end
-            in
-            if viable then begin
-              let members = Sigstore.class_members store c in
-              for m = 0 to Array.length members - 1 do
-                let p = Array.unsafe_get members m in
-                if eligible p then
-                  minpool_insert mp
-                    (if Array.unsafe_get compl p then covered - !d else !d)
-                    p
-              done
-            end
-          done);
+          lane_pool ~store ~eligible ls mk mp ~p_a ~isig ~icare ~nzh ~lp
+            ~covered);
         let pool = Array.sub mp.ps 0 mp.n in
         (* rows compressed to the nonzero-care halves, plus the
            target\'s required output per care position: f1 = care
@@ -729,10 +953,17 @@ let generate_stats ?(config = default_config) ?pool ?store est =
         else [])
   in
   let targets = Array.of_list targets in
-  let scan mk ti = scan_target ~config ~store ~est ~gates2 mk ti in
-  let scan_chunk c = Array.map (scan (marks_create circ)) c in
+  let scan_chunk c =
+    let mk = marks_create circ and ls = lane_scratch_create store in
+    Array.map (scan_target ~config ~store ~est ~gates2 mk ls) c
+  in
   let results =
     Obs.Trace.with_span span_scan (fun () ->
+    (* the lane view is built here, on the caller's domain, and only
+       read by the scans *)
+    if config.index = Hash && (want Subst.Os3 || want Subst.Is3)
+       && gates2 <> [] && config.pool_limit > 0
+    then Sigstore.compute_lanes store;
     match pool with
     | Some p
       when Par.Pool.jobs p > 1

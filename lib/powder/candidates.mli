@@ -12,15 +12,17 @@
     Monte-Carlo words together with every counterexample the exact
     checker has produced, grouped into complement-canonical
     compatibility classes.  With [index = Hash] the scans decide once
-    per class (duplicates and inverter images ride along for free, and
-    whole classes are ruled out by an early-abort distance bound); with
-    [index = Scan] every signal row is tested individually.  Both modes
+    per class (duplicates and inverter images ride along for free), and
+    the 3-signal pool is scored 62 classes per word operation over the
+    store's lane view ({!Sim.Sigstore.lanes}); with [index = Scan]
+    every signal row is tested individually.  Both modes
     emit the identical candidate list — [Scan] is the auditable
     reference the tests and the fuzz harness compare against.
 
     2-signal candidates scan all signals; 3-signal candidates (new
     2-input gate) scan ordered pairs from a bounded pool of the closest
-    signatures, for every 2-input cell of the library. *)
+    signatures, for every 2-input cell of the library.  A [pool_limit]
+    of 0 or less is an empty pool: no 3-signal candidates. *)
 
 type index_mode =
   | Hash  (** class-indexed scans over the signature store (fast path) *)

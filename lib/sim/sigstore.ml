@@ -28,18 +28,24 @@ type t = {
      one small array per class *)
   mutable icanon_flat : int array;
   mutable icanon_stride : int;
-  (* per class: [polarity_plus] if some member carries canon's polarity,
-     lor [polarity_minus] if some member is complemented wrt canon *)
-  mutable polarity : int array;
   index : (int, int list ref) Hashtbl.t; (* signature hash -> class ids *)
   (* observability table, per node id: the folded stem care row of every
      live cell ([||] elsewhere); [None] until [compute_care] and after
      any maintenance *)
   mutable care : int64 array array option;
+  (* the class canons transposed into lanes; [None] until
+     [compute_lanes] and after any maintenance *)
+  mutable lanes : lanes option;
 }
 
-let polarity_plus = 1
-let polarity_minus = 2
+and lanes = {
+  lane_words : int;
+  positions : int;
+  block : int;
+  cols : int array;
+  plus : int array;
+  minus : int array;
+}
 
 let m_rebuilds = Obs.Metrics.counter "sig/store.rebuilds"
 let m_refreshed = Obs.Metrics.counter "sig/store.refreshed_rows"
@@ -71,9 +77,9 @@ let create ?cex ~base () =
     classes = [||];
     icanon_flat = [||];
     icanon_stride = 0;
-    polarity = [||];
     index = Hashtbl.create 1024;
     care = None;
+    lanes = None;
   }
 
 let circuit t = Engine.circuit t.base
@@ -198,12 +204,6 @@ let resync t ~refresh =
     c.members <- p :: c.members
   done;
   let classes = Array.sub t.classes 0 !nclasses in
-  let polarity = Array.make !nclasses 0 in
-  for p = 0 to n - 1 do
-    let c = cls_of.(p) in
-    polarity.(c) <-
-      polarity.(c) lor if compl_.(p) then polarity_minus else polarity_plus
-  done;
   Array.iter
     (fun c -> c.member_arr <- Array.of_list (List.rev c.members))
     classes;
@@ -215,8 +215,8 @@ let resync t ~refresh =
     classes;
   t.icanon_flat <- flat;
   t.icanon_stride <- stride;
-  t.polarity <- polarity;
   t.care <- None;
+  t.lanes <- None;
   t.signals <- signals;
   t.pos_of <- pos_of;
   t.rows <- rows;
@@ -233,7 +233,8 @@ let rebuild t =
 
 let invalidate t =
   t.dirty <- true;
-  t.care <- None
+  t.care <- None;
+  t.lanes <- None
 let sync t = if t.dirty then rebuild t
 
 (* After an accepted substitution rooted at [src], only [src] and its
@@ -262,7 +263,6 @@ let class_canon t c = t.classes.(c).canon
 let class_icanon t c = t.classes.(c).icanon
 let icanon_flat t = t.icanon_flat
 let icanon_stride t = t.icanon_stride
-let class_polarity t = t.polarity
 let class_members t c = t.classes.(c).member_arr
 let complemented t = t.compl_
 let class_of t p = t.cls_of.(p)
@@ -379,3 +379,80 @@ let branch_obs t ~sink ~pin =
   let care = table t in
   Obs.Metrics.incr m_local_rows;
   local_branch t care ~sink ~pin
+
+(* ------------------------------------------------------------------ *)
+(* Lane view                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let lane_width = 62
+let half = 31
+let half_mask = (1 lsl half) - 1
+
+(* In-place transpose of a 32 x 32 bit matrix held as 32 rows (bit [c]
+   of [a.(r)] is entry (r, c)): swaps ever smaller off-diagonal blocks,
+   5 word passes instead of 1024 bit moves. *)
+let transpose32 a =
+  let j = ref 16 and m = ref 0xFFFF in
+  while !j <> 0 do
+    let k = ref 0 in
+    while !k < 32 do
+      let t = ((a.(!k) lsr !j) lxor a.(!k + !j)) land !m in
+      a.(!k) <- a.(!k) lxor (t lsl !j);
+      a.(!k + !j) <- a.(!k + !j) lxor t;
+      k := (!k + !j + 1) land lnot !j
+    done;
+    j := !j lsr 1;
+    m := !m lxor (!m lsl !j)
+  done
+
+(* Each 62 x 62 tile (62 classes by one 62-bit limb) is four 31 x 31
+   quadrants, each transposed as a zero-padded 32 x 32 matrix: lane
+   half [lh] of column [b] collects bit [b] of the rows [31 lh ..]. *)
+let compute_lanes t =
+  let nc = Array.length t.classes and stride = t.icanon_stride in
+  let lane_words = (nc + lane_width - 1) / lane_width in
+  let positions = lane_width * stride in
+  let block = (2 * positions) + 1 in
+  let cols = Array.make (lane_words * block) 0 in
+  let sq = Array.make 32 0 in
+  for w = 0 to lane_words - 1 do
+    for i = 0 to stride - 1 do
+      for lh = 0 to 1 do
+        for bh = 0 to 1 do
+          for r = 0 to half - 1 do
+            let c = (w * lane_width) + (lh * half) + r in
+            sq.(r) <-
+              (if c < nc then
+                 (t.icanon_flat.((c * stride) + i) lsr (bh * half)) land half_mask
+               else 0)
+          done;
+          sq.(half) <- 0;
+          transpose32 sq;
+          for b = 0 to half - 1 do
+            let col = (w * block) + (lane_width * i) + (bh * half) + b in
+            cols.(col) <- cols.(col) lor (sq.(b) lsl (lh * half))
+          done
+        done
+      done
+    done
+  done;
+  let lane_mask = (1 lsl lane_width) - 1 in
+  for w = 0 to lane_words - 1 do
+    let base = w * block in
+    for pos = 0 to positions - 1 do
+      cols.(base + positions + pos) <- cols.(base + pos) lxor lane_mask
+    done
+  done;
+  let plus = Array.make lane_words 0 and minus = Array.make lane_words 0 in
+  Array.iteri
+    (fun p c ->
+      let side = if t.compl_.(p) then minus else plus in
+      let w = c / lane_width in
+      side.(w) <- side.(w) lor (1 lsl (c mod lane_width)))
+    t.cls_of;
+  t.lanes <- Some { lane_words; positions; block; cols; plus; minus }
+
+let lanes t =
+  match t.lanes with
+  | Some l -> l
+  | None -> invalid_arg "Sigstore: lane view not computed"

@@ -88,15 +88,6 @@ val icanon_flat : t -> int array
 
 val icanon_stride : t -> int
 
-val class_polarity : t -> int array
-(** Per class: {!polarity_plus} if some member carries the canon's
-    polarity, [lor] {!polarity_minus} if some member is complemented
-    with respect to it (membership only — the caller still filters
-    member eligibility).  Shared array; do not mutate. *)
-
-val polarity_plus : int
-val polarity_minus : int
-
 val class_members : t -> int -> int array
 (** Member positions, ascending. *)
 
@@ -142,3 +133,40 @@ val branch_obs : t -> sink:Netlist.Circuit.node_id -> pin:int -> int64 array
     A pure read of the engines and the table: safe from pool tasks.
     @raise Invalid_argument if the table is not computed or [sink] has
     no pins. *)
+
+(** {2 Lane view}
+
+    The class canons transposed for bit-sliced scoring: one bit per
+    class ({e lane}), 62 lanes per int ({e lane-word}), so a single
+    word operation compares a pattern position across 62 classes. *)
+
+type lanes = private {
+  lane_words : int;  (** [ceil (num_classes / 62)] *)
+  positions : int;  (** packed pattern positions: [62 * icanon_stride] *)
+  block : int;  (** ints per lane-word: [2 * positions + 1] *)
+  cols : int array;
+      (** Lane-word [w]'s block starts at [w * block].  Entry [pos] of
+          it has bit [l] set iff the canon of class [62 * w + l] has a
+          1 at packed position [pos] (bit [pos mod 62] of limb
+          [pos / 62] of {!class_icanon}); entry [positions + pos] is
+          its complement over the 62 lanes, so a kernel reads the
+          disagreement with a known bit directly; the last entry is 0,
+          a padding column for kernels that consume positions in
+          fixed-size groups.  Lanes past the last class read 0 in the
+          direct half. *)
+  plus : int array;
+      (** per lane-word: the classes with a member in canon polarity *)
+  minus : int array;
+      (** per lane-word: the classes with a complemented member.  Every
+          class has a member, so [plus lor minus] is exactly the valid
+          lanes. *)
+}
+
+val compute_lanes : t -> unit
+(** Build the view from the current classes, on word operations (32 x 32
+    bit-matrix transposes).  A pure function of the store: read-only
+    afterwards, so pool tasks may share it.  Every maintenance call
+    ({!rebuild}, {!invalidate}, {!update_after_edit}) drops it. *)
+
+val lanes : t -> lanes
+(** @raise Invalid_argument if the view is not computed. *)

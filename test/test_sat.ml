@@ -143,6 +143,70 @@ let prop_cnf_vs_exhaustive =
           | Cnf.Gave_up _ -> false)
         (Circuit.live_gates c))
 
+(* The decision heap picks exactly the variable the former linear scan
+   picked (highest activity, lowest index on ties), so the whole search
+   trajectory is pinned: on random 3-CNF at the phase transition, the
+   verdict, the model (as the MD5 of its 0/1 string) and the number of
+   conflicts must match the values the scan recorded.  Instance 20
+   runs past the 1e100 activity rescale. *)
+let random_3cnf seed =
+  let st = Random.State.make [| 0x5A7; seed |] in
+  let n = 50 + (seed * 6) in
+  let clauses =
+    List.init (n * 426 / 100) (fun _ ->
+        Array.init 3 (fun _ ->
+            Sat.lit_of (Random.State.int st n) (Random.State.bool st)))
+  in
+  (n, clauses)
+
+let scan_trajectories =
+  [
+    (1, None, 52);
+    (2, Some "a542629fc4134db29df46cbbc587cf56", 20);
+    (3, Some "0bc2d0ab7e0a8ec3e2fe2967c2b5fff2", 15);
+    (4, Some "ceb077f1f1d1d783ea6eb54f33dd4bc6", 77);
+    (5, Some "bb735062e25c7198446e353a423b4df9", 203);
+    (6, Some "9dd4f9f326b6b27d52e51c2c67cb5ed2", 2);
+    (7, None, 282);
+    (8, Some "c8b809c49b9691a048a88f61115a1ca6", 19);
+    (9, None, 477);
+    (10, None, 1007);
+    (11, Some "f6ae8359ff28711d82e62dada2f4c8bc", 32);
+    (12, None, 664);
+    (13, Some "dfe0239535c9a121759f167ab88c4de4", 459);
+    (14, Some "7ea27c3e6d4e6114bf90cf3f5e7954ed", 298);
+    (15, None, 1463);
+    (16, Some "677692b876c48916ca13428c28a9ccaa", 827);
+    (17, Some "80c4bb79730a766f3cb555c502fb280d", 514);
+    (18, None, 1754);
+    (19, None, 2504);
+    (20, None, 6671);
+  ]
+
+let test_decision_trajectory () =
+  let conflicts () =
+    match Obs.Metrics.find "atpg.sat.conflicts" with
+    | Some (`Counter c) -> c
+    | Some (`Gauge _ | `Histogram _) | None -> 0
+  in
+  List.iter
+    (fun (seed, model, want_conflicts) ->
+      let n, clauses = random_3cnf seed in
+      let c0 = conflicts () in
+      let got =
+        match Sat.solve ~num_vars:n clauses with
+        | Sat.Sat m ->
+          Some
+            (Digest.to_hex
+               (Digest.string (String.init n (fun i -> if m.(i) then '1' else '0'))))
+        | Sat.Unsat -> None
+        | Sat.Timeout _ -> Alcotest.failf "instance %d timed out" seed
+      in
+      let label = Printf.sprintf "instance %d" seed in
+      Alcotest.(check (option string)) (label ^ ": verdict and model") model got;
+      Alcotest.(check int) (label ^ ": conflicts") want_conflicts (conflicts () - c0))
+    scan_trajectories
+
 let suite =
   [
     ( "sat",
@@ -153,6 +217,8 @@ let suite =
         QCheck_alcotest.to_alcotest prop_agrees_with_brute_force;
         Alcotest.test_case "cnf constants" `Quick test_cnf_justify_constant;
         QCheck_alcotest.to_alcotest prop_cnf_vs_exhaustive;
+        Alcotest.test_case "decision trajectory pinned" `Quick
+          test_decision_trajectory;
       ] );
   ]
 

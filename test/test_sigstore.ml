@@ -23,8 +23,7 @@ let store_fingerprint st =
     List.init (Sigstore.num_classes st) (fun c ->
         ( Array.to_list (Sigstore.class_canon st c),
           Array.to_list (Sigstore.class_icanon st c),
-          Array.to_list (Sigstore.class_members st c),
-          (Sigstore.class_polarity st).(c) ))
+          Array.to_list (Sigstore.class_members st c) ))
   in
   let membership =
     List.init n (fun p -> (Sigstore.class_of st p, (Sigstore.complemented st).(p)))
@@ -360,13 +359,158 @@ let test_care_table_corner_cases () =
       check_care_table (Printf.sprintf "corner cases, %d cex words" cex_words) store)
     [ 0; 1 ]
 
-(* --- the 3-signal pool: class-indexed loop == per-signal scan ------ *)
+(* --- the 3-signal pool: bit-sliced lane kernel == per-signal scan --- *)
 
-(* Small pools make the abort threshold bite early, and a 3-signal-only
-   run leaves the pool as the only candidate source.  The second netlist
-   gives many classes both polarities (a gate and its inverter image,
-   each observed), so the two-sided abort and the complemented-member
-   distance both decide pool membership. *)
+(* [covered] of a care row by the pool's rule: the densest packed care
+   limbs until they hold min(128, |care|) positions. *)
+let covered_of care =
+  let pcs = Array.map Logic.Bits.popcount62 (Logic.Bits.pack_words care) in
+  Array.sort (fun a b -> compare b a) pcs;
+  let want = min 128 (Array.fold_left ( + ) 0 pcs) in
+  let rec go i acc = if acc >= want then acc else go (i + 1) (acc + pcs.(i)) in
+  go 0 0
+
+(* Hash == Scan for every (pool limit, classes) pair on one store. *)
+let compare_pools label circ est store configs =
+  List.iter
+    (fun (pool_limit, classes) ->
+      let generate index =
+        Candidates.generate ~store
+          ~config:{ Candidates.default_config with index; pool_limit; classes }
+          est
+      in
+      let label =
+        Printf.sprintf "%s pool %d%s" label pool_limit
+          (if classes = Subst.all_klasses then "" else " 3-signal only")
+      in
+      same_candidates label circ (generate Candidates.Hash) (generate Candidates.Scan))
+    configs
+
+let three_only = [ Subst.Os3; Subst.Is3 ]
+
+(* A random netlist topped up with fresh primary inputs (each a class of
+   its own) until its store has exactly [classes] classes, with its
+   engines and store. *)
+let store_with_classes classes =
+  let circ = Build.random_circuit ~seed:83 ~n_pis:6 ~n_gates:40 in
+  let extra = ref 0 in
+  let rec settle () =
+    let eng = Engine.create circ ~words:8 in
+    Engine.randomize eng (Sim.Rng.create 71L);
+    let cex = Engine.create circ ~words:2 in
+    Engine.randomize cex (Sim.Rng.create 73L);
+    let store = Sigstore.create ~cex ~base:eng () in
+    Sigstore.sync store;
+    let n = Sigstore.num_classes store in
+    if n < classes then begin
+      for _ = n to classes - 1 do
+        ignore (Circuit.add_pi circ ~name:(Printf.sprintf "top%d" !extra));
+        incr extra
+      done;
+      settle ()
+    end
+    else if n > classes then
+      Alcotest.failf "base netlist already has %d > %d classes" n classes
+    else (circ, eng, cex, store)
+  in
+  settle ()
+
+(* Class counts on both sides of one and two lane-words (62 lanes
+   each), a pool of 1, and a pool larger than the store (every side
+   collected, no selection).  The stores must also hold a sparse-care
+   target (covered < 128) and a dense one (covered >= 180), so both
+   plane depths run; branch care rows are the observability of the
+   targets (a single-fanout stem shares its branch's row). *)
+let pools_across_lane_words () =
+  List.iter
+    (fun classes ->
+      let circ, eng, _, store = store_with_classes classes in
+      Alcotest.(check int) "class count" classes (Sigstore.num_classes store);
+      let est = Estimator.create eng in
+      let label = Printf.sprintf "%d classes" classes in
+      compare_pools label circ est store
+        [ (1, three_only); (16, Subst.all_klasses);
+          (Sigstore.num_signals store, three_only) ];
+      Alcotest.(check int) (label ^ ": lane-words") ((classes + 61) / 62)
+        (Sigstore.lanes store).Sigstore.lane_words;
+      let covered =
+        List.concat_map
+          (fun id ->
+            List.map
+              (fun { Circuit.sink; pin_index = pin } ->
+                covered_of (Sigstore.branch_obs store ~sink ~pin))
+              (Circuit.fanouts circ id))
+          (Circuit.live_gates circ)
+      in
+      Alcotest.(check bool) (label ^ ": a sparse-care target") true
+        (List.exists (fun c -> c < 128) covered);
+      Alcotest.(check bool) (label ^ ": a dense-care target") true
+        (List.exists (fun c -> c >= 180) covered))
+    [ 61; 62; 63; 124; 125 ]
+
+(* The kernel on stores maintained the optimizer's way: after a
+   counterexample is folded into the cex engine (every row rewritten),
+   and after each of up to 3 accepted substitutions. *)
+let pools_after_folds_and_edits () =
+  let circ, eng, cex, store = store_with_classes 70 in
+  let est = Estimator.create eng in
+  let configs = [ (1, three_only); (16, Subst.all_klasses) ] in
+  compare_pools "fresh" circ est store configs;
+  let pis = Circuit.pis circ in
+  List.iteri
+    (fun i pi ->
+      let v = Array.copy (Engine.value cex pi) in
+      v.(0) <- (if i mod 2 = 0 then Int64.logor v.(0) 1L else Int64.logand v.(0) (-2L));
+      Engine.set_value cex pi v)
+    pis;
+  Engine.resim_all cex;
+  Sigstore.invalidate store;
+  compare_pools "after a cex fold" circ est store configs;
+  let accepted (s, _) =
+    (not (Subst.creates_cycle circ s))
+    && Powder.Check.permissible circ s = Powder.Check.Permissible
+  in
+  let rec go edits =
+    if edits = 3 then edits
+    else
+      match List.find_opt accepted (Candidates.generate ~store est) with
+      | None -> edits
+      | Some (s, _) ->
+        let src = Subst.apply circ s in
+        ignore (Estimator.update_after_edit est src);
+        ignore (Engine.resim_after_edit cex src);
+        Sigstore.update_after_edit store src;
+        compare_pools (Printf.sprintf "after %d edits" (edits + 1)) circ est store
+          configs;
+        go (edits + 1)
+  in
+  Alcotest.(check bool) "some edit accepted" true (go 0 > 0)
+
+(* Scans fan out over pool tasks that share the lane view read-only:
+   any job count emits the same list. *)
+let pools_across_jobs () =
+  match Circuits.Suite.find "cps" with
+  | None -> Alcotest.fail "cps not in the suite"
+  | Some spec ->
+    let circ = Circuits.Suite.mapped spec in
+    let eng = Engine.create circ ~words:8 in
+    Engine.randomize eng (Sim.Rng.create 79L);
+    let est = Estimator.create eng in
+    let store = Sigstore.create ~base:eng () in
+    let config = { Candidates.default_config with pool_limit = 4 } in
+    let seq = Candidates.generate ~config ~store est in
+    Par.Pool.with_pool ~jobs:4 (fun pool ->
+        same_candidates "jobs 4 == jobs 1" circ
+          (Candidates.generate ~config ~pool ~store est)
+          seq)
+
+(* Small pools make the selection bound bite early, a pool of 1 is the
+   sharpest rank, and a 3-signal-only run leaves the pool as the only
+   candidate source.  The second netlist gives many classes both
+   polarities (a gate and its inverter image, each observed), so the
+   complemented side's key [covered - d] decides pool membership.  The
+   stores above then cover lane-word boundaries, maintained stores and
+   job counts. *)
 let test_pool_matches_scan () =
   (* compares every configuration; returns whether some class of the
      netlist's store holds both polarities *)
@@ -377,22 +521,11 @@ let test_pool_matches_scan () =
     Engine.randomize cex (Sim.Rng.create 67L);
     let est = Estimator.create eng in
     let store = Sigstore.create ~cex ~base:eng () in
-    List.iter
-      (fun (pool_limit, classes) ->
-        let generate index =
-          Candidates.generate ~store
-            ~config:{ Candidates.default_config with index; pool_limit; classes }
-            est
-        in
-        let label =
-          Printf.sprintf "%s pool %d%s" label pool_limit
-            (if classes = Subst.all_klasses then "" else " 3-signal only")
-        in
-        same_candidates label circ (generate Candidates.Hash) (generate Candidates.Scan))
-      [ (2, Subst.all_klasses); (16, Subst.all_klasses);
-        (2, [ Subst.Os3; Subst.Is3 ]); (16, [ Subst.Os3; Subst.Is3 ]) ];
-    let both = Sigstore.polarity_plus lor Sigstore.polarity_minus in
-    Array.mem both (Sigstore.class_polarity store)
+    compare_pools label circ est store
+      [ (1, three_only); (2, Subst.all_klasses); (16, Subst.all_klasses);
+        (2, three_only); (16, three_only) ];
+    let lv = Sigstore.lanes store in
+    Array.exists2 (fun p m -> p land m <> 0) lv.Sigstore.plus lv.Sigstore.minus
   in
   (match Circuits.Suite.find "cps" with
   | None -> Alcotest.fail "cps not in the suite"
@@ -406,7 +539,82 @@ let test_pool_matches_scan () =
       end)
     (Circuit.live_gates circ);
   Alcotest.(check bool) "some class holds both polarities" true
-    (check "inverted images" circ)
+    (check "inverted images" circ);
+  pools_across_lane_words ();
+  pools_after_folds_and_edits ();
+  pools_across_jobs ()
+
+(* [pool_limit <= 0] is an empty pool: no 3-signal candidate, and the
+   2-signal ones are exactly those of a run without 3-signal classes. *)
+let test_pool_limit_zero () =
+  match Circuits.Suite.find "rd84" with
+  | None -> Alcotest.fail "rd84 not in the suite"
+  | Some spec ->
+    let circ = Circuits.Suite.mapped spec in
+    let eng = Engine.create circ ~words:4 in
+    Engine.randomize eng (Sim.Rng.create 89L);
+    let est = Estimator.create eng in
+    List.iter
+      (fun index ->
+        let generate pool_limit classes =
+          Candidates.generate
+            ~config:{ Candidates.default_config with index; pool_limit; classes }
+            est
+        in
+        let two_only = generate 16 [ Subst.Os2; Subst.Is2 ] in
+        List.iter
+          (fun limit ->
+            same_candidates
+              (Printf.sprintf "pool_limit %d" limit)
+              circ (generate limit Subst.all_klasses) two_only)
+          [ 0; -1 ])
+      [ Candidates.Hash; Candidates.Scan ]
+
+(* The view holds each class canon bit, and its complement, in its
+   lane; the polarity masks follow membership, and every maintenance
+   call drops the view. *)
+let test_lane_view () =
+  let circ, eng, cex, store = store_with_classes 125 in
+  Sigstore.compute_lanes store;
+  let lv = Sigstore.lanes store in
+  let stride = Sigstore.icanon_stride store in
+  for c = 0 to Sigstore.num_classes store - 1 do
+    let w = c / 62 and bit = 1 lsl (c mod 62) in
+    let canon = Sigstore.class_icanon store c in
+    for pos = 0 to (62 * stride) - 1 do
+      let want = (canon.(pos / 62) lsr (pos mod 62)) land 1 = 1 in
+      let at off = lv.Sigstore.cols.((w * lv.Sigstore.block) + off) land bit <> 0 in
+      if want <> at pos || want = at (lv.Sigstore.positions + pos) then
+        Alcotest.failf "class %d position %d" c pos
+    done;
+    let members = Array.to_list (Sigstore.class_members store c) in
+    let compl = Sigstore.complemented store in
+    Alcotest.(check (pair bool bool))
+      (Printf.sprintf "class %d sides" c)
+      (List.exists (fun p -> not compl.(p)) members, List.exists (fun p -> compl.(p)) members)
+      (lv.Sigstore.plus.(w) land bit <> 0, lv.Sigstore.minus.(w) land bit <> 0)
+  done;
+  Array.iteri
+    (fun w _ ->
+      if lv.Sigstore.cols.((w * lv.Sigstore.block) + lv.Sigstore.block - 1) <> 0 then
+        Alcotest.failf "padding column of lane-word %d" w)
+    lv.Sigstore.plus;
+  let dropped label maintain =
+    Sigstore.compute_lanes store;
+    maintain ();
+    Alcotest.check_raises (label ^ " drops the lane view")
+      (Invalid_argument "Sigstore: lane view not computed")
+      (fun () -> ignore (Sigstore.lanes store))
+  in
+  dropped "rebuild" (fun () -> Sigstore.rebuild store);
+  dropped "invalidate" (fun () -> Sigstore.invalidate store);
+  Sigstore.sync store;
+  let s = first_acyclic_stem_subst circ in
+  dropped "update_after_edit" (fun () ->
+      let root = Subst.apply circ s in
+      ignore (Engine.resim_after_edit eng root);
+      ignore (Engine.resim_after_edit cex root);
+      Sigstore.update_after_edit store root)
 
 let suite =
   [
@@ -428,5 +636,8 @@ let suite =
           test_care_table_corner_cases;
         Alcotest.test_case "pool loop == reference scan" `Quick
           test_pool_matches_scan;
+        Alcotest.test_case "pool_limit <= 0 is an empty pool" `Quick
+          test_pool_limit_zero;
+        Alcotest.test_case "lane view == class canons" `Quick test_lane_view;
       ] );
   ]
