@@ -1,16 +1,16 @@
 (* Benchmark harness: regenerates every table and figure of the paper.
 
-     dune exec bench/main.exe            -- everything
-     dune exec bench/main.exe -- fig2    -- the Figure 2 worked example
-     dune exec bench/main.exe -- table1  -- Table 1 (both POWDER modes)
-     dune exec bench/main.exe -- table2  -- Table 2 (class contributions)
-     dune exec bench/main.exe -- fig6    -- Figure 6 (power-delay trade-off)
-     dune exec bench/main.exe -- guard   -- guard-on vs guard-off overhead
-     dune exec bench/main.exe -- micro   -- bechamel micro-benchmarks
-     dune exec bench/main.exe -- parallel -- exact-check scaling vs --jobs
-     dune exec bench/main.exe -- serve   -- powder_serve load generator
-     dune exec bench/main.exe -- pareto  -- frontier sweep, both cost models
-     dune exec bench/main.exe -- quick   -- fast subset of everything
+     dune exec bench/main.exe              -- everything
+     dune exec bench/main.exe -- fig2      -- the Figure 2 worked example
+     dune exec bench/main.exe -- table1    -- Table 1 (both POWDER modes)
+     dune exec bench/main.exe -- table2    -- Table 2 (class contributions)
+     dune exec bench/main.exe -- fig6      -- Figure 6 (power-delay trade-off)
+     dune exec bench/main.exe -- ablation  -- design-choice ablations
+     dune exec bench/main.exe -- glitch    -- glitch power before/after
+     dune exec bench/main.exe -- quick     -- fast subset of everything
+
+   Any other word is a usage error (exit 2).  Performance is measured by
+   powderbench (powderbench/run.py), not here.
 
    [--jobs N] runs the table1 circuits on a domain pool of N executors
    (default: Par.Pool.default_jobs); each optimizer run inside a pool
@@ -36,126 +36,6 @@ let base_seed = 0xC0FFEEL
 let section_rng section = Sim.Rng.stream base_seed ("bench/" ^ section)
 
 let base_config = { Optimizer.default_config with words }
-
-(* Every optimizer run executed by the harness lands here and is
-   written out as BENCH_powder.json at exit — per-phase timings
-   included, so successive PRs can diff where the wall-clock goes. *)
-let bench_runs : (string * Obs.Json.t) list ref = ref []
-
-let record_run label (r : Optimizer.report) =
-  bench_runs := (label, Optimizer.report_to_json r) :: !bench_runs
-
-(* Filled in by the [parallel] section; merged into BENCH_powder.json. *)
-let parallel_section : Obs.Json.t option ref = ref None
-
-(* Filled in by the [serve] section; merged into BENCH_powder.json. *)
-let serve_section : Obs.Json.t option ref = ref None
-
-(* Filled in by the [scale] section; merged into BENCH_powder.json. *)
-let scale_section : Obs.Json.t option ref = ref None
-
-(* Filled in by the [pareto] section; merged into BENCH_powder.json. *)
-let pareto_section : Obs.Json.t option ref = ref None
-
-let out_file = ref "BENCH_powder.json"
-
-(* [--merge]: fold this invocation's runs and sections into an existing
-   out-file instead of overwriting it.  Needed because a representative
-   baseline is not a single-process artifact: the [scale] section must
-   be recorded from a scale-only process (the shape ci.sh runs it in —
-   a major heap warmed by the earlier sections makes the 10k phases up
-   to 3x faster than any fresh run could reproduce), so the committed
-   BENCH_powder.json is regenerated as
-     bench/main.exe quick table1 glitch guard parallel serve --out BENCH_powder.json
-     bench/main.exe scale --merge --out BENCH_powder.json *)
-let merge_out = ref false
-
-let read_existing_out () =
-  match open_in_bin !out_file with
-  | exception Sys_error _ -> None
-  | ic ->
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    (match Obs.Json.of_string s with
-    | Ok (Obs.Json.Obj fields) -> Some fields
-    | Ok _ | Error _ -> None)
-
-let write_bench_json () =
-  (* the manifest is built at write time so it reflects the parsed
-     --jobs/quick flags; [bench_diff] compares files only when their
-     schema versions agree and warns when the options hash differs *)
-  let manifest =
-    Obs.Runinfo.create ~tool:"powder-bench" ~jobs:!jobs ~seed:base_seed
-      ~circuit:"suite"
-      ~options:
-        [
-          ("words", string_of_int words);
-          ("quick", string_of_bool !quick);
-        ]
-      ()
-  in
-  let json =
-    Obs.Json.Obj
-      ([
-         ("bench", Obs.Json.String "powder");
-         ("schema_version", Obs.Json.Int Obs.Runinfo.schema_version);
-         ("run", Obs.Runinfo.to_json manifest);
-         ("quick", Obs.Json.Bool !quick);
-         ("words", Obs.Json.Int words);
-         ("jobs", Obs.Json.Int !jobs);
-         ("runs", Obs.Json.Obj (List.rev !bench_runs));
-       ]
-      @ (match !parallel_section with
-        | Some p -> [ ("parallel", p) ]
-        | None -> [])
-      @ (match !serve_section with
-        | Some s -> [ ("serve", s) ]
-        | None -> [])
-      @ (match !pareto_section with
-        | Some s -> [ ("pareto", s) ]
-        | None -> [])
-      @ match !scale_section with
-        | Some s -> [ ("scale", s) ]
-        | None -> [])
-  in
-  let json =
-    match (!merge_out, read_existing_out (), json) with
-    | true, Some old_fields, Obs.Json.Obj new_fields ->
-      let runs_of fields =
-        match List.assoc_opt "runs" fields with
-        | Some (Obs.Json.Obj r) -> r
-        | _ -> []
-      in
-      let new_runs = runs_of new_fields in
-      let merged_runs =
-        List.filter
-          (fun (k, _) -> not (List.mem_assoc k new_runs))
-          (runs_of old_fields)
-        @ new_runs
-      in
-      (* run labels and section keys from this invocation win; sections
-         only present in the existing file survive untouched *)
-      let kept_sections =
-        List.filter
-          (fun (k, _) ->
-            List.mem k [ "parallel"; "serve"; "pareto"; "scale" ]
-            && not (List.mem_assoc k new_fields))
-          old_fields
-      in
-      Obs.Json.Obj
-        (List.map
-           (fun (k, v) ->
-             if k = "runs" then (k, Obs.Json.Obj merged_runs) else (k, v))
-           new_fields
-        @ kept_sections)
-    | _ -> json
-  in
-  let oc = open_out !out_file in
-  output_string oc (Obs.Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.eprintf "wrote %s (%d runs)\n%!" !out_file (List.length !bench_runs)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 2: the worked example.                                       *)
@@ -208,8 +88,7 @@ type t1row = {
 
 let table1_specs () =
   if !quick then
-    (* cps is the generate-phase stress case (the signature-store
-       speedup is gated against its committed trajectory point) *)
+    (* cps is the largest suite circuit: the generate-phase stress case *)
     List.filter_map Suite.find
       [ "comp"; "rd84"; "f51m"; "alu2"; "t481"; "9sym"; "cps" ]
   else Suite.all
@@ -217,9 +96,8 @@ let table1_specs () =
 let table1_rows () =
   let specs = table1_specs () in
   (* Both runs for one circuit are a single pool task; the optimizer
-     detects it is inside a task and stays sequential.  Reports and
-     [bench_runs] entries (recorded here, in spec order) are identical
-     to a fully sequential sweep. *)
+     detects it is inside a task and stays sequential.  Reports are
+     identical to a fully sequential sweep. *)
   let compute spec =
     let circ = Suite.mapped spec in
     let unconstrained =
@@ -253,8 +131,6 @@ let table1_rows () =
   let rows =
     List.map2
       (fun spec (unconstrained, constrained) ->
-        record_run ("table1/" ^ spec.Suite.name ^ "/unconstrained") unconstrained;
-        record_run ("table1/" ^ spec.Suite.name ^ "/constrained") constrained;
         {
           spec;
           initial_power = unconstrained.Optimizer.initial_power;
@@ -538,8 +414,7 @@ let glitch () =
       | Some spec ->
         let circ = Suite.mapped spec in
         let before = Power.Glitch.estimate ~pairs:256 circ in
-        record_run ("glitch/" ^ name ^ "/powder")
-          (Optimizer.optimize ~config:base_config circ);
+        ignore (Optimizer.optimize ~config:base_config circ);
         let after = Power.Glitch.estimate ~pairs:256 circ in
         let row (r : Power.Glitch.report) =
           Printf.sprintf "%9.2f %9.2f %7.1f%%" r.Power.Glitch.zero_delay_switched_cap
@@ -553,500 +428,41 @@ let glitch () =
     \ total power; this table reports how much the optimized netlists glitch)\n"
 
 (* ------------------------------------------------------------------ *)
-(* Micro-benchmarks (bechamel).                                        *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  print_endline "=== Micro-benchmarks of the POWDER kernels (bechamel) ===";
-  let open Bechamel in
-  let open Toolkit in
-  let spec = Option.get (Suite.find "rd84") in
-  let circ = Suite.mapped spec in
-  let eng = Sim.Engine.create circ ~words in
-  Sim.Engine.randomize eng (section_rng "micro");
-  let est = Power.Estimator.create eng in
-  let some_gate = List.hd (Circuit.live_gates circ) in
-  let candidate =
-    match Powder.Candidates.generate est with
-    | (s, _) :: _ -> s
-    | [] -> failwith "no candidate"
-  in
-  let t_resim =
-    Test.make ~name:"table1:resimulate-all" (Staged.stage (fun () -> Sim.Engine.resim_all eng))
-  in
-  let t_obs =
-    Test.make ~name:"table1:stem-observability"
-      (Staged.stage (fun () -> ignore (Sim.Engine.stem_observability eng some_gate)))
-  in
-  let t_cand =
-    Test.make ~name:"table1:candidate-generation"
-      (Staged.stage (fun () -> ignore (Powder.Candidates.generate est)))
-  in
-  let t_gain =
-    Test.make ~name:"table1:gain-full"
-      (Staged.stage (fun () -> ignore (Subst.gain_full est candidate)))
-  in
-  let t_check_sat =
-    Test.make ~name:"table2:permissibility-check-sat"
-      (Staged.stage (fun () ->
-           let clone = Subst.apply_to_clone circ candidate in
-           ignore (Atpg.Equiv.check ~exhaustive_limit:0 ~engine:`Sat circ clone)))
-  in
-  let t_check_exh =
-    Test.make ~name:"table2:permissibility-check-exhaustive"
-      (Staged.stage (fun () ->
-           let clone = Subst.apply_to_clone circ candidate in
-           ignore (Atpg.Equiv.check ~exhaustive_limit:16 circ clone)))
-  in
-  let t_sta =
-    Test.make ~name:"fig6:timing-analysis"
-      (Staged.stage (fun () -> ignore (Sta.Timing.analyze circ)))
-  in
-  let tests =
-    Test.make_grouped ~name:"powder"
-      [ t_resim; t_obs; t_cand; t_gain; t_check_sat; t_check_exh; t_sta ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:(Some 10) ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let entries = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
-  List.iter
-    (fun (name, ols_result) ->
-      let ns =
-        match Analyze.OLS.estimates ols_result with
-        | Some (x :: _) -> x
-        | Some [] | None -> nan
-      in
-      Printf.printf "%-45s %12.0f ns/run\n" name ns)
-    (List.sort compare entries);
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* Guard overhead: transactional verification on vs. off.              *)
-(* ------------------------------------------------------------------ *)
-
-let guard () =
-  print_endline "=== Guard overhead: transactional applies on vs. off ===";
-  let names = if !quick then [ "alu2" ] else [ "alu2"; "rd84"; "Z5xp1" ] in
-  Printf.printf "%-10s %10s %10s %9s %12s %12s\n" "circuit" "on (s)" "off (s)"
-    "overhead" "power on" "power off";
-  List.iter
-    (fun name ->
-      match Suite.find name with
-      | None -> ()
-      | Some spec ->
-        let run verify_applies =
-          let c = Suite.mapped spec in
-          let config = { base_config with verify_applies } in
-          Optimizer.optimize ~config c
-        in
-        let on = run true and off = run false in
-        record_run ("guard/" ^ name ^ "/on") on;
-        record_run ("guard/" ^ name ^ "/off") off;
-        let overhead =
-          if off.Optimizer.cpu_seconds > 0.0 then
-            100.0 *. (on.Optimizer.cpu_seconds /. off.Optimizer.cpu_seconds -. 1.0)
-          else 0.0
-        in
-        Printf.printf "%-10s %10.3f %10.3f %8.1f%% %12.4f %12.4f\n" name
-          on.Optimizer.cpu_seconds off.Optimizer.cpu_seconds overhead
-          on.Optimizer.final_power off.Optimizer.final_power;
-        if on.Optimizer.final_power <> off.Optimizer.final_power then
-          Printf.printf
-            "  note: guard-on diverges after a rollback; both runs remain \
-             verified\n")
-    names;
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* Parallel scaling: speculative exact checks vs. --jobs.              *)
-(* ------------------------------------------------------------------ *)
-
-(* Reports at different job counts must agree on everything except the
-   timing fields and the job count itself (same filter as
-   [json_check --compare-reports]). *)
-let strip_volatile_report = function
-  | Obs.Json.Obj fields ->
-    Obs.Json.Obj
-      (List.filter
-         (fun (k, _) ->
-           k <> "cpu_seconds" && k <> "phase_seconds" && k <> "jobs")
-         fields)
-  | other -> other
-
-let parallel () =
-  print_endline "=== Parallel scaling: exact-check wall clock vs --jobs ===";
-  let spec, gates =
-    List.fold_left
-      (fun best spec ->
-        let g = List.length (Circuit.live_gates (Suite.mapped spec)) in
-        match best with
-        | Some (_, g') when g' >= g -> best
-        | _ -> Some (spec, g))
-      None (table1_specs ())
-    |> Option.get
-  in
-  Printf.printf "circuit: %s (%d gates)\n" spec.Suite.name gates;
-  let job_counts = if !quick then [ 1; 4 ] else [ 1; 2; 4; 8 ] in
-  let circ = Suite.mapped spec in
-  let runs =
-    List.map
-      (fun j ->
-        Printf.eprintf "[parallel] %s at jobs=%d...\n%!" spec.Suite.name j;
-        let r =
-          Optimizer.optimize
-            ~config:{ base_config with Optimizer.jobs = j }
-            (Circuit.clone circ)
-        in
-        record_run (Printf.sprintf "parallel/%s/jobs%d" spec.Suite.name j) r;
-        (j, r))
-      job_counts
-  in
-  let exact_check (r : Optimizer.report) =
-    Option.value ~default:0.0
-      (List.assoc_opt "exact-check" r.Optimizer.phase_seconds)
-  in
-  let _, r1 = List.hd runs in
-  let base_exact = exact_check r1 in
-  let base_json = strip_volatile_report (Optimizer.report_to_json r1) in
-  Printf.printf "%6s %10s %13s %8s %6s\n" "jobs" "total(s)" "exact-chk(s)"
-    "speedup" "match";
-  let entries =
-    List.map
-      (fun (j, r) ->
-        let ec = exact_check r in
-        let speedup = if ec > 0.0 then base_exact /. ec else 1.0 in
-        let matches =
-          strip_volatile_report (Optimizer.report_to_json r) = base_json
-        in
-        Printf.printf "%6d %10.3f %13.3f %7.2fx %6b\n" j
-          r.Optimizer.cpu_seconds ec speedup matches;
-        ( "jobs" ^ string_of_int j,
-          Obs.Json.Obj
-            [
-              ("jobs", Obs.Json.Int j);
-              ("cpu_seconds", Obs.Json.Float r.Optimizer.cpu_seconds);
-              ( "phase_seconds",
-                Obs.Json.Obj
-                  (List.map
-                     (fun (k, v) -> (k, Obs.Json.Float v))
-                     r.Optimizer.phase_seconds) );
-              ("exact_check_seconds", Obs.Json.Float ec);
-              ("exact_check_speedup", Obs.Json.Float speedup);
-              ("report_matches_jobs1", Obs.Json.Bool matches);
-            ] ))
-      runs
-  in
-  parallel_section :=
-    Some
-      (Obs.Json.Obj
-         (("circuit", Obs.Json.String spec.Suite.name)
-         :: ("gates", Obs.Json.Int gates)
-         :: entries));
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* Service load generator: throughput and latency of powder_serve.     *)
-(* ------------------------------------------------------------------ *)
-
-let serve_bench () =
-  print_endline "=== Service: supervisor throughput under load ===";
-  let n = if !quick then 30 else 150 in
-  let circuits = [| "rd84"; "alu2"; "f51m" |] in
-  (* deterministic mixed-priority load: ids, circuits and priorities
-     are pure functions of the index, so successive bench runs submit
-     the same stream *)
-  let lines =
-    List.init n (fun i ->
-        Printf.sprintf
-          "{\"op\":\"submit\",\"id\":\"load-%03d\",\"circuit\":%S,\"priority\":%d,\"options\":{\"words\":4,\"max_rounds\":2}}"
-          i
-          circuits.(i mod Array.length circuits)
-          (((i * 7) mod 11) - 5))
-  in
-  let dir = Filename.temp_file "powder_serve_bench" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  let rec rm_rf path =
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-  in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let q = Queue.create () in
-  List.iter (fun l -> Queue.push l q) lines;
-  let source () =
-    if Queue.is_empty q then Serve.Supervisor.Eof
-    else Serve.Supervisor.Line (Queue.pop q)
-  in
-  let latencies = ref [] in
-  let emit = function
-    | Obs.Json.Obj fs
-      when List.assoc_opt "ev" fs = Some (Obs.Json.String "job_done") -> (
-      match List.assoc_opt "latency_s" fs with
-      | Some (Obs.Json.Float l) -> latencies := l :: !latencies
-      | _ -> ())
-    | _ -> ()
-  in
-  let config =
-    { (Serve.Supervisor.default_config ~state_dir:dir) with
-      Serve.Supervisor.jobs = !jobs
-    }
-  in
-  Printf.eprintf "[serve] %d jobs on %d worker slots...\n%!" n !jobs;
-  let t0 = Obs.Clock.now () in
-  let outcome = Serve.Supervisor.run config ~source ~emit () in
-  let wall = Obs.Clock.now () -. t0 in
-  let sorted = Array.of_list !latencies in
-  Array.sort Float.compare sorted;
-  (* nearest-rank quantile, the same convention as [Obs.Fleet] *)
-  let quant p =
-    let n = Array.length sorted in
-    if n = 0 then 0.0
-    else sorted.(min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1))
-  in
-  let throughput =
-    if wall > 0.0 then float_of_int outcome.Serve.Supervisor.completed /. wall
-    else 0.0
-  in
-  Printf.printf "%10s %10s %10s %12s %10s %10s %10s\n" "submitted" "completed"
-    "failed" "wall(s)" "jobs/s" "p50(s)" "p99(s)";
-  Printf.printf "%10d %10d %10d %12.3f %10.2f %10.3f %10.3f\n\n" n
-    outcome.Serve.Supervisor.completed outcome.Serve.Supervisor.failed wall
-    throughput (quant 0.5) (quant 0.99);
-  serve_section :=
-    Some
-      (Obs.Json.Obj
-         [
-           ("jobs_submitted", Obs.Json.Int n);
-           ("completed", Obs.Json.Int outcome.Serve.Supervisor.completed);
-           ("failed", Obs.Json.Int outcome.Serve.Supervisor.failed);
-           ("rejected", Obs.Json.Int outcome.Serve.Supervisor.rejected);
-           ("worker_slots", Obs.Json.Int !jobs);
-           ("wall_seconds", Obs.Json.Float wall);
-           ("throughput_jobs_per_s", Obs.Json.Float throughput);
-           ("latency_p50_s", Obs.Json.Float (quant 0.5));
-           ("latency_p99_s", Obs.Json.Float (quant 0.99));
-           ("latency_max_s", Obs.Json.Float (quant 1.0));
-         ])
-
-(* ------------------------------------------------------------------ *)
-(* Pareto: the frontier sweep driver, both cost models.                *)
-(* ------------------------------------------------------------------ *)
-
-(* One default-constraint sweep per cost model on a suite circuit:
-   tracks the sweep's wall clock (it runs one optimizer per
-   constraint), the frontier it finds, and the glitch-cost sweep's
-   total timed-power reduction. *)
-let pareto_bench () =
-  let circuit_name = "rd84" in
-  let spec = Option.get (Suite.find circuit_name) in
-  let config =
-    { base_config with
-      Optimizer.seed = Sim.Rng.next (section_rng "pareto");
-      max_rounds = (if !quick then 4 else 16)
-    }
-  in
-  let sweep cost =
-    let config = Pareto.Cost.apply cost config in
-    let t0 = Obs.Clock.now () in
-    let r =
-      Pareto.Sweep.run ~config ~jobs:!jobs ~name:circuit_name (fun () ->
-          Suite.mapped spec)
-    in
-    (r, Obs.Clock.now () -. t0)
-  in
-  Printf.eprintf "[pareto] %s, %d constraints x 2 cost models...\n%!"
-    circuit_name
-    (List.length Pareto.Sweep.default_specs);
-  let zd, zd_wall = sweep Pareto.Cost.Zero_delay in
-  let gl, gl_wall =
-    sweep (Pareto.Cost.Glitch { pairs = Pareto.Cost.default_glitch_pairs })
-  in
-  (* per-point runs land in the runs object so bench_diff gates the
-     sweep's wall clock phase by phase, like every other section *)
-  List.iter
-    (fun (lbl, rep) ->
-      record_run (Printf.sprintf "pareto/%s/zero-delay/%s" circuit_name lbl) rep)
-    zd.Pareto.Sweep.reports;
-  List.iter
-    (fun (lbl, rep) ->
-      record_run (Printf.sprintf "pareto/%s/glitch/%s" circuit_name lbl) rep)
-    gl.Pareto.Sweep.reports;
-  Format.printf "%s (zero-delay cost, %.2fs):@,%a@." circuit_name zd_wall
-    Pareto.Sweep.pp zd;
-  Format.printf "%s (glitch cost, %.2fs):@,%a@." circuit_name gl_wall
-    Pareto.Sweep.pp gl;
-  let glitch_delta =
-    List.fold_left
-      (fun acc (_, (rep : Optimizer.report)) ->
-        match (rep.initial_glitch_power, rep.final_glitch_power) with
-        | Some gi, Some gf -> acc +. (gi -. gf)
-        | _ -> acc)
-      0.0 gl.Pareto.Sweep.reports
-  in
-  let section_of (r : Pareto.Sweep.report) wall =
-    Obs.Json.Obj
-      [
-        ("wall_seconds", Obs.Json.Float wall);
-        ("points", Obs.Json.Int (List.length r.Pareto.Sweep.points));
-        ("frontier", Obs.Json.Int (List.length r.Pareto.Sweep.frontier));
-        ("dominated", Obs.Json.Int r.Pareto.Sweep.dominated);
-        ( "substitutions",
-          Obs.Json.Int
-            (List.fold_left
-               (fun acc (p : Pareto.Frontier.point) -> acc + p.substitutions)
-               0 r.Pareto.Sweep.points) );
-      ]
-  in
-  pareto_section :=
-    Some
-      (Obs.Json.Obj
-         [
-           ("circuit", Obs.Json.String circuit_name);
-           ("constraints", Obs.Json.Int (List.length Pareto.Sweep.default_specs));
-           ("zero_delay", section_of zd zd_wall);
-           ("glitch", section_of gl gl_wall);
-           ("glitch_delta", Obs.Json.Float glitch_delta);
-         ])
-
-(* ------------------------------------------------------------------ *)
-(* Scale: synthetic netlists, windowed vs global checking.             *)
-(* ------------------------------------------------------------------ *)
-
-(* The suite tops out at a few hundred gates; this section tracks how
-   the optimizer holds up on circuits two orders of magnitude larger
-   (Circuits.Generators.synth — xor-rich layered netlists with shared
-   fanout and structural duplicates).  The headline metric is
-   gates/second for one full optimization round; the windowed and
-   global configurations are run side by side so the check-phase
-   ratio (the cost windowing removes) and the verdict agreement are
-   tracked run over run.  Every run lands in BENCH_powder.json under
-   scale/*, so ci.sh's bench_diff gate catches end-to-end throughput
-   regressions on large netlists, not just on the paper suite. *)
-let scale () =
-  print_endline "=== Scale: synthetic netlists, windowed vs global checks ===";
-  (* Deliberately NOT downsized under [quick]: the whole point of this
-     section is large-netlist behaviour, and shrinking it would gate
-     nothing.  ci.sh budgets for it with a dedicated stage and its own
-     wall-clock cap, and the committed baseline stays reproducible with
-     one command (quick table1 ... scale). *)
-  let gates = 10_000 in
-  let label_of w =
-    match w with None -> "off" | Some k -> Printf.sprintf "window%d" k
-  in
-  let exact_check (r : Optimizer.report) =
-    Option.value ~default:0.0
-      (List.assoc_opt "exact-check" r.Optimizer.phase_seconds)
-  in
-  let name = Printf.sprintf "synth%dk" (gates / 1000) in
-  let circ = Circuits.Generators.synth ~seed:1 ~gates in
-  let live = List.length (Circuit.live_gates circ) in
-  Printf.printf "circuit: %s (%d live gates)\n" name live;
-  let runs =
-    List.map
-      (fun w ->
-        Printf.eprintf "[scale] %s at --window %s...\n%!" name (label_of w);
-        let r =
-          Optimizer.optimize
-            ~config:
-              { base_config with Optimizer.max_rounds = 1; window = w }
-            (Circuit.clone circ)
-        in
-        record_run (Printf.sprintf "scale/%s/%s" name (label_of w)) r;
-        (w, r))
-      [ Some 16; None ]
-  in
-  let off_exact =
-    List.assoc None runs |> exact_check
-  in
-  Printf.printf "%10s %10s %9s %12s %8s %8s %10s\n" "window" "total(s)"
-    "gates/s" "exact-chk(s)" "proved" "escal." "chk-ratio";
-  let entries =
-    List.map
-      (fun (w, (r : Optimizer.report)) ->
-        let total = r.Optimizer.cpu_seconds in
-        let gps = if total > 0.0 then float_of_int live /. total else 0.0 in
-        let ec = exact_check r in
-        let ratio = if ec > 0.0 then off_exact /. ec else Float.infinity in
-        Printf.printf "%10s %10.3f %9.0f %12.3f %8d %8d %9.1fx\n" (label_of w)
-          total gps ec r.Optimizer.funnel.window_proved r.Optimizer.funnel.window_escalated
-          ratio;
-        ( label_of w,
-          Obs.Json.Obj
-            [
-              ("gates", Obs.Json.Int live);
-              ("cpu_seconds", Obs.Json.Float total);
-              ("gates_per_second", Obs.Json.Float gps);
-              ("exact_check_seconds", Obs.Json.Float ec);
-              ("window_proved", Obs.Json.Int r.Optimizer.funnel.window_proved);
-              ( "window_escalated",
-                Obs.Json.Int r.Optimizer.funnel.window_escalated );
-              ("final_power", Obs.Json.Float r.Optimizer.final_power);
-            ] ))
-      runs
-  in
-  scale_section :=
-    Some (Obs.Json.Obj (("circuit", Obs.Json.String name) :: entries));
-  (* A window counterexample escalates to the global miter instead of
-     rejecting, so the two legs can only diverge when the global engine
-     gave up or timed out on a candidate the window proves.  When the
-     global leg decided every check — the case on this circuit — the
-     final powers must be identical, and divergence means the windowed
-     path accepted something the global oracle refutes: fail the bench
-     run, which fails ci's scale stage. *)
-  let off = List.assoc None runs in
-  let final w = (List.assoc w runs).Optimizer.final_power in
-  if
-    off.Optimizer.funnel.rejected_by_giveup = 0
-    && off.Optimizer.funnel.rejected_by_timeout = 0
-    && final (Some 16) <> final None
-  then begin
-    Printf.eprintf
-      "scale: windowed final power %.17g <> global %.17g — windowed \
-       checking diverged from the global oracle\n"
-      (final (Some 16)) (final None);
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Driver.                                                             *)
 (* ------------------------------------------------------------------ *)
 
+let sections = [ "fig2"; "table1"; "table2"; "fig6"; "ablation"; "glitch" ]
+
+let usage () =
+  prerr_endline
+    ("usage: bench/main.exe [quick] [--jobs N] ["
+    ^ String.concat "|" sections
+    ^ "]...");
+  exit 2
+
 let () =
   Obs.Runtime.tune_gc ();
+  let set_jobs n =
+    match int_of_string_opt n with
+    | Some n -> jobs := max 1 n
+    | None -> usage ()
+  in
   let rec parse acc = function
     | [] -> List.rev acc
     | ("quick" | "--quick") :: rest ->
       quick := true;
       parse acc rest
     | ("-j" | "--jobs") :: n :: rest ->
-      jobs := max 1 (int_of_string n);
+      set_jobs n;
       parse acc rest
-    | a :: rest when String.length a > 7 && String.sub a 0 7 = "--jobs=" ->
-      jobs := max 1 (int_of_string (String.sub a 7 (String.length a - 7)));
+    | a :: rest when String.starts_with ~prefix:"--jobs=" a ->
+      set_jobs (String.sub a 7 (String.length a - 7));
       parse acc rest
-    | ("-o" | "--out") :: f :: rest ->
-      out_file := f;
-      parse acc rest
-    | "--merge" :: rest ->
-      merge_out := true;
-      parse acc rest
-    | a :: rest -> parse (a :: acc) rest
+    | a :: rest when List.mem a sections -> parse (a :: acc) rest
+    | _ -> usage ()
   in
   let args = parse [] (List.tl (Array.to_list Sys.argv)) in
   let want x = args = [] || List.mem x args in
-  (* registered after flag parsing: even a section that raises leaves a
-     well-formed (possibly partial) trajectory point behind *)
-  at_exit write_bench_json;
   if want "fig2" then fig2 ();
   let rows =
     if want "table1" || want "table2" then Some (table1_rows ()) else None
@@ -1058,10 +474,4 @@ let () =
   | None -> ());
   if want "fig6" then fig6 ();
   if want "ablation" then ablation ();
-  if want "glitch" then glitch ();
-  if want "guard" then guard ();
-  if want "micro" then micro ();
-  if want "parallel" then parallel ();
-  if want "serve" then serve_bench ();
-  if want "pareto" then pareto_bench ();
-  if want "scale" then scale ()
+  if want "glitch" then glitch ()

@@ -8,16 +8,19 @@
 #             parallel determinism, signature determinism
 #     fuzz    differential fuzz campaign + injected-fault catch
 #     serve   batch service drain + crash/kill chaos legs
-#     perf    bench self-consistency + committed-baseline perf gate
+#     bench   paper tables (bench/main.exe quick) + powderbench: every
+#             workload correct, no failed operations
 #     pareto  frontier sweep: jobs determinism, frontier invariants,
-#             glitch cost model, bench gate vs the committed baseline
+#             glitch cost model
 #     scale   synth:4000 round: jobs determinism + top-heap gate;
-#             synthetic large-netlist bench: windowed-vs-global check
-#             agreement + throughput gate vs the committed baseline
+#             synth10k round: windowed and global checking agree on
+#             the final power
 #     all     every stage above, in that order (the default)
 #
 # Every leg runs under a hard wall-clock cap so a hang fails the build
-# instead of wedging it.  Each stage is timed; a summary table is
+# instead of wedging it.  Performance is compared by powderbench
+# (BENCHMARK.json) against the parent commit, not here: ci.sh gates
+# correctness only.  Each stage is timed; a summary table is
 # printed at exit (with the failing stage named when one fails).
 set -eu
 cd "$(dirname "$0")"
@@ -62,6 +65,18 @@ golden_md5() {
     echo "$2: md5 $got differs from $1" >&2
     exit 1
   fi
+}
+
+# report_field KEY REPORT.json: the first scalar value under "KEY"
+# (reports are one line; json_check has validated the file); fails when
+# the key is missing, so an absent field cannot compare as equal
+report_field() {
+  v=$(grep -o "\"$1\":[^,}]*" "$2" | head -n 1 | cut -d: -f2)
+  if [ -z "$v" ]; then
+    echo "$2: no $1 field" >&2
+    exit 1
+  fi
+  echo "$v"
 }
 
 # ------------------------------------------------------------------ #
@@ -286,39 +301,36 @@ EOF
 }
 
 # ------------------------------------------------------------------ #
-# perf                                                               #
+# bench                                                              #
 # ------------------------------------------------------------------ #
-stage_perf() {
-  echo "== perf: bench self-compare passes, +50% perturbation fails =="
-  bench_a=$(mktemp /tmp/powder_ci_bench_a_XXXXXX.json)
-  bench_b=$(mktemp /tmp/powder_ci_bench_b_XXXXXX.json)
-  hard_timeout 600 dune exec bench/main.exe -- quick guard \
-    --out "$bench_a" >/dev/null
-  # the quick bench finishes in well under a second per run, so the
-  # absolute noise floor is scaled down to match
-  dune exec bin/json_check.exe -- "$bench_a"
-  dune exec bin/bench_diff.exe -- "$bench_a" "$bench_a" --abs-floor 0.005
-  dune exec bin/bench_diff.exe -- --perturb "$bench_a" "$bench_b" --factor 1.5
-  if dune exec bin/bench_diff.exe -- "$bench_a" "$bench_b" --abs-floor 0.005; then
-    echo "bench_diff failed to flag a 50% regression" >&2
+stage_bench() {
+  echo "== bench: paper tables (quick) =="
+  hard_timeout 600 dune exec bench/main.exe -- quick >/dev/null
+
+  echo "== bench: an unknown section is a usage error (exit 2) =="
+  status=0
+  dune exec bench/main.exe -- scale >/dev/null 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "bench/main.exe -- scale exited $status, not 2" >&2
     exit 1
   fi
-  rm -f "$bench_a" "$bench_b"
 
-  echo "== perf: committed-baseline gate (BENCH_powder.json) =="
-  # A fresh quick bench against the committed trajectory point.  The
-  # quick table1 set includes cps, whose generate phase carries the
-  # signature-store speedup: eroding it (or any other phase) past
-  # rel-tol fails CI here instead of rotting silently.  The tolerance
-  # is wide (50% + a 0.25s floor) because CI machines are noisy; the
-  # regressions this gate exists for are order-of-magnitude.
-  fresh=$(mktemp /tmp/powder_ci_bench_fresh_XXXXXX.json)
-  hard_timeout 600 dune exec bench/main.exe -- quick table1 glitch guard \
-    parallel serve --out "$fresh" >/dev/null
-  dune exec bin/json_check.exe -- "$fresh"
-  dune exec bin/bench_diff.exe -- BENCH_powder.json "$fresh" \
-    --rel-tol 0.5 --abs-floor 0.25
-  rm -f "$fresh"
+  echo "== bench: powderbench, every workload correct =="
+  # One short repeat per workload (cps-converge, synth-round,
+  # serve-drain): every output validated, simulated and (where
+  # feasible) proved equivalent, and no operation failed.
+  # Timings are not gated here: a change is compared with its parent
+  # by running powderbench on both checkouts (BENCHMARK.json bounds).
+  pb=$(mktemp /tmp/powder_ci_pb_XXXXXX.json)
+  hard_timeout 900 python3 powderbench/run.py --seconds 1 > "$pb"
+  ok=$(grep -o '"correct": *true' "$pb" | wc -l)
+  clean=$(grep -o '"failed": *0[,}]' "$pb" | wc -l)
+  if [ "$ok" -ne 3 ] || [ "$clean" -ne 3 ]; then
+    echo "powderbench: $ok/3 workloads correct, $clean/3 without failures" >&2
+    cat "$pb" >&2
+    exit 1
+  fi
+  rm -f "$pb"
 }
 
 # ------------------------------------------------------------------ #
@@ -352,15 +364,6 @@ stage_pareto() {
     --cost glitch --words 4 --max-rounds 4 --json "$pg" >/dev/null
   dune exec bin/json_check.exe -- --check-report "$pg"
   rm -f "$pg"
-
-  echo "== pareto: bench section vs committed baseline =="
-  fresh=$(mktemp /tmp/powder_ci_pareto_bench_XXXXXX.json)
-  hard_timeout 600 dune exec bench/main.exe -- quick pareto \
-    --out "$fresh" >/dev/null
-  dune exec bin/json_check.exe -- "$fresh"
-  dune exec bin/bench_diff.exe -- BENCH_powder.json "$fresh" \
-    --rel-tol 0.5 --abs-floor 0.25
-  rm -f "$fresh"
 }
 
 # ------------------------------------------------------------------ #
@@ -409,30 +412,32 @@ stage_scale() {
   golden_md5 test/golden/synth4000-w16-r1.blif.md5 "$scale_dir/j1.blif"
   rm -rf "$scale_dir"
 
-  echo "== scale: synthetic netlist, windowed vs global checking =="
-  # The bench itself fails if the windowed and global legs disagree on
-  # the final power (windowing must never change the verdict, only the
-  # cost of reaching it); bench_diff then gates throughput and phase
-  # times against the committed trajectory point.  The baseline's scale
-  # runs are recorded from a scale-only process to match this stage's
-  # execution shape (see --merge in bench/main.ml); regenerate with
-  #   dune exec bench/main.exe -- quick table1 glitch guard parallel serve
-  #   dune exec bench/main.exe -- scale --merge
-  # The 10k-gate circuit is the real target; the cap is generous
-  # because single-core CI machines spend minutes in candidate
-  # generation alone at this size.
-  scale_json=$(mktemp /tmp/powder_ci_scale_XXXXXX.json)
-  hard_timeout 900 dune exec bench/main.exe -- scale \
-    --out "$scale_json"
-  dune exec bin/json_check.exe -- "$scale_json"
-  # Tolerance sized from measured cold-run variance on a single-core
-  # box: the GC-bound generate/rank phases swing ~1.7x between
-  # identical runs and CPU steal has produced ~3.5x outliers, so the
-  # gate allows 3.5x and catches order-of-magnitude regressions —
-  # losing the windowed check-phase win (>=18x here) still trips it.
-  dune exec bin/bench_diff.exe -- BENCH_powder.json "$scale_json" \
-    --rel-tol 2.5 --abs-floor 0.5
-  rm -f "$scale_json"
+  echo "== scale: synth10k round, windowed and global checking agree =="
+  # A window counterexample escalates to the global miter instead of
+  # rejecting, so the two runs can only diverge where the global engine
+  # gave up or timed out on a candidate the window proves.  When the
+  # global run decided every check, the final powers must be identical:
+  # a difference means the windowed path accepted something the global
+  # oracle refutes.
+  win_dir=$(mktemp -d /tmp/powder_ci_window_XXXXXX)
+  for w in 16 off; do
+    hard_timeout 900 dune exec bin/powder_cli.exe -- optimize \
+      --circuit synth10k --max-rounds 1 --window "$w" --jobs 1 \
+      --json "$win_dir/$w.json" >/dev/null
+    dune exec bin/json_check.exe -- --check-report "$win_dir/$w.json"
+  done
+  p16=$(report_field final_power "$win_dir/16.json")
+  poff=$(report_field final_power "$win_dir/off.json")
+  giveups=$(report_field rejected_by_giveup "$win_dir/off.json")
+  timeouts=$(report_field rejected_by_timeout "$win_dir/off.json")
+  undecided=$((giveups + timeouts))
+  echo "final power: window 16 $p16, off $poff ($undecided undecided)"
+  if [ "$undecided" -eq 0 ] && [ "$p16" != "$poff" ]; then
+    echo "scale: windowed final power $p16 <> global $poff" \
+      "— windowed checking diverged from the global oracle" >&2
+    exit 1
+  fi
+  rm -rf "$win_dir"
 }
 
 # ------------------------------------------------------------------ #
@@ -444,12 +449,12 @@ fi
 for s in "$@"; do
   case "$s" in
     all)
-      for t in build test smoke fuzz serve perf pareto scale; do run_stage "$t"; done ;;
-    build|test|smoke|fuzz|serve|perf|pareto|scale)
+      for t in build test smoke fuzz serve bench pareto scale; do run_stage "$t"; done ;;
+    build|test|smoke|fuzz|serve|bench|pareto|scale)
       run_stage "$s" ;;
     *)
       echo "ci.sh: unknown stage '$s'" >&2
-      echo "usage: ./ci.sh [build|test|smoke|fuzz|serve|perf|pareto|scale|all]..." >&2
+      echo "usage: ./ci.sh [build|test|smoke|fuzz|serve|bench|pareto|scale|all]..." >&2
       exit 2 ;;
   esac
 done

@@ -1,7 +1,7 @@
 (* The run manifest: everything needed to decide whether two profiles,
    traces or bench records are comparable.  Embedded as the first JSONL
    record of every trace ([run_start]), as the ["run"] field of report
-   and profile JSON, and at the top of BENCH_powder.json. *)
+   and profile JSON, and as the manifest of every powderbench repeat. *)
 
 let schema_version = 1
 

@@ -244,10 +244,10 @@ let discard (s : _ speculation) =
     | Some Cancelled -> s.consumed <- true
     | None -> ()
 
-(* Every combinator below blanket-discards the batch in a finalizer:
-   if a commit re-raises a task's exception mid-walk, the collectors
-   of the not-yet-consumed speculations are dropped instead of
-   stranded (consume-once makes the blanket pass a no-op for the
+(* [map] blanket-discards the batch in a finalizer: if a commit
+   re-raises a task's exception mid-walk, the collectors of the
+   not-yet-consumed speculations are dropped instead of stranded
+   (consume-once makes the blanket pass a no-op for the
    already-committed prefix). *)
 
 let map t ?deadline ~f xs =
@@ -260,62 +260,3 @@ let map t ?deadline ~f xs =
         out.(i) <- commit specs.(i)
       done);
   out
-
-let map_result t ?deadline ~f xs =
-  let specs = speculate t ?deadline (Array.map (fun x () -> f x) xs) in
-  let out = Array.make (Array.length specs) None in
-  for i = 0 to Array.length specs - 1 do
-    out.(i) <- Option.map (Result.map_error fst) (commit_result specs.(i))
-  done;
-  out
-
-let map_reduce t ?deadline ~map:f ~reduce ~init xs =
-  let specs = speculate t ?deadline (Array.map (fun x () -> f x) xs) in
-  let acc = ref init in
-  Fun.protect
-    ~finally:(fun () -> Array.iter discard specs)
-    (fun () ->
-      for i = 0 to Array.length specs - 1 do
-        match commit specs.(i) with
-        | None -> ()
-        | Some v -> acc := reduce !acc v
-      done);
-  !acc
-
-let find_first_accept t ?chunk ?deadline ~check ~screen ~commit:commitf xs =
-  let n = Array.length xs in
-  let chunk = match chunk with Some c -> max 1 c | None -> t.jobs in
-  let result = ref None in
-  let lo = ref 0 in
-  while !result = None && !lo < n do
-    let hi = min n (!lo + chunk) in
-    let m = hi - !lo in
-    let tasks = Array.make m (fun () -> assert false) in
-    for k = 0 to m - 1 do
-      let idx = !lo + k in
-      tasks.(k) <- (fun () -> check idx xs.(idx))
-    done;
-    let specs = speculate t ?deadline tasks in
-    (* the finalizer rolls back whatever the walk did not consume: the
-       tail of a chunk invalidated by an accept, or — if a committed
-       task re-raises — everything after the raising index *)
-    Fun.protect
-      ~finally:(fun () -> Array.iter discard specs)
-      (fun () ->
-        let k = ref 0 in
-        while !result = None && !k < m do
-          let idx = !lo + !k in
-          if screen idx xs.(idx) then begin
-            match commit specs.(!k) with
-            | None -> ()
-            | Some v -> (
-              match commitf idx xs.(idx) v with
-              | Some r -> result := Some r
-              | None -> ())
-          end
-          else discard specs.(!k);
-          incr k
-        done);
-    lo := hi
-  done;
-  !result

@@ -85,52 +85,10 @@ val discard : _ speculation -> unit
 
 val cancelled : _ speculation -> bool
 
-(** {2 Deterministic combinators} *)
+(** {2 Deterministic map} *)
 
 val map : t -> ?deadline:Obs.Deadline.t -> f:('a -> 'b) -> 'a array -> 'b option array
 (** Parallel map; outcomes committed left-to-right.  [None] marks a
     cancelled element.  If a task raised, the exception surfaces at
     its index position and the later elements' collectors are
     discarded (never stranded half-merged). *)
-
-val map_result :
-  t ->
-  ?deadline:Obs.Deadline.t ->
-  f:('a -> 'b) ->
-  'a array ->
-  ('b, exn) result option array
-(** Parallel map with per-element containment: element [i] is
-    [Some (Ok y)], [Some (Error exn)] if [f xs.(i)] raised, or [None]
-    if it was cancelled by the deadline.  A raising element never
-    aborts the walk or poisons the pool — every other element's result
-    (and observability) is still delivered. *)
-
-val map_reduce :
-  t ->
-  ?deadline:Obs.Deadline.t ->
-  map:('a -> 'b) ->
-  reduce:('acc -> 'b -> 'acc) ->
-  init:'acc ->
-  'a array ->
-  'acc
-(** Parallel map, sequential left-to-right reduce on the caller —
-    the fold order (and any floating-point accumulation) equals the
-    sequential one.  Cancelled elements are skipped. *)
-
-val find_first_accept :
-  t ->
-  ?chunk:int ->
-  ?deadline:Obs.Deadline.t ->
-  check:(int -> 'a -> 'b) ->
-  screen:(int -> 'a -> bool) ->
-  commit:(int -> 'a -> 'b -> 'c option) ->
-  'a array ->
-  'c option
-(** The optimizer's accept pattern, generalized: speculatively [check]
-    items in chunks of [chunk] (default [jobs t]), then walk each
-    chunk in index order — items failing [screen] are skipped (their
-    check result discarded), otherwise [commit] consumes the check's
-    result and may accept.  The first accept wins; remaining
-    speculation in the chunk is rolled back and no later item is
-    checked.  Equivalent to the sequential
-    [screen → check → commit] loop over the array. *)

@@ -45,35 +45,6 @@ let test_jobs1_inline () =
         [| Some 2; Some 3; Some 4 |]
         (Par.Pool.map pool ~f:succ [| 1; 2; 3 |]))
 
-let test_map_reduce_order () =
-  Par.Pool.with_pool ~jobs:4 (fun pool ->
-      let s =
-        Par.Pool.map_reduce pool ~map:string_of_int
-          ~reduce:(fun acc x -> acc ^ x)
-          ~init:""
-          (Array.init 10 Fun.id)
-      in
-      (* the reduce is non-commutative: any out-of-order fold shows *)
-      Alcotest.(check string) "left-to-right fold" "0123456789" s)
-
-let test_find_first_accept_order () =
-  Par.Pool.with_pool ~jobs:4 (fun pool ->
-      let committed = ref [] in
-      let result =
-        Par.Pool.find_first_accept pool
-          ~check:(fun i x -> i + x)
-          ~screen:(fun i _ -> i mod 2 = 1)
-          ~commit:(fun i _ v ->
-            committed := i :: !committed;
-            if i >= 5 then Some v else None)
-          (Array.init 12 (fun i -> i * 10))
-      in
-      Alcotest.(check (option int)) "first accept wins" (Some 55) result;
-      (* screened-in items consumed in index order, nothing after the
-         accept — exactly the sequential walk *)
-      Alcotest.(check (list int)) "commit order stops at accept" [ 1; 3; 5 ]
-        (List.rev !committed))
-
 (* ------------------------------------------------------------------ *)
 (* Exceptions.                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -262,15 +233,17 @@ let containment_at jobs () =
         if i = 2 then raise (Boom i);
         i * 10
       in
-      let r = Par.Pool.map_result pool ~f (Array.init 5 Fun.id) in
+      (* the supervisor's walk: one speculated batch, every outcome
+         consumed in index order by [commit_result] *)
+      let specs = Par.Pool.speculate pool (Array.init 5 (fun i () -> f i)) in
       Array.iteri
-        (fun i v ->
-          match v with
+        (fun i s ->
+          match Par.Pool.commit_result s with
           | Some (Ok y) when i <> 2 ->
             Alcotest.(check int) "value delivered" (i * 10) y
-          | Some (Error (Boom 2)) when i = 2 -> ()
+          | Some (Error (Boom 2, _)) when i = 2 -> ()
           | _ -> Alcotest.fail (Printf.sprintf "element %d: wrong outcome" i))
-        r;
+        specs;
       (* sequential parity: the raising task's pre-raise work merged *)
       Alcotest.(check int) "all five collectors merged" (before + 5)
         (Obs.Metrics.counter_value c);
@@ -307,10 +280,6 @@ let suite =
       [
         Alcotest.test_case "map empty/singleton/order" `Quick test_map_basic;
         Alcotest.test_case "jobs=1 runs inline" `Quick test_jobs1_inline;
-        Alcotest.test_case "map_reduce folds left-to-right" `Quick
-          test_map_reduce_order;
-        Alcotest.test_case "find_first_accept commit order" `Quick
-          test_find_first_accept_order;
         Alcotest.test_case "exception surfaces at first index" `Quick
           test_exception_propagates_first_index;
         Alcotest.test_case "exception discards later collectors" `Quick
