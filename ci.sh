@@ -191,10 +191,11 @@ stage_smoke() {
   # linear reference scan by the sigstore unit tests and the fuzzer.)
   ref_json=$(mktemp /tmp/powder_ci_sig_ref_XXXXXX.json)
   ref_blif=$(mktemp /tmp/powder_ci_sig_ref_XXXXXX.blif)
+  ref_txt=$(mktemp /tmp/powder_ci_sig_ref_XXXXXX.txt)
   alt_json=$(mktemp /tmp/powder_ci_sig_alt_XXXXXX.json)
   alt_blif=$(mktemp /tmp/powder_ci_sig_alt_XXXXXX.blif)
   hard_timeout 300 dune exec bin/powder_cli.exe -- optimize --circuit cps \
-    --jobs 1 --json "$ref_json" -o "$ref_blif" >/dev/null
+    --jobs 1 --metrics --json "$ref_json" -o "$ref_blif" > "$ref_txt"
   hard_timeout 300 dune exec bin/powder_cli.exe -- optimize --circuit cps \
     --jobs 4 --json "$alt_json" -o "$alt_blif" >/dev/null
   cmp "$ref_blif" "$alt_blif"
@@ -204,7 +205,24 @@ stage_smoke() {
   # A deliberate output change updates test/golden/ in the same commit.
   dune exec bin/json_check.exe -- --compare-reports test/golden/cps.report.json "$ref_json"
   golden_md5 test/golden/cps.blif.md5 "$ref_blif"
-  rm -f "$ref_json" "$ref_blif" "$alt_json" "$alt_blif"
+
+  echo "== smoke: cps search and store maintenance are pinned =="
+  # The SAT search is pinned by its conflict total over the run, and
+  # the signature store resyncs once per round (accepts only mark rows
+  # stale), so its full rebuilds are at most the rounds.  A deliberate
+  # search change updates these values together with test/golden/.
+  rounds=$(report_field rounds "$ref_json")
+  awk -v rounds="$rounds" '
+    $1 == "atpg.sat.conflicts" { c = $2 }
+    $1 == "sig/store.rebuilds" { r = $2 }
+    END {
+      if (c != 131057) { print "atpg.sat.conflicts " c ", want 131057"; bad = 1 }
+      if (r == "" || r > rounds) {
+        print "sig/store.rebuilds " r " exceeds the " rounds " rounds"; bad = 1
+      }
+      exit bad
+    }' "$ref_txt"
+  rm -f "$ref_json" "$ref_blif" "$ref_txt" "$alt_json" "$alt_blif"
 }
 
 # ------------------------------------------------------------------ #

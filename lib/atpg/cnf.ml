@@ -7,36 +7,6 @@ type outcome =
   | Impossible
   | Gave_up of Sat.give_up
 
-let clauses_of_circuit circ =
-  let var = Array.make (Circuit.num_nodes circ) (-1) in
-  let next = ref 0 in
-  Circuit.iter_live circ (fun id ->
-      var.(id) <- !next;
-      incr next);
-  let clauses = ref [] in
-  let add c = clauses := c :: !clauses in
-  Circuit.iter_live circ (fun id ->
-      match Circuit.kind circ id with
-      | Circuit.Pi -> ()
-      | Circuit.Const b -> add [| Sat.lit_of var.(id) b |]
-      | Circuit.Po d ->
-        (* po var equals driver var *)
-        add [| Sat.lit_of var.(id) true; Sat.lit_of var.(d) false |];
-        add [| Sat.lit_of var.(id) false; Sat.lit_of var.(d) true |]
-      | Circuit.Cell (c, fs) ->
-        let k = Array.length fs in
-        (* for every input minterm m: (inputs = m) -> (z = f(m)) *)
-        for m = 0 to (1 lsl k) - 1 do
-          let clause = Array.make (k + 1) 0 in
-          for i = 0 to k - 1 do
-            (* negation of "input i has its value in m" *)
-            clause.(i) <- Sat.lit_of var.(fs.(i)) (m land (1 lsl i) = 0)
-          done;
-          clause.(k) <- Sat.lit_of var.(id) (Tt.eval_int c.Cell.func m);
-          add clause
-        done);
-  (!clauses, (fun id -> var.(id)), !next)
-
 (* Encode only the fanin cone of the target: on large netlists most of
    the circuit is irrelevant to one justification query. *)
 let clauses_of_cone circ target =

@@ -15,7 +15,3 @@ val justify_one :
   Netlist.Circuit.node_id ->
   outcome
 
-val clauses_of_circuit :
-  Netlist.Circuit.t -> int array list * (Netlist.Circuit.node_id -> int) * int
-(** [(clauses, var_of_node, num_vars)]: one SAT variable per live
-    node. *)

@@ -6,22 +6,32 @@ let pp_give_up fmt = function
   | Conflicts -> Format.pp_print_string fmt "conflicts"
   | Deadline -> Format.pp_print_string fmt "deadline"
 
+(* Unchecked int-array access for the search.  Every index is a literal
+   or variable of a clause [load] range-checked, a clause offset, or a
+   trail, heap or level position the solver's own invariants bound. *)
+external ( .!() ) : int array -> int -> int = "%array_unsafe_get"
+external ( .!()<- ) : int array -> int -> int -> unit = "%array_unsafe_set"
+
 let lit_of v sign = (2 * v) lor (if sign then 0 else 1)
 let var_of l = l lsr 1
 let neg l = l lxor 1
 
-(* values: 0 unassigned, 1 true, 2 false (for the literal's variable) *)
-
-type clause = { mutable lits : int array; mutable activity : float }
-
+(* Everything the search touches is an int.  A clause is an offset [c]
+   into [arena]: [arena.(c)] is its length [n], its literals sit at
+   [c + 1 .. c + n], and the two watched ones are the first two.  A
+   literal's watch list is an int stack of clause offsets in
+   [watches.(l)] (its first [wlen.(l)] entries, top last); reasons are
+   clause offsets, -1 for none; values are per literal: 0 unassigned,
+   1 true, 2 false. *)
 type solver = {
   nvars : int;
-  mutable clauses : clause array;
-  mutable n_clauses : int;
-  watches : clause list array; (* indexed by literal *)
-  assign : int array;          (* per var: 0 / 1 (true) / 2 (false) *)
+  mutable arena : int array;
+  mutable arena_len : int;
+  watches : int array array;
+  wlen : int array;
+  value : int array;
   level : int array;
-  reason : clause option array;
+  reason : int array;
   trail : int array;           (* assigned literals in order *)
   mutable trail_len : int;
   trail_lim : int array;       (* trail length at each decision level *)
@@ -38,93 +48,113 @@ type solver = {
   mutable var_inc : float;
   mutable conflicts : int;
   seen : bool array;
+  (* [analyze]'s learnt literals below the conflict level, in the order
+     it meets them *)
+  learnt : int array;
+  mutable learnt_len : int;
 }
 
-let value s l =
-  let v = s.assign.(var_of l) in
-  if v = 0 then 0 else if (v = 1) = (l land 1 = 0) then 1 else 2
-
-let watch s l c = s.watches.(l) <- c :: s.watches.(l)
+let push s l c =
+  let n = s.wlen.!(l) in
+  let ws = s.watches.(l) in
+  if n = Array.length ws then begin
+    let bigger = Array.make (max 4 (2 * n)) 0 in
+    Array.blit ws 0 bigger 0 n;
+    s.watches.(l) <- bigger
+  end;
+  s.watches.(l).(n) <- c;
+  s.wlen.!(l) <- n + 1
 
 let enqueue s l reason =
   let v = var_of l in
-  s.assign.(v) <- (if l land 1 = 0 then 1 else 2);
-  s.level.(v) <- s.decision_level;
-  s.reason.(v) <- reason;
-  s.trail.(s.trail_len) <- l;
+  s.value.!(l) <- 1;
+  s.value.!(neg l) <- 2;
+  s.level.!(v) <- s.decision_level;
+  s.reason.!(v) <- reason;
+  s.trail.!(s.trail_len) <- l;
   s.trail_len <- s.trail_len + 1
 
-exception Conflict_found of clause
+let reverse (a : int array) n =
+  for i = 0 to (n / 2) - 1 do
+    let x = a.!(i) in
+    a.!(i) <- a.!(n - 1 - i);
+    a.!(n - 1 - i) <- x
+  done
 
-(* propagate all pending assignments; raises Conflict_found *)
+(* Propagate all pending assignments; the conflicting clause, or -1.
+   A falsified literal's watchers are visited from the top of its
+   stack down, and the ones it keeps are pushed back in visit order
+   (after a conflict, followed by the unvisited rest in visit order):
+   reversing the stack in place and compacting it front to back does
+   exactly that. *)
 let propagate s qhead_start =
-  let qhead = ref qhead_start in
-  while !qhead < s.trail_len do
-    let l = s.trail.(!qhead) in
+  let arena = s.arena and value = s.value in
+  let qhead = ref qhead_start and confl = ref (-1) in
+  while !confl < 0 && !qhead < s.trail_len do
+    let falsified = neg s.trail.!(!qhead) in
     incr qhead;
-    let falsified = neg l in
-    let old_watch = s.watches.(falsified) in
-    s.watches.(falsified) <- [];
-    let rec go = function
-      | [] -> ()
-      | c :: rest -> (
-        (* ensure falsified is at position 1 *)
-        let lits = c.lits in
-        if Array.length lits >= 2 && lits.(0) = falsified then begin
-          lits.(0) <- lits.(1);
-          lits.(1) <- falsified
-        end;
-        if Array.length lits >= 1 && value s lits.(0) = 1 then begin
-          (* clause already satisfied; keep watching *)
-          watch s falsified c;
-          go rest
+    let ws = s.watches.(falsified) and n = s.wlen.!(falsified) in
+    reverse ws n;
+    let i = ref 0 and j = ref 0 in
+    while !i < n do
+      let c = ws.!(!i) in
+      incr i;
+      (* ensure falsified is the second watch *)
+      if arena.!(c + 1) = falsified then begin
+        arena.!(c + 1) <- arena.!(c + 2);
+        arena.!(c + 2) <- falsified
+      end;
+      let first = arena.!(c + 1) in
+      if value.!(first) = 1 then begin
+        (* clause already satisfied; keep watching *)
+        ws.!(!j) <- c;
+        incr j
+      end
+      else begin
+        (* look for a new literal to watch *)
+        let stop = c + 1 + arena.!(c) in
+        let k = ref (c + 3) in
+        while !k < stop && value.!(arena.!(!k)) = 2 do
+          incr k
+        done;
+        if !k < stop then begin
+          let l = arena.!(!k) in
+          arena.!(!k) <- falsified;
+          arena.!(c + 2) <- l;
+          push s l c
         end
         else begin
-          (* look for a new literal to watch *)
-          let found = ref false in
-          let i = ref 2 in
-          let n = Array.length lits in
-          while (not !found) && !i < n do
-            if value s lits.(!i) <> 2 then begin
-              let tmp = lits.(1) in
-              lits.(1) <- lits.(!i);
-              lits.(!i) <- tmp;
-              watch s lits.(1) c;
-              found := true
-            end;
-            incr i
-          done;
-          if !found then go rest
-          else begin
-            (* unit or conflicting *)
-            watch s falsified c;
-            if n = 0 || value s lits.(0) = 2 then begin
-              (* conflict: restore remaining watches first *)
-              List.iter (fun c' -> watch s falsified c') rest;
-              raise (Conflict_found c)
-            end
-            else begin
-              enqueue s lits.(0) (Some c);
-              go rest
-            end
+          (* unit or conflicting *)
+          ws.!(!j) <- c;
+          incr j;
+          if value.!(first) = 2 then begin
+            while !i < n do
+              ws.!(!j) <- ws.!(!i);
+              incr i;
+              incr j
+            done;
+            confl := c
           end
-        end)
-    in
-    go old_watch
-  done
+          else enqueue s first c
+        end
+      end
+    done;
+    s.wlen.!(falsified) <- !j
+  done;
+  !confl
 
 let before s a b =
   let x = s.activity.(a) and y = s.activity.(b) in
   x > y || (x = y && a < b)
 
 let heap_set s i v =
-  s.heap.(i) <- v;
-  s.heap_pos.(v) <- i
+  s.heap.!(i) <- v;
+  s.heap_pos.!(v) <- i
 
 let rec heap_up s i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    let v = s.heap.(i) and pv = s.heap.(parent) in
+    let v = s.heap.!(i) and pv = s.heap.!(parent) in
     if before s v pv then begin
       heap_set s parent v;
       heap_set s i pv;
@@ -136,8 +166,8 @@ let rec heap_down s i =
   let l = (2 * i) + 1 in
   if l < s.heap_len then begin
     let r = l + 1 in
-    let c = if r < s.heap_len && before s s.heap.(r) s.heap.(l) then r else l in
-    let v = s.heap.(i) and cv = s.heap.(c) in
+    let c = if r < s.heap_len && before s s.heap.!(r) s.heap.!(l) then r else l in
+    let v = s.heap.!(i) and cv = s.heap.!(c) in
     if before s cv v then begin
       heap_set s i cv;
       heap_set s c v;
@@ -146,17 +176,17 @@ let rec heap_down s i =
   end
 
 let heap_insert s v =
-  if s.heap_pos.(v) < 0 then begin
+  if s.heap_pos.!(v) < 0 then begin
     heap_set s s.heap_len v;
     s.heap_len <- s.heap_len + 1;
     heap_up s (s.heap_len - 1)
   end
 
 let heap_pop s =
-  s.heap_pos.(s.heap.(0)) <- -1;
+  s.heap_pos.!(s.heap.!(0)) <- -1;
   s.heap_len <- s.heap_len - 1;
   if s.heap_len > 0 then begin
-    heap_set s 0 s.heap.(s.heap_len);
+    heap_set s 0 s.heap.!(s.heap_len);
     heap_down s 0
   end
 
@@ -173,86 +203,135 @@ let bump s v =
       heap_down s i
     done
   end
-  else if s.heap_pos.(v) >= 0 then heap_up s s.heap_pos.(v)
+  else if s.heap_pos.!(v) >= 0 then heap_up s s.heap_pos.!(v)
 
-(* first-UIP learning *)
-let analyze s conflict =
-  let learnt = ref [] in
-  let counter = ref 0 in
-  let p = ref (-1) in
-  let backtrack_level = ref 0 in
-  let index = ref (s.trail_len - 1) in
-  let reason_lits c p =
-    (* all literals except p *)
-    Array.to_list c.lits |> List.filter (fun l -> l <> p)
+(* First-UIP learning: returns the asserting literal and the backjump
+   level; the other learnt literals are left in [s.learnt]. *)
+let analyze s confl =
+  let counter = ref 0 and backtrack_level = ref 0 in
+  s.learnt_len <- 0;
+  (* every literal of clause [c] except [pivot], in clause order *)
+  let process c pivot =
+    for k = c + 1 to c + s.arena.!(c) do
+      let q = s.arena.!(k) in
+      let v = var_of q in
+      if q <> pivot && (not s.seen.(v)) && s.level.!(v) > 0 then begin
+        s.seen.(v) <- true;
+        bump s v;
+        if s.level.!(v) >= s.decision_level then incr counter
+        else begin
+          s.learnt.!(s.learnt_len) <- q;
+          s.learnt_len <- s.learnt_len + 1;
+          if s.level.!(v) > !backtrack_level then backtrack_level := s.level.!(v)
+        end
+      end
+    done
   in
-  let process_clause c pivot =
-    List.iter
-      (fun q ->
-        let v = var_of q in
-        if (not s.seen.(v)) && s.level.(v) > 0 then begin
-          s.seen.(v) <- true;
-          bump s v;
-          if s.level.(v) >= s.decision_level then incr counter
-          else begin
-            learnt := q :: !learnt;
-            if s.level.(v) > !backtrack_level then backtrack_level := s.level.(v)
-          end
-        end)
-      (reason_lits c pivot)
-  in
-  process_clause conflict (-1);
-  let uip = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
+  process confl (-1);
+  let index = ref (s.trail_len - 1) and uip = ref (-1) in
+  while !uip < 0 do
     (* find next seen literal on the trail *)
-    while not s.seen.(var_of s.trail.(!index)) do
+    while not s.seen.(var_of s.trail.!(!index)) do
       decr index
     done;
-    p := s.trail.(!index);
-    let v = var_of !p in
+    let p = s.trail.!(!index) in
+    let v = var_of p in
     s.seen.(v) <- false;
     decr counter;
     decr index;
-    if !counter = 0 then begin
-      uip := neg !p;
-      continue_ := false
-    end
-    else begin
-      match s.reason.(v) with
-      | Some c -> process_clause c !p
-      | None -> (* decision reached with counter > 0: shouldn't happen *) ()
-    end
+    if !counter = 0 then uip := neg p
+    else if s.reason.!(v) >= 0 then process s.reason.!(v) p
   done;
-  List.iter (fun q -> s.seen.(var_of q) <- false) !learnt;
-  (!uip :: !learnt, !backtrack_level)
+  for i = 0 to s.learnt_len - 1 do
+    s.seen.(var_of s.learnt.!(i)) <- false
+  done;
+  (!uip, !backtrack_level)
 
 let backtrack s lvl =
-  let target = if lvl < Array.length s.trail_lim then s.trail_lim.(lvl) else s.trail_len in
+  let target = if lvl < Array.length s.trail_lim then s.trail_lim.!(lvl) else s.trail_len in
   for i = s.trail_len - 1 downto target do
-    let v = var_of s.trail.(i) in
-    s.assign.(v) <- 0;
-    s.reason.(v) <- None;
+    let v = var_of s.trail.!(i) in
+    s.value.!(2 * v) <- 0;
+    s.value.!((2 * v) + 1) <- 0;
+    s.reason.!(v) <- -1;
     heap_insert s v
   done;
   s.trail_len <- target;
   s.decision_level <- lvl
 
-let add_clause s lits =
-  let c = { lits = Array.of_list lits; activity = 0.0 } in
-  (match c.lits with
-  | [||] -> ()
-  | [| l |] -> watch s l c (* degenerate; handled at solve start *)
-  | _ ->
-    watch s c.lits.(0) c;
-    watch s c.lits.(1) c);
-  if s.n_clauses = Array.length s.clauses then begin
-    let bigger = Array.make (max 16 (2 * Array.length s.clauses)) c in
-    Array.blit s.clauses 0 bigger 0 s.n_clauses;
-    s.clauses <- bigger
+(* Reserve an [n]-literal clause at the end of the arena; its offset. *)
+let alloc s n =
+  let need = s.arena_len + n + 1 in
+  if need > Array.length s.arena then begin
+    let bigger = Array.make (max need (2 * Array.length s.arena)) 0 in
+    Array.blit s.arena 0 bigger 0 s.arena_len;
+    s.arena <- bigger
   end;
-  s.clauses.(s.n_clauses) <- c;
-  s.n_clauses <- s.n_clauses + 1;
+  let c = s.arena_len in
+  s.arena.!(c) <- n;
+  s.arena_len <- need;
+  c
+
+let attach s c =
+  push s s.arena.!(c + 1) c;
+  push s s.arena.!(c + 2) c
+
+(* Load an input clause, range-checked, as a sorted, duplicate-free
+   literal sequence.  Watched when it has two or more literals and no
+   literal together with its negation (which sorting makes adjacent),
+   dropped when it is such a tautology, and otherwise returned as
+   [`Unit l] or [`Empty] for the caller. *)
+let load s lits =
+  let c = alloc s (Array.length lits) in
+  let n = ref 0 and tautology = ref false in
+  Array.iter
+    (fun l ->
+      if l < 0 || l >= 2 * s.nvars then
+        invalid_arg "Sat.solve: literal out of range";
+      (* insertion into the sorted prefix, dropping duplicates *)
+      let k = ref (c + !n) in
+      while !k > c && s.arena.(!k) > l do
+        decr k
+      done;
+      if !k = c || s.arena.(!k) <> l then begin
+        if !k > c && s.arena.(!k) = neg l then tautology := true;
+        if !k + 1 <= c + !n && s.arena.(!k + 1) = neg l then tautology := true;
+        Array.blit s.arena (!k + 1) s.arena (!k + 2) (c + !n - !k);
+        s.arena.(!k + 1) <- l;
+        incr n
+      end)
+    lits;
+  let kept = (not !tautology) && !n >= 2 in
+  if kept then begin
+    s.arena.(c) <- !n;
+    s.arena_len <- c + !n + 1;
+    attach s c
+  end
+  else s.arena_len <- c;
+  if !tautology || kept then `Loaded
+  else if !n = 1 then `Unit s.arena.(c + 1)
+  else `Empty
+
+(* Append the learnt clause: the asserting literal, then the others by
+   descending level (stably, over the reverse of [analyze]'s order) so
+   that the two watches unassign together on future backtracks. *)
+let add_learnt s uip =
+  let m = s.learnt_len in
+  let c = alloc s (m + 1) in
+  let a = s.arena in
+  a.!(c + 1) <- uip;
+  for i = 0 to m - 1 do
+    (* stable insertion by descending level *)
+    let q = s.learnt.!(m - 1 - i) in
+    let lq = s.level.!(var_of q) in
+    let k = ref (c + 2 + i) in
+    while !k > c + 2 && s.level.!(var_of a.!(!k - 1)) < lq do
+      a.!(!k) <- a.!(!k - 1);
+      decr k
+    done;
+    a.!(!k) <- q
+  done;
+  attach s c;
   c
 
 (* the unassigned variable of highest activity, lowest index on ties;
@@ -260,8 +339,8 @@ let add_clause s lits =
 let rec pick_branch s =
   if s.heap_len = 0 then -1
   else
-    let v = s.heap.(0) in
-    if s.assign.(v) = 0 then v
+    let v = s.heap.!(0) in
+    if s.value.!(2 * v) = 0 then v
     else begin
       heap_pop s;
       pick_branch s
@@ -276,18 +355,38 @@ let m_giveups = Obs.Metrics.counter "atpg.sat.giveups"
    a gettimeofday per conflict would dominate easy instances. *)
 let deadline_stride = 64
 
+(* belt and braces: a model must satisfy every clause *)
+let model s =
+  let m = Array.init s.nvars (fun v -> s.value.(2 * v) = 1) in
+  let c = ref 0 in
+  while !c < s.arena_len do
+    let n = s.arena.(!c) in
+    let sat = ref false in
+    for k = !c + 1 to !c + n do
+      let l = s.arena.(k) in
+      if m.(var_of l) = (l land 1 = 0) then sat := true
+    done;
+    if not !sat then failwith "Sat.solve: internal model check failed";
+    c := !c + n + 1
+  done;
+  Sat m
+
 let solve ?(conflict_limit = 200_000) ?(deadline = Obs.Deadline.never)
     ~num_vars clauses =
   let t0 = Obs.Clock.now () in
   let s =
     {
       nvars = num_vars;
-      clauses = Array.make 16 { lits = [||]; activity = 0.0 };
-      n_clauses = 0;
-      watches = Array.make (2 * num_vars) [];
-      assign = Array.make num_vars 0;
+      arena =
+        Array.make
+          (List.fold_left (fun acc a -> acc + Array.length a + 1) 16 clauses)
+          0;
+      arena_len = 0;
+      watches = Array.make (2 * num_vars) [||];
+      wlen = Array.make (2 * num_vars) 0;
+      value = Array.make (2 * num_vars) 0;
       level = Array.make num_vars 0;
-      reason = Array.make num_vars None;
+      reason = Array.make num_vars (-1);
       trail = Array.make (num_vars + 1) 0;
       trail_len = 0;
       trail_lim = Array.make (num_vars + 1) 0;
@@ -300,6 +399,8 @@ let solve ?(conflict_limit = 200_000) ?(deadline = Obs.Deadline.never)
       var_inc = 1.0;
       conflicts = 0;
       seen = Array.make num_vars false;
+      learnt = Array.make num_vars 0;
+      learnt_len = 0;
     }
   in
   (* load clauses; handle trivial cases *)
@@ -307,67 +408,47 @@ let solve ?(conflict_limit = 200_000) ?(deadline = Obs.Deadline.never)
   let units = ref [] in
   List.iter
     (fun lits ->
-      let lits = Array.to_list lits |> List.sort_uniq compare in
-      let tautology =
-        List.exists (fun l -> List.mem (neg l) lits) lits
-      in
-      if not tautology then
-        match lits with
-        | [] -> trivially_unsat := true
-        | [ l ] -> units := l :: !units
-        | _ -> ignore (add_clause s lits))
+      match load s lits with
+      | `Empty -> trivially_unsat := true
+      | `Unit l -> units := l :: !units
+      | `Loaded -> ())
     clauses;
   let result =
     if !trivially_unsat then Unsat
-    else begin
-    (* assert unit clauses at level 0 *)
-    let conflict0 =
+    else if
+      (* assert unit clauses at level 0 *)
       List.exists
         (fun l ->
-          match value s l with
+          match s.value.!(l) with
           | 1 -> false
           | 2 -> true
           | _ ->
-            enqueue s l None;
+            enqueue s l (-1);
             false)
         !units
-    in
-    if conflict0 then Unsat
+    then Unsat
     else begin
       let qhead = ref 0 in
       let restart_interval = ref 100 in
       let conflicts_since_restart = ref 0 in
       let rec loop () =
-        match propagate s !qhead with
-        | () ->
+        let confl = propagate s !qhead in
+        if confl < 0 then begin
           qhead := s.trail_len;
-          let finish () =
-            let model = Array.init s.nvars (fun v -> s.assign.(v) = 1) in
-            (* belt and braces: a model must satisfy every clause *)
-            for i = 0 to s.n_clauses - 1 do
-              let c = s.clauses.(i) in
-              let sat =
-                Array.exists
-                  (fun l -> model.(var_of l) = (l land 1 = 0))
-                  c.lits
-              in
-              if not sat then failwith "Sat.solve: internal model check failed"
-            done;
-            Sat model
-          in
-          if s.trail_len = s.nvars then finish ()
+          if s.trail_len = s.nvars then model s
           else begin
             let v = pick_branch s in
-            if v < 0 then finish ()
+            if v < 0 then model s
             else begin
-              s.trail_lim.(s.decision_level) <- s.trail_len;
+              s.trail_lim.!(s.decision_level) <- s.trail_len;
               s.decision_level <- s.decision_level + 1;
               (* phase saving would go here; default to false first *)
-              enqueue s (lit_of v false) None;
+              enqueue s (lit_of v false) (-1);
               loop ()
             end
           end
-        | exception Conflict_found c ->
+        end
+        else begin
           s.conflicts <- s.conflicts + 1;
           incr conflicts_since_restart;
           if s.conflicts > conflict_limit then Timeout Conflicts
@@ -376,24 +457,16 @@ let solve ?(conflict_limit = 200_000) ?(deadline = Obs.Deadline.never)
           then Timeout Deadline
           else if s.decision_level = 0 then Unsat
           else begin
-            let learnt, back_lvl = analyze s c in
+            let uip, back_lvl = analyze s confl in
             backtrack s back_lvl;
             qhead := s.trail_len;
-            (match learnt with
-            | [] -> ()
-            | [ l ] ->
-              if value s l = 0 then enqueue s l None
-            | l :: rest ->
-              (* watch the asserting literal and a max-level literal so
-                 both watches unassign together on future backtracks *)
-              let rest =
-                List.sort
-                  (fun a b ->
-                    Int.compare s.level.(var_of b) s.level.(var_of a))
-                  rest
-              in
-              let cl = add_clause s (l :: rest) in
-              if value s l = 0 then enqueue s l (Some cl));
+            if s.learnt_len = 0 then begin
+              if s.value.!(uip) = 0 then enqueue s uip (-1)
+            end
+            else begin
+              let c = add_learnt s uip in
+              if s.value.!(uip) = 0 then enqueue s uip c
+            end;
             s.var_inc <- s.var_inc *. 1.05;
             if !conflicts_since_restart > !restart_interval then begin
               conflicts_since_restart := 0;
@@ -403,10 +476,10 @@ let solve ?(conflict_limit = 200_000) ?(deadline = Obs.Deadline.never)
             end;
             loop ()
           end
+        end
       in
       loop ()
     end
-  end
   in
   Obs.Metrics.observe m_solve_seconds (Obs.Clock.now () -. t0);
   Obs.Metrics.incr m_solves;

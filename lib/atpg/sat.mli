@@ -8,7 +8,22 @@
     maps ATPG aborts).
 
     Literal encoding: variable [v >= 0], literal [2*v] (positive) or
-    [2*v + 1] (negated). *)
+    [2*v + 1] (negated).
+
+    {b Memory.} The solver stores only ints: every clause lives in one
+    growable [int array] arena (a length word, then the literals), each
+    literal's watch list is an int stack of clause offsets, reasons are
+    offsets, and values are read from a literal-indexed array.
+
+    {b Pinned trajectory.} The search is a pure function of the clause
+    list: same load order, sorted and de-duplicated literals, the same
+    watch order (a propagation re-pushes the watchers it keeps in visit
+    order, then on a conflict the unvisited rest), the same first-UIP
+    literal order, stable level sort, decision heap, restarts and
+    limits.  A satisfiable miter's model becomes the counterexample
+    the optimizer folds into its signatures and reports, so any change
+    to the search changes outputs; the test suite pins verdicts, models
+    and conflict counts on random 3-CNF and on real cps miters. *)
 
 type give_up =
   | Conflicts  (** the conflict budget ran out *)
@@ -32,4 +47,6 @@ val solve :
   result
 (** Clauses are arrays of literals.  An empty clause makes the problem
     trivially UNSAT.  [deadline] is polled every few dozen conflicts, so
-    expiry is detected within one propagation burst, not instantly. *)
+    expiry is detected within one propagation burst, not instantly.
+    @raise Invalid_argument if a literal's variable is outside
+    [0 .. num_vars - 1]. *)

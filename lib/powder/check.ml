@@ -133,6 +133,10 @@ let check_exhaustive m out =
          (fun i pi -> (Circuit.name m pi, pattern land (1 lsl i) <> 0))
          pis)
 
+(* The miter's construction time, apart from the engine's: a histogram,
+   not a trace span, because checks also run in speculative pool tasks. *)
+let m_miter_build_seconds = Obs.Metrics.histogram "check.miter_build_seconds"
+
 let permissible ?(backtrack_limit = 20_000) ?(exhaustive_limit = 12)
     ?(engine = `Sat) ?(deadline = Obs.Deadline.never) circ s =
   if Obs.Deadline.expired deadline then
@@ -140,7 +144,10 @@ let permissible ?(backtrack_limit = 20_000) ?(exhaustive_limit = 12)
        cleanly, never hang inside an engine. *)
     Gave_up { engine = "check"; limit = "deadline" }
   else
-    match build circ s with
+    let t0 = Obs.Clock.now () in
+    let miter = build circ s in
+    Obs.Metrics.observe m_miter_build_seconds (Obs.Clock.now () -. t0);
+    match miter with
     | None -> Permissible
     | Some (m, out) ->
       if List.length (Circuit.pis m) <= exhaustive_limit then

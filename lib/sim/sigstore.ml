@@ -16,6 +16,10 @@ type t = {
   base : Engine.t;
   cex : Engine.t option;
   mutable dirty : bool;
+  (* per node id: the row changed since the last resync ([src] or its
+     transitive fanout at some accepted edit); [||] when no edit is
+     pending *)
+  mutable stale : bool array;
   mutable signals : Circuit.node_id array;
   mutable pos_of : int array; (* node id -> position in [signals], -1 *)
   mutable rows : int64 array array; (* per position: base words @ cex words *)
@@ -68,6 +72,7 @@ let create ?cex ~base () =
     base;
     cex;
     dirty = true;
+    stale = [||];
     signals = [||];
     pos_of = [||];
     rows = [||];
@@ -225,6 +230,7 @@ let resync t ~refresh =
   t.cls_of <- cls_of;
   t.classes <- classes;
   t.dirty <- false;
+  t.stale <- [||];
   Obs.Metrics.add m_refreshed !refreshed
 
 let rebuild t =
@@ -235,30 +241,52 @@ let invalidate t =
   t.dirty <- true;
   t.care <- None;
   t.lanes <- None
-let sync t = if t.dirty then rebuild t
 
-(* After an accepted substitution rooted at [src], only [src] and its
-   transitive fanout can have changed words (both engines were already
-   re-simulated by the caller); every other row snapshot is still
-   valid and is carried over. *)
+(* An accepted substitution rooted at [src] changes the words of [src]
+   and its transitive fanout only (both engines were already
+   re-simulated by the caller).  Marking is all it does: the rows are
+   re-snapshot by the next [sync], one resync for any number of edits.
+   That equals a resync per edit because [resync] reads nothing but the
+   engines' current state and the carried-over rows, and interns classes
+   in position order; the fanout must be taken now, while the edited
+   circuit still has it. *)
 let update_after_edit t src =
+  if not t.dirty then begin
+    t.care <- None;
+    t.lanes <- None;
+    let tfo = Circuit.tfo (circuit t) src in
+    tfo.(src) <- true;
+    (* node ids only grow between syncs, so [tfo] covers every mark *)
+    Array.iteri (fun id b -> if b then tfo.(id) <- true) t.stale;
+    t.stale <- tfo
+  end
+
+let sync t =
   if t.dirty then rebuild t
-  else begin
-    let circ = circuit t in
-    let tfo = Circuit.tfo circ src in
+  else if Array.length t.stale > 0 then begin
+    let stale = t.stale in
     resync t ~refresh:(fun id ->
-        id = src
-        || (id < Array.length tfo && tfo.(id))
+        (id < Array.length stale && stale.(id))
         || id >= Array.length t.pos_of
         || t.pos_of.(id) < 0)
   end
 
-let signals t = t.signals
+(* Reads of the class structure on a store with unsynced maintenance
+   would silently see stale rows. *)
+let synced name t =
+  if t.dirty || Array.length t.stale > 0 then
+    invalid_arg ("Sigstore." ^ name ^ ": store not synced")
+
+let signals t =
+  synced "signals" t;
+  t.signals
 let num_signals t = Array.length t.signals
 let position t id = if id < Array.length t.pos_of then t.pos_of.(id) else -1
 let row t p = t.rows.(p)
 let irow t p = t.irows.(p)
-let num_classes t = Array.length t.classes
+let num_classes t =
+  synced "num_classes" t;
+  Array.length t.classes
 let class_canon t c = t.classes.(c).canon
 let class_icanon t c = t.classes.(c).icanon
 let icanon_flat t = t.icanon_flat
@@ -337,6 +365,7 @@ let local_branch t care ~sink ~pin =
    live fanout branch is observed exactly where that branch is; only
    cells with two or more live fanouts are flipped and re-simulated. *)
 let compute_care t =
+  synced "compute_care" t;
   let circ = circuit t in
   let care = Array.make (Circuit.num_nodes circ) [||] in
   let order = Circuit.topo_order circ in
@@ -409,6 +438,7 @@ let transpose32 a =
    quadrants, each transposed as a zero-padded 32 x 32 matrix: lane
    half [lh] of column [b] collects bit [b] of the rows [31 lh ..]. *)
 let compute_lanes t =
+  synced "compute_lanes" t;
   let nc = Array.length t.classes and stride = t.icanon_stride in
   let lane_words = (nc + lane_width - 1) / lane_width in
   let positions = lane_width * stride in

@@ -15,11 +15,16 @@
 
     {b Maintenance.} The store is a snapshot: engine updates do not
     flow in automatically.  After an accepted substitution (both
-    engines already re-simulated) call {!update_after_edit} — only the
-    rows of the edit's transitive fanout are re-copied and the class
-    index is re-interned.  After a counterexample injection (which
-    rewrites pattern columns globally) call {!invalidate}; the next
-    {!sync} rebuilds every row.  {!sync} is cheap when clean.
+    engines already re-simulated) call {!update_after_edit}: it only
+    marks the edit's transitive fanout stale.  After a counterexample
+    injection (which rewrites pattern columns globally) call
+    {!invalidate}.  Then call {!sync} before the next read: after
+    edits alone it re-copies the marked rows and re-interns the class
+    index once, however many edits there were; after an invalidation
+    it rebuilds every row.  {!sync} is a no-op when clean.  Until then
+    the class structure is stale, and {!signals}, {!num_classes},
+    {!compute_care} and {!compute_lanes} raise [Invalid_argument]
+    rather than read it.
 
     {b Determinism.} All orders are structural: signals ascend by node
     id, class members ascend by position, and class identity is a pure
@@ -48,18 +53,30 @@ val invalidate : t -> unit
     rebuilds. *)
 
 val sync : t -> unit
-(** Rebuild if stale; no-op otherwise. *)
+(** Rebuild after {!invalidate} (or on a new store); else re-snapshot
+    the rows marked by pending {!update_after_edit}s, in one resync;
+    no-op otherwise.  Only full rebuilds count on
+    [sig/store.rebuilds]. *)
 
 val update_after_edit : t -> Netlist.Circuit.node_id -> unit
-(** Incremental maintenance after an accepted substitution rooted at
-    the given node: membership is recomputed, but only rows in the
-    node's transitive fanout (plus any new nodes) are re-snapshot. *)
+(** Record an accepted substitution rooted at the given node, after
+    both engines were re-simulated: the node and its transitive fanout
+    in the edited circuit are marked stale, and the observability
+    table and lane view are dropped.  Nothing is re-snapshot until
+    {!sync}, which recomputes membership and re-snapshots only the
+    marked rows plus any new nodes — exactly what one resync per edit
+    would give, since a resync reads only the engines' current state
+    and interns classes in position order.  A no-op on an invalidated
+    store, whose {!sync} rebuilds everything anyway. *)
 
-(** {2 Read side} — valid only between maintenance calls. *)
+(** {2 Read side} — valid only after {!sync}, until the next
+    maintenance call. *)
 
 val signals : t -> Netlist.Circuit.node_id array
 (** Live signal nodes (PIs and cells), ascending by id.  Positions
-    into this array index {!row}, {!class_of}, {!complemented}. *)
+    into this array index {!row}, {!class_of}, {!complemented}.
+    @raise Invalid_argument on a store with maintenance not yet
+    {!sync}ed (so does {!num_classes}). *)
 
 val num_signals : t -> int
 
@@ -120,7 +137,9 @@ val compute_care : t -> unit
 (** Build the table from the engines' current state, in reverse
     topological order.  Perturbs and restores engine state, so call
     it sequentially, never from a pool task.  Every maintenance call
-    ({!rebuild}, {!invalidate}, {!update_after_edit}) drops the table. *)
+    ({!rebuild}, {!invalidate}, {!update_after_edit}) drops the table.
+    @raise Invalid_argument on a store not {!sync}ed since its last
+    maintenance call. *)
 
 val stem_obs : t -> Netlist.Circuit.node_id -> int64 array
 (** Care row of a live cell's stem (shared array; do not mutate).
@@ -166,7 +185,9 @@ val compute_lanes : t -> unit
 (** Build the view from the current classes, on word operations (32 x 32
     bit-matrix transposes).  A pure function of the store: read-only
     afterwards, so pool tasks may share it.  Every maintenance call
-    ({!rebuild}, {!invalidate}, {!update_after_edit}) drops it. *)
+    ({!rebuild}, {!invalidate}, {!update_after_edit}) drops it.
+    @raise Invalid_argument on a store not {!sync}ed since its last
+    maintenance call. *)
 
 val lanes : t -> lanes
 (** @raise Invalid_argument if the view is not computed. *)

@@ -24,9 +24,15 @@ let test_trivial () =
   (match Sat.solve ~num_vars:1 [ [||] ] with
   | Sat.Unsat -> ()
   | Sat.Sat _ | Sat.Timeout _ -> Alcotest.fail "empty clause is unsat");
-  match Sat.solve ~num_vars:1 [ [| Sat.lit_of 0 true |]; [| Sat.lit_of 0 false |] ] with
+  (match Sat.solve ~num_vars:1 [ [| Sat.lit_of 0 true |]; [| Sat.lit_of 0 false |] ] with
   | Sat.Unsat -> ()
-  | Sat.Sat _ | Sat.Timeout _ -> Alcotest.fail "x and !x is unsat"
+  | Sat.Sat _ | Sat.Timeout _ -> Alcotest.fail "x and !x is unsat");
+  List.iter
+    (fun l ->
+      Alcotest.check_raises "literal out of range"
+        (Invalid_argument "Sat.solve: literal out of range")
+        (fun () -> ignore (Sat.solve ~num_vars:2 [ [| Sat.lit_of 0 true; l |] ])))
+    [ Sat.lit_of 2 true; Sat.lit_of 2 false; -1 ]
 
 let test_simple_sat () =
   let clauses =
@@ -207,6 +213,109 @@ let test_decision_trajectory () =
       Alcotest.(check int) (label ^ ": conflicts") want_conflicts (conflicts () - c0))
     scan_trajectories
 
+(* The same pin on real miters: the first 400 SAT-decided
+   [Check.permissible] calls over cps's first-round candidates (no
+   substitution applied).  Every tenth call's verdict, model digest (the
+   counterexample's 0/1 string over the PIs) and conflict count are
+   pinned, and so are the conflict total and a digest over all 400. *)
+let cps_sat_calls () =
+  let circ =
+    match Circuits.Suite.find "cps" with
+    | Some spec -> Circuits.Suite.mapped spec
+    | None -> Alcotest.fail "cps is not in the suite"
+  in
+  let eng = Sim.Engine.create circ ~words:16 in
+  Sim.Engine.randomize eng (Sim.Rng.create 7L);
+  let cands = Powder.Candidates.generate (Power.Estimator.create eng) in
+  let counter name =
+    match Obs.Metrics.find name with
+    | Some (`Counter c) -> c
+    | Some (`Gauge _ | `Histogram _) | None -> 0
+  in
+  let calls = ref [] and n = ref 0 in
+  List.iter
+    (fun (s, _) ->
+      if !n < 400 && not (Powder.Subst.creates_cycle circ s) then begin
+        let s0 = counter "atpg.sat.solves" and c0 = counter "atpg.sat.conflicts" in
+        let v = Powder.Check.permissible circ s in
+        if counter "atpg.sat.solves" > s0 then begin
+          incr n;
+          let verdict =
+            match v with
+            | Powder.Check.Permissible -> "unsat"
+            | Powder.Check.Not_permissible a ->
+              Digest.to_hex
+                (Digest.string
+                   (String.concat "" (List.map (fun (_, b) -> if b then "1" else "0") a)))
+            | Powder.Check.Gave_up _ -> "gave up"
+          in
+          calls := (verdict, counter "atpg.sat.conflicts" - c0) :: !calls
+        end
+      end)
+    cands;
+  List.rev !calls
+
+let cps_trajectories =
+  [
+    ("7e151d5c4756aade9ccd0ccf919e6462", 29);
+    ("9f867f7109cacd4efab3f31a3d37c5be", 44);
+    ("2bfb00dc4d92289137d3ceccf643e437", 79);
+    ("c5ad8416f8216b36a9690b136b802036", 160);
+    ("434a4404511e16596b4991df55a1d001", 18);
+    ("f3acd00723ab83c49577aae02041ea0a", 19);
+    ("9e9b7dd6b046a04a0e41e41afcdce7ca", 139);
+    ("68a1f7dd3d57000fe528da6c669dd163", 62);
+    ("7125672ad5e5d92a561247d968e8ce8c", 57);
+    ("e91f8b7bca8681a75ae84fb162da5b4e", 44);
+    ("a0a83dfab4b9a3c39a0f2f4da5f72ef3", 58);
+    ("d05018e232b719e8cc762335ce617cb6", 29);
+    ("8e91cde57410d6ece1c54a3bc993ec3d", 156);
+    ("2fe4c37b3614f70a8987b4137982bc27", 249);
+    ("63b714cbdb7afea05e169eb0cbb8f004", 36);
+    ("0ce9d9236987e9e3117265fdf66771a7", 67);
+    ("2fe4c37b3614f70a8987b4137982bc27", 249);
+    ("077254696c14bac61e1e1dfe6e5ac70e", 28);
+    ("63b714cbdb7afea05e169eb0cbb8f004", 30);
+    ("ac90fd1de83e8ee9c48c8d0b3f309e89", 18);
+    ("dd96db40a0f1bcd72ce3dcb0705a9484", 23);
+    ("68a1f7dd3d57000fe528da6c669dd163", 68);
+    ("unsat", 62);
+    ("caf823b0a091f745f0d9fd05b32aa618", 135);
+    ("ac90fd1de83e8ee9c48c8d0b3f309e89", 18);
+    ("78e34e93a158a415215748034ff105f2", 29);
+    ("c73a1036e28088b4c745ea79a5c3f416", 43);
+    ("96c4fd7a71ae222c1a24a5aa4eb393da", 113);
+    ("5d56cdfd8162d422e3192110319faa35", 208);
+    ("c950af68c2150c074902205963c2c303", 55);
+    ("6f1e1644c13cc7f4ac3c010e1f2fdd24", 90);
+    ("211945568241af38ef1401bdf3b1c8c9", 208);
+    ("5dcb601fa189905c0811dc72fe482aac", 50);
+    ("cd94aa81f227c76e9bcf181c550852b8", 199);
+    ("af610623e87c6364fa047b6302bfac35", 155);
+    ("cd94aa81f227c76e9bcf181c550852b8", 199);
+    ("unsat", 46);
+    ("ea71defb8fb9453098042a299d263d4a", 112);
+    ("68a1f7dd3d57000fe528da6c669dd163", 63);
+    ("cbb91232afdc985e36451a4013fd7a3f", 276);
+  ]
+
+let test_cps_trajectory () =
+  let calls = cps_sat_calls () in
+  Alcotest.(check int) "SAT calls" 400 (List.length calls);
+  let sampled = List.filteri (fun i _ -> i mod 10 = 0) calls in
+  List.iteri
+    (fun k ((want_v, want_c), (v, c)) ->
+      let label = Printf.sprintf "call %d" (10 * k) in
+      Alcotest.(check string) (label ^ ": verdict and model") want_v v;
+      Alcotest.(check int) (label ^ ": conflicts") want_c c)
+    (List.combine cps_trajectories sampled);
+  Alcotest.(check int) "total conflicts" 41886
+    (List.fold_left (fun acc (_, c) -> acc + c) 0 calls);
+  Alcotest.(check string) "digest of all calls" "97a4495fc27675cdb315df468f82edda"
+    (Digest.to_hex
+       (Digest.string
+          (String.concat ";" (List.map (fun (v, c) -> Printf.sprintf "%s/%d" v c) calls))))
+
 let suite =
   [
     ( "sat",
@@ -248,5 +357,13 @@ let prop_phase_transition =
 let suite =
   match suite with
   | [ (name, tests) ] ->
-    [ (name, tests @ [ QCheck_alcotest.to_alcotest prop_phase_transition ]) ]
+    [
+      ( name,
+        tests
+        @ [
+            QCheck_alcotest.to_alcotest prop_phase_transition;
+            Alcotest.test_case "cps miter trajectory pinned" `Quick
+              test_cps_trajectory;
+          ] );
+    ]
   | other -> other

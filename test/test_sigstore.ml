@@ -99,8 +99,10 @@ let test_update_after_edit_matches_rebuild () =
       let root = Subst.apply circ s in
       ignore (Engine.resim_after_edit base root);
       ignore (Engine.resim_after_edit cex root);
-      (* incremental: only the edit's TFO rows are re-snapshot *)
+      (* incremental: the edit marks its TFO rows stale, and the sync
+         re-snapshots only those *)
       Sigstore.update_after_edit st root;
+      Sigstore.sync st;
       (* reference: a fresh store rebuilt from scratch over the same
          engine states *)
       let st_ref = Sigstore.create ~cex ~base () in
@@ -110,6 +112,121 @@ let test_update_after_edit_matches_rebuild () =
         true
         (store_fingerprint st = store_fingerprint st_ref))
     [ 7; 42; 123 ]
+
+(* --- deferred maintenance: edits and folds in any order, one sync -- *)
+
+(* A random acyclic rewiring of a stem or of one branch to an existing
+   signal, its inverse, or a new and2 over two signals; [None] when 50
+   draws found none.  Like [first_acyclic_stem_subst], nothing about it
+   needs to be permissible. *)
+let random_subst st circ =
+  let gates = Array.of_list (Circuit.live_gates circ) in
+  let signals = Array.of_list (Circuit.pis circ @ Circuit.live_gates circ) in
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  let rec draw k =
+    if k = 0 then None
+    else
+      let a = pick gates in
+      let target =
+        match Circuit.fanouts circ a with
+        | _ :: _ as fs when Random.State.bool st ->
+          let p = List.nth fs (Random.State.int st (List.length fs)) in
+          Subst.Branch { sink = p.Circuit.sink; pin = p.Circuit.pin_index }
+        | _ -> Subst.Stem a
+      in
+      let b = pick signals in
+      let source =
+        match Random.State.int st 3 with
+        | 0 -> Subst.Signal b
+        | 1 -> Subst.Inverted b
+        | _ -> Subst.Gate2 (cell "and2", b, pick signals)
+      in
+      let s = { Subst.target; source } in
+      if b = a || Circuit.num_fanouts circ a = 0 || Subst.creates_cycle circ s
+      then draw (k - 1)
+      else Some s
+  in
+  draw 50
+
+(* 1-6 accepted edits, each preceded at random by a counterexample fold
+   (new cex words, re-simulation, [invalidate]), then a single sync:
+   the store must equal a fresh rebuild over the same engines, and
+   before that sync every read of the class structure must refuse. *)
+let prop_deferred_sync_matches_rebuild =
+  QCheck.Test.make ~name:"edits and folds, one sync == rebuild" ~count:100
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let circ = Build.random_circuit ~seed ~n_pis:6 ~n_gates:30 in
+      let base = Engine.create circ ~words:2 in
+      let cex = Engine.create circ ~words:1 in
+      Engine.randomize base (Sim.Rng.create 5L);
+      Engine.randomize cex (Sim.Rng.create 23L);
+      let store = Sigstore.create ~cex ~base () in
+      Sigstore.sync store;
+      let touched = ref false in
+      for _ = 1 to 1 + Random.State.int st 6 do
+        if Random.State.int st 4 = 0 then begin
+          List.iter
+            (fun pi ->
+              Engine.set_value cex pi [| Random.State.int64 st Int64.max_int |])
+            (Circuit.pis circ);
+          Engine.resim_all cex;
+          Sigstore.invalidate store;
+          touched := true
+        end;
+        match random_subst st circ with
+        | None -> ()
+        | Some s ->
+          let src = Subst.apply circ s in
+          ignore (Engine.resim_after_edit base src);
+          ignore (Engine.resim_after_edit cex src);
+          Sigstore.update_after_edit store src;
+          touched := true
+      done;
+      let refuses f = match f () with _ -> false | exception Invalid_argument _ -> true in
+      let stale_reads_refused =
+        (not !touched)
+        || refuses (fun () -> ignore (Sigstore.signals store))
+           && refuses (fun () -> ignore (Sigstore.num_classes store))
+      in
+      Sigstore.sync store;
+      let fresh = Sigstore.create ~cex ~base () in
+      Sigstore.sync fresh;
+      stale_reads_refused && store_fingerprint store = store_fingerprint fresh)
+
+(* Every read that a missed sync would leave stale refuses loudly: on a
+   new store, after an edit, and after an invalidation. *)
+let test_unsynced_reads_raise () =
+  let circ = Build.random_circuit ~seed:11 ~n_pis:6 ~n_gates:30 in
+  let base = Engine.create circ ~words:2 in
+  Engine.randomize base (Sim.Rng.create 5L);
+  let store = Sigstore.create ~base () in
+  let refused label =
+    List.iter
+      (fun (name, read) ->
+        Alcotest.check_raises
+          (Printf.sprintf "%s: %s" label name)
+          (Invalid_argument ("Sigstore." ^ name ^ ": store not synced"))
+          read)
+      [
+        ("signals", fun () -> ignore (Sigstore.signals store));
+        ("num_classes", fun () -> ignore (Sigstore.num_classes store));
+        ("compute_care", fun () -> Sigstore.compute_care store);
+        ("compute_lanes", fun () -> Sigstore.compute_lanes store);
+      ]
+  in
+  refused "new store";
+  Sigstore.sync store;
+  ignore (Sigstore.signals store);
+  let src = Subst.apply circ (first_acyclic_stem_subst circ) in
+  ignore (Engine.resim_after_edit base src);
+  Sigstore.update_after_edit store src;
+  refused "pending edit";
+  Sigstore.sync store;
+  Sigstore.compute_lanes store;
+  Sigstore.invalidate store;
+  refused "invalidated"
 
 (* --- counterexample folding makes a refuted pair unfindable ------- *)
 
@@ -313,6 +430,7 @@ let care_table_across_edits label circ =
         Alcotest.check_raises (label ^ ": maintenance drops the table")
           (Invalid_argument "Sigstore: observability table not computed")
           (fun () -> ignore (Sigstore.branch_obs store ~sink:src ~pin:0));
+        Sigstore.sync store;
         go (edits + 1)
   in
   go 0
@@ -639,5 +757,7 @@ let suite =
         Alcotest.test_case "pool_limit <= 0 is an empty pool" `Quick
           test_pool_limit_zero;
         Alcotest.test_case "lane view == class canons" `Quick test_lane_view;
+        QCheck_alcotest.to_alcotest prop_deferred_sync_matches_rebuild;
+        Alcotest.test_case "unsynced reads raise" `Quick test_unsynced_reads_raise;
       ] );
   ]
