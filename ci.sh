@@ -194,12 +194,23 @@ stage_smoke() {
   ref_txt=$(mktemp /tmp/powder_ci_sig_ref_XXXXXX.txt)
   alt_json=$(mktemp /tmp/powder_ci_sig_alt_XXXXXX.json)
   alt_blif=$(mktemp /tmp/powder_ci_sig_alt_XXXXXX.blif)
+  alt_txt=$(mktemp /tmp/powder_ci_sig_alt_XXXXXX.txt)
   hard_timeout 300 dune exec bin/powder_cli.exe -- optimize --circuit cps \
     --jobs 1 --metrics --json "$ref_json" -o "$ref_blif" > "$ref_txt"
   hard_timeout 300 dune exec bin/powder_cli.exe -- optimize --circuit cps \
-    --jobs 4 --json "$alt_json" -o "$alt_blif" >/dev/null
+    --jobs 4 --metrics --json "$alt_json" -o "$alt_blif" > "$alt_txt"
   cmp "$ref_blif" "$alt_blif"
   dune exec bin/json_check.exe -- --compare-reports "$ref_json" "$alt_json"
+
+  echo "== smoke: the parallel run throws no work away =="
+  # Exact checks run in rank order at every job count, and the pool
+  # only fans out work whose every result is used, so no finished task
+  # may be discarded.
+  awk '
+    $1 == "par.speculations.discarded" { d = $2 }
+    END {
+      if (d != "0") { print "par.speculations.discarded " d ", want 0"; exit 1 }
+    }' "$alt_txt"
 
   echo "== smoke: cps matches the golden report and netlist =="
   # A deliberate output change updates test/golden/ in the same commit.
@@ -222,7 +233,7 @@ stage_smoke() {
       }
       exit bad
     }' "$ref_txt"
-  rm -f "$ref_json" "$ref_blif" "$ref_txt" "$alt_json" "$alt_blif"
+  rm -f "$ref_json" "$ref_blif" "$ref_txt" "$alt_json" "$alt_blif" "$alt_txt"
 }
 
 # ------------------------------------------------------------------ #

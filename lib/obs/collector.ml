@@ -2,10 +2,10 @@
    metrics shard plus a trace buffer.  The pool activates it in the
    worker domain around the task body, then either commits it (merge +
    flush, on the main domain, in deterministic order) or discards it
-   when the task's result is never consumed — e.g. speculation
-   invalidated by an earlier accept.  Discarding is what keeps a
+   when the task's result is never consumed — e.g. the tasks behind
+   one that raised inside [Par.Pool.map].  Discarding is what keeps a
    parallel run's registry identical to the sequential run's: work the
-   sequential optimizer would never have done leaves no trace. *)
+   sequential run would never have done leaves no trace. *)
 
 type t = { metrics : Metrics.shard; trace : Trace.buffer }
 

@@ -1,11 +1,11 @@
 (** Per-task observability context: a {!Metrics.shard} paired with a
     {!Trace.buffer}.
 
-    [Par.Pool] creates one collector per speculative task, activates
-    it in the worker domain for the duration of the task body, and —
-    on the main domain, in commit order — either {!commit}s it when
-    the task's result is consumed or {!discard}s it when speculation
-    was invalidated.  This makes every metric counter, histogram sum
+    [Par.Pool] creates one collector per task, activates it in the
+    worker domain for the duration of the task body, and — on the
+    main domain, in commit order — either {!commit}s it when the
+    task's result is consumed or {!discard}s it when the result is
+    dropped.  This makes every metric counter, histogram sum
     and trace event of a [--jobs N] run identical to the sequential
     run. *)
 

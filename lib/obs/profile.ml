@@ -180,16 +180,9 @@ let to_json ?run t =
 (* Timing, allocation and environment keys: everything allowed to
    differ between two runs of the same deterministic work.  Stripping
    these (recursively) must make a [--jobs 4] profile byte-identical
-   to [--jobs 1].  Span counts are volatile too — deliberately: the
-   parallel walk records one "exact-check" span per speculation
-   barrier where the sequential walk records one per check, so counts
-   (and the event/span totals derived from them) vary with the jobs
-   width even though the tree shape and the funnel do not. *)
+   to [--jobs 1], span and event counts included. *)
 let volatile_keys =
-  [
-    "inclusive_s"; "exclusive_s"; "alloc_bytes"; "total_seconds"; "run"; "gc";
-    "count"; "events"; "spans";
-  ]
+  [ "inclusive_s"; "exclusive_s"; "alloc_bytes"; "total_seconds"; "run"; "gc" ]
 
 let rec strip_volatile = function
   | Json.Obj fields ->

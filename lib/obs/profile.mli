@@ -49,11 +49,8 @@ val to_json : ?run:Json.t -> t -> Json.t
 val strip_volatile : Json.t -> Json.t
 (** Recursively drop the timing/allocation/environment keys
     ([inclusive_s], [exclusive_s], [alloc_bytes], [total_seconds],
-    [run], [gc]) and the span counts ([count], [events], [spans] —
-    the parallel walk batches "exact-check" spans per speculation
-    barrier, so counts vary with the jobs width); what remains — tree
-    shape and candidate funnel — must be identical across [--jobs]
-    widths. *)
+    [run], [gc]); what remains — tree shape, span and event counts,
+    candidate funnel — must be identical across [--jobs] widths. *)
 
 val to_folded : t -> string
 (** Flamegraph-compatible collapsed stacks: one

@@ -12,10 +12,10 @@
      body executes under a private [Obs.Collector] (metrics shard +
      trace buffer), so workers never touch the global registry or the
      sink.  Results are then walked on the main domain in index order:
-     [commit] merges the task's collector and yields its value (or
-     re-raises its exception with the original backtrace); [discard]
-     drops both.  Committing in index order is what makes parallel
-     observable state byte-identical to a sequential run.
+     [commit] (used by [map]) and [commit_result] (the supervisor's)
+     merge the task's collector and yield its value or exception;
+     [discard] drops both.  Committing in index order is what makes
+     parallel observable state byte-identical to a sequential run.
 
    - Cancellation is cooperative and conservative: a task that has not
      started when its [Obs.Deadline] expires is marked [Cancelled] and
@@ -184,30 +184,28 @@ let speculate t ?(deadline = Deadline.never) (fs : (unit -> 'b) array) :
     slots
   end
 
-let cancelled s =
-  match s.outcome with Some Cancelled -> true | _ -> false
-
-(* Speculation accounting.  Both [commit] and [discard] only ever run
-   on the main domain, so plain registry counters are safe; the values
-   are a parallelism diagnostic (how much speculative work was thrown
-   away) and are deliberately NOT part of any report compared across
-   job counts. *)
+(* Speculation accounting.  Consuming and discarding only ever run on
+   the main domain, so plain registry counters are safe.  The values
+   are a parallelism diagnostic: finished work is thrown away only
+   behind a task that raised inside [map], so [discarded] stays 0 on a
+   clean run.  They are deliberately NOT part of any report compared
+   across job counts. *)
 let m_committed = Obs.Metrics.counter "par.speculations.committed"
 let m_discarded = Obs.Metrics.counter "par.speculations.discarded"
 let m_cancelled = Obs.Metrics.counter "par.speculations.cancelled"
 
-let take what (s : 'b speculation) : 'b outcome =
-  match s.outcome with
-  | None -> invalid_arg ("Par.Pool." ^ what ^ ": speculation still pending")
-  | Some o ->
-    if s.consumed then
-      invalid_arg ("Par.Pool." ^ what ^ ": speculation already consumed");
-    s.consumed <- true;
-    o
-
 let commit_result (s : 'b speculation) :
     ('b, exn * Printexc.raw_backtrace) result option =
-  match take "commit_result" s with
+  let outcome =
+    match s.outcome with
+    | None -> invalid_arg "Par.Pool.commit_result: speculation still pending"
+    | Some _ when s.consumed ->
+      invalid_arg "Par.Pool.commit_result: speculation already consumed"
+    | Some o ->
+      s.consumed <- true;
+      o
+  in
+  match outcome with
   | Cancelled ->
     Obs.Metrics.incr m_cancelled;
     None
@@ -221,18 +219,10 @@ let commit_result (s : 'b speculation) :
     Some (Error (e, bt))
 
 let commit (s : 'b speculation) : 'b option =
-  match take "commit" s with
-  | Cancelled ->
-    Obs.Metrics.incr m_cancelled;
-    None
-  | Done (v, coll) ->
-    Obs.Collector.commit coll;
-    Obs.Metrics.incr m_committed;
-    Some v
-  | Raised (e, bt, coll) ->
-    Obs.Collector.commit coll;
-    Obs.Metrics.incr m_committed;
-    Printexc.raise_with_backtrace e bt
+  match commit_result s with
+  | None -> None
+  | Some (Ok v) -> Some v
+  | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
 
 let discard (s : _ speculation) =
   if not s.consumed then

@@ -1,22 +1,21 @@
 (** A fixed-size domain pool with {b deterministic} fan-out.
 
-    The contract that everything downstream (optimizer, simulator,
-    fuzzer, bench) relies on: for the same inputs, a run at any
-    [jobs] produces byte-identical observable state — return values,
-    metric counters and sums, trace events, and therefore report JSON
-    and emitted BLIF — as [jobs = 1].  The pool delivers this with a
-    speculate/commit protocol:
+    For the same inputs, a run at any [jobs] produces byte-identical
+    observable state — return values, metric counters and sums, trace
+    events, and therefore report JSON and emitted BLIF — as
+    [jobs = 1].  Every task body runs in a worker domain under a
+    private [Obs.Collector], so no global observability state is
+    touched concurrently; the caller merges the collectors back in
+    index order.
 
-    - {!speculate} runs an array of closures in parallel (a barrier);
-      each body executes in a worker domain under a private
-      [Obs.Collector], so no global observability state is touched
-      concurrently.
-    - The caller then walks the outcomes {e in index order} and either
-      {!commit}s one (merge collector, take the value or re-raise the
-      task's exception) or {!discard}s it (speculation invalidated —
-      e.g. a lower-ranked candidate was accepted first, or the item
-      was screened out).  Work the sequential algorithm would never
-      have performed leaves no observable trace.
+    Two entry points serve the callers:
+
+    - {!map} for data-parallel fan-outs whose every element is used:
+      the optimizer's candidate scan, fuzz cases, pareto points, the
+      bench tables.
+    - {!speculate} + {!commit_result} for the serve supervisor, which
+      runs one barrier of job slices and must survive a slice that
+      raises.
 
     [jobs = 1] spawns no domains and runs everything inline; it is the
     reference semantics. *)
@@ -60,30 +59,17 @@ val speculate :
     in the body).  @raise Invalid_argument from inside a pool task
     (nested submission) or after {!shutdown}. *)
 
-val commit : 'b speculation -> 'b option
-(** Consume one outcome on the main domain: merge its collector into
-    the global metrics/trace state, then return [Some value], re-raise
-    the task's exception (original backtrace preserved), or return
-    [None] if it was cancelled.  Call in index order for determinism.
-    Each speculation is consumed exactly once: a second
-    commit/commit_result raises [Invalid_argument], and {!discard}
-    after a commit is a no-op. *)
-
 val commit_result :
   'b speculation -> ('b, exn * Printexc.raw_backtrace) result option
-(** Like {!commit}, but a task that raised surfaces as [Some (Error
-    (exn, backtrace))] instead of re-raising — the containment
-    primitive for supervisors that must keep running when one task
-    fails.  The raising task's collector is still merged (sequential
-    parity: the work up to the raise happened and is observable).
-    [None] marks a cancelled task. *)
-
-val discard : _ speculation -> unit
-(** Drop an outcome without merging its collector.  No-op on a
-    speculation that was already committed or discarded, so cleanup
-    paths may blanket-discard a whole batch. *)
-
-val cancelled : _ speculation -> bool
+(** Consume one outcome on the calling domain: merge its collector
+    into the global metrics/trace state, then return [Some (Ok v)], or
+    [Some (Error (exn, backtrace))] for a task that raised — the
+    containment primitive for supervisors that must keep running when
+    one task fails.  The raising task's collector is still merged
+    (sequential parity: the work up to the raise happened and is
+    observable).  [None] marks a cancelled task.  Call in index order
+    for determinism.  Each speculation is consumed exactly once: a
+    second call raises [Invalid_argument]. *)
 
 (** {2 Deterministic map} *)
 

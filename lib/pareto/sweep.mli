@@ -6,9 +6,8 @@
     Determinism contract (same as the optimizer's): for the same
     inputs, a sweep at any [jobs] produces byte-identical points,
     frontier and JSON as [jobs = 1] — every per-point optimizer run is
-    forced to [jobs = 1] and points fan out over a {!Par.Pool} whose
-    speculate/commit protocol merges observability in constraint-list
-    order, and the embedded per-point reports are stripped of their
+    forced to [jobs = 1] and points fan out over {!Par.Pool.map},
+    which merges observability in constraint-list order, and the embedded per-point reports are stripped of their
     timing fields at serialization.  Only the sweep's own top-level
     [jobs] / [cpu_seconds] fields are volatile (the same fields
     [json_check --compare-reports] already ignores on optimizer

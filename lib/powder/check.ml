@@ -133,8 +133,9 @@ let check_exhaustive m out =
          (fun i pi -> (Circuit.name m pi, pattern land (1 lsl i) <> 0))
          pis)
 
-(* The miter's construction time, apart from the engine's: a histogram,
-   not a trace span, because checks also run in speculative pool tasks. *)
+(* The miter's construction time, apart from the engine's.  A
+   histogram in the --metrics dump rather than a trace span, so traces
+   and profiles keep the span tree they have always had. *)
 let m_miter_build_seconds = Obs.Metrics.histogram "check.miter_build_seconds"
 
 let permissible ?(backtrack_limit = 20_000) ?(exhaustive_limit = 12)

@@ -254,8 +254,7 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
         ("Optimizer.optimize: cannot resume: " ^ Blif.Blif_io.error_to_string e)));
   let prob_of pi = config.input_prob (Circuit.name circ pi) in
   let eng = ref (Engine.create circ ~words:config.words) in
-  Engine.randomize_sharded ~input_probs:prob_of ?pool:dom_pool
-    ~seed:config.seed !eng;
+  Engine.randomize_sharded ~input_probs:prob_of ~seed:config.seed !eng;
   let est = ref (Estimator.create !eng) in
   let initial_power =
     match resume with
@@ -388,8 +387,7 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
      identical rebuild at every barrier. *)
   let rebuild_engines () =
     eng := Engine.create circ ~words:config.words;
-    Engine.randomize_sharded ~input_probs:prob_of ?pool:dom_pool
-      ~seed:config.seed !eng;
+    Engine.randomize_sharded ~input_probs:prob_of ~seed:config.seed !eng;
     est := Estimator.create !eng;
     cex_eng := Engine.create circ ~words:cex_words;
     Engine.randomize !cex_eng ~input_probs:prob_of
@@ -607,8 +605,7 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
             ])
       in
       (* The budget/ladder guards checked before every candidate, in
-         this exact order, by both the sequential and the speculative
-         walk. *)
+         this exact order. *)
       let walk_status () =
         if Deadline.expired run_deadline then begin
           Guard.count_error Guard.Budget_exhausted;
@@ -646,12 +643,12 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
           false
         end
       in
-      (* The exact proof itself: reads the (frozen) circuit only, so it
-         is safe to run speculatively in a worker domain.  With --window
-         the windowed check runs first; a window proof is globally sound
-         and skips the global miter, anything inconclusive escalates to
-         it.  Counter updates are deferred to [consume_verdict] (main
-         domain), so the returned value carries the window outcome. *)
+      (* The exact proof itself; it reads the circuit and changes no
+         optimizer state.  With --window the windowed check runs first;
+         a window proof is globally sound and skips the global miter,
+         anything inconclusive escalates to it.  The window outcome is
+         returned with the verdict, so the "exact-check" span times the
+         proof alone and [consume_verdict] does all the counting. *)
       let run_check ~backtrack_limit ~deadline s =
         let global () =
           match
@@ -675,14 +672,13 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
           | exception Invalid_argument _ ->
             (global (), `Window_escalated "invalid"))
       in
-      (* Everything downstream of a verdict — apply, stats, cex
-         injection, ladder — runs on the main domain at consumption
-         time. *)
+      (* Everything downstream of a verdict: apply, stats, cex
+         injection, ladder. *)
       let consume_verdict rank s g (verdict, window_outcome) =
-        (* window funnel accounting, on the main domain in rank order;
-           escalations are classified under window/* in the give-up
-           breakdown but are NOT give-up rejections — the candidate was
-           re-checked globally and its global verdict is what counts *)
+        (* window funnel accounting; escalations are classified under
+           window/* in the give-up breakdown but are NOT give-up
+           rejections — the candidate was re-checked globally and its
+           global verdict is what counts *)
         (match window_outcome with
         | `Window_off -> ()
         | `Window_proved ->
@@ -794,151 +790,25 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
             `Continue
           end
       in
-      let attempt_seq refined =
-        let rec attempt = function
-          | [] -> `Tried ranked
-          | (rank, i, s, g) :: rest -> (
-            match walk_status () with
-            | (`Stop | `Round_over) as st -> st
-            | `Go -> (
-              if screened_out rank i s then attempt rest
-              else
-                let verdict =
-                  Trace.with_span "exact-check" (fun () ->
-                      run_check
-                        ~backtrack_limit:(effective_backtrack_limit ())
-                        ~deadline:(check_deadline ()) s)
-                in
-                match consume_verdict rank s g verdict with
-                | `Accepted -> `Accepted
-                | `Continue -> attempt rest))
-        in
-        attempt refined
-      in
-      (* Speculative parallel walk.  A side-effect-free copy of the
-         cheap screens selects, in rank order, the next [jobs]
-         candidates the sequential walk would actually exact-check —
-         without it the pool would burn a full check on every candidate
-         the counterexample screens kill for free, hundreds per accept
-         on the larger circuits.  Those are checked in parallel against
-         the frozen circuit, each under a private collector; the commit
-         walk then replays the exact sequential protocol over {e every}
-         candidate in the scanned window — budget guards, [used]
-         marking, the authoritative counting screens, counterexample
-         injection, accept short-circuit — consuming each speculation
-         (merging its collector, taking its verdict) only where the
-         sequential run would have checked it.  A refutation mid-chunk
-         tightens the cex screen, so a later speculated candidate may
-         now be screened: its speculation is discarded unmerged, like
-         everything behind an accept — the parallel run leaves exactly
-         the observable state of the sequential one.  The barrier-level
-         "exact-check" span is recorded on the main domain, so
-         [phase_seconds] measures the phase's wall clock — that is
-         where the [--jobs] speedup shows up. *)
-      let attempt_par p refined =
-        let items = Array.of_list refined in
-        let n = Array.length items in
-        let chunk = Par.Pool.jobs p in
-        (* pre-warm the lazy topo cache: speculative checkers clone the
-           circuit and must not race on its memoized traversal *)
-        ignore (Circuit.topo_order circ);
-        let prescreen s =
-          (match constraint_ with
-          | None -> true
-          | Some _ -> Subst.delay_ok !sta s)
-          && not (Check.refuted_on_patterns !cex_eng s)
-        in
-        let result = ref None in
-        let pos = ref 0 in
-        while !result = None && !pos < n do
-          (* select the next [chunk] candidates passing the current
-             screens; the window [pos, scan) still gets walked in full
-             rank order below *)
-          let sel = ref [] and nsel = ref 0 and scan = ref !pos in
-          while !nsel < chunk && !scan < n do
-            let _, _, s, _ = items.(!scan) in
-            if prescreen s then begin
-              sel := !scan :: !sel;
-              incr nsel
-            end;
-            incr scan
-          done;
-          let sel = Array.of_list (List.rev !sel) in
-          (* ladder state and per-check deadlines are sampled at
-             submission, on the main domain, in rank order *)
-          let bl = effective_backtrack_limit () in
-          let tasks =
-            Array.map
-              (fun idx ->
-                let _, _, s, _ = items.(idx) in
-                let deadline = check_deadline () in
-                fun () -> run_check ~backtrack_limit:bl ~deadline s)
-              sel
-          in
-          let specs =
-            if Array.length tasks = 0 then [||]
+      let rec attempt = function
+        | [] -> `Tried ranked
+        | (rank, i, s, g) :: rest -> (
+          match walk_status () with
+          | (`Stop | `Round_over) as st -> st
+          | `Go -> (
+            if screened_out rank i s then attempt rest
             else
-              Trace.with_span "exact-check" (fun () ->
-                  Par.Pool.speculate p tasks)
-          in
-          let k = ref 0 in
-          let i = ref !pos in
-          while !result = None && !i < !scan do
-            let rank, ci, s, g = items.(!i) in
-            let speculated = !k < Array.length sel && sel.(!k) = !i in
-            (match walk_status () with
-            | (`Stop | `Round_over) as st -> result := Some st
-            | `Go ->
-              if screened_out rank ci s then begin
-                if speculated then begin
-                  Par.Pool.discard specs.(!k);
-                  incr k
-                end
-              end
-              else
-                let verdict =
-                  if speculated then begin
-                    let v =
-                      match Par.Pool.commit specs.(!k) with
-                      | Some v -> v
-                      | None ->
-                        (* unreachable — [speculate] gets no deadline —
-                           but degrade to an inline check, not assert *)
-                        run_check ~backtrack_limit:bl
-                          ~deadline:(check_deadline ()) s
-                    in
-                    incr k;
-                    v
-                  end
-                  else
-                    (* pre-screened out, yet the authoritative screen
-                       passed (screens only tighten, so this is dead
-                       code today): fall back to the sequential walk's
-                       inline check *)
-                    Trace.with_span "exact-check" (fun () ->
-                        run_check
-                          ~backtrack_limit:(effective_backtrack_limit ())
-                          ~deadline:(check_deadline ()) s)
-                in
-                (match consume_verdict rank s g verdict with
-                | `Accepted -> result := Some `Accepted
-                | `Continue -> ()));
-            incr i
-          done;
-          (* roll back whatever the walk did not consume — everything
-             behind an accept, a budget stop, or a tightened screen *)
-          while !k < Array.length sel do
-            Par.Pool.discard specs.(!k);
-            incr k
-          done;
-          pos := !scan
-        done;
-        match !result with Some st -> st | None -> `Tried ranked
+              let verdict =
+                Trace.with_span "exact-check" (fun () ->
+                    run_check
+                      ~backtrack_limit:(effective_backtrack_limit ())
+                      ~deadline:(check_deadline ()) s)
+              in
+              match consume_verdict rank s g verdict with
+              | `Accepted -> `Accepted
+              | `Continue -> attempt rest))
       in
-      (match dom_pool with
-      | Some p when List.compare_length_with refined 1 > 0 ->
-        attempt_par p refined
-      | _ -> attempt_seq refined)
+      attempt refined
   in
   let giveup_breakdown () =
     List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) giveups [])

@@ -68,9 +68,9 @@ type config = {
           rounds; 0 disables both *)
   checkpoint_file : string option;
   jobs : int;
-      (** parallel executors for the exact-check phase and signature
-          simulation (a {!Par.Pool} of [jobs - 1] worker domains plus
-          the main domain).  1 (the default) runs fully sequentially
+      (** parallel executors for candidate generation's scan (a
+          {!Par.Pool} of [jobs - 1] worker domains plus the main
+          domain).  1 (the default) runs fully sequentially
           and spawns nothing.  Any value produces byte-identical
           reports, substitutions and final BLIF — see the determinism
           contract in [Par.Pool]. *)
@@ -215,17 +215,15 @@ val optimize : ?config:config -> ?resume:Checkpoint.t -> Netlist.Circuit.t -> re
     checkpoint (the config's [seed] is ignored), and the run proceeds
     exactly as the uninterrupted checkpointing run would have.
 
-    Parallelism: with [jobs > 1] the ranked candidates of each pick are
-    proved permissible speculatively, [jobs] at a time, on a
-    [Par.Pool]; verdicts are consumed in rank order replicating the
-    sequential walk exactly, and speculation invalidated by an accept
-    is discarded together with its observability.  Signature
-    generation uses {!Sim.Engine.randomize_sharded}, whose patterns
-    are independent of the job count.  The resulting report (modulo
-    timing fields), accepted substitutions and final netlist are
-    byte-identical to a [jobs = 1] run; in parallel mode the
-    [exact-check] entry of [phase_seconds] measures the phase's wall
-    clock (one span per speculation barrier instead of one per check).
+    Parallelism: with [jobs > 1] only candidate generation's scan runs
+    on a [Par.Pool] (see {!Candidates.generate_stats}).  Exact checks
+    always run one at a time, in rank order, stopping at the first
+    permissible candidate, as the paper's best-first pick does; a
+    parallel walk over them was measured to cost more than it saved.
+    Signature patterns come from {!Sim.Engine.randomize_sharded},
+    which does not depend on the job count.  The resulting report
+    (modulo timing fields), trace, accepted substitutions and final
+    netlist are byte-identical to a [jobs = 1] run.
 
     Telemetry: the run is wrapped in {!Obs.Trace} spans (one per entry
     of {!phase_names}); when a trace sink is installed it emits a

@@ -51,16 +51,14 @@ let ensure_capacity t =
 let value t id = t.values.(id)
 
 (* Evaluate one cell output word-vector from its fanin word-vectors,
-   over the word range [lo, hi).  One- and two-input cells (the vast
+   over the first [w] words.  One- and two-input cells (the vast
    majority of instances) get direct bitwise implementations; larger
-   cells fall back to an OR over the function's ON-minterms.  Every
-   word is computed independently of the others, which is what lets
-   [resim_all] shard the word range across domains. *)
-let eval_cell_words_range func (ins : int64 array array) (out : int64 array) lo hi =
+   cells fall back to an OR over the function's ON-minterms. *)
+let eval_cell_words func (ins : int64 array array) (out : int64 array) w =
   let k = Tt.num_vars func in
   let generic () =
     let ons = Array.of_list (Tt.minterms func) in
-    for j = lo to hi - 1 do
+    for j = 0 to w - 1 do
       let acc = ref 0L in
       for mi = 0 to Array.length ons - 1 do
         let m = ons.(mi) in
@@ -77,45 +75,40 @@ let eval_cell_words_range func (ins : int64 array array) (out : int64 array) lo 
     done
   in
   match k with
-  | 0 -> Array.fill out lo (hi - lo) (if Tt.is_const_true func then -1L else 0L)
+  | 0 -> Array.fill out 0 w (if Tt.is_const_true func then -1L else 0L)
   | 1 -> (
     let a = ins.(0) in
     match Int64.to_int (Tt.word func) land 3 with
-    | 0b01 -> for j = lo to hi - 1 do out.(j) <- Int64.lognot a.(j) done
-    | 0b10 -> Array.blit a lo out lo (hi - lo)
-    | 0b00 -> Array.fill out lo (hi - lo) 0L
-    | _ -> Array.fill out lo (hi - lo) (-1L))
+    | 0b01 -> for j = 0 to w - 1 do out.(j) <- Int64.lognot a.(j) done
+    | 0b10 -> Array.blit a 0 out 0 w
+    | 0b00 -> Array.fill out 0 w 0L
+    | _ -> Array.fill out 0 w (-1L))
   | 2 -> (
     let a = ins.(0) and b = ins.(1) in
     let ( &&& ) = Int64.logand and ( ||| ) = Int64.logor in
     let ( ^^^ ) = Int64.logxor and nt = Int64.lognot in
     match Int64.to_int (Tt.word func) land 0xF with
-    | 0x8 -> for j = lo to hi - 1 do out.(j) <- a.(j) &&& b.(j) done
-    | 0xE -> for j = lo to hi - 1 do out.(j) <- a.(j) ||| b.(j) done
-    | 0x6 -> for j = lo to hi - 1 do out.(j) <- a.(j) ^^^ b.(j) done
-    | 0x7 -> for j = lo to hi - 1 do out.(j) <- nt (a.(j) &&& b.(j)) done
-    | 0x1 -> for j = lo to hi - 1 do out.(j) <- nt (a.(j) ||| b.(j)) done
-    | 0x9 -> for j = lo to hi - 1 do out.(j) <- nt (a.(j) ^^^ b.(j)) done
-    | 0x2 -> for j = lo to hi - 1 do out.(j) <- a.(j) &&& nt b.(j) done
-    | 0x4 -> for j = lo to hi - 1 do out.(j) <- nt a.(j) &&& b.(j) done
-    | 0xB -> for j = lo to hi - 1 do out.(j) <- a.(j) ||| nt b.(j) done
-    | 0xD -> for j = lo to hi - 1 do out.(j) <- nt a.(j) ||| b.(j) done
+    | 0x8 -> for j = 0 to w - 1 do out.(j) <- a.(j) &&& b.(j) done
+    | 0xE -> for j = 0 to w - 1 do out.(j) <- a.(j) ||| b.(j) done
+    | 0x6 -> for j = 0 to w - 1 do out.(j) <- a.(j) ^^^ b.(j) done
+    | 0x7 -> for j = 0 to w - 1 do out.(j) <- nt (a.(j) &&& b.(j)) done
+    | 0x1 -> for j = 0 to w - 1 do out.(j) <- nt (a.(j) ||| b.(j)) done
+    | 0x9 -> for j = 0 to w - 1 do out.(j) <- nt (a.(j) ^^^ b.(j)) done
+    | 0x2 -> for j = 0 to w - 1 do out.(j) <- a.(j) &&& nt b.(j) done
+    | 0x4 -> for j = 0 to w - 1 do out.(j) <- nt a.(j) &&& b.(j) done
+    | 0xB -> for j = 0 to w - 1 do out.(j) <- a.(j) ||| nt b.(j) done
+    | 0xD -> for j = 0 to w - 1 do out.(j) <- nt a.(j) ||| b.(j) done
     | _ -> generic ())
   | _ -> generic ()
 
-let eval_cell_words func ins out w = eval_cell_words_range func ins out 0 w
-
-let eval_node_range t id lo hi =
+let eval_node t id =
   match Circuit.kind t.circ id with
   | Circuit.Pi -> ()
-  | Circuit.Const b ->
-    Array.fill t.values.(id) lo (hi - lo) (if b then -1L else 0L)
-  | Circuit.Po d -> Array.blit t.values.(d) lo t.values.(id) lo (hi - lo)
+  | Circuit.Const b -> Array.fill t.values.(id) 0 t.w (if b then -1L else 0L)
+  | Circuit.Po d -> Array.blit t.values.(d) 0 t.values.(id) 0 t.w
   | Circuit.Cell (c, fs) ->
     let ins = Array.map (fun f -> t.values.(f)) fs in
-    eval_cell_words_range c.Cell.func ins t.values.(id) lo hi
-
-let eval_node t id = eval_node_range t id 0 t.w
+    eval_cell_words c.Cell.func ins t.values.(id) t.w
 
 (* telemetry: how much node re-evaluation each update costs, so the
    TFO-resim share of the optimizer's budget is visible *)
@@ -125,34 +118,12 @@ let m_resim_nodes = Obs.Metrics.counter "sim.resim.nodes"
 let m_obs_stem_calls = Obs.Metrics.counter "sim.observability.stem.calls"
 let m_obs_branch_calls = Obs.Metrics.counter "sim.observability.branch.calls"
 
-(* Full resimulation.  With a pool, the word range is cut into one
-   contiguous slice per executor and each domain sweeps the whole topo
-   order over its slice: every word of every node is computed exactly
-   as in the sequential sweep (per-word independence of
-   [eval_cell_words_range]), writes from different domains land on
-   disjoint array indices, and the speculate barrier publishes them
-   back to the caller.  Metric accounting happens once, on the caller,
-   so counters match the sequential run. *)
-let resim_all ?pool t =
+let resim_all t =
   ensure_capacity t;
   let order = Circuit.topo_order t.circ in
   let pos = Circuit.pos t.circ in
-  let sweep lo hi =
-    Array.iter (fun id -> eval_node_range t id lo hi) order;
-    List.iter (fun po -> eval_node_range t po lo hi) pos
-  in
-  (match pool with
-  | Some p when Par.Pool.jobs p > 1 && t.w > 1 && not (Par.Pool.in_task ()) ->
-    let slices = min (Par.Pool.jobs p) t.w in
-    let base = t.w / slices and extra = t.w mod slices in
-    let ranges =
-      Array.init slices (fun k ->
-          let lo = (k * base) + min k extra in
-          let hi = lo + base + (if k < extra then 1 else 0) in
-          (lo, hi))
-    in
-    ignore (Par.Pool.map p ~f:(fun (lo, hi) -> sweep lo hi) ranges)
-  | _ -> sweep 0 t.w);
+  Array.iter (eval_node t) order;
+  List.iter (eval_node t) pos;
   Obs.Metrics.incr m_resim_all_calls;
   Obs.Metrics.add m_resim_nodes (Array.length order + List.length pos)
 
@@ -289,23 +260,19 @@ let randomize t ?input_probs rng =
 
 (* Word-sharded randomization.  PI words are drawn in fixed-size shards
    of [shard_words] words, each shard from its own derived stream
-   [Rng.stream seed "sim/words-<k>"].  The shard size is a constant —
-   deliberately NOT a function of the job count — so the bits assigned
-   to word [j] depend only on [(seed, j)]: any [--jobs N] produces
-   signatures bit-identical to [--jobs 1], which in turn anchors the
-   byte-identical-report invariant of the whole parallel subsystem. *)
+   [Rng.stream seed "sim/words-<k>"], so the bits assigned to word [j]
+   depend only on [(seed, j)] and the PI order.  The optimizer's
+   signatures, and therefore its reports and netlists, are pinned to
+   these streams. *)
 let shard_words = 2
 
-let randomize_sharded ?input_probs ?pool ~seed t =
-  (* spanned on the caller's domain only — [fill_shard] bodies stay
-     span-free so a pool run's trace has the same tree as a sequential
-     one *)
+let randomize_sharded ?input_probs ~seed t =
   Obs.Trace.with_span "sim/randomize" @@ fun () ->
   ensure_capacity t;
   let prob = match input_probs with Some f -> f | None -> fun _ -> 0.5 in
   let pis = Circuit.pis t.circ in
   let nshards = (t.w + shard_words - 1) / shard_words in
-  let fill_shard k =
+  for k = 0 to nshards - 1 do
     let rng = Rng.stream seed (Printf.sprintf "sim/words-%d" k) in
     let lo = k * shard_words in
     let hi = min t.w (lo + shard_words) in
@@ -316,15 +283,8 @@ let randomize_sharded ?input_probs ?pool ~seed t =
         (fun pi -> t.values.(pi).(j) <- Rng.bits_with_prob rng (prob pi))
         pis
     done
-  in
-  (match pool with
-  | Some p when Par.Pool.jobs p > 1 && nshards > 1 && not (Par.Pool.in_task ()) ->
-    ignore (Par.Pool.map p ~f:fill_shard (Array.init nshards (fun k -> k)))
-  | _ ->
-    for k = 0 to nshards - 1 do
-      fill_shard k
-    done);
-  resim_all ?pool t
+  done;
+  resim_all t
 
 let exhaustive t =
   ensure_capacity t;

@@ -21,20 +21,15 @@ val randomize : t -> ?input_probs:(Netlist.Circuit.node_id -> float) -> Rng.t ->
     simulate the whole circuit. *)
 
 val randomize_sharded :
-  ?input_probs:(Netlist.Circuit.node_id -> float) ->
-  ?pool:Par.Pool.t ->
-  seed:int64 ->
-  t ->
-  unit
-(** Like {!randomize}, but PI words are drawn in fixed-size shards,
-    each from its own stream derived as
-    [Rng.stream seed "sim/words-<k>"], and the shards (plus the
-    subsequent full resimulation) may be computed in parallel on
-    [pool].  Because the shard size is a constant independent of the
-    pool's job count, the resulting signatures are {b bit-identical}
-    for any [jobs], including no pool at all.  Note the patterns
-    differ from [randomize t (Rng.create seed)] — pick one scheme per
-    call site and stay with it. *)
+  ?input_probs:(Netlist.Circuit.node_id -> float) -> seed:int64 -> t -> unit
+(** Like {!randomize}, but PI words are drawn in shards of two words,
+    shard [k] (words [2k] and [2k+1]) from its own stream
+    [Rng.stream seed "sim/words-<k>"], word-major: for each word, one
+    [Rng.bits_with_prob] draw per PI in [pis] order.  Then the whole
+    circuit is simulated.  The optimizer's signatures are pinned to
+    these streams.  Note the patterns differ from
+    [randomize t (Rng.create seed)] — pick one scheme per call site and
+    stay with it. *)
 
 val exhaustive : t -> unit
 (** Assign all [2^n] input combinations (requires
@@ -42,10 +37,8 @@ val exhaustive : t -> unit
     repeat the enumeration) and simulate.
     @raise Invalid_argument if the pattern set cannot hold [2^n]. *)
 
-val resim_all : ?pool:Par.Pool.t -> t -> unit
-(** Recompute every node.  With [pool], pattern words are sharded
-    across domains (disjoint word slices, whole topo order per slice);
-    the resulting values are identical to the sequential sweep. *)
+val resim_all : t -> unit
+(** Recompute every node in topological order. *)
 
 val resim_tfo : t -> Netlist.Circuit.node_id -> unit
 (** Recompute only the transitive fanout of a node (the node itself is

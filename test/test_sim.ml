@@ -175,6 +175,53 @@ let test_identical_seeds_identical_signatures () =
         (Engine.count_ones e1 p1) (Engine.count_ones e2 p2))
     (Circuit.pis c1) (Circuit.pis c2)
 
+(* The shard-stream contract the optimizer's signatures (and so
+   test/golden/) depend on: PI word [j] is drawn from the stream
+   "sim/words-<j/2>", word-major within the shard, one
+   [bits_with_prob] per PI in [pis] order; every other node is what a
+   plain [resim_all] computes from those PI words. *)
+let test_randomize_sharded_streams () =
+  let c =
+    match Circuits.Suite.find "rd84" with
+    | Some spec -> Circuits.Suite.mapped spec
+    | None -> Alcotest.fail "rd84 missing from the suite"
+  in
+  let pis = Array.of_list (Circuit.pis c) in
+  let prob pi =
+    let rec index i = if pis.(i) = pi then i else index (i + 1) in
+    0.1 +. (0.1 *. float_of_int (index 0 mod 8))
+  in
+  let seed = 1234L and words = 5 in
+  let eng = Engine.create c ~words in
+  Engine.randomize_sharded ~input_probs:prob ~seed eng;
+  let expected = Array.map (fun _ -> Array.make words 0L) pis in
+  let shards = (words + 1) / 2 in
+  for k = 0 to shards - 1 do
+    let rng = Rng.stream seed (Printf.sprintf "sim/words-%d" k) in
+    for j = 2 * k to min words ((2 * k) + 2) - 1 do
+      Array.iteri
+        (fun i pi -> expected.(i).(j) <- Rng.bits_with_prob rng (prob pi))
+        pis
+    done
+  done;
+  Array.iteri
+    (fun i pi ->
+      for j = 0 to words - 1 do
+        Alcotest.(check int64)
+          (Printf.sprintf "%s word %d" (Circuit.name c pi) j)
+          expected.(i).(j)
+          (Engine.value eng pi).(j)
+      done)
+    pis;
+  let ref_eng = Engine.create c ~words in
+  Array.iter (fun pi -> Engine.set_value ref_eng pi (Engine.value eng pi)) pis;
+  Engine.resim_all ref_eng;
+  for id = 0 to Circuit.num_nodes c - 1 do
+    Alcotest.(check (array int64))
+      (Printf.sprintf "node %d" id)
+      (Engine.value ref_eng id) (Engine.value eng id)
+  done
+
 let suite =
   [
     ( "sim",
@@ -194,5 +241,7 @@ let suite =
         Alcotest.test_case "observability preserves state" `Quick test_observability_preserves_state;
         Alcotest.test_case "with_perturbation restores" `Quick test_with_perturbation_restores;
         QCheck_alcotest.to_alcotest prop_exhaustive_po_prob_parity;
+        Alcotest.test_case "randomize_sharded shard streams" `Quick
+          test_randomize_sharded_streams;
       ] );
   ]
