@@ -233,6 +233,21 @@ stage_smoke() {
       }
       exit bad
     }' "$ref_txt"
+
+  echo "== smoke: cps generate pays for few gain estimates =="
+  # Generate skips every source whose gain bound cannot be kept, so its
+  # sig/gain_ab count (the Subst.gain_ab estimates candidate selection
+  # makes) is pinned from above, and equal at every job count.  A
+  # deliberate generate change updates the bound.
+  awk '
+    FNR == 1 { f++ }
+    $1 == "sig/gain_ab" { g[f] = $2 }
+    END {
+      if (g[1] == "" || g[1] != g[2]) {
+        print "sig/gain_ab " g[1] " at --jobs 1, " g[2] " at --jobs 4"; exit 1
+      }
+      if (g[1] > 85004) { print "sig/gain_ab " g[1] ", want at most 85004"; exit 1 }
+    }' "$ref_txt" "$alt_txt"
   rm -f "$ref_json" "$ref_blif" "$ref_txt" "$alt_json" "$alt_blif" "$alt_txt"
 }
 

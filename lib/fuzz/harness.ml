@@ -126,24 +126,34 @@ let candidates_of ~case_seed ~words c k =
       index = Powder.Candidates.Hash;
     }
   in
-  let all = Powder.Candidates.generate ~config:cfg est in
+  let generate cfg = Powder.Candidates.generate ~config:cfg est in
+  let same l1 l2 =
+    List.length l1 = List.length l2
+    && List.for_all2
+         (fun (s1, g1) (s2, g2) ->
+           s1 = s2
+           && Float.equal (Powder.Subst.total_gain g1)
+                (Powder.Subst.total_gain g2))
+         l1 l2
+  in
+  let scan cfg = { cfg with Powder.Candidates.index = Powder.Candidates.Scan } in
+  let all = generate cfg in
   (* metamorphic: the class-indexed path and the per-signal reference
      scan must emit the identical candidate list *)
-  let all_scan =
-    Powder.Candidates.generate
-      ~config:{ cfg with Powder.Candidates.index = Powder.Candidates.Scan }
-      est
-  in
+  if not (same all (generate (scan cfg))) then
+    failwith "candidates: hash/scan index modes disagree";
+  (* the same under positive-gain filtering, where the gain bounds and
+     the flood stop skip sources; skipping is exact, so the positive
+     list is the unfiltered one without its non-positive candidates *)
+  let pos_cfg = { cfg with Powder.Candidates.require_positive = true } in
+  let positive = generate pos_cfg in
+  if not (same positive (generate (scan pos_cfg))) then
+    failwith "candidates: hash/scan index modes disagree on positive gains";
   if
     not
-      (List.length all = List.length all_scan
-      && List.for_all2
-           (fun (s1, g1) (s2, g2) ->
-             s1 = s2
-             && Float.equal (Powder.Subst.total_gain g1)
-                  (Powder.Subst.total_gain g2))
-           all all_scan)
-  then failwith "candidates: hash/scan index modes disagree";
+      (same positive
+         (List.filter (fun (_, g) -> Powder.Subst.total_gain g > 1e-12) all))
+  then failwith "candidates: positive-gain skips drop a kept candidate";
   let rec take n = function
     | [] -> []
     | _ when n = 0 -> []

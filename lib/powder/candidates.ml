@@ -413,21 +413,15 @@ let m_pool_word_adds = Obs.Metrics.counter "sig/pool.word_adds"
 let m_pool_collected = Obs.Metrics.counter "sig/pool.collected"
 let m_pool_tainted = Obs.Metrics.counter "sig/pool.tainted"
 
-(* Feeds [mp] the 3-signal pool of one target, bit-sliced over the
-   store's lane view.  The target is its packed row [isig] and care
-   [icare], whose first [lp] limbs in [nzh] order hold its [covered]
-   prefix care positions, and its cone in [mk].  One carry-save count per lane-word gives every
-   class its [d] at once, and a complemented member's key is
-   [covered - d].  A class is tainted when some member is ineligible
-   ([a] itself or in the cone); every member of an untainted class is
-   eligible.  A radix select over the untainted class sides finds [T],
-   their [pool_limit]-th smallest key, so at least [pool_limit]
-   eligible members have a key <= [T].  The pool is then fed every
-   untainted class with a side key <= [T] and every tainted class: a
-   superset of the members with a key <= [T].  The pool keeps the
-   lexicographic minimum of whatever it is fed, so it ends up exactly
-   the global one, in a single pass. *)
-let lane_pool ~store ~eligible ls mk mp ~p_a ~isig ~icare ~nzh ~lp ~covered =
+(* The lane count of one target, shared by both scan stages: gathers
+   the [covered] care positions of its prefix ([lp] limbs in [nzh]
+   order of its packed care [icare]) and counts, one carry-save pass
+   per lane-word, every class's disagreement [d] with the target's
+   packed row [isig] there.  Leaves the planes of [d] in [ls.dpl] and,
+   for lane-words with a complemented member, those of [covered - d]
+   (a complemented member's key) in [ls.mpl].  Returns [nb], the
+   planes a key can occupy: [d <= covered < 2^nb]. *)
+let lane_count ~store ls ~isig ~icare ~nzh ~lp ~covered =
   let lv = Sigstore.lanes store in
   let nw = lv.Sigstore.lane_words in
   (* gather the prefix's care positions, set bit by set bit, as the
@@ -454,11 +448,24 @@ let lane_pool ~store ~eligible ls mk mp ~p_a ~isig ~icare ~nzh ~lp ~covered =
     if lv.Sigstore.minus.(w) <> 0 then complement_lanes ls covered nw w
   done;
   Obs.Metrics.add m_pool_word_adds (covered * nw);
-  let nb =
-    let b = ref 0 in
-    while covered lsr !b <> 0 do incr b done;
-    !b
-  in
+  let b = ref 0 in
+  while covered lsr !b <> 0 do incr b done;
+  !b
+
+(* Feeds [mp] the 3-signal pool of one target from its lane count (see
+   [lane_count]), given [a]'s position [p_a] and its cone in [mk].  A
+   complemented member's key is [covered - d].  A class is tainted when
+   some member is ineligible ([a] itself or in the cone); every member
+   of an untainted class is eligible.  A radix select over the
+   untainted class sides finds [T], their [pool_limit]-th smallest key,
+   so at least [pool_limit] eligible members have a key <= [T].  The
+   pool is then fed every untainted class with a side key <= [T] and
+   every tainted class: a superset of the members with a key <= [T].
+   The pool keeps the lexicographic minimum of whatever it is fed, so
+   it ends up exactly the global one, in a single pass. *)
+let lane_pool ~store ~eligible ls mk mp ~p_a ~nb ~covered =
+  let lv = Sigstore.lanes store in
+  let nw = lv.Sigstore.lane_words in
   ls.ntainted <- 0;
   taint_class ls store p_a;
   for j = 0 to mk.size - 1 do
@@ -507,7 +514,14 @@ let lane_pool ~store ~eligible ls mk mp ~p_a ~isig ~icare ~nzh ~lp ~covered =
   done;
   Obs.Metrics.add m_pool_collected !collected
 
-let scan_target ~config ~store ~est ~gates2 mk ls ti =
+(* Swaps input classes 1 and 2 (bits 1 and 2) of a pair's seen set:
+   the classes of [(y, x)] are those of [(x, y)] with the inputs
+   exchanged, [k = x + 2y] becoming [y + 2x]. *)
+let[@inline] swap_inputs s = s land 9 lor ((s land 2) lsl 1) lor ((s land 4) lsr 1)
+
+let m_gain_ab = Obs.Metrics.counter "sig/gain_ab"
+
+let scan_target ~config ~store ~est ~cells ~by_density mk ls ti =
   let want k = List.mem k config.classes in
   let signals = Sigstore.signals store in
   let nsig = Array.length signals in
@@ -550,15 +564,33 @@ let scan_target ~config ~store ~est ~gates2 mk ls ti =
     a
   in
   let nh = Array.length nzh in
-  (* single pass deciding both polarities: bit [eq_bit] ⟺ rows agree
-     on every care position, bit [cq_bit] ⟺ they disagree on every care
-     position.  [off] lets the row live inside a flat concatenation
+  let care_pop =
+    Array.fold_left (fun a i -> a + Bits.popcount62 icare.(i)) 0 nzh
+  in
+  (* The care prefix both Hash stages read off one lane count, and the
+     pool ranks on: the densest care limbs covering at least
+     [pool_rank_bits] care positions (all of them when the care set is
+     smaller).  [lp] limbs hold [covered] positions, and [covered < 190]:
+     it stays below [pool_rank_bits] before the last limb, which adds at
+     most 62. *)
+  let lp, covered =
+    let lp = ref 0 and covered = ref 0 in
+    while !covered < min pool_rank_bits care_pop do
+      covered := !covered + Bits.popcount62 icare.(nzh.(!lp));
+      incr lp
+    done;
+    (!lp, !covered)
+  in
+  (* single pass deciding both polarities over the limbs [nzh.(from ..)]:
+     bit [eq_bit] ⟺ rows agree on every care position there, bit
+     [cq_bit] ⟺ they disagree on every one; only the bits of [r0] are
+     decided.  [off] lets the row live inside a flat concatenation
      ({!Sigstore.icanon_flat}).  Returns an int, not a pair, so the
      per-class call allocates nothing. *)
   let eq_bit = 1 and cq_bit = 2 in
-  let eq_and_compl irow off =
-    let r = ref (eq_bit lor cq_bit) in
-    let k = ref 0 in
+  let eq_and_compl r0 from irow off =
+    let r = ref r0 in
+    let k = ref from in
     while !r <> 0 && !k < nh do
       let i = Array.unsafe_get nzh !k in
       let m = Array.unsafe_get icare i in
@@ -584,7 +616,7 @@ let scan_target ~config ~store ~est ~gates2 mk ls ti =
     in
     go 0
   in
-  let hamming_prefix lp irow =
+  let hamming_prefix irow =
     let d = ref 0 in
     for k = 0 to lp - 1 do
       let i = Array.unsafe_get nzh k in
@@ -612,26 +644,25 @@ let scan_target ~config ~store ~est ~gates2 mk ls ti =
     | Subst.Branch _ -> None
   in
   let margin = 1e-12 in
-  (* Upper bound on any candidate's gain against this target, used to
-     skip the full [gain_ab] region walk for 1-signal sources that
-     positive-gain filtering would discard anyway.  PG_A for a stem is
-     the power of Dom(a) minus the kept source cones plus the boundary
-     relief; every subtracted term is non-negative, so full-region
-     power plus a relief over-count (every fanin edge into the region,
-     whatever drives it) bounds PG_A from above.  For a branch PG_A is
+  (* Upper bound on PG_A against this target, used to skip the full
+     [gain_ab] region walk for sources that positive-gain filtering
+     would discard anyway.  PG_A for a stem is the power of Dom(a)
+     minus the kept source cones plus the boundary relief; every
+     subtracted term is non-negative, so full-region power plus a
+     relief over-count (every fanin edge into the region, whatever
+     drives it) bounds PG_A from above, for any source, since
+     [keep_cone] only removes region nodes.  For a branch PG_A is
      exactly [moved * E(old fanin)], source-independent.  PG_B is at
      most [-moved * E(b)] for a [Signal]/[Inverted] source over [b]
      (a new inverter only adds pin and output load; an existing one
      has the same transition density as [b] up to rounding, absorbed
-     by the relative slack below).  So a hit can clear the positive-
-     gain margin only when [moved * E(b) < bound] — one cached
-     multiply-compare per hit.  Unobservable targets match the whole
-     store, and without this test each of those floods pays a region
-     walk per hit, which is what made generation quadratic on large
-     netlists.  [Gate2] sources keep the exact path (their source
-     density is not a cached lookup), and the fast path is off when
-     [require_positive] is, since only the final filter makes the
-     skip sound. *)
+     by the relative slack below), and at most [-(C0 * E(b) + C1 *
+     E(d))] for a new gate over [(b, d)] (its output load only
+     subtracts more).  So a source can clear the positive-gain margin
+     only when that cost stays below the bound — one multiply-compare
+     instead of a region walk, and for a new gate no source words.
+     The fast path is off when [require_positive] is, since only the
+     final filter makes the skip sound. *)
   let pos_bound =
     lazy
       (let dummy = { Subst.target = ti.target; source = Subst.Signal ti.a } in
@@ -691,42 +722,61 @@ let scan_target ~config ~store ~est ~gates2 mk ls ti =
     | (_, g) :: _ when !nkept >= k -> Subst.total_gain g
     | _ -> Float.neg_infinity
   in
-  (* [total_gain <= bound - moved * E(b)] for a 1-signal source (see
+  (* [total_gain <= bound - cost] for the source's PG_B cost (see
      [pos_bound]): the source is skipped when that bound cannot clear
      the positive-gain margin, or cannot reach the bar and so could only
-     land behind [per_target] better candidates *)
+     land behind [per_target] better candidates.  Monotone in the cost,
+     and [bar ()] only rises. *)
   let skips subst =
     config.require_positive
     &&
-    match subst.Subst.source with
-    | Subst.Signal b | Subst.Inverted b ->
-      let moved, bound = Lazy.force pos_bound in
-      let eb = moved *. Estimator.transition_prob est b in
-      eb >= bound || bound -. eb < bar ()
-    | Subst.Gate2 _ -> false
+    let moved, bound = Lazy.force pos_bound in
+    let eb =
+      match subst.Subst.source with
+      | Subst.Signal b | Subst.Inverted b ->
+        moved *. Estimator.transition_prob est b
+      | Subst.Gate2 (c, b, d) ->
+        (c.Cell.pin_caps.(0) *. Estimator.transition_prob est b)
+        +. (c.Cell.pin_caps.(1) *. Estimator.transition_prob est d)
+    in
+    eb >= bound || bound -. eb < bar ()
   in
-  let consider subst =
-    if k > 0 && not (skips subst) then begin
-      let g = Subst.gain_ab ?dom:(Option.map Lazy.force dom) est subst in
-      if (not config.require_positive) || Subst.total_gain g > margin then
-        keep (subst, g)
-    end
+  let gain_abs = ref 0 in
+  let admit subst =
+    incr gain_abs;
+    let g = Subst.gain_ab ?dom:(Option.map Lazy.force dom) est subst in
+    if (not config.require_positive) || Subst.total_gain g > margin then
+      keep (subst, g)
   in
+  let consider subst = if k > 0 && not (skips subst) then admit subst in
   let two_signal_wanted =
     match ti.target with
     | Subst.Stem _ -> want Subst.Os2
     | Subst.Branch _ -> want Subst.Is2
   in
-  let three_signal_wanted =
-    match ti.target with
+  let pool_wanted =
+    (match ti.target with
     | Subst.Stem _ -> want Subst.Os3
-    | Subst.Branch _ -> want Subst.Is3
+    | Subst.Branch _ -> want Subst.Is3)
+    && Array.length cells > 0 && config.pool_limit > 0
   in
   (* #{p <> p_a : not forbidden}: every store signal, minus the ones in
      the forbidden set, minus [a] itself when it is not already there
      (stems mark themselves forbidden; branch drivers never are). *)
   let n_eligible =
     nsig - forbidden_signals - (if forbidden ti.a then 0 else 1)
+  in
+  (* Full care: masked equality is exact row equality, so the only
+     class that can match (either polarity — classes unify complements)
+     is the target's own.  Empty care with [require_positive]: every
+     eligible signal matches in both polarities (a flood). *)
+  let full_care = care_pop = 64 * Sigstore.words store in
+  let flood = care_pop = 0 && config.require_positive in
+  let hash = config.index = Hash in
+  let nb =
+    if hash && ((two_signal_wanted && not (full_care || flood)) || pool_wanted)
+    then lane_count ~store ls ~isig ~icare ~nzh ~lp ~covered
+    else 0
   in
   let ti_is3 = ref 0 in
   let hits2 = ref 0 in
@@ -743,41 +793,76 @@ let scan_target ~config ~store ~est ~gates2 mk ls ti =
             consider { Subst.target = ti.target; source = Subst.Inverted b }
           end
         in
-        match config.index with
-        | Scan ->
+        if not hash then
           (* reference path: test every signal row individually *)
           for p = 0 to nsig - 1 do
             if eligible p then begin
-              let r = eq_and_compl (Sigstore.irow store p) 0 in
+              let r = eq_and_compl (eq_bit lor cq_bit) 0 (Sigstore.irow store p) 0 in
               emit p ~direct:(r land eq_bit <> 0) ~inv:(r land cq_bit <> 0)
             end
           done
-        | Hash ->
-          let care_pop =
-            Array.fold_left (fun a w -> a + Bits.popcount62 w) 0 icare
+        else if full_care then begin
+          (* every other class is decided without a row test, which is
+             what keeps fully observable targets O(|class|) *)
+          let tf = compl.(p_a) in
+          Array.iter
+            (fun p ->
+              if eligible p then begin
+                let f = compl.(p) in
+                emit p ~direct:(f = tf) ~inv:(f <> tf)
+              end)
+            (Sigstore.class_members store (Sigstore.class_of store p_a))
+        end
+        else if flood then begin
+          (* Every hit counts, but a source is only worth a [gain_ab]
+             while it clears [skips], which is monotone in E(b): walk
+             the eligible signals by ascending density and stop at the
+             first skipped source — every later one is skipped too. *)
+          hits2 := 2 * n_eligible;
+          let stopped = ref (k <= 0) and i = ref 0 in
+          let try_source source =
+            let subst = { Subst.target = ti.target; source } in
+            if skips subst then stopped := true else admit subst
           in
-          if care_pop = 64 * Sigstore.words store then begin
-            (* full care: masked equality is exact row equality, so
-               the only class that can match (either polarity —
-               classes unify complements) is the target's own.  Every
-               other class is decided without a row test, which is
-               what keeps fully observable targets O(|class|). *)
-            let tf = compl.(p_a) in
-            Array.iter
-              (fun p ->
-                if eligible p then begin
-                  let f = compl.(p) in
-                  emit p ~direct:(f = tf) ~inv:(f <> tf)
-                end)
-              (Sigstore.class_members store (Sigstore.class_of store p_a))
-          end
-          else begin
-            (* class path: one (eq, compl-eq) test per compatibility
-               class decides for every member at once *)
-            let flat = Sigstore.icanon_flat store in
-            let stride = Sigstore.icanon_stride store in
-            for c = 0 to Sigstore.num_classes store - 1 do
-              let r = eq_and_compl flat (c * stride) in
+          while (not !stopped) && !i < nsig do
+            let p = Array.unsafe_get by_density !i in
+            if eligible p then begin
+              let b = Array.unsafe_get signals p in
+              try_source (Subst.Signal b);
+              if not !stopped then try_source (Subst.Inverted b)
+            end;
+            incr i
+          done
+        end
+        else begin
+          (* class path: a class can only match where the lane count
+             reads [d = 0] on the prefix (canon agrees everywhere) or
+             [d = covered] (canon disagrees everywhere); only those get
+             a row test, on the limbs past the prefix *)
+          let lv = Sigstore.lanes store in
+          let nw = lv.Sigstore.lane_words in
+          let flat = Sigstore.icanon_flat store in
+          let stride = Sigstore.icanon_stride store in
+          for w = 0 to nw - 1 do
+            let some = ref 0 and off = ref 0 in
+            for j = 0 to nb - 1 do
+              let pl = Array.unsafe_get ls.dpl ((j * nw) + w) in
+              some := !some lor pl;
+              off :=
+                !off
+                lor if (covered lsr j) land 1 = 1 then pl lxor Bits.limb_mask else pl
+            done;
+            let valid = lv.Sigstore.plus.(w) lor lv.Sigstore.minus.(w) in
+            let zero = valid land lnot !some and full = valid land lnot !off in
+            let m = ref (zero lor full) in
+            while !m <> 0 do
+              let low = !m land (- !m) in
+              let c = (62 * w) + bit_index low in
+              let r0 =
+                (if zero land low <> 0 then eq_bit else 0)
+                lor if full land low <> 0 then cq_bit else 0
+              in
+              let r = eq_and_compl r0 lp flat (c * stride) in
               if r <> 0 then begin
                 let eq = r land eq_bit <> 0 and cq = r land cq_bit <> 0 in
                 Array.iter
@@ -788,42 +873,26 @@ let scan_target ~config ~store ~est ~gates2 mk ls ti =
                         ~direct:(if f then cq else eq)
                         ~inv:(if f then eq else cq))
                   (Sigstore.class_members store c)
-              end
+              end;
+              m := !m lxor low
             done
-          end);
-  if three_signal_wanted && gates2 <> [] && config.pool_limit > 0 then
+          done
+        end);
+  if pool_wanted then
     unspanned (fun () ->
-        (* pool: the signals closest to [a], by (masked disagreement,
-           position).  Disagreement is counted on a deterministic
-           prefix of the care set: the densest care limbs covering at
-           least [pool_rank_bits] care positions (all of them when the
-           care set is smaller).  Preselection is heuristic — exact
-           compatibility is still decided on the full care set by the
-           pair conflict scan and the ATPG check — and the prefix is a
-           pure function of the target, so both index modes and every
+        (* pool: the signals closest to [a], by (masked disagreement on
+           the care prefix, position).  Preselection is heuristic —
+           exact compatibility is still decided on the full care set by
+           the pair conflict scan and the ATPG check — and the prefix is
+           a pure function of the target, so both index modes and every
            chunking rank identically. *)
         let mp = minpool_create config.pool_limit in
-        let care_pop =
-          Array.fold_left (fun a i -> a + Bits.popcount62 icare.(i)) 0 nzh
-        in
-        (* [lp] prefix limbs hold [covered] care positions, and
-           [covered < 190]: it stays below [pool_rank_bits] before the
-           last limb, which adds at most 62 *)
-        let lp = ref 0 and covered = ref 0 in
-        while !covered < min pool_rank_bits care_pop do
-          covered := !covered + Bits.popcount62 icare.(nzh.(!lp));
-          incr lp
-        done;
-        let lp = !lp and covered = !covered in
-        (match config.index with
-        | Scan ->
+        if hash then lane_pool ~store ~eligible ls mk mp ~p_a ~nb ~covered
+        else
           for p = 0 to nsig - 1 do
             if eligible p then
-              minpool_insert mp (hamming_prefix lp (Sigstore.irow store p)) p
-          done
-        | Hash ->
-          lane_pool ~store ~eligible ls mk mp ~p_a ~isig ~icare ~nzh ~lp
-            ~covered);
+              minpool_insert mp (hamming_prefix (Sigstore.irow store p)) p
+          done;
         let pool = Array.sub mp.ps 0 mp.n in
         (* rows compressed to the nonzero-care halves, plus the
            target\'s required output per care position: f1 = care
@@ -834,17 +903,21 @@ let scan_target ~config ~store ~est ~gates2 mk ls ti =
         let ones = Bits.limb_mask in
         let f1 = Array.map (fun i -> isig.(i) land icare.(i)) nzh in
         let f0 = Array.map (fun i -> (isig.(i) lxor ones) land icare.(i)) nzh in
-        let cells =
-          Array.of_list
-            (List.map
-               (fun (cell : Cell.t) ->
-                 (cell, Int64.to_int (Logic.Tt.word cell.Cell.func) land 0xF))
-               gates2)
-        in
         let is_branch =
           match ti.target with Subst.Branch _ -> true | Subst.Stem _ -> false
         in
         let is3 = ref 0 in
+        (* cell [code] fits a pair whose seen-1 classes are [s1] and
+           whose classes holding any care position are [pinned] *)
+        let emit_cells x y s1 pinned =
+          for c = 0 to Array.length cells - 1 do
+            let cell, code = Array.unsafe_get cells c in
+            if code land pinned = s1 then begin
+              if is_branch then incr is3;
+              consider { Subst.target = ti.target; source = Subst.Gate2 (cell, x, y) }
+            end
+          done
+        in
         (* Conflict scan: a pair (x, y) partitions the care positions
            into the four input classes k = x + 2y.  [seen1]/[seen0]
            record which classes contain a care position where [a] is
@@ -853,12 +926,15 @@ let scan_target ~config ~store ~est ~gates2 mk ls ti =
            the first conflict; otherwise cell [code] matches exactly
            when it outputs 1 on the seen-1 classes and 0 on the seen-0
            ones: [code land (seen1 lor seen0) = seen1].  This decides
-           all [gates2] in one pass over the pair\'s words and emits, in
-           [gates2] order, the same matches as evaluating each cell. *)
-        for i = 0 to Array.length pool - 1 do
+           all cells in one pass over the pair\'s words.  Each unordered
+           pair is scanned once: (y, x) sees the classes of (x, y) with
+           inputs exchanged ([swap_inputs]) and conflicts exactly when
+           (x, y) does. *)
+        let npool = Array.length pool in
+        for i = 0 to npool - 2 do
           if not self2.(i) then
-            for j = 0 to Array.length pool - 1 do
-              if j <> i && not self2.(j) then begin
+            for j = i + 1 to npool - 1 do
+              if not self2.(j) then begin
                 let ri = crows.(i) and rj = crows.(j) in
                 let seen1 = ref 0 and seen0 = ref 0 in
                 let k = ref 0 in
@@ -887,21 +963,11 @@ let scan_target ~config ~store ~est ~gates2 mk ls ti =
                     lor (nonz (c3 land f0w) lsl 3);
                   incr k
                 done;
-                if !seen1 land !seen0 = 0 then begin
-                  let pinned = !seen1 lor !seen0 in
-                  Array.iter
-                    (fun (cell, code) ->
-                      if code land pinned = !seen1 then begin
-                        if is_branch then incr is3;
-                        consider
-                          {
-                            Subst.target = ti.target;
-                            source =
-                              Subst.Gate2 (cell, signals.(pool.(i)),
-                                           signals.(pool.(j)));
-                          }
-                      end)
-                    cells
+                let s1 = !seen1 and s0 = !seen0 in
+                if s1 land s0 = 0 then begin
+                  let x = signals.(pool.(i)) and y = signals.(pool.(j)) in
+                  emit_cells x y s1 (s1 lor s0);
+                  emit_cells y x (swap_inputs s1) (swap_inputs (s1 lor s0))
                 end
               end
             done
@@ -914,6 +980,7 @@ let scan_target ~config ~store ~est ~gates2 mk ls ti =
   in
   Obs.Metrics.add m_sig_hits !hits2;
   Obs.Metrics.add m_sig_filtered filtered;
+  Obs.Metrics.add m_gain_ab !gain_abs;
   ( best,
     { pairs_hit = !hits2; pairs_filtered = filtered; is3_candidates = !ti_is3 } )
 
@@ -933,7 +1000,15 @@ let generate_stats ?(config = default_config) ?pool ?store est =
       s
   in
   let want k = List.mem k config.classes in
-  let gates2 = Library.two_input_cells (Circuit.library circ) in
+  (* every 2-input cell with its truth table as a 4-bit code, bit
+     [x + 2y] the output on inputs [(x, y)] *)
+  let cells =
+    Array.of_list
+      (List.map
+         (fun (cell : Cell.t) ->
+           (cell, Int64.to_int (Logic.Tt.word cell.Cell.func) land 0xF))
+         (Library.two_input_cells (Circuit.library circ)))
+  in
   let stems = want Subst.Os2 || want Subst.Os3 in
   let branches = want Subst.Is2 || want Subst.Is3 in
   let targets =
@@ -953,17 +1028,27 @@ let generate_stats ?(config = default_config) ?pool ?store est =
         else [])
   in
   let targets = Array.of_list targets in
+  (* store positions by ascending transition density, ties by position:
+     the order flood targets walk (see [scan_target]) *)
+  let by_density =
+    if config.index = Hash && config.require_positive then begin
+      let signals = Sigstore.signals store in
+      let e = Array.map (Estimator.transition_prob est) signals in
+      let order = Array.init (Array.length signals) Fun.id in
+      Array.stable_sort (fun p q -> Float.compare e.(p) e.(q)) order;
+      order
+    end
+    else [||]
+  in
   let scan_chunk c =
     let mk = marks_create circ and ls = lane_scratch_create store in
-    Array.map (scan_target ~config ~store ~est ~gates2 mk ls) c
+    Array.map (scan_target ~config ~store ~est ~cells ~by_density mk ls) c
   in
   let results =
     Obs.Trace.with_span span_scan (fun () ->
     (* the lane view is built here, on the caller's domain, and only
        read by the scans *)
-    if config.index = Hash && (want Subst.Os3 || want Subst.Is3)
-       && gates2 <> [] && config.pool_limit > 0
-    then Sigstore.compute_lanes store;
+    if config.index = Hash then Sigstore.compute_lanes store;
     match pool with
     | Some p
       when Par.Pool.jobs p > 1

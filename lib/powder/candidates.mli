@@ -19,10 +19,22 @@
     emit the identical candidate list — [Scan] is the auditable
     reference the tests and the fuzz harness compare against.
 
-    2-signal candidates scan all signals; 3-signal candidates (new
-    2-input gate) scan ordered pairs from a bounded pool of the closest
-    signatures, for every 2-input cell of the library.  A [pool_limit]
-    of 0 or less is an empty pool: no 3-signal candidates. *)
+    2-signal candidates ([Hash]): one bit-sliced count of every class's
+    disagreement with the target on its care prefix, shared with the
+    3-signal pool, leaves only the classes that agree (or disagree)
+    everywhere there for a row test on the rest of the care set.  A
+    target with an empty care row matches every signal: its hits are
+    counted, and sources are visited by ascending transition density
+    only until the gain bound rules one out.  3-signal candidates (new
+    2-input gate) scan each unordered pair from a bounded pool of the
+    closest signatures once, deciding both input orders and every
+    2-input cell of the library.  A [pool_limit] of 0 or less is an
+    empty pool: no 3-signal candidates.
+
+    With [require_positive], a source whose gain upper bound cannot
+    clear the positive margin or the target's [per_target]-th best
+    gain is skipped before its [Subst.gain_ab]; every skip is exact.
+    [--metrics] counts the estimates made as [sig/gain_ab]. *)
 
 type index_mode =
   | Hash  (** class-indexed scans over the signature store (fast path) *)

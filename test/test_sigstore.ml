@@ -734,6 +734,46 @@ let test_lane_view () =
       ignore (Engine.resim_after_edit cex root);
       Sigstore.update_after_edit store root)
 
+(* Every gain skip under [require_positive] is exact: the 1-signal
+   bound, the new-gate bound and the flood stop (an empty care row,
+   where the walk stops at the first source the bound skips) drop only
+   candidates the positive-gain filter or the per-target cut would drop
+   anyway.  So the positive run equals the unfiltered run with its
+   non-positive candidates removed, candidate for candidate and gain
+   for gain. *)
+let test_positive_skips_exact () =
+  let flood_seen = ref false in
+  let check label circ =
+    let eng = Engine.create circ ~words:16 in
+    Engine.randomize eng (Sim.Rng.create 97L);
+    let est = Estimator.create eng in
+    let store = Sigstore.create ~base:eng () in
+    let generate require_positive =
+      Candidates.generate ~store
+        ~config:{ Candidates.default_config with require_positive }
+        est
+    in
+    let positive = generate true in
+    Alcotest.(check bool) (label ^ ": some candidate") true (positive <> []);
+    same_candidates label circ positive
+      (List.filter (fun (_, g) -> Subst.total_gain g > 1e-12) (generate false));
+    (* [generate] left the store's care table computed *)
+    List.iter
+      (fun id ->
+        if Circuit.num_fanouts circ id > 0
+           && Array.for_all (fun w -> w = 0L) (Sigstore.stem_obs store id)
+        then flood_seen := true)
+      (Circuit.live_gates circ)
+  in
+  List.iter
+    (fun name ->
+      match Circuits.Suite.find name with
+      | None -> Alcotest.failf "%s not in the suite" name
+      | Some spec -> check name (Circuits.Suite.mapped spec))
+    [ "rd84"; "cps"; "C880" ];
+  check "synth:2000" (Circuits.Generators.synth ~seed:1 ~gates:2000);
+  Alcotest.(check bool) "some stem target has an empty care row" true !flood_seen
+
 let suite =
   [
     ( "sigstore",
@@ -759,5 +799,7 @@ let suite =
         Alcotest.test_case "lane view == class canons" `Quick test_lane_view;
         QCheck_alcotest.to_alcotest prop_deferred_sync_matches_rebuild;
         Alcotest.test_case "unsynced reads raise" `Quick test_unsynced_reads_raise;
+        Alcotest.test_case "positive-gain skips are exact" `Quick
+          test_positive_skips_exact;
       ] );
   ]
