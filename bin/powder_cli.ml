@@ -410,20 +410,23 @@ let optimize_cmd =
         ~pp:Optimizer.pp_report ~to_json:Optimizer.report_to_json
         (fun () -> Optimizer.optimize ~config ?resume:resume_ck circ)
     in
-    if metrics then Format.printf "=== metrics ===@.%a@." Obs.Metrics.dump ();
     if verify then begin
       match Atpg.Equiv.check ~exhaustive_limit:16 original circ with
       | Atpg.Equiv.Equivalent -> print_endline "verification: equivalent"
       | Atpg.Equiv.Different _ -> failwith "verification FAILED: outputs differ"
       | Atpg.Equiv.Unknown ->
-        print_endline "verification: inconclusive (circuit too wide; every \
-                       accepted substitution was individually proven)"
+        print_endline "verification: inconclusive (the proof ran out of \
+                       conflicts; every accepted substitution was \
+                       individually proven)"
     end;
+    if metrics then Format.printf "=== metrics ===@.%a@." Obs.Metrics.dump ();
     emit out_file circ
   in
   let verify =
     Arg.(value & flag & info [ "verify" ]
-           ~doc:"Re-check input/output equivalence of the final netlist.")
+           ~doc:"Prove the final netlist input/output-equivalent to the \
+                 input: exhaustive simulation up to 16 inputs, SAT sweeping \
+                 of the two netlists above that.")
   in
   let metrics =
     Arg.(value & flag & info [ "metrics" ]

@@ -5,14 +5,16 @@
 #     build   compile everything
 #     test    unit/property tests + fault-injection self-test
 #     smoke   end-to-end runs: telemetry, profiling, checkpointing,
-#             parallel determinism, signature determinism
+#             parallel determinism, signature determinism, --verify
+#             and planted-mutant refutation on cps
 #     fuzz    differential fuzz campaign + injected-fault catch
 #     serve   batch service drain + crash/kill chaos legs
 #     bench   paper tables (bench/main.exe quick) + powderbench: every
 #             workload correct, no failed operations
 #     pareto  frontier sweep: jobs determinism, frontier invariants,
 #             glitch cost model
-#     scale   synth:4000 round: jobs determinism + top-heap gate;
+#     scale   synth:4000 round: jobs determinism + top-heap gate +
+#             --verify;
 #             synth10k round: windowed and global checking agree on
 #             the final power
 #     all     every stage above, in that order (the default)
@@ -198,9 +200,18 @@ stage_smoke() {
   hard_timeout 300 dune exec bin/powder_cli.exe -- optimize --circuit cps \
     --jobs 1 --metrics --json "$ref_json" -o "$ref_blif" > "$ref_txt"
   hard_timeout 300 dune exec bin/powder_cli.exe -- optimize --circuit cps \
-    --jobs 4 --metrics --json "$alt_json" -o "$alt_blif" > "$alt_txt"
+    --jobs 4 --metrics --verify --json "$alt_json" -o "$alt_blif" > "$alt_txt"
   cmp "$ref_blif" "$alt_blif"
   dune exec bin/json_check.exe -- --compare-reports "$ref_json" "$alt_json"
+
+  echo "== smoke: --verify proves the cps result equivalent =="
+  # cps is too wide for exhaustive simulation: the swept miter proves it
+  grep -qx 'verification: equivalent' "$alt_txt"
+
+  echo "== smoke: planted one-gate mutants of the cps result are refuted =="
+  # every mutant that simulation shows to differ must come back
+  # Different, with a counterexample single-pattern evaluation confirms
+  hard_timeout 300 dune exec test/mutants.exe -- cps "$ref_blif" 60
 
   echo "== smoke: the parallel run throws no work away =="
   # Exact checks run in rank order at every job count, and the pool
@@ -218,16 +229,24 @@ stage_smoke() {
   golden_md5 test/golden/cps.blif.md5 "$ref_blif"
 
   echo "== smoke: cps search and store maintenance are pinned =="
-  # The SAT search is pinned by its conflict total over the run, and
-  # the signature store resyncs once per round (accepts only mark rows
-  # stale), so its full rebuilds are at most the rounds.  A deliberate
-  # search change updates these values together with test/golden/.
+  # The SAT search is pinned by its conflict total over the run (the
+  # sweeps' pair proofs included) and by the sweeps a stalled search
+  # escalates to, and the signature store resyncs once per round
+  # (accepts only mark rows stale), so its full rebuilds are at most
+  # the rounds.  A deliberate search change updates these values
+  # together with test/golden/.
   rounds=$(report_field rounds "$ref_json")
   awk -v rounds="$rounds" '
     $1 == "atpg.sat.conflicts" { c = $2 }
+    $1 == "check.sweep.escalations" { e = $2 }
+    $1 == "check.sweep.proved" { p = $2 }
+    $1 == "check.sweep.pair_proofs" { q = $2 }
     $1 == "sig/store.rebuilds" { r = $2 }
     END {
-      if (c != 131057) { print "atpg.sat.conflicts " c ", want 131057"; bad = 1 }
+      if (c != 97217) { print "atpg.sat.conflicts " c ", want 97217"; bad = 1 }
+      if (e != 79) { print "check.sweep.escalations " e ", want 79"; bad = 1 }
+      if (p != 39) { print "check.sweep.proved " p ", want 39"; bad = 1 }
+      if (q != 122) { print "check.sweep.pair_proofs " q ", want 122"; bad = 1 }
       if (r == "" || r > rounds) {
         print "sig/store.rebuilds " r " exceeds the " rounds " rounds"; bad = 1
       }
@@ -425,7 +444,10 @@ stage_scale() {
   for j in 1 2; do
     hard_timeout 600 dune exec bin/powder_cli.exe -- optimize \
       --circuit synth:4000 --window 16 --max-rounds 1 --metrics --jobs "$j" \
-      --json "$scale_dir/j$j.json" -o "$scale_dir/j$j.blif" > "$scale_dir/j$j.txt"
+      --verify --json "$scale_dir/j$j.json" -o "$scale_dir/j$j.blif" > "$scale_dir/j$j.txt"
+    # the swept miter proves a 4000-gate result, far beyond exhaustive
+    # simulation's reach
+    grep -qx 'verification: equivalent' "$scale_dir/j$j.txt"
     awk -v j="$j" '$1 == "gc.top_heap_words" {
         seen = 1
         if ($2 > 6e7) { print "top heap " $2 " words > 6e7 at --jobs " j; bad = 1 }

@@ -114,6 +114,72 @@ let check_exhaustive ca cb =
     in
     Different assignment
 
+let sweep_metrics = Sweep.metrics "equiv"
+
+(* Both netlists hashed into one sweep graph over shared inputs: [ca]
+   as it is, then [cb] node by node, each new node merged into the
+   oldest node it agrees with on every pattern once a pair proof shows
+   them equal, and last the per-output XORs, swept against constant 0.
+   What is left of the miter output is solved under the caller's cap;
+   a pattern that already sets it is a counterexample at once. *)
+let check_swept ~conflict_limit ca cb =
+  let t0 = Obs.Clock.now () in
+  Obs.Metrics.incr sweep_metrics.escalations;
+  let names = sorted_names Circuit.pis ca in
+  let g = Sweep.create ~npis:(List.length names) sweep_metrics in
+  let inputs = Hashtbl.create 64 in
+  List.iteri (fun k name -> Hashtbl.add inputs name (Sweep.input g k)) names;
+  (* the oldest nodes, so every node that simulates constant is tried
+     against a constant *)
+  let zero = Sweep.const g false in
+  ignore (Sweep.const g true);
+  let sweep_new before n = if n >= before then Sweep.sweep_node g n else n in
+  let load circ ~sweep =
+    let map = Array.make (Circuit.num_nodes circ) (-1) in
+    List.iter
+      (fun pi -> map.(pi) <- Hashtbl.find inputs (Circuit.name circ pi))
+      (Circuit.pis circ);
+    Array.iter
+      (fun id ->
+        match Circuit.kind circ id with
+        | Circuit.Pi | Circuit.Po _ -> ()
+        | Circuit.Const b -> map.(id) <- Sweep.const g b
+        | Circuit.Cell (c, fs) ->
+          let before = Sweep.num_nodes g in
+          let n = Sweep.gate g c (Array.map (fun f -> map.(f)) fs) in
+          map.(id) <- (if sweep then sweep_new before n else n))
+      (Circuit.topo_order circ);
+    fun name ->
+      match Circuit.find_by_name circ name with
+      | Some po -> map.(Circuit.po_driver circ po)
+      | None -> invalid_arg "Equiv.check: PO name mismatch"
+  in
+  let da = load ca ~sweep:false in
+  let db = load cb ~sweep:true in
+  let out =
+    List.fold_left
+      (fun acc name ->
+        let before = Sweep.num_nodes g in
+        let d = sweep_new before (Sweep.gate g vxor2 [| da name; db name |]) in
+        Sweep.gate g vor2 [| acc; d |])
+      zero (sorted_names Circuit.pos ca)
+  in
+  let different p = Different (List.mapi (fun k name -> (name, p.(k))) names) in
+  let verdict =
+    if Sweep.is_const g out false then Equivalent
+    else
+      match Sweep.first_one g out with
+      | Some p -> different p
+      | None -> (
+        match Sweep.justify ~conflict_limit g out with
+        | `Unsat -> Equivalent
+        | `Sat p -> different p
+        | `Unknown -> Unknown)
+  in
+  if verdict = Equivalent then Obs.Metrics.incr sweep_metrics.proved;
+  Obs.Metrics.observe sweep_metrics.seconds (Obs.Clock.now () -. t0);
+  verdict
+
 let check ?(backtrack_limit = 20_000) ?(exhaustive_limit = 14)
     ?(engine = `Sat) ca cb =
   let pis_a = sorted_names Circuit.pis ca and pis_b = sorted_names Circuit.pis cb in
@@ -121,21 +187,14 @@ let check ?(backtrack_limit = 20_000) ?(exhaustive_limit = 14)
   if sorted_names Circuit.pos ca <> sorted_names Circuit.pos cb then
     invalid_arg "Equiv.check: PO name mismatch";
   if List.length pis_a <= exhaustive_limit then check_exhaustive ca cb
-  else begin
-    let m, out = miter ca cb in
+  else
     match engine with
+    | `Sat -> check_swept ~conflict_limit:(10 * backtrack_limit) ca cb
     | `Podem -> (
+      let m, out = miter ca cb in
       match Podem.justify_one ~backtrack_limit m out with
       | Podem.Untestable -> Equivalent
       | Podem.Aborted _ -> Unknown
       | Podem.Test assignment ->
         Different
           (List.map (fun (pi, v) -> (Circuit.name m pi, v)) assignment))
-    | `Sat -> (
-      match Cnf.justify_one ~conflict_limit:(10 * backtrack_limit) m out with
-      | Cnf.Impossible -> Equivalent
-      | Cnf.Gave_up _ -> Unknown
-      | Cnf.Justified assignment ->
-        Different
-          (List.map (fun (pi, v) -> (Circuit.name m pi, v)) assignment))
-  end

@@ -1,11 +1,13 @@
-(** Combinational equivalence checking used as the exact permissibility
-    test: two circuits are compared on shared primary-input names.
+(** Combinational equivalence checking: two circuits are compared on
+    shared primary-input names.
 
     Small circuits (PI count at most [exhaustive_limit]) are compared by
-    exhaustive bit-parallel simulation — exact and fast.  Larger ones go
-    through a miter and a PODEM justification of the miter output; an
-    aborted search returns [Unknown], which callers must treat as "not
-    proven equivalent" (the paper discards such substitutions). *)
+    exhaustive bit-parallel simulation — exact and fast.  Larger ones
+    are SAT-swept ({!Sweep}): both are hashed into one graph, the
+    second's nodes are merged into equal nodes of the first by small
+    proofs, and what is left of the miter output is solved.  A search
+    that runs out of budget returns [Unknown], which callers must treat
+    as "not proven equivalent". *)
 
 type verdict =
   | Equivalent
@@ -19,12 +21,6 @@ val xor_cell : Gatelib.Cell.t
 val or_cell : Gatelib.Cell.t
 (** Zero-cost virtual OR2 for the miter's disjunction tree. *)
 
-val miter : Netlist.Circuit.t -> Netlist.Circuit.t -> Netlist.Circuit.t * Netlist.Circuit.node_id
-(** Single-output miter over the union of both circuits on shared PIs;
-    the returned node is 1 iff some PO differs.  Both circuits must
-    have identical PI and PO name sets.
-    @raise Invalid_argument otherwise. *)
-
 val check :
   ?backtrack_limit:int ->
   ?exhaustive_limit:int ->
@@ -32,8 +28,10 @@ val check :
   Netlist.Circuit.t ->
   Netlist.Circuit.t ->
   verdict
-(** [exhaustive_limit] defaults to 14 PIs.  Above it, the miter output
-    is justified with the CDCL solver ([`Sat], default; the
-    [backtrack_limit] scales its conflict budget) or with classic PODEM
+(** [exhaustive_limit] defaults to 14 PIs.  Above it, the two netlists
+    are swept and the reduced miter output is solved with the CDCL
+    solver ([`Sat], default; [backtrack_limit] scales its conflict
+    budget), or a monolithic miter is justified with classic PODEM
     ([`Podem], kept for the ablation benchmark — it aborts far more
-    often on equivalence-style UNSAT proofs). *)
+    often on equivalence-style UNSAT proofs).  The sweep's counters and
+    time are under [equiv.sweep.*] and [equiv.sweep_seconds]. *)

@@ -371,9 +371,12 @@ let model s =
   done;
   Sat m
 
+(* The conflict count at which [solve] calls its [on_stall] hook, once. *)
+let stall_conflicts = 300
+
 let solve ?(conflict_limit = 200_000) ?(deadline = Obs.Deadline.never)
-    ~num_vars clauses =
-  let t0 = Obs.Clock.now () in
+    ?(on_stall = fun () -> false) ~num_vars clauses =
+  let t0 = Obs.Clock.now () and hook_seconds = ref 0.0 in
   let s =
     {
       nvars = num_vars;
@@ -456,6 +459,14 @@ let solve ?(conflict_limit = 200_000) ?(deadline = Obs.Deadline.never)
             s.conflicts mod deadline_stride = 0 && Obs.Deadline.expired deadline
           then Timeout Deadline
           else if s.decision_level = 0 then Unsat
+          else if
+            s.conflicts = stall_conflicts
+            &&
+            let h0 = Obs.Clock.now () in
+            let proved = on_stall () in
+            hook_seconds := Obs.Clock.now () -. h0;
+            proved
+          then Unsat
           else begin
             let uip, back_lvl = analyze s confl in
             backtrack s back_lvl;
@@ -481,7 +492,8 @@ let solve ?(conflict_limit = 200_000) ?(deadline = Obs.Deadline.never)
       loop ()
     end
   in
-  Obs.Metrics.observe m_solve_seconds (Obs.Clock.now () -. t0);
+  (* the search's own time: the hook's work is timed where it is done *)
+  Obs.Metrics.observe m_solve_seconds (Obs.Clock.now () -. t0 -. !hook_seconds);
   Obs.Metrics.incr m_solves;
   Obs.Metrics.add m_conflicts s.conflicts;
   (match result with

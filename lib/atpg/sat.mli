@@ -39,14 +39,24 @@ val pp_give_up : Format.formatter -> give_up -> unit
 
 val lit_of : int -> bool -> int
 
+val stall_conflicts : int
+(** The conflict count at which {!solve} calls its [on_stall] hook. *)
+
 val solve :
   ?conflict_limit:int ->
   ?deadline:Obs.Deadline.t ->
+  ?on_stall:(unit -> bool) ->
   num_vars:int ->
   int array list ->
   result
 (** Clauses are arrays of literals.  An empty clause makes the problem
     trivially UNSAT.  [deadline] is polled every few dozen conflicts, so
     expiry is detected within one propagation burst, not instantly.
+    [on_stall] runs once, when the search reaches {!stall_conflicts}
+    conflicts (and only if [conflict_limit] lets it get there): [true]
+    means the caller proved the problem UNSAT some other way, and
+    [solve] returns [Unsat] at once; [false] resumes the paused search
+    exactly where it stood, so its trajectory, model and verdict are
+    those of a search without the hook.
     @raise Invalid_argument if a literal's variable is outside
     [0 .. num_vars - 1]. *)

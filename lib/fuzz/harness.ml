@@ -113,6 +113,16 @@ let gain_identity_holds (r : Optimizer.report) =
   Float.abs (summed -. delta)
   <= 1e-6 *. Float.max 1.0 (Float.abs r.Optimizer.initial_power)
 
+(* A failed metamorphic identity of candidate generation: a finding
+   classified as [candidates_identity], never a crash. *)
+exception Identity_failed of string
+
+(* Test-only: while armed, [candidates_of] drops the class-indexed
+   list's last candidate, so its first identity trips. *)
+let identity_fault = Atomic.make false
+let inject_identity_fault () = Atomic.set identity_fault true
+let clear_identity_fault () = Atomic.set identity_fault false
+
 let candidates_of ~case_seed ~words c k =
   let eng = Engine.create c ~words in
   Engine.randomize eng (Rng.stream case_seed "fuzz/pat");
@@ -138,22 +148,28 @@ let candidates_of ~case_seed ~words c k =
   in
   let scan cfg = { cfg with Powder.Candidates.index = Powder.Candidates.Scan } in
   let all = generate cfg in
+  let indexed =
+    if Atomic.get identity_fault then
+      let n = List.length all in
+      List.filteri (fun i _ -> i < n - 1) all
+    else all
+  in
   (* metamorphic: the class-indexed path and the per-signal reference
      scan must emit the identical candidate list *)
-  if not (same all (generate (scan cfg))) then
-    failwith "candidates: hash/scan index modes disagree";
+  if not (same indexed (generate (scan cfg))) then
+    raise (Identity_failed "hash/scan index modes disagree");
   (* the same under positive-gain filtering, where the gain bounds and
      the flood stop skip sources; skipping is exact, so the positive
      list is the unfiltered one without its non-positive candidates *)
   let pos_cfg = { cfg with Powder.Candidates.require_positive = true } in
   let positive = generate pos_cfg in
   if not (same positive (generate (scan pos_cfg))) then
-    failwith "candidates: hash/scan index modes disagree on positive gains";
+    raise (Identity_failed "hash/scan index modes disagree on positive gains");
   if
     not
       (same positive
          (List.filter (fun (_, g) -> Powder.Subst.total_gain g > 1e-12) all))
-  then failwith "candidates: positive-gain skips drop a kept candidate";
+  then raise (Identity_failed "positive-gain skips drop a kept candidate");
   let rec take n = function
     | [] -> []
     | _ when n = 0 -> []
@@ -200,8 +216,20 @@ let gain_identity_fails ~case_seed c =
   | r -> not (gain_identity_holds r)
   | exception _ -> false
 
+(* The candidate list the other predicates check; a tripped identity
+   is its own failure kind, so here it leaves nothing to check. *)
+let pred_candidates_of ~case_seed c =
+  match candidates_of ~case_seed ~words:pred_words c pred_candidates with
+  | _, cands -> cands
+  | exception Identity_failed _ -> []
+
+let candidates_identity_fails ~case_seed c =
+  match candidates_of ~case_seed ~words:pred_words c pred_candidates with
+  | _ -> false
+  | exception Identity_failed _ -> true
+
 let oracle_split_fails ~case_seed c =
-  let _, cands = candidates_of ~case_seed ~words:pred_words c pred_candidates in
+  let cands = pred_candidates_of ~case_seed c in
   List.exists
     (fun (s, _) ->
       (not (Powder.Subst.creates_cycle c s)) && (Oracle.check c s).Oracle.split)
@@ -213,7 +241,7 @@ let oracle_split_fails ~case_seed c =
    prover is armed to lie once — the same comparison must then catch
    the forged proof. *)
 let window_differs ~case_seed ?(forge = false) c =
-  let _, cands = candidates_of ~case_seed ~words:pred_words c pred_candidates in
+  let cands = pred_candidates_of ~case_seed c in
   if forge then Atpg.Window.inject_forge ();
   let hit =
     List.exists
@@ -238,6 +266,7 @@ let predicate_for ~case_seed ~kind ~injected =
     Some (optimizer_breaks ~case_seed ~words:pred_words)
   | "gain_identity", _ -> Some (gain_identity_fails ~case_seed)
   | "oracle_split", _ -> Some (oracle_split_fails ~case_seed)
+  | "candidates_identity", _ -> Some (candidates_identity_fails ~case_seed)
   | "window_vs_global", _ -> Some (window_differs ~case_seed)
   | "window_forge", _ -> Some (window_differs ~case_seed ~forge:true)
   | _ -> None
@@ -320,14 +349,18 @@ let run_case ~config ~deadline ~inject ~forge i =
   (* differential oracle *)
   let checks = ref 0 and splits = ref 0 and wchecks = ref 0 in
   let detected = ref false in
-  let eng, cands =
-    candidates_of ~case_seed ~words:pred_words circ config.candidates_per_case
+  let cands =
+    match candidates_of ~case_seed ~words:pred_words circ config.candidates_per_case with
+    | eng, cands -> List.map (fun c -> (eng, c)) cands
+    | exception Identity_failed msg ->
+      fail "candidates_identity" msg;
+      []
   in
   (* armed once per case: the forge fires on the first windowed check
      whose honest verdict is a refutation *)
   if forge then Atpg.Window.inject_forge ();
   List.iter
-    (fun (s, _) ->
+    (fun (eng, (s, _)) ->
       if not (Powder.Subst.creates_cycle circ s) then begin
         let r = Oracle.check ~deadline circ s in
         incr checks;

@@ -83,6 +83,14 @@ val pp_report : Format.formatter -> report -> unit
 
 val report_to_json : report -> Obs.Json.t
 
+val inject_identity_fault : unit -> unit
+(** Test-only: until {!clear_identity_fault}, the harness drops one
+    candidate from the class-indexed list before comparing it with the
+    reference scan, so every case trips that metamorphic identity and
+    must report a classified, shrunk [candidates_identity] failure. *)
+
+val clear_identity_fault : unit -> unit
+
 val replay : string -> (string, string) result
 (** Re-execute a saved bundle's failure predicate on its embedded
     circuit.  [Ok msg] when the failure reproduces; [Error msg] when it

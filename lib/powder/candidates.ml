@@ -984,7 +984,8 @@ let scan_target ~config ~store ~est ~cells ~by_density mk ls ti =
   ( best,
     { pairs_hit = !hits2; pairs_filtered = filtered; is3_candidates = !ti_is3 } )
 
-let generate_stats ?(config = default_config) ?pool ?store est =
+let generate_stats ?(config = default_config) ?pool ?store
+    ?(deadline = Obs.Deadline.never) est =
   let circ = Estimator.circuit est in
   let eng = Estimator.engine est in
   let store =
@@ -1040,9 +1041,15 @@ let generate_stats ?(config = default_config) ?pool ?store est =
     end
     else [||]
   in
+  (* the deadline is polled once per target: an expired budget skips
+     the rest of the scan, so it overshoots by at most one target *)
   let scan_chunk c =
     let mk = marks_create circ and ls = lane_scratch_create store in
-    Array.map (scan_target ~config ~store ~est ~cells ~by_density mk ls) c
+    Array.map
+      (fun t ->
+        if Obs.Deadline.expired deadline then ([], zero_stats)
+        else scan_target ~config ~store ~est ~cells ~by_density mk ls t)
+      c
   in
   let results =
     Obs.Trace.with_span span_scan (fun () ->

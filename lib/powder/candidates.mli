@@ -87,9 +87,13 @@ val generate_stats :
   ?config:config ->
   ?pool:Par.Pool.t ->
   ?store:Sim.Sigstore.t ->
+  ?deadline:Obs.Deadline.t ->
   Power.Estimator.t ->
   (Subst.t * Subst.gain) list * stats
-(** Like {!generate}, returning the funnel stats of this scan.  Stats
+(** Like {!generate}, returning the funnel stats of this scan.  The
+    scan polls [deadline] once per target and skips the targets left
+    once it has expired, so the list is then partial; the caller stops
+    instead of using it.  Stats
     are also mirrored into the metrics registry ([sig/hits],
     [sig/filtered], [is3/candidates]); the explicit return is what the
     optimizer folds into its report, so concurrent registry writers

@@ -1,4 +1,5 @@
 module Circuit = Netlist.Circuit
+module Cell = Gatelib.Cell
 module Library = Gatelib.Library
 module Equiv = Atpg.Equiv
 
@@ -15,25 +16,54 @@ let gave_up_podem = function
   | Atpg.Podem.Backtracks -> Gave_up { engine = "podem"; limit = "backtracks" }
   | Atpg.Podem.Deadline -> Gave_up { engine = "podem"; limit = "deadline" }
 
-(* Build the incremental miter inside a clone: duplicate the changed
-   cone with the substitution applied, XOR affected PO drivers with
-   their originals, OR the differences.  Returns the clone and the
-   miter-output node, or None when no primary output is affected (the
+(* The incremental miter as an overlay on the live circuit: duplicate
+   the changed cone with the substitution applied, XOR affected PO
+   drivers with their originals, OR the differences.  Ids below [n0]
+   are the circuit's own nodes, read in place; the miter's nodes take
+   [n0], [n0 + 1], ... in the order a clone of the circuit would have
+   allocated them, so the CNF encoder numbers variables and orders
+   clauses exactly as it would on that clone, and every solve follows
+   the same search. *)
+type miter = {
+  circ : Circuit.t;
+  n0 : int;
+  extra : (Cell.t * Circuit.node_id array) array;  (* node [n0 + i] *)
+  twin : Circuit.node_id array;  (* the original a duplicate copies, or -1 *)
+  out : Circuit.node_id;
+}
+
+let kind mt id =
+  if id < mt.n0 then Circuit.kind mt.circ id
+  else
+    let c, fs = mt.extra.(id - mt.n0) in
+    Circuit.Cell (c, fs)
+
+let num_ids mt = mt.n0 + Array.length mt.extra
+let view mt = { Atpg.Cnf.num_ids = num_ids mt; kind = kind mt }
+
+(* The miter, or None when no primary output is affected (the
    substitution is then vacuously permissible). *)
 let build circ s =
-  let m = Circuit.clone circ in
-  let inv = Library.inverter (Circuit.library m) in
+  let n0 = Circuit.num_nodes circ in
+  let extra = ref [] and twin = ref [] and next = ref n0 in
+  let add ?(of_ = -1) c fs =
+    extra := (c, fs) :: !extra;
+    twin := of_ :: !twin;
+    incr next;
+    !next - 1
+  in
+  let inv = Library.inverter (Circuit.library circ) in
   let src =
-    match Subst.plan_of m s with
+    match Subst.plan_of circ s with
     | Subst.P_existing v -> v
-    | Subst.P_new_inv b -> Circuit.add_cell m inv [| b |]
-    | Subst.P_new_gate (c, b, d) -> Circuit.add_cell m c [| b; d |]
+    | Subst.P_new_inv b -> add inv [| b |]
+    | Subst.P_new_gate (c, b, d) -> add c [| b; d |]
   in
   let changed =
     match s.Subst.target with
-    | Subst.Stem a -> Circuit.tfo m a
+    | Subst.Stem a -> Circuit.tfo circ a
     | Subst.Branch { sink; _ } ->
-      let t = Circuit.tfo m sink in
+      let t = Circuit.tfo circ sink in
       t.(sink) <- true;
       t
   in
@@ -49,7 +79,7 @@ let build circ s =
   Array.iter
     (fun id ->
       if changed.(id) then
-        match Circuit.kind m id with
+        match Circuit.kind circ id with
         | Circuit.Cell (c, fs) ->
           let fs' =
             Array.mapi
@@ -65,13 +95,13 @@ let build circ s =
                 else match Hashtbl.find_opt dup f with Some d -> d | None -> f)
               fs
           in
-          Hashtbl.add dup id (Circuit.add_cell m c fs')
+          Hashtbl.add dup id (add ~of_:id c fs')
         | Circuit.Pi | Circuit.Const _ | Circuit.Po _ -> ())
-    (Circuit.topo_order m);
+    (Circuit.topo_order circ);
   let diffs =
     List.filter_map
       (fun po ->
-        let d = Circuit.po_driver m po in
+        let d = Circuit.po_driver circ po in
         (* the PO's driver in the modified circuit: the source when the
            substitution retargets this PO itself, a duplicate when the
            driver lies in the changed cone, otherwise unchanged *)
@@ -87,33 +117,66 @@ let build circ s =
           else Hashtbl.find_opt dup d
         in
         match new_driver with
-        | Some d' when d' <> d ->
-          Some (Circuit.add_cell m Equiv.xor_cell [| d; d' |])
+        | Some d' when d' <> d -> Some (add Equiv.xor_cell [| d; d' |])
         | Some _ | None -> None)
-      (Circuit.pos m)
+      (Circuit.pos circ)
   in
   match diffs with
   | [] -> None
   | _ ->
     let rec or_tree = function
       | [ x ] -> x
-      | x :: y :: rest -> or_tree (Circuit.add_cell m Equiv.or_cell [| x; y |] :: rest)
+      | x :: y :: rest -> or_tree (add Equiv.or_cell [| x; y |] :: rest)
       | [] -> assert false
     in
     let out = or_tree diffs in
-    ignore (Circuit.add_po m ~name:"incr_miter_out" out);
-    Some (m, out)
+    Some
+      {
+        circ;
+        n0;
+        extra = Array.of_list (List.rev !extra);
+        twin = Array.of_list (List.rev !twin);
+        out;
+      }
 
-let check_exhaustive m out =
-  let pis = Circuit.pis m in
-  let n = List.length pis in
-  let words = max 1 ((1 lsl n) / 64) in
-  let eng = Sim.Engine.create m ~words in
-  Sim.Engine.exhaustive eng;
-  let v = Sim.Engine.value eng out in
-  let rec first_one j =
+(* The miter as a circuit of its own: a clone of the circuit with the
+   overlay's nodes added under the same ids, and a PO on the output.
+   Only the PODEM and BDD engines, which walk a [Circuit.t], need it. *)
+let materialize mt =
+  let m = Circuit.clone mt.circ in
+  Array.iter (fun (c, fs) -> ignore (Circuit.add_cell m c fs)) mt.extra;
+  ignore (Circuit.add_po m ~name:"incr_miter_out" mt.out);
+  m
+
+(* The output's fanin cone in topological order (an iterative DFS
+   postorder, so deep chains cannot overflow the stack). *)
+let topo_cone mt =
+  let seen = Array.make (num_ids mt) false in
+  let order = ref [] in
+  let stack = ref [ (mt.out, false) ] in
+  while !stack <> [] do
+    match !stack with
+    | [] -> ()
+    | (id, true) :: rest ->
+      stack := rest;
+      order := id :: !order
+    | (id, false) :: rest ->
+      if seen.(id) then stack := rest
+      else begin
+        seen.(id) <- true;
+        stack := (id, true) :: rest;
+        match kind mt id with
+        | Circuit.Cell (_, fs) ->
+          Array.iter (fun f -> if not seen.(f) then stack := (f, false) :: !stack) fs
+        | Circuit.Pi | Circuit.Const _ | Circuit.Po _ -> ()
+      end
+  done;
+  (Array.of_list (List.rev !order), seen)
+
+let first_one_bit v =
+  let rec go j =
     if j >= Array.length v then None
-    else if Int64.equal v.(j) 0L then first_one (j + 1)
+    else if Int64.equal v.(j) 0L then go (j + 1)
     else begin
       let bit = ref 0 in
       while
@@ -124,14 +187,102 @@ let check_exhaustive m out =
       Some ((j * 64) + !bit)
     end
   in
-  match first_one 0 with
+  go 0
+
+(* Every input combination, laid out as [Sim.Engine.exhaustive] lays
+   it out, simulated over the output's cone only. *)
+let check_exhaustive mt =
+  let pis = Circuit.pis mt.circ in
+  let n = List.length pis in
+  let words = max 1 ((1 lsl n) / 64) in
+  let values = Array.make (num_ids mt) [||] in
+  List.iteri
+    (fun i pi ->
+      values.(pi) <-
+        (if i < 6 then Array.make words (Logic.Tt.word (Logic.Tt.var 6 i))
+         else
+           Array.init words (fun j -> if (j lsr (i - 6)) land 1 = 1 then -1L else 0L)))
+    pis;
+  Array.iter
+    (fun id ->
+      match kind mt id with
+      | Circuit.Pi | Circuit.Po _ -> ()
+      | Circuit.Const b -> values.(id) <- Array.make words (if b then -1L else 0L)
+      | Circuit.Cell (c, fs) ->
+        let out = Array.make words 0L in
+        Sim.Engine.eval_cell_words c.Cell.func (Array.map (fun f -> values.(f)) fs) out words;
+        values.(id) <- out)
+    (fst (topo_cone mt));
+  match first_one_bit values.(mt.out) with
   | None -> Permissible
   | Some pattern ->
     let pattern = pattern land ((1 lsl n) - 1) in
     Not_permissible
       (List.mapi
-         (fun i pi -> (Circuit.name m pi, pattern land (1 lsl i) <> 0))
+         (fun i pi -> (Circuit.name mt.circ pi, pattern land (1 lsl i) <> 0))
          pis)
+
+let sweep_metrics = Atpg.Sweep.metrics "check"
+
+(* The stalled solve's escape: sweep the duplicated cone back into the
+   original.  The miter's cone goes into a sweep graph, the originals
+   first; a pass without merging simulates it, and stops the sweep when
+   some pattern already sets the output (the miter is satisfiable; the
+   solver finds its model).  A second pass walks the duplicates
+   bottom-up and merges each into the original it copies when their
+   words agree and a pair proof shows them equal; once a PO driver's
+   duplicate merges, its XOR folds to 0.  True iff the output folds to
+   constant 0: every merge was proved, so the miter is UNSAT. *)
+let sweep_proves ~deadline mt =
+  let t0 = Obs.Clock.now () in
+  Obs.Metrics.incr sweep_metrics.escalations;
+  let pis = Circuit.pis mt.circ in
+  let g = Atpg.Sweep.create ~deadline ~npis:(List.length pis) sweep_metrics in
+  let order, in_cone = topo_cone mt in
+  let map = Array.make (Array.length in_cone) (-1) in
+  List.iteri (fun k pi -> map.(pi) <- Atpg.Sweep.input g k) pis;
+  let node id =
+    match kind mt id with
+    | Circuit.Pi | Circuit.Po _ -> map.(id)
+    | Circuit.Const b -> Atpg.Sweep.const g b
+    | Circuit.Cell (c, fs) -> Atpg.Sweep.gate g c (Array.map (fun f -> map.(f)) fs)
+  in
+  Array.iter (fun id -> if id < mt.n0 then map.(id) <- node id) order;
+  let walk ~merge =
+    Array.iteri
+      (fun i o ->
+        let id = mt.n0 + i in
+        if in_cone.(id) then begin
+          map.(id) <- node id;
+          if merge && o >= 0 && map.(o) >= 0 then
+            map.(id) <- Atpg.Sweep.try_merge g ~fresh:map.(id) ~old:map.(o)
+        end)
+      mt.twin
+  in
+  walk ~merge:false;
+  let proved =
+    Array.for_all (Int64.equal 0L) (Atpg.Sweep.sim_words g map.(mt.out))
+    && begin
+      walk ~merge:true;
+      Atpg.Sweep.is_const g map.(mt.out) false
+    end
+  in
+  if proved then Obs.Metrics.incr sweep_metrics.proved;
+  Obs.Metrics.observe sweep_metrics.seconds (Obs.Clock.now () -. t0);
+  proved
+
+let miter_clauses circ s =
+  Option.map
+    (fun mt ->
+      let v = view mt in
+      let clauses, _, num_vars = Atpg.Cnf.clauses v (Atpg.Cnf.cone v mt.out) in
+      (clauses, num_vars))
+    (build circ s)
+
+let swept circ s =
+  match build circ s with
+  | None -> true
+  | Some mt -> sweep_proves ~deadline:Obs.Deadline.never mt
 
 (* The miter's construction time, apart from the engine's.  A
    histogram in the --metrics dump rather than a trace span, so traces
@@ -150,29 +301,33 @@ let permissible ?(backtrack_limit = 20_000) ?(exhaustive_limit = 12)
     Obs.Metrics.observe m_miter_build_seconds (Obs.Clock.now () -. t0);
     match miter with
     | None -> Permissible
-    | Some (m, out) ->
-      if List.length (Circuit.pis m) <= exhaustive_limit then
-        check_exhaustive m out
+    | Some mt ->
+      let pis = Circuit.pis circ in
+      if List.length pis <= exhaustive_limit then check_exhaustive mt
       else begin
         let assignment_names pairs =
-          List.map (fun (pi, v) -> (Circuit.name m pi, v)) pairs
+          List.map (fun (pi, v) -> (Circuit.name circ pi, v)) pairs
         in
         match engine with
         | `Sat -> (
+          let v = view mt in
           match
-            Atpg.Cnf.justify_one ~conflict_limit:(10 * backtrack_limit)
-              ~deadline m out
+            Atpg.Cnf.justify ~conflict_limit:(10 * backtrack_limit) ~deadline
+              ~on_stall:(fun () -> sweep_proves ~deadline mt)
+              v ~cone:(Atpg.Cnf.cone v mt.out) ~pis mt.out
           with
           | Atpg.Cnf.Impossible -> Permissible
           | Atpg.Cnf.Justified a -> Not_permissible (assignment_names a)
           | Atpg.Cnf.Gave_up why -> gave_up_sat why)
         | `Podem -> (
-          match Atpg.Podem.justify_one ~backtrack_limit ~deadline m out with
+          match
+            Atpg.Podem.justify_one ~backtrack_limit ~deadline (materialize mt) mt.out
+          with
           | Atpg.Podem.Untestable -> Permissible
           | Atpg.Podem.Test a -> Not_permissible (assignment_names a)
           | Atpg.Podem.Aborted why -> gave_up_podem why)
         | `Bdd -> (
-          match Atpg.Bddcheck.justify_one m out with
+          match Atpg.Bddcheck.justify_one (materialize mt) mt.out with
           | Atpg.Bddcheck.Impossible -> Permissible
           | Atpg.Bddcheck.Justified a -> Not_permissible (assignment_names a)
           | Atpg.Bddcheck.Gave_up _ -> Gave_up { engine = "bdd"; limit = "nodes" })

@@ -5,9 +5,17 @@
     miter} duplicates only the cone the substitution actually changes —
     the target's transitive fanout — and XORs the affected primary
     outputs against their originals; every untouched gate is shared
-    between the two sides.  The miter output is then proved constant 0
-    (permissible) by exhaustive simulation when the circuit is narrow,
-    or by the CDCL SAT solver (or classic PODEM, for ablation). *)
+    between the two sides.  The miter is an overlay on the live circuit
+    (its new nodes take ids past the circuit's end), so a check costs
+    the miter's cone, never a copy of the circuit.  The miter output is
+    then proved constant 0 (permissible) by exhaustive simulation of
+    that cone when the circuit is narrow, or by the CDCL SAT solver (or
+    classic PODEM, for ablation).  A SAT search that reaches
+    {!Atpg.Sat.stall_conflicts} conflicts pauses for a SAT sweep
+    ({!Atpg.Sweep}) of the duplicated cone into the original: when
+    that folds the output to 0 the check is proved, otherwise the
+    search resumes untouched, so verdicts and counterexamples are those
+    of the search alone wherever it decides within its budget. *)
 
 type verdict =
   | Permissible
@@ -32,6 +40,17 @@ val permissible :
 (** Engine state and circuit are left untouched.  An already-expired
     [deadline] rejects immediately with [Gave_up] before building the
     miter; otherwise it is threaded into the SAT/PODEM search. *)
+
+val miter_clauses : Netlist.Circuit.t -> Subst.t -> (int array list * int) option
+(** The clauses and variable count of the miter the SAT engine solves
+    for the substitution (without the unit clause asserting its
+    output), or [None] when no primary output is affected.  Exposed so
+    tests can pin the encoding. *)
+
+val swept : Netlist.Circuit.t -> Subst.t -> bool
+(** Run the sweep a stalled SAT check runs, at once and whatever the
+    circuit's width: [true] iff it folds the miter output to constant
+    0, which proves the substitution permissible. *)
 
 type window_verdict =
   | W_proved

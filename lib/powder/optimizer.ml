@@ -837,9 +837,19 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
         Trace.with_span "generate" (fun () ->
             let cands, st =
               Candidates.generate_stats ~config:cand_config ?pool:dom_pool
-                ~store:!sigstore !est
+                ~store:!sigstore ~deadline:run_deadline !est
             in
             (Array.of_list cands, st))
+      in
+      (* a budget that expired inside generate left a partial pool:
+         the run stops on the budget without using it *)
+      let pool =
+        if Deadline.expired run_deadline then begin
+          Guard.count_error Guard.Budget_exhausted;
+          stopped_by := "run_budget";
+          [||]
+        end
+        else pool
       in
       f.sig_hits <- f.sig_hits + gen_stats.Candidates.pairs_hit;
       f.sig_filtered <- f.sig_filtered + gen_stats.Candidates.pairs_filtered;

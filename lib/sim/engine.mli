@@ -88,6 +88,10 @@ val set_value : t -> Netlist.Circuit.node_id -> int64 array -> unit
 val apply_gate_words : Logic.Tt.t -> int64 array array -> int64 array
 (** Bit-parallel evaluation of a cell function over signature words. *)
 
+val eval_cell_words : Logic.Tt.t -> int64 array array -> int64 array -> int -> unit
+(** [eval_cell_words f ins out w]: {!apply_gate_words} into [out], over
+    the first [w] words only. *)
+
 val recompute_with_pin_override :
   t -> sink:Netlist.Circuit.node_id -> pin:int -> int64 array -> unit
 (** Recompute [sink]'s words as if pin [pin] carried the given words

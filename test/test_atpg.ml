@@ -185,6 +185,35 @@ let prop_podem_agrees_with_exhaustive =
           | Podem.Aborted _ -> true (* inconclusive is acceptable *))
         (Fault.all_faults c))
 
+(* The swept miter (exhaustive_limit 0) against exhaustive simulation,
+   on one-gate mutants of random circuits: every mutant simulation
+   shows to differ comes back [Different] with a counterexample that
+   single-pattern evaluation confirms, and every other one is proved
+   [Equivalent]. *)
+let prop_swept_equiv_on_mutants =
+  QCheck.Test.make ~name:"swept equivalence = exhaustive on one-gate mutants" ~count:40
+    QCheck.(int_bound 99999)
+    (fun seed ->
+      let orig = Build.random_circuit ~seed ~n_pis:9 ~n_gates:40 in
+      let gates = Array.of_list (Circuit.live_gates orig) in
+      let cells2 =
+        Array.of_list
+          (List.filter (fun c -> Gatelib.Cell.arity c = 2) (Gatelib.Library.cells Build.lib))
+      in
+      let mut = Circuit.clone orig in
+      let g = gates.(seed mod Array.length gates) in
+      Circuit.set_cell mut g cells2.(seed mod Array.length cells2);
+      let exhaustive = Equiv.check orig mut in
+      match (exhaustive, Equiv.check ~exhaustive_limit:0 orig mut) with
+      | Equiv.Equivalent, Equiv.Equivalent -> true
+      | Equiv.Different _, Equiv.Different cex ->
+        let values c =
+          Sim.Engine.eval_single c
+            (List.map (fun pi -> List.assoc (Circuit.name c pi) cex) (Circuit.pis c))
+        in
+        values orig <> values mut
+      | _ -> false)
+
 let suite =
   [
     ( "atpg",
@@ -202,5 +231,6 @@ let suite =
         Alcotest.test_case "faultsim misses redundant" `Quick test_faultsim_redundant_undetected;
         Alcotest.test_case "random coverage" `Quick test_random_coverage_runs;
         QCheck_alcotest.to_alcotest prop_podem_agrees_with_exhaustive;
+        QCheck_alcotest.to_alcotest prop_swept_equiv_on_mutants;
       ] );
   ]

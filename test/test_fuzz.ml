@@ -332,6 +332,44 @@ let test_harness_catches_injected_fault () =
   | Error e -> Alcotest.failf "bundle did not replay: %s" e);
   Sys.remove path
 
+(* A failing metamorphic identity of candidate generation is a finding,
+   not a crash: the campaign classifies it, shrinks the witness and
+   writes a bundle that replays (while the identity still fails). *)
+let test_harness_classifies_identity_failure () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ()) "fuzz-identity-test"
+  in
+  Harness.inject_identity_fault ();
+  let r =
+    Fun.protect ~finally:Harness.clear_identity_fault (fun () ->
+        Harness.run
+          { Harness.default_config with
+            seed = 1L; cases = 1; budget_seconds = Some 45.0; out_dir = Some dir })
+  in
+  let f =
+    match
+      List.filter
+        (fun (f : Harness.failure) -> f.Harness.kind = "candidates_identity")
+        r.Harness.failures
+    with
+    | [ f ] -> f
+    | l -> Alcotest.failf "expected 1 candidates_identity, got %d" (List.length l)
+  in
+  Alcotest.(check bool) "shrunk" true (f.Harness.shrink_steps > 0);
+  let path =
+    match f.Harness.bundle_path with
+    | Some p -> p
+    | None -> Alcotest.fail "no bundle written"
+  in
+  Harness.inject_identity_fault ();
+  let replayed =
+    Fun.protect ~finally:Harness.clear_identity_fault (fun () -> Harness.replay path)
+  in
+  (match replayed with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "bundle did not replay: %s" e);
+  Sys.remove path
+
 let test_harness_budget_respected () =
   let t0 = Obs.Clock.now () in
   let r =
@@ -375,6 +413,8 @@ let suite =
           test_harness_clean_campaign;
         Alcotest.test_case "injected guard fault is caught, shrunk, replayable"
           `Quick test_harness_catches_injected_fault;
+        Alcotest.test_case "failed candidate identity is classified" `Quick
+          test_harness_classifies_identity_failure;
         Alcotest.test_case "campaign respects its budget" `Quick
           test_harness_budget_respected;
       ] );

@@ -189,6 +189,37 @@ let test_zero_run_budget_stops () =
   check_valid "after run" c;
   check_equiv "netlist untouched" original c
 
+(* A deep, narrow netlist: a 2-PI chain of XOR2 gates with an inverter
+   every third stage.  Every node falls into one of 16 signature
+   classes, so generate's scan is quadratic here and one round takes
+   many seconds; the run budget must hold inside it. *)
+let xor_inv_chain n =
+  let lib = Build.lib in
+  let c = Circuit.create lib in
+  let a = Circuit.add_pi c ~name:"a" and b = Circuit.add_pi c ~name:"b" in
+  let xor2 = Gatelib.Library.find lib "xor2" and inv = Gatelib.Library.inverter lib in
+  let prev = ref a in
+  for i = 1 to n do
+    prev :=
+      if i mod 3 = 0 then Circuit.add_cell c inv [| !prev |]
+      else Circuit.add_cell c xor2 [| !prev; (if i mod 2 = 0 then a else b) |]
+  done;
+  ignore (Circuit.add_po c ~name:"y" !prev);
+  c
+
+let test_run_budget_holds_in_generate () =
+  let c = xor_inv_chain 900 in
+  let config =
+    { Optimizer.default_config with max_rounds = 1; run_seconds = Some 1.0 }
+  in
+  let t0 = Obs.Clock.now () in
+  let report = Optimizer.optimize ~config c in
+  let elapsed = Obs.Clock.now () -. t0 in
+  Alcotest.(check string) "stopped by run budget" "run_budget"
+    report.Optimizer.stopped_by;
+  if elapsed >= 5.0 then Alcotest.failf "a 1 s budget ran %.1f s" elapsed;
+  check_valid "after run" c
+
 let test_tiny_proof_budget_gives_up () =
   (* conflict/backtrack budgets so small that exact checks cannot
      conclude: the optimizer must degrade gracefully — give-ups counted
@@ -454,6 +485,8 @@ let suite =
           test_zero_check_budget_degrades;
         Alcotest.test_case "zero run budget stops" `Quick
           test_zero_run_budget_stops;
+        Alcotest.test_case "run budget holds inside generate" `Quick
+          test_run_budget_holds_in_generate;
         Alcotest.test_case "tiny proof budget gives up" `Quick
           test_tiny_proof_budget_gives_up;
         Alcotest.test_case "checkpoint roundtrip" `Quick

@@ -299,6 +299,30 @@ let cps_trajectories =
     ("cbb91232afdc985e36451a4013fd7a3f", 276);
   ]
 
+(* The calls whose search reaches [Sat.stall_conflicts], where the
+   check pauses the solver and sweeps the miter: (call, conflicts
+   without the sweep, conflicts with it).  A proof by sweeping ends the
+   search early (calls 188 and 349, both UNSAT); a failed one resumes
+   it untouched and adds only the pair proofs' conflicts.  Every other
+   call, and every verdict and model, is pinned as it was before the
+   sweep existed: with the old counts put back, the total and the
+   digest are the pre-sweep ones. *)
+let cps_hooked_calls =
+  [
+    (26, 814, 1640);
+    (88, 776, 816);
+    (101, 776, 811);
+    (105, 799, 835);
+    (152, 634, 654);
+    (153, 379, 420);
+    (171, 635, 679);
+    (172, 374, 374);
+    (188, 839, 745);
+    (286, 816, 816);
+    (289, 809, 809);
+    (349, 383, 309);
+  ]
+
 let test_cps_trajectory () =
   let calls = cps_sat_calls () in
   Alcotest.(check int) "SAT calls" 400 (List.length calls);
@@ -309,12 +333,25 @@ let test_cps_trajectory () =
       Alcotest.(check string) (label ^ ": verdict and model") want_v v;
       Alcotest.(check int) (label ^ ": conflicts") want_c c)
     (List.combine cps_trajectories sampled);
+  let unswept =
+    List.mapi
+      (fun i (v, c) ->
+        match List.find_opt (fun (j, _, _) -> j = i) cps_hooked_calls with
+        | Some (_, before, after) ->
+          Alcotest.(check int) (Printf.sprintf "call %d: conflicts with the sweep" i) after c;
+          (v, before)
+        | None ->
+          if c >= Atpg.Sat.stall_conflicts then
+            Alcotest.failf "call %d reaches the stall point (%d conflicts) unnamed" i c;
+          (v, c))
+      calls
+  in
   Alcotest.(check int) "total conflicts" 41886
-    (List.fold_left (fun acc (_, c) -> acc + c) 0 calls);
+    (List.fold_left (fun acc (_, c) -> acc + c) 0 unswept);
   Alcotest.(check string) "digest of all calls" "97a4495fc27675cdb315df468f82edda"
     (Digest.to_hex
        (Digest.string
-          (String.concat ";" (List.map (fun (v, c) -> Printf.sprintf "%s/%d" v c) calls))))
+          (String.concat ";" (List.map (fun (v, c) -> Printf.sprintf "%s/%d" v c) unswept))))
 
 let suite =
   [
