@@ -371,8 +371,10 @@ let model s =
   done;
   Sat m
 
-(* The conflict count at which [solve] calls its [on_stall] hook, once. *)
-let stall_conflicts = 300
+(* The conflict count at which [solve] calls its [on_stall] hook, once:
+   the first conflict at a nonzero decision level, so a search that
+   propagation alone decides never pays for the hook. *)
+let stall_conflicts = 1
 
 let solve ?(conflict_limit = 200_000) ?(deadline = Obs.Deadline.never)
     ?(on_stall = fun () -> false) ~num_vars clauses =

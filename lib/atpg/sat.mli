@@ -40,7 +40,8 @@ val pp_give_up : Format.formatter -> give_up -> unit
 val lit_of : int -> bool -> int
 
 val stall_conflicts : int
-(** The conflict count at which {!solve} calls its [on_stall] hook. *)
+(** The conflict count at which {!solve} calls its [on_stall] hook: 1,
+    the first conflict at a nonzero decision level. *)
 
 val solve :
   ?conflict_limit:int ->

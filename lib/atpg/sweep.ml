@@ -29,6 +29,7 @@ type t = {
   npis : int;
   deadline : Obs.Deadline.t;
   m : metrics;
+  pair_budget : int;
   mutable words : int;
   mutable patterns : int64 array array;  (* per PI index *)
   mutable nodes : node array;
@@ -46,13 +47,14 @@ type t = {
   scratch_out : int64 array;
 }
 
-(* 512 random patterns, and at most 2,500 conflicts per pair proof:
-   enough on cps and synth:4000 for every proof the sweep needs (one
-   keep-initial cps miter of three new nodes needs more than 1,000). *)
+(* 512 random patterns, and by default at most 2,500 conflicts per pair
+   proof: enough on cps and synth:4000 for every proof an equivalence
+   sweep needs. *)
 let random_words = 8
-let pair_budget = 2500
+let default_pair_budget = 2500
 
-let create ?(deadline = Obs.Deadline.never) ~npis m =
+let create ?(deadline = Obs.Deadline.never) ?(pair_budget = default_pair_budget)
+    ~npis m =
   let rng = Sim.Rng.create 0x5EEDL in
   let patterns = Array.init npis (fun _ -> Array.make (random_words + 1) 0L) in
   for j = 0 to random_words - 1 do
@@ -64,6 +66,7 @@ let create ?(deadline = Obs.Deadline.never) ~npis m =
     npis;
     deadline;
     m;
+    pair_budget;
     words = random_words + 1;
     patterns;
     nodes = Array.make 64 (Const false);
@@ -270,7 +273,7 @@ let prove_equal g a b =
   else begin
     Obs.Metrics.incr g.m.pair_proofs;
     match
-      solve g ~conflict_limit:pair_budget [ a; b ] (fun lit ->
+      solve g ~conflict_limit:g.pair_budget [ a; b ] (fun lit ->
           [ [| lit a; lit b |]; [| lit a lxor 1; lit b lxor 1 |] ])
     with
     | `Unsat -> `Equal

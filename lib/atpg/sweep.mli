@@ -32,10 +32,12 @@ val metrics : string -> metrics
 
 type t
 
-val create : ?deadline:Obs.Deadline.t -> npis:int -> metrics -> t
+val create :
+  ?deadline:Obs.Deadline.t -> ?pair_budget:int -> npis:int -> metrics -> t
 (** An empty graph over [npis] inputs, simulated on 512 fixed random
     patterns plus the counterexamples of failed pair proofs.  Each pair
-    proof may spend 2,500 conflicts; none starts after [deadline]. *)
+    proof may spend [pair_budget] conflicts (default 2,500); none
+    starts after [deadline]. *)
 
 val num_nodes : t -> int
 

@@ -56,7 +56,7 @@ let m_is3_candidates = Obs.Metrics.counter "is3/candidates"
 type target_info = {
   target : Subst.target;
   a : Circuit.node_id;         (* substituted signal *)
-  care : int64 array;          (* folded: base words @ cex words *)
+  care : int array;            (* folded care row, packed (Bits.pack_words) *)
   root : Circuit.node_id option;
       (* cone root: sources in TFO(root) + root risk a cycle *)
 }
@@ -68,7 +68,7 @@ let stem_targets circ store =
       else
         Some
           { target = Subst.Stem id; a = id;
-            care = Sigstore.stem_obs store id; root = Some id })
+            care = Bits.pack_words (Sigstore.stem_obs store id); root = Some id })
     (Circuit.live_gates circ)
 
 let is_signal_node circ id =
@@ -79,13 +79,14 @@ let is_signal_node circ id =
   | Circuit.Const _ | Circuit.Po _ -> false
 
 let branch_targets circ store =
+  let buf = Sigstore.branch_buf store in
   let out = ref [] in
   Circuit.iter_live circ (fun id ->
       if is_signal_node circ id && Circuit.num_fanouts circ id >= 2 then
         List.iter
           (fun p ->
             let sink = p.Circuit.sink and pin = p.Circuit.pin_index in
-            let care = Sigstore.branch_obs store ~sink ~pin in
+            let care = Sigstore.packed_branch_obs store buf ~sink ~pin in
             let root = if Circuit.is_po_node circ sink then None else Some sink in
             out := { target = Subst.Branch { sink; pin }; a = id; care; root } :: !out)
           (Circuit.fanouts circ id));
@@ -125,11 +126,6 @@ let span_targets_branch = "targets/branch-obs"
 let span_scan = "generate/scan"
 let span_select = "generate/select"
 
-(* Runs a scan stage inline, without a span: [scan_target] may execute
-   in a pool task, where an opened span would surface at the root of
-   the merged profile tree and make it depend on [--jobs]. *)
-let unspanned f = f ()
-
 (* ------------------------------------------------------------------ *)
 (* Per-target scans over a frozen store.  Pure reads of store/circuit/
    estimator, so safe to fan out across pool tasks.                    *)
@@ -149,24 +145,26 @@ let minpool_create limit =
   { ds = Array.make limit max_int; ps = Array.make limit max_int; limit;
     n = 0 }
 
-let minpool_insert mp d p =
-  let enters =
-    mp.n < mp.limit
-    || d < mp.ds.(mp.limit - 1)
-    || (d = mp.ds.(mp.limit - 1) && p < mp.ps.(mp.limit - 1))
-  in
-  if enters then begin
-    let i = ref (min mp.n (mp.limit - 1)) in
-    while !i > 0 && (mp.ds.(!i - 1) > d || (mp.ds.(!i - 1) = d && mp.ps.(!i - 1) > p))
-    do
-      mp.ds.(!i) <- mp.ds.(!i - 1);
-      mp.ps.(!i) <- mp.ps.(!i - 1);
-      decr i
-    done;
-    mp.ds.(!i) <- d;
-    mp.ps.(!i) <- p;
-    if mp.n < mp.limit then mp.n <- mp.n + 1
-  end
+(* [minpool_insert] would place [(d, p)]: split out so a hot loop can
+   test it inline before paying for the call. *)
+let[@inline] minpool_enters mp d p =
+  mp.n < mp.limit
+  || d < mp.ds.(mp.limit - 1)
+  || (d = mp.ds.(mp.limit - 1) && p < mp.ps.(mp.limit - 1))
+
+let minpool_place mp d p =
+  let i = ref (min mp.n (mp.limit - 1)) in
+  while !i > 0 && (mp.ds.(!i - 1) > d || (mp.ds.(!i - 1) = d && mp.ps.(!i - 1) > p))
+  do
+    mp.ds.(!i) <- mp.ds.(!i - 1);
+    mp.ps.(!i) <- mp.ps.(!i - 1);
+    decr i
+  done;
+  mp.ds.(!i) <- d;
+  mp.ps.(!i) <- p;
+  if mp.n < mp.limit then mp.n <- mp.n + 1
+
+let minpool_insert mp d p = if minpool_enters mp d p then minpool_place mp d p
 
 (* Cycle-risk marks for one scan chunk: [stamp.(id) = epoch] iff [id]
    lies in the current target's TFO(root) + root, and [cone.(0 .. size)]
@@ -186,34 +184,72 @@ let marks_create circ =
   let n = Circuit.num_nodes circ in
   { stamp = Array.make n 0; cone = Array.make n 0; size = 0; epoch = 0 }
 
+(* The store's arrays the per-target loops read, fetched once per
+   generate and shared read-only by its scans.  The dev build passes
+   [-opaque], so an accessor call in another module is never inlined:
+   in a loop over classes or members the calls would cost more than
+   the work. *)
+type view = {
+  signals : int array;          (* position -> node id *)
+  pos : int array;              (* node id -> position, or -1 *)
+  compl : bool array;           (* position -> complemented wrt its canon *)
+  cls_of : int array;           (* position -> class *)
+  members : int array array;    (* class -> positions, ascending *)
+  tp : float array;             (* node id -> transition probability *)
+}
+
+let view_create circ store est =
+  let signals = Sigstore.signals store in
+  let pos = Array.make (Circuit.num_nodes circ) (-1) in
+  let tp = Array.make (Circuit.num_nodes circ) 0.0 in
+  Array.iteri
+    (fun p id ->
+      pos.(id) <- p;
+      tp.(id) <- Estimator.transition_prob est id)
+    signals;
+  { signals; pos; tp; compl = Sigstore.complemented store;
+    cls_of = Array.init (Array.length signals) (Sigstore.class_of store);
+    members = Array.init (Sigstore.num_classes store) (Sigstore.class_members store) }
+
+(* Enqueues the unmarked live sinks of [fanouts]; returns [cnt] plus
+   the store signals among them. *)
+let rec mark_sinks circ v mk e cnt = function
+  | [] -> cnt
+  | p :: rest ->
+    let s = p.Circuit.sink in
+    if mk.stamp.(s) <> e && Circuit.is_live circ s then begin
+      mk.stamp.(s) <- e;
+      mk.cone.(mk.size) <- s;
+      mk.size <- mk.size + 1;
+      let cnt = if v.pos.(s) >= 0 then cnt + 1 else cnt in
+      mark_sinks circ v mk e cnt rest
+    end
+    else mark_sinks circ v mk e cnt rest
+
 (* Stamps TFO(root) + root (nothing when [root] is [None]) and returns
    how many store signals it stamped. *)
-let mark_cone circ store mk root =
+let mark_cone circ v mk root =
   mk.epoch <- mk.epoch + 1;
   mk.size <- 0;
   match root with
   | None -> 0
   | Some r ->
     let e = mk.epoch in
-    let signal id = if Sigstore.position store id >= 0 then 1 else 0 in
     mk.stamp.(r) <- e;
     mk.cone.(0) <- r;
     mk.size <- 1;
-    let head = ref 0 and cnt = ref (signal r) in
+    let head = ref 0 in
+    let cnt = ref (if v.pos.(r) >= 0 then 1 else 0) in
     while !head < mk.size do
-      List.iter
-        (fun p ->
-          let s = p.Circuit.sink in
-          if mk.stamp.(s) <> e && Circuit.is_live circ s then begin
-            mk.stamp.(s) <- e;
-            cnt := !cnt + signal s;
-            mk.cone.(mk.size) <- s;
-            mk.size <- mk.size + 1
-          end)
-        (Circuit.fanouts circ mk.cone.(!head));
+      cnt := mark_sinks circ v mk e !cnt (Circuit.fanouts circ mk.cone.(!head));
       incr head
     done;
     !cnt
+
+(* A store position may stand in for the target's signal [p_a]: it is
+   neither [p_a] nor marked in the target's cone. *)
+let[@inline] eligible mk signals p_a p =
+  p <> p_a && mk.stamp.(Array.unsafe_get signals p) <> mk.epoch
 
 (* ------------------------------------------------------------------ *)
 (* Bit-sliced 3-signal pool kernel over {!Sigstore.lanes}: one word    *)
@@ -250,8 +286,8 @@ let lane_scratch_create store =
     lt_m = mk w; taint = mk w; tainted = mk nc; ntainted = 0 }
 
 (* Marks the class of store position [p] tainted (once). *)
-let taint_class ls store p =
-  let c = Sigstore.class_of store p in
+let taint_class ls v p =
+  let c = v.cls_of.(p) in
   let w = c / 62 and bit = 1 lsl (c mod 62) in
   if ls.taint.(w) land bit = 0 then begin
     ls.taint.(w) <- ls.taint.(w) lor bit;
@@ -360,13 +396,16 @@ let complement_lanes ls covered nw w =
 
 (* Radix select, most significant plane first, over the [sides] sides
    in [sel_p]/[sel_m]: finds [T], their [rank]-th smallest key, and
-   leaves in [lt_*] lor [sel_*] the sides whose key is at most [T] —
-   all of them when [sides <= rank].  Keys are below [2^nb]. *)
+   leaves in [lt_*] the sides whose key is below [T] and in [sel_*]
+   those whose key is [T], and returns [T] — or leaves every side in
+   [sel_*] and returns [-1] when [sides <= rank].  Keys are below
+   [2^nb]. *)
 let select_lanes ls nw nb rank sides =
   Array.fill ls.lt_p 0 nw 0;
   Array.fill ls.lt_m 0 nw 0;
-  if sides > rank then begin
-    let need = ref rank in
+  if sides <= rank then -1
+  else begin
+    let need = ref rank and t = ref 0 in
     for k = nb - 1 downto 0 do
       let o = k * nw in
       let zeros = ref 0 in
@@ -389,6 +428,7 @@ let select_lanes ls nw nb rank sides =
       else begin
         (* T's bit k is 1: the sides with a 0 there are below T *)
         need := !need - !zeros;
+        t := !t lor (1 lsl k);
         for w = 0 to nw - 1 do
           let sp = Array.unsafe_get ls.sel_p w and dp = Array.unsafe_get ls.dpl (o + w) in
           let sm = Array.unsafe_get ls.sel_m w and dm = Array.unsafe_get ls.mpl (o + w) in
@@ -398,7 +438,8 @@ let select_lanes ls nw nb rank sides =
           Array.unsafe_set ls.sel_m w (sm land dm)
         done
       end
-    done
+    done;
+    !t
   end
 
 (* d of lane [l] in lane-word [w], read back from its planes *)
@@ -452,6 +493,28 @@ let lane_count ~store ls ~isig ~icare ~nzh ~lp ~covered =
   while covered lsr !b <> 0 do incr b done;
   !b
 
+(* Offers [mp] the members of class [c], whose canon's key is [d] (a
+   complemented member's is [covered - d]): every member of a [clean]
+   class, the eligible ones of a tainted class.  A class none of whose
+   members can enter a full pool (its smaller side key exceeds the
+   worst entry's, or ties it from higher positions) is skipped. *)
+let feed_class v mk mp ~p_a ~covered ~clean c d =
+  let members = v.members.(c) in
+  let low = min d (covered - d) in
+  if
+    mp.n < mp.limit
+    || low < mp.ds.(mp.limit - 1)
+    || (low = mp.ds.(mp.limit - 1) && members.(0) < mp.ps.(mp.limit - 1))
+  then begin
+    for j = 0 to Array.length members - 1 do
+      let p = Array.unsafe_get members j in
+      if clean || eligible mk v.signals p_a p then begin
+        let key = if Array.unsafe_get v.compl p then covered - d else d in
+        if minpool_enters mp key p then minpool_place mp key p
+      end
+    done
+  end
+
 (* Feeds [mp] the 3-signal pool of one target from its lane count (see
    [lane_count]), given [a]'s position [p_a] and its cone in [mk].  A
    complemented member's key is [covered - d].  A class is tainted when
@@ -463,14 +526,14 @@ let lane_count ~store ls ~isig ~icare ~nzh ~lp ~covered =
    every tainted class: a superset of the members with a key <= [T].
    The pool keeps the lexicographic minimum of whatever it is fed, so
    it ends up exactly the global one, in a single pass. *)
-let lane_pool ~store ~eligible ls mk mp ~p_a ~nb ~covered =
+let lane_pool ~store v ls mk mp ~p_a ~nb ~covered =
   let lv = Sigstore.lanes store in
   let nw = lv.Sigstore.lane_words in
   ls.ntainted <- 0;
-  taint_class ls store p_a;
+  taint_class ls v p_a;
   for j = 0 to mk.size - 1 do
-    let p = Sigstore.position store mk.cone.(j) in
-    if p >= 0 then taint_class ls store p
+    let p = v.pos.(mk.cone.(j)) in
+    if p >= 0 then taint_class ls v p
   done;
   Obs.Metrics.add m_pool_tainted ls.ntainted;
   let sides = ref 0 in
@@ -480,24 +543,35 @@ let lane_pool ~store ~eligible ls mk mp ~p_a ~nb ~covered =
     ls.sel_m.(w) <- lv.Sigstore.minus.(w) land clean;
     sides := !sides + popcount62 ls.sel_p.(w) + popcount62 ls.sel_m.(w)
   done;
-  select_lanes ls nw nb mp.limit !sides;
-  let compl = Sigstore.complemented store in
+  let t = select_lanes ls nw nb mp.limit !sides in
+  (* The classes with a side below [T] first, then those whose nearer
+     side ties it, with [d] read off [T]: once the pool's worst key is
+     below [T], no tie can enter and the rest are only counted. *)
   let collected = ref 0 in
-  let feed c d =
-    let members = Sigstore.class_members store c in
-    for j = 0 to Array.length members - 1 do
-      let p = Array.unsafe_get members j in
-      if eligible p then
-        minpool_insert mp (if Array.unsafe_get compl p then covered - d else d) p
-    done
-  in
   for w = 0 to nw - 1 do
-    let m = ref (ls.lt_p.(w) lor ls.sel_p.(w) lor ls.lt_m.(w) lor ls.sel_m.(w)) in
+    let m = ref (ls.lt_p.(w) lor ls.lt_m.(w)) in
+    collected := !collected + popcount62 !m;
     while !m <> 0 do
       let low = !m land (- !m) in
       let l = bit_index low in
-      feed ((62 * w) + l) (lane_key ls nw nb w l);
-      incr collected;
+      feed_class v mk mp ~p_a ~covered ~clean:true ((62 * w) + l)
+        (lane_key ls nw nb w l);
+      m := !m lxor low
+    done
+  done;
+  for w = 0 to nw - 1 do
+    let lt = ls.lt_p.(w) lor ls.lt_m.(w) in
+    let m = ref ((ls.sel_p.(w) lor ls.sel_m.(w)) land lnot lt) in
+    collected := !collected + popcount62 !m;
+    while !m <> 0 && not (t >= 0 && mp.n = mp.limit && mp.ds.(mp.limit - 1) < t) do
+      let low = !m land (- !m) in
+      let l = bit_index low in
+      let d =
+        if t < 0 then lane_key ls nw nb w l
+        else if ls.sel_p.(w) land low <> 0 then t
+        else covered - t
+      in
+      feed_class v mk mp ~p_a ~covered ~clean:true ((62 * w) + l) d;
       m := !m lxor low
     done
   done;
@@ -508,7 +582,7 @@ let lane_pool ~store ~eligible ls mk mp ~p_a ~nb ~covered =
     ls.taint.(c / 62) <- 0;
     let d = lane_key ls nw nb (c / 62) (c mod 62) in
     if mp.n < mp.limit || min d (covered - d) <= mp.ds.(mp.limit - 1) then begin
-      feed c d;
+      feed_class v mk mp ~p_a ~covered ~clean:false c d;
       incr collected
     end
   done;
@@ -521,14 +595,123 @@ let[@inline] swap_inputs s = s land 9 lor ((s land 2) lsl 1) lor ((s land 4) lsr
 
 let m_gain_ab = Obs.Metrics.counter "sig/gain_ab"
 
-let scan_target ~config ~store ~est ~cells ~by_density mk ls ti =
-  let want k = List.mem k config.classes in
-  let signals = Sigstore.signals store in
+(* Everything one target's scan writes besides its candidates, reused
+   across the targets of a scan chunk like [marks] and never shared
+   between pool tasks.  Each target overwrites what it reads:
+   [prepare_care] points [icare] at its care row and sets
+   [nzh.(0 .. nh)] and [pcnt.(0 .. nh)]; the pool sets
+   [rows.(0 .. npool * nh)], [self2.(0 .. npool)] and [f1]/[f0.(0 .. nh)];
+   no read goes past those bounds, so nothing an earlier target left
+   behind is ever seen. *)
+type scratch = {
+  mk : marks;
+  ls : lane_scratch;
+  mp : minpool;
+  mutable icare : int array; (* the target's packed care row *)
+  nzh : int array;    (* limbs with nonzero care, densest first *)
+  pcnt : int array;   (* [pcnt.(k)]: care positions in limb [nzh.(k)] *)
+  mutable nh : int;   (* how many limbs [nzh] lists *)
+  rows : int array;   (* pool member [i]'s row over [nzh], at [i * nh] *)
+  self2 : bool array; (* pool member [i] agrees with [a] on all the care *)
+  f1 : int array;     (* over [nzh]: the care positions where [a] is 1 *)
+  f0 : int array;     (*   and those where it is 0 *)
+}
+
+let scratch_create ~config ~limbs circ store =
+  let pl = max 0 config.pool_limit in
+  let ints n = Array.make n 0 in
+  { mk = marks_create circ; ls = lane_scratch_create store;
+    mp = minpool_create pl; icare = [||]; nzh = ints limbs;
+    pcnt = ints limbs; nh = 0; rows = ints (pl * limbs);
+    self2 = Array.make pl false; f1 = ints limbs; f0 = ints limbs }
+
+(* Points [sc] at [ti]'s care row and lists its nonzero limbs in [nzh],
+   densest first, index ascending on ties (insertion sort: a row has
+   about 20 limbs).  Returns the care population. *)
+let prepare_care sc ti =
+  sc.icare <- ti.care;
+  let nh = ref 0 and pop = ref 0 in
+  for h = 0 to Array.length ti.care - 1 do
+    let x = sc.icare.(h) in
+    if x <> 0 then begin
+      let w = popcount62 x in
+      pop := !pop + w;
+      let j = ref !nh in
+      while !j > 0 && sc.pcnt.(!j - 1) < w do
+        sc.nzh.(!j) <- sc.nzh.(!j - 1);
+        sc.pcnt.(!j) <- sc.pcnt.(!j - 1);
+        decr j
+      done;
+      sc.nzh.(!j) <- h;
+      sc.pcnt.(!j) <- w;
+      incr nh
+    end
+  done;
+  sc.nh <- !nh;
+  !pop
+
+(* Single pass deciding both polarities of the row [irow] (at [off]
+   within its array) against the target's [isig] over the limbs
+   [nzh.(from ..)]: bit [eq_bit] iff they agree on every care position
+   there, bit [cq_bit] iff they disagree on every one; only the bits of
+   [r0] are decided.  An int, not a pair, so it allocates nothing. *)
+let eq_bit = 1
+let cq_bit = 2
+
+let eq_and_compl sc isig r0 from irow off =
+  let nzh = sc.nzh and icare = sc.icare and nh = sc.nh in
+  let r = ref r0 and k = ref from in
+  while !r <> 0 && !k < nh do
+    let i = Array.unsafe_get nzh !k in
+    let m = Array.unsafe_get icare i in
+    let x = (Array.unsafe_get isig i lxor Array.unsafe_get irow (off + i)) land m in
+    if x <> 0 then r := !r land lnot eq_bit;
+    if x <> m then r := !r land lnot cq_bit;
+    incr k
+  done;
+  !r
+
+(* disagreements of [irow] with [isig] on the care prefix [nzh.(0 .. lp)] *)
+let hamming_prefix sc isig lp irow =
+  let d = ref 0 in
+  for k = 0 to lp - 1 do
+    let i = Array.unsafe_get sc.nzh k in
+    d :=
+      !d
+      + popcount62
+          ((Array.unsafe_get isig i lxor Array.unsafe_get irow i)
+          land Array.unsafe_get sc.icare i)
+  done;
+  !d
+
+(* Compresses the pool's rows to the care limbs [nzh] into [sc.rows],
+   deciding [self2] on the way, and the target's required outputs into
+   [f1]/[f0]. *)
+let load_pool store sc isig =
+  let mp = sc.mp and nh = sc.nh and nzh = sc.nzh and icare = sc.icare in
+  for i = 0 to mp.n - 1 do
+    let row = Sigstore.irow store mp.ps.(i) and base = i * nh in
+    let miss = ref 0 in
+    for k = 0 to nh - 1 do
+      let h = Array.unsafe_get nzh k in
+      let x = Array.unsafe_get row h in
+      Array.unsafe_set sc.rows (base + k) x;
+      miss := !miss lor ((Array.unsafe_get isig h lxor x) land Array.unsafe_get icare h)
+    done;
+    sc.self2.(i) <- !miss = 0
+  done;
+  for k = 0 to nh - 1 do
+    let h = nzh.(k) in
+    sc.f1.(k) <- isig.(h) land icare.(h);
+    sc.f0.(k) <- (isig.(h) lxor Bits.limb_mask) land icare.(h)
+  done
+
+let scan_target ~config ~store ~est ~cells ~by_density v sc ti =
+  let signals = v.signals in
   let nsig = Array.length signals in
-  let compl = Sigstore.complemented store in
-  let p_a = Sigstore.position store ti.a in
+  let compl = v.compl in
+  let p_a = v.pos.(ti.a) in
   assert (p_a >= 0);
-  let care = ti.care in
   (* All hot loops below run on the store's packed rows ([Sigstore.irow]
      / [class_icanon]): 62-bit limbs in native ints, so xor / and /
      popcount never box.  They walk [nzh] — the limb indices whose care
@@ -538,35 +721,7 @@ let scan_target ~config ~store ~est ~cells ~by_density mk ls ti =
      the pool's abort bounds) grow as fast as possible.  Any fixed
      order yields the same results, so this is pure speed. *)
   let isig = Sigstore.irow store p_a in
-  let icare = Bits.pack_words care in
-  let nzh =
-    let idx = ref [] in
-    for h = Array.length icare - 1 downto 0 do
-      if icare.(h) <> 0 then idx := h :: !idx
-    done;
-    let a = Array.of_list !idx in
-    (* densest care first, index ascending on ties; the arrays are
-       ~20 limbs, so insertion sort on plain ints beats a polymorphic
-       sort on key tuples *)
-    let pc = Array.map (fun h -> Bits.popcount62 icare.(h)) a in
-    for i = 1 to Array.length a - 1 do
-      let h = a.(i) and w = pc.(i) in
-      let j = ref i in
-      while !j > 0 && (pc.(!j - 1) < w || (pc.(!j - 1) = w && a.(!j - 1) > h))
-      do
-        a.(!j) <- a.(!j - 1);
-        pc.(!j) <- pc.(!j - 1);
-        decr j
-      done;
-      a.(!j) <- h;
-      pc.(!j) <- w
-    done;
-    a
-  in
-  let nh = Array.length nzh in
-  let care_pop =
-    Array.fold_left (fun a i -> a + Bits.popcount62 icare.(i)) 0 nzh
-  in
+  let care_pop = prepare_care sc ti in
   (* The care prefix both Hash stages read off one lane count, and the
      pool ranks on: the densest care limbs covering at least
      [pool_rank_bits] care positions (all of them when the care set is
@@ -576,62 +731,14 @@ let scan_target ~config ~store ~est ~cells ~by_density mk ls ti =
   let lp, covered =
     let lp = ref 0 and covered = ref 0 in
     while !covered < min pool_rank_bits care_pop do
-      covered := !covered + Bits.popcount62 icare.(nzh.(!lp));
+      covered := !covered + sc.pcnt.(!lp);
       incr lp
     done;
     (!lp, !covered)
   in
-  (* single pass deciding both polarities over the limbs [nzh.(from ..)]:
-     bit [eq_bit] ⟺ rows agree on every care position there, bit
-     [cq_bit] ⟺ they disagree on every one; only the bits of [r0] are
-     decided.  [off] lets the row live inside a flat concatenation
-     ({!Sigstore.icanon_flat}).  Returns an int, not a pair, so the
-     per-class call allocates nothing. *)
-  let eq_bit = 1 and cq_bit = 2 in
-  let eq_and_compl r0 from irow off =
-    let r = ref r0 in
-    let k = ref from in
-    while !r <> 0 && !k < nh do
-      let i = Array.unsafe_get nzh !k in
-      let m = Array.unsafe_get icare i in
-      let x =
-        (Array.unsafe_get isig i lxor Array.unsafe_get irow (off + i))
-        land m
-      in
-      if x <> 0 then r := !r land lnot eq_bit;
-      if x <> m then r := !r land lnot cq_bit;
-      incr k
-    done;
-    !r
-  in
-  let eq_only irow =
-    let rec go k =
-      k >= nh
-      ||
-      let i = Array.unsafe_get nzh k in
-      (Array.unsafe_get isig i lxor Array.unsafe_get irow i)
-      land Array.unsafe_get icare i
-      = 0
-      && go (k + 1)
-    in
-    go 0
-  in
-  let hamming_prefix irow =
-    let d = ref 0 in
-    for k = 0 to lp - 1 do
-      let i = Array.unsafe_get nzh k in
-      d :=
-        !d
-        + Bits.popcount62
-            ((Array.unsafe_get isig i lxor Array.unsafe_get irow i)
-            land Array.unsafe_get icare i)
-    done;
-    !d
-  in
+  let mk = sc.mk and ls = sc.ls in
   let circ = Estimator.circuit est in
-  let forbidden_signals = mark_cone circ store mk ti.root in
-  let forbidden id = mk.stamp.(id) = mk.epoch in
-  let eligible p = p <> p_a && not (forbidden (Array.unsafe_get signals p)) in
+  let forbidden_signals = mark_cone circ v mk ti.root in
   (* Every substitution against the same stem shares Dom(a); compute it
      at most once per target; [gain_ab] mutates the mask in place and
      restores it before returning. *)
@@ -722,49 +829,52 @@ let scan_target ~config ~store ~est ~cells ~by_density mk ls ti =
     | (_, g) :: _ when !nkept >= k -> Subst.total_gain g
     | _ -> Float.neg_infinity
   in
-  (* [total_gain <= bound - cost] for the source's PG_B cost (see
+  (* [total_gain <= bound - cost] for a source's PG_B cost [eb] (see
      [pos_bound]): the source is skipped when that bound cannot clear
      the positive-gain margin, or cannot reach the bar and so could only
      land behind [per_target] better candidates.  Monotone in the cost,
-     and [bar ()] only rises. *)
-  let skips subst =
+     and [bar ()] only rises.  Decided before the substitution is built,
+     so a skipped source allocates nothing. *)
+  let signal_skipped b =
     config.require_positive
     &&
     let moved, bound = Lazy.force pos_bound in
+    let eb = moved *. v.tp.(b) in
+    eb >= bound || bound -. eb < bar ()
+  in
+  let gate_skipped (c : Cell.t) b d =
+    config.require_positive
+    &&
+    let _, bound = Lazy.force pos_bound in
     let eb =
-      match subst.Subst.source with
-      | Subst.Signal b | Subst.Inverted b ->
-        moved *. Estimator.transition_prob est b
-      | Subst.Gate2 (c, b, d) ->
-        (c.Cell.pin_caps.(0) *. Estimator.transition_prob est b)
-        +. (c.Cell.pin_caps.(1) *. Estimator.transition_prob est d)
+      (c.Cell.pin_caps.(0) *. v.tp.(b)) +. (c.Cell.pin_caps.(1) *. v.tp.(d))
     in
     eb >= bound || bound -. eb < bar ()
   in
   let gain_abs = ref 0 in
-  let admit subst =
+  let admit source =
     incr gain_abs;
+    let subst = { Subst.target = ti.target; source } in
     let g = Subst.gain_ab ?dom:(Option.map Lazy.force dom) est subst in
     if (not config.require_positive) || Subst.total_gain g > margin then
       keep (subst, g)
   in
-  let consider subst = if k > 0 && not (skips subst) then admit subst in
   let two_signal_wanted =
     match ti.target with
-    | Subst.Stem _ -> want Subst.Os2
-    | Subst.Branch _ -> want Subst.Is2
+    | Subst.Stem _ -> List.mem Subst.Os2 config.classes
+    | Subst.Branch _ -> List.mem Subst.Is2 config.classes
   in
   let pool_wanted =
     (match ti.target with
-    | Subst.Stem _ -> want Subst.Os3
-    | Subst.Branch _ -> want Subst.Is3)
+    | Subst.Stem _ -> List.mem Subst.Os3 config.classes
+    | Subst.Branch _ -> List.mem Subst.Is3 config.classes)
     && Array.length cells > 0 && config.pool_limit > 0
   in
   (* #{p <> p_a : not forbidden}: every store signal, minus the ones in
      the forbidden set, minus [a] itself when it is not already there
      (stems mark themselves forbidden; branch drivers never are). *)
   let n_eligible =
-    nsig - forbidden_signals - (if forbidden ti.a then 0 else 1)
+    nsig - forbidden_signals - (if mk.stamp.(ti.a) = mk.epoch then 0 else 1)
   in
   (* Full care: masked equality is exact row equality, so the only
      class that can match (either polarity — classes unify complements)
@@ -775,205 +885,202 @@ let scan_target ~config ~store ~est ~cells ~by_density mk ls ti =
   let hash = config.index = Hash in
   let nb =
     if hash && ((two_signal_wanted && not (full_care || flood)) || pool_wanted)
-    then lane_count ~store ls ~isig ~icare ~nzh ~lp ~covered
+    then lane_count ~store ls ~isig ~icare:sc.icare ~nzh:sc.nzh ~lp ~covered
     else 0
   in
   let ti_is3 = ref 0 in
   let hits2 = ref 0 in
-  if two_signal_wanted then
-    unspanned (fun () ->
-        let emit p ~direct ~inv =
+  (* The stages below run inline, without spans: [scan_target] may
+     execute in a pool task, where an opened span would surface at the
+     root of the merged profile tree and make it depend on [--jobs]. *)
+  if two_signal_wanted then begin
+    let emit p ~direct ~inv =
+      let b = Array.unsafe_get signals p in
+      if direct then begin
+        incr hits2;
+        if k > 0 && not (signal_skipped b) then admit (Subst.Signal b)
+      end;
+      if inv then begin
+        incr hits2;
+        if k > 0 && not (signal_skipped b) then admit (Subst.Inverted b)
+      end
+    in
+    if not hash then
+      (* reference path: test every signal row individually *)
+      for p = 0 to nsig - 1 do
+        if eligible mk signals p_a p then begin
+          let r = eq_and_compl sc isig (eq_bit lor cq_bit) 0 (Sigstore.irow store p) 0 in
+          emit p ~direct:(r land eq_bit <> 0) ~inv:(r land cq_bit <> 0)
+        end
+      done
+    else if full_care then begin
+      (* every other class is decided without a row test, which is
+         what keeps fully observable targets O(|class|) *)
+      let tf = compl.(p_a) in
+      let members = v.members.(v.cls_of.(p_a)) in
+      for j = 0 to Array.length members - 1 do
+        let p = members.(j) in
+        if eligible mk signals p_a p then begin
+          let f = compl.(p) in
+          emit p ~direct:(f = tf) ~inv:(f <> tf)
+        end
+      done
+    end
+    else if flood then begin
+      (* Every hit counts, but a source is only worth a [gain_ab]
+         while it clears the skip test, which is monotone in E(b): walk
+         the eligible signals by ascending density and stop at the
+         first skipped source — every later one is skipped too. *)
+      hits2 := 2 * n_eligible;
+      let stopped = ref (k <= 0) and i = ref 0 in
+      while (not !stopped) && !i < nsig do
+        let p = Array.unsafe_get by_density !i in
+        if eligible mk signals p_a p then begin
           let b = Array.unsafe_get signals p in
-          if direct then begin
-            incr hits2;
-            consider { Subst.target = ti.target; source = Subst.Signal b }
-          end;
-          if inv then begin
-            incr hits2;
-            consider { Subst.target = ti.target; source = Subst.Inverted b }
+          if signal_skipped b then stopped := true
+          else begin
+            admit (Subst.Signal b);
+            if signal_skipped b then stopped := true else admit (Subst.Inverted b)
           end
-        in
-        if not hash then
-          (* reference path: test every signal row individually *)
-          for p = 0 to nsig - 1 do
-            if eligible p then begin
-              let r = eq_and_compl (eq_bit lor cq_bit) 0 (Sigstore.irow store p) 0 in
-              emit p ~direct:(r land eq_bit <> 0) ~inv:(r land cq_bit <> 0)
-            end
-          done
-        else if full_care then begin
-          (* every other class is decided without a row test, which is
-             what keeps fully observable targets O(|class|) *)
-          let tf = compl.(p_a) in
-          Array.iter
-            (fun p ->
-              if eligible p then begin
-                let f = compl.(p) in
-                emit p ~direct:(f = tf) ~inv:(f <> tf)
-              end)
-            (Sigstore.class_members store (Sigstore.class_of store p_a))
-        end
-        else if flood then begin
-          (* Every hit counts, but a source is only worth a [gain_ab]
-             while it clears [skips], which is monotone in E(b): walk
-             the eligible signals by ascending density and stop at the
-             first skipped source — every later one is skipped too. *)
-          hits2 := 2 * n_eligible;
-          let stopped = ref (k <= 0) and i = ref 0 in
-          let try_source source =
-            let subst = { Subst.target = ti.target; source } in
-            if skips subst then stopped := true else admit subst
+        end;
+        incr i
+      done
+    end
+    else begin
+      (* class path: a class can only match where the lane count
+         reads [d = 0] on the prefix (canon agrees everywhere) or
+         [d = covered] (canon disagrees everywhere); only those get
+         a row test, on the limbs past the prefix *)
+      let lv = Sigstore.lanes store in
+      let nw = lv.Sigstore.lane_words in
+      let flat = Sigstore.icanon_flat store in
+      let stride = Sigstore.icanon_stride store in
+      for w = 0 to nw - 1 do
+        let some = ref 0 and off = ref 0 in
+        for j = 0 to nb - 1 do
+          let pl = Array.unsafe_get ls.dpl ((j * nw) + w) in
+          some := !some lor pl;
+          off :=
+            !off
+            lor if (covered lsr j) land 1 = 1 then pl lxor Bits.limb_mask else pl
+        done;
+        let valid = lv.Sigstore.plus.(w) lor lv.Sigstore.minus.(w) in
+        let zero = valid land lnot !some and full = valid land lnot !off in
+        let m = ref (zero lor full) in
+        while !m <> 0 do
+          let low = !m land (- !m) in
+          let c = (62 * w) + bit_index low in
+          let r0 =
+            (if zero land low <> 0 then eq_bit else 0)
+            lor if full land low <> 0 then cq_bit else 0
           in
-          while (not !stopped) && !i < nsig do
-            let p = Array.unsafe_get by_density !i in
-            if eligible p then begin
-              let b = Array.unsafe_get signals p in
-              try_source (Subst.Signal b);
-              if not !stopped then try_source (Subst.Inverted b)
-            end;
-            incr i
-          done
-        end
-        else begin
-          (* class path: a class can only match where the lane count
-             reads [d = 0] on the prefix (canon agrees everywhere) or
-             [d = covered] (canon disagrees everywhere); only those get
-             a row test, on the limbs past the prefix *)
-          let lv = Sigstore.lanes store in
-          let nw = lv.Sigstore.lane_words in
-          let flat = Sigstore.icanon_flat store in
-          let stride = Sigstore.icanon_stride store in
-          for w = 0 to nw - 1 do
-            let some = ref 0 and off = ref 0 in
-            for j = 0 to nb - 1 do
-              let pl = Array.unsafe_get ls.dpl ((j * nw) + w) in
-              some := !some lor pl;
-              off :=
-                !off
-                lor if (covered lsr j) land 1 = 1 then pl lxor Bits.limb_mask else pl
-            done;
-            let valid = lv.Sigstore.plus.(w) lor lv.Sigstore.minus.(w) in
-            let zero = valid land lnot !some and full = valid land lnot !off in
-            let m = ref (zero lor full) in
-            while !m <> 0 do
-              let low = !m land (- !m) in
-              let c = (62 * w) + bit_index low in
-              let r0 =
-                (if zero land low <> 0 then eq_bit else 0)
-                lor if full land low <> 0 then cq_bit else 0
-              in
-              let r = eq_and_compl r0 lp flat (c * stride) in
-              if r <> 0 then begin
-                let eq = r land eq_bit <> 0 and cq = r land cq_bit <> 0 in
-                Array.iter
-                  (fun p ->
-                    if eligible p then
-                      let f = compl.(p) in
-                      emit p
-                        ~direct:(if f then cq else eq)
-                        ~inv:(if f then eq else cq))
-                  (Sigstore.class_members store c)
-              end;
-              m := !m lxor low
-            done
-          done
-        end);
-  if pool_wanted then
-    unspanned (fun () ->
-        (* pool: the signals closest to [a], by (masked disagreement on
-           the care prefix, position).  Preselection is heuristic —
-           exact compatibility is still decided on the full care set by
-           the pair conflict scan and the ATPG check — and the prefix is
-           a pure function of the target, so both index modes and every
-           chunking rank identically. *)
-        let mp = minpool_create config.pool_limit in
-        if hash then lane_pool ~store ~eligible ls mk mp ~p_a ~nb ~covered
-        else
-          for p = 0 to nsig - 1 do
-            if eligible p then
-              minpool_insert mp (hamming_prefix (Sigstore.irow store p)) p
-          done;
-        let pool = Array.sub mp.ps 0 mp.n in
-        (* rows compressed to the nonzero-care halves, plus the
-           target\'s required output per care position: f1 = care
-           positions where [a] is 1, f0 = where it is 0 *)
-        let compress src = Array.map (fun i -> Array.unsafe_get src i) nzh in
-        let crows = Array.map (fun p -> compress (Sigstore.irow store p)) pool in
-        let self2 = Array.map (fun p -> eq_only (Sigstore.irow store p)) pool in
-        let ones = Bits.limb_mask in
-        let f1 = Array.map (fun i -> isig.(i) land icare.(i)) nzh in
-        let f0 = Array.map (fun i -> (isig.(i) lxor ones) land icare.(i)) nzh in
-        let is_branch =
-          match ti.target with Subst.Branch _ -> true | Subst.Stem _ -> false
-        in
-        let is3 = ref 0 in
-        (* cell [code] fits a pair whose seen-1 classes are [s1] and
-           whose classes holding any care position are [pinned] *)
-        let emit_cells x y s1 pinned =
-          for c = 0 to Array.length cells - 1 do
-            let cell, code = Array.unsafe_get cells c in
-            if code land pinned = s1 then begin
-              if is_branch then incr is3;
-              consider { Subst.target = ti.target; source = Subst.Gate2 (cell, x, y) }
-            end
-          done
-        in
-        (* Conflict scan: a pair (x, y) partitions the care positions
-           into the four input classes k = x + 2y.  [seen1]/[seen0]
-           record which classes contain a care position where [a] is
-           1/0.  A class present on both sides rules out EVERY cell at
-           once (no single output bit fits), so the word loop aborts on
-           the first conflict; otherwise cell [code] matches exactly
-           when it outputs 1 on the seen-1 classes and 0 on the seen-0
-           ones: [code land (seen1 lor seen0) = seen1].  This decides
-           all cells in one pass over the pair\'s words.  Each unordered
-           pair is scanned once: (y, x) sees the classes of (x, y) with
-           inputs exchanged ([swap_inputs]) and conflicts exactly when
-           (x, y) does. *)
-        let npool = Array.length pool in
-        for i = 0 to npool - 2 do
-          if not self2.(i) then
-            for j = i + 1 to npool - 1 do
-              if not self2.(j) then begin
-                let ri = crows.(i) and rj = crows.(j) in
-                let seen1 = ref 0 and seen0 = ref 0 in
-                let k = ref 0 in
-                while !seen1 land !seen0 = 0 && !k < nh do
-                  let x = Array.unsafe_get ri !k
-                  and y = Array.unsafe_get rj !k in
-                  let f1w = Array.unsafe_get f1 !k
-                  and f0w = Array.unsafe_get f0 !k in
-                  let nx = x lxor ones and ny = y lxor ones in
-                  let c0 = nx land ny
-                  and c1 = x land ny
-                  and c2 = nx land y
-                  and c3 = x land y in
-                  let nonz m = if m = 0 then 0 else 1 in
-                  seen1 :=
-                    !seen1
-                    lor nonz (c0 land f1w)
-                    lor (nonz (c1 land f1w) lsl 1)
-                    lor (nonz (c2 land f1w) lsl 2)
-                    lor (nonz (c3 land f1w) lsl 3);
-                  seen0 :=
-                    !seen0
-                    lor nonz (c0 land f0w)
-                    lor (nonz (c1 land f0w) lsl 1)
-                    lor (nonz (c2 land f0w) lsl 2)
-                    lor (nonz (c3 land f0w) lsl 3);
-                  incr k
-                done;
-                let s1 = !seen1 and s0 = !seen0 in
-                if s1 land s0 = 0 then begin
-                  let x = signals.(pool.(i)) and y = signals.(pool.(j)) in
-                  emit_cells x y s1 (s1 lor s0);
-                  emit_cells y x (swap_inputs s1) (swap_inputs (s1 lor s0))
-                end
+          let r = eq_and_compl sc isig r0 lp flat (c * stride) in
+          if r <> 0 then begin
+            let eq = r land eq_bit <> 0 and cq = r land cq_bit <> 0 in
+            let members = v.members.(c) in
+            for j = 0 to Array.length members - 1 do
+              let p = members.(j) in
+              if eligible mk signals p_a p then begin
+                let f = compl.(p) in
+                emit p ~direct:(if f then cq else eq) ~inv:(if f then eq else cq)
               end
             done
-        done;
-        Obs.Metrics.add m_is3_candidates !is3;
-        ti_is3 := !is3);
+          end;
+          m := !m lxor low
+        done
+      done
+    end
+  end;
+  if pool_wanted then begin
+    (* pool: the signals closest to [a], by (masked disagreement on
+       the care prefix, position).  Preselection is heuristic —
+       exact compatibility is still decided on the full care set by
+       the pair conflict scan and the ATPG check — and the prefix is
+       a pure function of the target, so both index modes and every
+       chunking rank identically. *)
+    let mp = sc.mp in
+    mp.n <- 0;
+    if hash then lane_pool ~store v ls mk mp ~p_a ~nb ~covered
+    else
+      for p = 0 to nsig - 1 do
+        if eligible mk signals p_a p then
+          minpool_insert mp (hamming_prefix sc isig lp (Sigstore.irow store p)) p
+      done;
+    load_pool store sc isig;
+    let is_branch =
+      match ti.target with Subst.Branch _ -> true | Subst.Stem _ -> false
+    in
+    let is3 = ref 0 in
+    (* cell [code] fits a pair whose seen-1 classes are [s1] and
+       whose classes holding any care position are [pinned] *)
+    let emit_cells x y s1 pinned =
+      for c = 0 to Array.length cells - 1 do
+        let cell, code = Array.unsafe_get cells c in
+        if code land pinned = s1 then begin
+          if is_branch then incr is3;
+          if k > 0 && not (gate_skipped cell x y) then admit (Subst.Gate2 (cell, x, y))
+        end
+      done
+    in
+    (* Conflict scan: a pair (x, y) partitions the care positions
+       into the four input classes k = x + 2y.  [seen1]/[seen0]
+       record which classes contain a care position where [a] is
+       1/0.  A class present on both sides rules out EVERY cell at
+       once (no single output bit fits), so the word loop aborts on
+       the first conflict; otherwise cell [code] matches exactly
+       when it outputs 1 on the seen-1 classes and 0 on the seen-0
+       ones: [code land (seen1 lor seen0) = seen1].  This decides
+       all cells in one pass over the pair's words.  Each unordered
+       pair is scanned once: (y, x) sees the classes of (x, y) with
+       inputs exchanged ([swap_inputs]) and conflicts exactly when
+       (x, y) does. *)
+    let npool = mp.n and nh = sc.nh in
+    let rows = sc.rows and f1 = sc.f1 and f0 = sc.f0 in
+    let ones = Bits.limb_mask in
+    for i = 0 to npool - 2 do
+      if not sc.self2.(i) then
+        for j = i + 1 to npool - 1 do
+          if not sc.self2.(j) then begin
+            let bi = i * nh and bj = j * nh in
+            let seen1 = ref 0 and seen0 = ref 0 in
+            let k = ref 0 in
+            while !seen1 land !seen0 = 0 && !k < nh do
+              let x = Array.unsafe_get rows (bi + !k)
+              and y = Array.unsafe_get rows (bj + !k) in
+              let f1w = Array.unsafe_get f1 !k
+              and f0w = Array.unsafe_get f0 !k in
+              let nx = x lxor ones and ny = y lxor ones in
+              let c0 = nx land ny
+              and c1 = x land ny
+              and c2 = nx land y
+              and c3 = x land y in
+              let nonz m = if m = 0 then 0 else 1 in
+              seen1 :=
+                !seen1
+                lor nonz (c0 land f1w)
+                lor (nonz (c1 land f1w) lsl 1)
+                lor (nonz (c2 land f1w) lsl 2)
+                lor (nonz (c3 land f1w) lsl 3);
+              seen0 :=
+                !seen0
+                lor nonz (c0 land f0w)
+                lor (nonz (c1 land f0w) lsl 1)
+                lor (nonz (c2 land f0w) lsl 2)
+                lor (nonz (c3 land f0w) lsl 3);
+              incr k
+            done;
+            let s1 = !seen1 and s0 = !seen0 in
+            if s1 land s0 = 0 then begin
+              let x = signals.(mp.ps.(i)) and y = signals.(mp.ps.(j)) in
+              emit_cells x y s1 (s1 lor s0);
+              emit_cells y x (swap_inputs s1) (swap_inputs (s1 lor s0))
+            end
+          end
+        done
+    done;
+    Obs.Metrics.add m_is3_candidates !is3;
+    ti_is3 := !is3
+  end;
   let best = List.rev !kept in
   let filtered =
     if two_signal_wanted then max 0 ((2 * n_eligible) - !hits2) else 0
@@ -983,6 +1090,35 @@ let scan_target ~config ~store ~est ~cells ~by_density mk ls ti =
   Obs.Metrics.add m_gain_ab !gain_abs;
   ( best,
     { pairs_hit = !hits2; pairs_filtered = filtered; is3_candidates = !ti_is3 } )
+
+(* Test-only: every generate also rescans its targets in reverse order
+   through one scratch, and each through a fresh one, and fails unless
+   every target's list and stats are the ones the run computed.  A read
+   of something an earlier target left in the scratch shows up as a
+   difference. *)
+let scratch_isolation_check = Atomic.make false
+let check_scratch_isolation b = Atomic.set scratch_isolation_check b
+
+let check_isolation ~scan ~fresh targets results =
+  let n = Array.length targets in
+  let reversed = Array.make n ([], zero_stats) in
+  let sc = fresh () in
+  for i = n - 1 downto 0 do
+    reversed.(i) <- scan sc targets.(i)
+  done;
+  Array.iteri
+    (fun i t ->
+      let differs how = function
+        | r when r = results.(i) -> ()
+        | _ ->
+          let kind, x, y = target_key t.target in
+          failwith
+            (Printf.sprintf
+               "Candidates: target (%d, %d, %d) scans differently with %s" kind x y how)
+      in
+      differs "reversed scratch reuse" reversed.(i);
+      differs "fresh scratch" (scan (fresh ()) t))
+    targets
 
 let generate_stats ?(config = default_config) ?pool ?store
     ?(deadline = Obs.Deadline.never) est =
@@ -1031,11 +1167,11 @@ let generate_stats ?(config = default_config) ?pool ?store
   let targets = Array.of_list targets in
   (* store positions by ascending transition density, ties by position:
      the order flood targets walk (see [scan_target]) *)
+  let v = view_create circ store est in
   let by_density =
     if config.index = Hash && config.require_positive then begin
-      let signals = Sigstore.signals store in
-      let e = Array.map (Estimator.transition_prob est) signals in
-      let order = Array.init (Array.length signals) Fun.id in
+      let e = Array.map (fun id -> v.tp.(id)) v.signals in
+      let order = Array.init (Array.length e) Fun.id in
       Array.stable_sort (fun p q -> Float.compare e.(p) e.(q)) order;
       order
     end
@@ -1043,12 +1179,15 @@ let generate_stats ?(config = default_config) ?pool ?store
   in
   (* the deadline is polled once per target: an expired budget skips
      the rest of the scan, so it overshoots by at most one target *)
+  let scan sc t = scan_target ~config ~store ~est ~cells ~by_density v sc t in
+  (* every care row is a packed row of the store's width *)
+  let limbs = if Array.length targets = 0 then 0 else Array.length targets.(0).care in
+  let fresh_scratch () = scratch_create ~config ~limbs circ store in
   let scan_chunk c =
-    let mk = marks_create circ and ls = lane_scratch_create store in
+    let sc = fresh_scratch () in
     Array.map
       (fun t ->
-        if Obs.Deadline.expired deadline then ([], zero_stats)
-        else scan_target ~config ~store ~est ~cells ~by_density mk ls t)
+        if Obs.Deadline.expired deadline then ([], zero_stats) else scan sc t)
       c
   in
   let results =
@@ -1080,6 +1219,8 @@ let generate_stats ?(config = default_config) ?pool ?store
            (Array.map (function Some r -> r | None -> [||]) per_chunk))
     | _ -> scan_chunk targets)
   in
+  if Atomic.get scratch_isolation_check && not (Obs.Deadline.expired deadline)
+  then check_isolation ~scan ~fresh:fresh_scratch targets results;
   let stats =
     Array.fold_left (fun s (_, st) -> add_stats s st) zero_stats results
   in

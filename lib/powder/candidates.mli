@@ -98,3 +98,10 @@ val generate_stats :
     [sig/filtered], [is3/candidates]); the explicit return is what the
     optimizer folds into its report, so concurrent registry writers
     (e.g. parallel fuzz cases) cannot skew it. *)
+
+val check_scratch_isolation : bool -> unit
+(** Test-only: while set, every generate also rescans its targets in
+    reverse order through one reused scratch, and each target through
+    a fresh one, and raises [Failure] naming the first target whose
+    candidate list or stats differ from the run's.  The rescans also
+    count in the [sig/*] metrics. *)

@@ -224,7 +224,15 @@ let check_exhaustive mt =
 
 let sweep_metrics = Atpg.Sweep.metrics "check"
 
-(* The stalled solve's escape: sweep the duplicated cone back into the
+(* Conflicts a pair proof of the check's sweep may spend.  The sweep
+   runs at a search's first conflict, before the solver has shown the
+   check is hard, so a pair it cannot prove cheaply is left to the
+   resumed search: on cps every merge the sweep needs takes far fewer,
+   and on synth:4000 cones a failing proof at [Equiv]'s 2,500 costs
+   about 12 ms. *)
+let sweep_pair_budget = 300
+
+(* The paused solve's escape: sweep the duplicated cone back into the
    original.  The miter's cone goes into a sweep graph, the originals
    first; a pass without merging simulates it, and stops the sweep when
    some pattern already sets the output (the miter is satisfiable; the
@@ -237,7 +245,10 @@ let sweep_proves ~deadline mt =
   let t0 = Obs.Clock.now () in
   Obs.Metrics.incr sweep_metrics.escalations;
   let pis = Circuit.pis mt.circ in
-  let g = Atpg.Sweep.create ~deadline ~npis:(List.length pis) sweep_metrics in
+  let g =
+    Atpg.Sweep.create ~deadline ~pair_budget:sweep_pair_budget
+      ~npis:(List.length pis) sweep_metrics
+  in
   let order, in_cone = topo_cone mt in
   let map = Array.make (Array.length in_cone) (-1) in
   List.iteri (fun k pi -> map.(pi) <- Atpg.Sweep.input g k) pis;
@@ -290,7 +301,7 @@ let swept circ s =
 let m_miter_build_seconds = Obs.Metrics.histogram "check.miter_build_seconds"
 
 let permissible ?(backtrack_limit = 20_000) ?(exhaustive_limit = 12)
-    ?(engine = `Sat) ?(deadline = Obs.Deadline.never) circ s =
+    ?(engine = `Sat) ?(deadline = Obs.Deadline.never) ?(sweep = true) circ s =
   if Obs.Deadline.expired deadline then
     (* Refuse before paying for the miter: an expired budget must reject
        cleanly, never hang inside an engine. *)
@@ -313,7 +324,7 @@ let permissible ?(backtrack_limit = 20_000) ?(exhaustive_limit = 12)
           let v = view mt in
           match
             Atpg.Cnf.justify ~conflict_limit:(10 * backtrack_limit) ~deadline
-              ~on_stall:(fun () -> sweep_proves ~deadline mt)
+              ~on_stall:(fun () -> sweep && sweep_proves ~deadline mt)
               v ~cone:(Atpg.Cnf.cone v mt.out) ~pis mt.out
           with
           | Atpg.Cnf.Impossible -> Permissible

@@ -10,8 +10,8 @@
     the miter's cone, never a copy of the circuit.  The miter output is
     then proved constant 0 (permissible) by exhaustive simulation of
     that cone when the circuit is narrow, or by the CDCL SAT solver (or
-    classic PODEM, for ablation).  A SAT search that reaches
-    {!Atpg.Sat.stall_conflicts} conflicts pauses for a SAT sweep
+    classic PODEM, for ablation).  A SAT search pauses at its first
+    conflict ({!Atpg.Sat.stall_conflicts}) for a SAT sweep
     ({!Atpg.Sweep}) of the duplicated cone into the original: when
     that folds the output to 0 the check is proved, otherwise the
     search resumes untouched, so verdicts and counterexamples are those
@@ -34,12 +34,17 @@ val permissible :
   ?exhaustive_limit:int ->
   ?engine:[ `Sat | `Podem | `Bdd ] ->
   ?deadline:Obs.Deadline.t ->
+  ?sweep:bool ->
   Netlist.Circuit.t ->
   Subst.t ->
   verdict
 (** Engine state and circuit are left untouched.  An already-expired
     [deadline] rejects immediately with [Gave_up] before building the
-    miter; otherwise it is threaded into the SAT/PODEM search. *)
+    miter; otherwise it is threaded into the SAT/PODEM search.  A SAT
+    search pauses at its first conflict for a sweep of the miter
+    ({!swept}); [~sweep:false] (for tests comparing the two searches)
+    skips it.  Either way the verdict and counterexample
+    are those of the search alone. *)
 
 val miter_clauses : Netlist.Circuit.t -> Subst.t -> (int array list * int) option
 (** The clauses and variable count of the miter the SAT engine solves
@@ -48,7 +53,7 @@ val miter_clauses : Netlist.Circuit.t -> Subst.t -> (int array list * int) optio
     tests can pin the encoding. *)
 
 val swept : Netlist.Circuit.t -> Subst.t -> bool
-(** Run the sweep a stalled SAT check runs, at once and whatever the
+(** Run the sweep a paused SAT check runs, at once and whatever the
     circuit's width: [true] iff it folds the miter output to constant
     0, which proves the substitution permissible. *)
 

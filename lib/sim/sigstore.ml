@@ -326,36 +326,53 @@ let stem_care t id =
   | None -> base
   | Some e -> Array.append base (Engine.stem_observability e id)
 
+(* Workspace of the local branch rule: the negated pin input, the
+   re-evaluated cell output, the fanin words handed to the evaluator
+   (only the first [arity] entries are read) and the folded row. *)
+type branch_buf = {
+  neg : int64 array;
+  flipped : int64 array;
+  ins : int64 array array;
+  row : int64 array;
+}
+
+let branch_buf t =
+  let w =
+    max (base_words t) (match t.cex with None -> 0 | Some e -> Engine.words e)
+  in
+  { neg = Array.make w 0L; flipped = Array.make w 0L;
+    ins = Array.make Logic.Tt.max_vars [||]; row = Array.make (words t) 0L }
+
 (* Care of the branch into pin [pin] of [sink] by the local rule, given
    the table rows [care] of every cell after [sink] in topological
-   order: all ones into a PO, otherwise the patterns on which flipping
-   the pin flips [sink]'s output, restricted to those on which flipping
-   [sink] is observed. *)
-let local_branch t care ~sink ~pin =
+   order, written into [b.row]: all ones into a PO, otherwise the
+   patterns on which flipping the pin flips [sink]'s output, restricted
+   to those on which flipping [sink] is observed. *)
+let local_branch t care b ~sink ~pin =
   let circ = circuit t in
   match Circuit.kind circ sink with
-  | Circuit.Po _ -> Array.make (words t) (-1L)
+  | Circuit.Po _ -> Array.fill b.row 0 (words t) (-1L)
   | Circuit.Cell (c, fs) ->
     let obs = care.(sink) in
-    let out = Array.make (words t) 0L in
     let fill e off =
-      let ins =
-        Array.mapi
-          (fun i f ->
-            let v = Engine.value e f in
-            if i = pin then Array.map Int64.lognot v else v)
-          fs
-      in
-      let flipped = Engine.apply_gate_words c.Gatelib.Cell.func ins in
+      let w = Engine.words e in
+      for i = 0 to Array.length fs - 1 do
+        b.ins.(i) <- Engine.value e fs.(i)
+      done;
+      let v = Engine.value e fs.(pin) in
+      for j = 0 to w - 1 do
+        b.neg.(j) <- Int64.lognot v.(j)
+      done;
+      b.ins.(pin) <- b.neg;
+      Engine.eval_cell_words c.Gatelib.Cell.func b.ins b.flipped w;
       let v = Engine.value e sink in
-      Array.iteri
-        (fun j x ->
-          out.(off + j) <- Int64.logand (Int64.logxor x v.(j)) obs.(off + j))
-        flipped
+      for j = 0 to w - 1 do
+        b.row.(off + j) <-
+          Int64.logand (Int64.logxor b.flipped.(j) v.(j)) obs.(off + j)
+      done
     in
     fill t.base 0;
-    Option.iter (fun e -> fill e (base_words t)) t.cex;
-    out
+    Option.iter (fun e -> fill e (base_words t)) t.cex
   | Circuit.Pi | Circuit.Const _ ->
     invalid_arg "Sigstore.branch_obs: sink has no pins"
 
@@ -368,6 +385,7 @@ let compute_care t =
   synced "compute_care" t;
   let circ = circuit t in
   let care = Array.make (Circuit.num_nodes circ) [||] in
+  let b = branch_buf t in
   let order = Circuit.topo_order circ in
   let local = ref 0 in
   for r = Array.length order - 1 downto 0 do
@@ -386,7 +404,8 @@ let compute_care t =
           Array.make (words t) 0L
         | [ p ] ->
           incr local;
-          local_branch t care ~sink:p.Circuit.sink ~pin:p.Circuit.pin_index
+          local_branch t care b ~sink:p.Circuit.sink ~pin:p.Circuit.pin_index;
+          Array.copy b.row
         | _ :: _ :: _ -> stem_care t id)
     | Circuit.Pi | Circuit.Const _ | Circuit.Po _ -> ()
   done;
@@ -404,10 +423,15 @@ let stem_obs t id =
     invalid_arg "Sigstore.stem_obs: not a live cell";
   care.(id)
 
-let branch_obs t ~sink ~pin =
+let branch_obs_in t b ~sink ~pin =
   let care = table t in
   Obs.Metrics.incr m_local_rows;
-  local_branch t care ~sink ~pin
+  local_branch t care b ~sink ~pin;
+  b.row
+
+let branch_obs t ~sink ~pin = branch_obs_in t (branch_buf t) ~sink ~pin
+
+let packed_branch_obs t b ~sink ~pin = Bits.pack_words (branch_obs_in t b ~sink ~pin)
 
 (* ------------------------------------------------------------------ *)
 (* Lane view                                                          *)

@@ -153,6 +153,17 @@ val branch_obs : t -> sink:Netlist.Circuit.node_id -> pin:int -> int64 array
     @raise Invalid_argument if the table is not computed or [sink] has
     no pins. *)
 
+type branch_buf
+(** Workspace of {!packed_branch_obs}; not to be shared between
+    domains. *)
+
+val branch_buf : t -> branch_buf
+
+val packed_branch_obs :
+  t -> branch_buf -> sink:Netlist.Circuit.node_id -> pin:int -> int array
+(** {!branch_obs} packed ({!Logic.Bits.pack_words}), computed in the
+    workspace instead of fresh fanin copies. *)
+
 (** {2 Lane view}
 
     The class canons transposed for bit-sliced scoring: one bit per

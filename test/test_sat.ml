@@ -215,9 +215,11 @@ let test_decision_trajectory () =
 
 (* The same pin on real miters: the first 400 SAT-decided
    [Check.permissible] calls over cps's first-round candidates (no
-   substitution applied).  Every tenth call's verdict, model digest (the
-   counterexample's 0/1 string over the PIs) and conflict count are
-   pinned, and so are the conflict total and a digest over all 400. *)
+   substitution applied), each solved without the sweep a stalled
+   search pauses for and then with it.  Every tenth unswept call's
+   verdict, model digest (the counterexample's 0/1 string over the PIs)
+   and conflict count are pinned, and so are the conflict total and a
+   digest over all 400. *)
 let cps_sat_calls () =
   let circ =
     match Circuits.Suite.find "cps" with
@@ -232,24 +234,28 @@ let cps_sat_calls () =
     | Some (`Counter c) -> c
     | Some (`Gauge _ | `Histogram _) | None -> 0
   in
+  let verdict = function
+    | Powder.Check.Permissible -> "unsat"
+    | Powder.Check.Not_permissible a ->
+      Digest.to_hex
+        (Digest.string
+           (String.concat "" (List.map (fun (_, b) -> if b then "1" else "0") a)))
+    | Powder.Check.Gave_up _ -> "gave up"
+  in
+  let run ~sweep s =
+    let c0 = counter "atpg.sat.conflicts" and p0 = counter "check.sweep.proved" in
+    let v = verdict (Powder.Check.permissible ~sweep circ s) in
+    (v, counter "atpg.sat.conflicts" - c0, counter "check.sweep.proved" > p0)
+  in
   let calls = ref [] and n = ref 0 in
   List.iter
     (fun (s, _) ->
       if !n < 400 && not (Powder.Subst.creates_cycle circ s) then begin
-        let s0 = counter "atpg.sat.solves" and c0 = counter "atpg.sat.conflicts" in
-        let v = Powder.Check.permissible circ s in
+        let s0 = counter "atpg.sat.solves" in
+        let v, c, _ = run ~sweep:false s in
         if counter "atpg.sat.solves" > s0 then begin
           incr n;
-          let verdict =
-            match v with
-            | Powder.Check.Permissible -> "unsat"
-            | Powder.Check.Not_permissible a ->
-              Digest.to_hex
-                (Digest.string
-                   (String.concat "" (List.map (fun (_, b) -> if b then "1" else "0") a)))
-            | Powder.Check.Gave_up _ -> "gave up"
-          in
-          calls := (verdict, counter "atpg.sat.conflicts" - c0) :: !calls
+          calls := ((v, c), run ~sweep:true s) :: !calls
         end
       end)
     cands;
@@ -299,59 +305,46 @@ let cps_trajectories =
     ("cbb91232afdc985e36451a4013fd7a3f", 276);
   ]
 
-(* The calls whose search reaches [Sat.stall_conflicts], where the
-   check pauses the solver and sweeps the miter: (call, conflicts
-   without the sweep, conflicts with it).  A proof by sweeping ends the
-   search early (calls 188 and 349, both UNSAT); a failed one resumes
-   it untouched and adds only the pair proofs' conflicts.  Every other
-   call, and every verdict and model, is pinned as it was before the
-   sweep existed: with the old counts put back, the total and the
-   digest are the pre-sweep ones. *)
-let cps_hooked_calls =
-  [
-    (26, 814, 1640);
-    (88, 776, 816);
-    (101, 776, 811);
-    (105, 799, 835);
-    (152, 634, 654);
-    (153, 379, 420);
-    (171, 635, 679);
-    (172, 374, 374);
-    (188, 839, 745);
-    (286, 816, 816);
-    (289, 809, 809);
-    (349, 383, 309);
-  ]
+(* With the sweep, a search pauses at its first conflict
+   ([Sat.stall_conflicts]) and sweeps the miter: a proof ends it, a
+   failed sweep resumes it untouched, adding only its pair proofs'
+   conflicts.  Pinned: the swept calls' conflict total, a digest over
+   all 400 counts, and the calls the sweep proves — all 26 UNSAT ones. *)
+let cps_swept_total = 44715
+let cps_swept_digest = "f9973b1a97ec6d0acfe80a13aa35243b"
+let cps_swept_proofs = 26
 
 let test_cps_trajectory () =
   let calls = cps_sat_calls () in
   Alcotest.(check int) "SAT calls" 400 (List.length calls);
-  let sampled = List.filteri (fun i _ -> i mod 10 = 0) calls in
+  let unswept = List.map fst calls in
+  let sampled = List.filteri (fun i _ -> i mod 10 = 0) unswept in
   List.iteri
     (fun k ((want_v, want_c), (v, c)) ->
       let label = Printf.sprintf "call %d" (10 * k) in
       Alcotest.(check string) (label ^ ": verdict and model") want_v v;
       Alcotest.(check int) (label ^ ": conflicts") want_c c)
     (List.combine cps_trajectories sampled);
-  let unswept =
-    List.mapi
-      (fun i (v, c) ->
-        match List.find_opt (fun (j, _, _) -> j = i) cps_hooked_calls with
-        | Some (_, before, after) ->
-          Alcotest.(check int) (Printf.sprintf "call %d: conflicts with the sweep" i) after c;
-          (v, before)
-        | None ->
-          if c >= Atpg.Sat.stall_conflicts then
-            Alcotest.failf "call %d reaches the stall point (%d conflicts) unnamed" i c;
-          (v, c))
-      calls
-  in
   Alcotest.(check int) "total conflicts" 41886
     (List.fold_left (fun acc (_, c) -> acc + c) 0 unswept);
   Alcotest.(check string) "digest of all calls" "97a4495fc27675cdb315df468f82edda"
     (Digest.to_hex
        (Digest.string
-          (String.concat ";" (List.map (fun (v, c) -> Printf.sprintf "%s/%d" v c) unswept))))
+          (String.concat ";" (List.map (fun (v, c) -> Printf.sprintf "%s/%d" v c) unswept))));
+  (* the sweep changes no verdict and no model *)
+  List.iteri
+    (fun i ((v, _), (v', _, _)) ->
+      Alcotest.(check string) (Printf.sprintf "call %d: verdict and model with the sweep" i) v v')
+    calls;
+  let swept = List.map (fun (_, (_, c, _)) -> c) calls in
+  Alcotest.(check int) "total conflicts with the sweep" cps_swept_total
+    (List.fold_left ( + ) 0 swept);
+  Alcotest.(check string) "digest of the swept counts" cps_swept_digest
+    (Digest.to_hex (Digest.string (String.concat ";" (List.map string_of_int swept))));
+  Alcotest.(check int) "calls the sweep proves" cps_swept_proofs
+    (List.length (List.filter (fun (_, (_, _, p)) -> p) calls));
+  Alcotest.(check int) "UNSAT calls" cps_swept_proofs
+    (List.length (List.filter (fun ((v, _), _) -> v = "unsat") calls))
 
 let suite =
   [

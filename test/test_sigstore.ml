@@ -774,6 +774,34 @@ let test_positive_skips_exact () =
   check "synth:2000" (Circuits.Generators.synth ~seed:1 ~gates:2000);
   Alcotest.(check bool) "some stem target has an empty care row" true !flood_seen
 
+(* The scan's per-chunk scratch is reused across targets and reset per
+   target: nothing a target reads may be left over from the one before.
+   With the isolation check on, every generate of an optimizer run also
+   rescans its targets in reverse order through one scratch, and each
+   through a fresh scratch, and fails on the first target whose list or
+   stats differ.  Hash = Scan cannot see this bug class: both index
+   modes share the per-target prologue. *)
+let test_scratch_isolation () =
+  let run label circ max_rounds =
+    let config = { Powder.Optimizer.default_config with max_rounds } in
+    match Powder.Optimizer.optimize ~config circ with
+    | r ->
+      Alcotest.(check bool) (label ^ ": some substitution") true
+        (r.Powder.Optimizer.funnel.Powder.Optimizer.substitutions > 0)
+    | exception Failure msg -> Alcotest.failf "%s: %s" label msg
+  in
+  Candidates.check_scratch_isolation true;
+  Fun.protect
+    ~finally:(fun () -> Candidates.check_scratch_isolation false)
+    (fun () ->
+      List.iter
+        (fun (name, rounds) ->
+          match Circuits.Suite.find name with
+          | None -> Alcotest.failf "%s not in the suite" name
+          | Some spec -> run name (Circuits.Suite.mapped spec) rounds)
+        [ ("rd84", 200); ("cps", 3); ("C880", 3) ];
+      run "synth:2000" (Circuits.Generators.synth ~seed:1 ~gates:2000) 1)
+
 let suite =
   [
     ( "sigstore",
@@ -801,5 +829,7 @@ let suite =
         Alcotest.test_case "unsynced reads raise" `Quick test_unsynced_reads_raise;
         Alcotest.test_case "positive-gain skips are exact" `Quick
           test_positive_skips_exact;
+        Alcotest.test_case "scan scratch is isolated per target" `Quick
+          test_scratch_isolation;
       ] );
   ]

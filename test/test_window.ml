@@ -182,6 +182,53 @@ let test_windowed_deterministic () =
       (Blif.Blif_io.circuit_to_string c)
   done
 
+(* A window proof is sound and an escalated window hands its candidate
+   to the same global check, so where the global engine gives nothing
+   up, [--window 16] and [--window off] accept the same substitutions:
+   the same netlist, and reports that differ only in the [window_*]
+   funnel counters and the [window/*] escalation reasons. *)
+let test_window_matches_off () =
+  let rec strip = function
+    | Obs.Json.Obj fields ->
+      Obs.Json.Obj
+        (List.filter_map
+           (fun (k, v) ->
+             let window =
+               String.starts_with ~prefix:"window_" k
+               || String.starts_with ~prefix:"window/" k
+             in
+             if window || List.mem k [ "cpu_seconds"; "phase_seconds"; "jobs" ]
+             then None
+             else Some (k, strip v))
+           fields)
+    | Obs.Json.List l -> Obs.Json.List (List.map strip l)
+    | other -> other
+  in
+  List.iter
+    (fun name ->
+      let run window =
+        let c =
+          match Circuits.Suite.find name with
+          | Some spec -> Circuits.Suite.mapped spec
+          | None -> Alcotest.failf "%s not in the suite" name
+        in
+        let config =
+          { Powder.Optimizer.default_config with max_rounds = 3; window }
+        in
+        let r = Powder.Optimizer.optimize ~config c in
+        (r, Blif.Blif_io.circuit_to_string c)
+      in
+      let rw, bw = run (Some 16) and ro, bo = run None in
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": the off run gives nothing up") []
+        ro.Powder.Optimizer.giveup_breakdown;
+      Alcotest.(check bool) (name ^ ": the window decides some checks") true
+        (rw.Powder.Optimizer.funnel.Powder.Optimizer.window_proved > 0);
+      Alcotest.(check string) (name ^ ": same netlist") bo bw;
+      let json r = Obs.Json.to_string (strip (Powder.Optimizer.report_to_json r)) in
+      Alcotest.(check string) (name ^ ": same report") (json ro) (json rw))
+    [ "C880"; "cps" ]
+
 let suite =
   [
     ( "window",
@@ -190,6 +237,8 @@ let suite =
         Alcotest.test_case "windowed deterministic" `Quick
           test_windowed_deterministic;
         Alcotest.test_case "forge arm/clear" `Quick test_forge_arm_clear;
+        Alcotest.test_case "--window 16 == off without give-ups" `Quick
+          test_window_matches_off;
         Alcotest.test_case "differential vs global oracle (200+ netlists)"
           `Slow test_differential_200;
         Alcotest.test_case "forged verdict caught" `Slow
