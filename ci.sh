@@ -6,7 +6,8 @@
 #     test    unit/property tests + fault-injection self-test
 #     smoke   end-to-end runs: telemetry, profiling, checkpointing,
 #             parallel determinism, signature determinism, --verify
-#             and planted-mutant refutation on cps
+#             and planted-mutant refutation on cps, the cps goldens
+#             (global, keep-initial, --window 16)
 #     fuzz    differential fuzz campaign + injected-fault catch
 #     serve   batch service drain + crash/kill chaos legs
 #     bench   paper tables (bench/main.exe quick) + powderbench: every
@@ -238,6 +239,18 @@ stage_smoke() {
   dune exec bin/json_check.exe -- --compare-reports test/golden/cps-keep.report.json "$keep_json"
   golden_md5 test/golden/cps-keep.blif.md5 "$keep_blif"
   rm -f "$keep_json" "$keep_blif"
+
+  echo "== smoke: windowed cps matches the golden report and netlist =="
+  # Three rounds at --window 16 (137 window checks, 11 proved, 126
+  # escalated on a window counterexample) pin the window miter and its
+  # search the way the runs above pin the global check.
+  w16_json=$(mktemp /tmp/powder_ci_w16_XXXXXX.json)
+  w16_blif=$(mktemp /tmp/powder_ci_w16_XXXXXX.blif)
+  hard_timeout 300 dune exec bin/powder_cli.exe -- optimize --circuit cps \
+    --window 16 --max-rounds 3 --jobs 1 --json "$w16_json" -o "$w16_blif" > /dev/null
+  dune exec bin/json_check.exe -- --compare-reports test/golden/cps-w16.report.json "$w16_json"
+  golden_md5 test/golden/cps-w16.blif.md5 "$w16_blif"
+  rm -f "$w16_json" "$w16_blif"
 
   echo "== smoke: cps search and store maintenance are pinned =="
   # The SAT search is pinned by its conflict total over the run (the

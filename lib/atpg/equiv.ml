@@ -14,64 +14,10 @@ let vcell name func =
     ~pin_caps:(Array.make (Tt.num_vars func) 0.0)
     ~tau:0.0 ~drive_res:0.0 ()
 
-let vxor2 = vcell "miter_xor2" (Tt.xor (Tt.var 2 0) (Tt.var 2 1))
-let vor2 = vcell "miter_or2" (Tt.or_ (Tt.var 2 0) (Tt.var 2 1))
-let xor_cell = vxor2
-let or_cell = vor2
+let xor_cell = vcell "miter_xor2" (Tt.xor (Tt.var 2 0) (Tt.var 2 1))
+let or_cell = vcell "miter_or2" (Tt.or_ (Tt.var 2 0) (Tt.var 2 1))
 
 let sorted_names of_list circ = List.sort String.compare (List.map (Circuit.name circ) (of_list circ))
-
-let copy_into dst src ~pi_map ~prefix =
-  (* Copy all live logic of [src] into [dst]; returns a map giving, for
-     each PO name of [src], the id of its driver in [dst]. *)
-  let map = Hashtbl.create 64 in
-  List.iter
-    (fun pi -> Hashtbl.add map pi (Hashtbl.find pi_map (Circuit.name src pi)))
-    (Circuit.pis src);
-  Array.iter
-    (fun id ->
-      match Circuit.kind src id with
-      | Circuit.Pi -> ()
-      | Circuit.Const b -> Hashtbl.add map id (Circuit.add_const dst b)
-      | Circuit.Po _ -> ()
-      | Circuit.Cell (c, fs) ->
-        let fs' = Array.map (Hashtbl.find map) fs in
-        Hashtbl.add map id
-          (Circuit.add_cell dst
-             ~name:(prefix ^ Circuit.name src id)
-             c fs'))
-    (Circuit.topo_order src);
-  List.map
-    (fun po -> (Circuit.name src po, Hashtbl.find map (Circuit.po_driver src po)))
-    (Circuit.pos src)
-
-let miter ca cb =
-  let pis_a = sorted_names Circuit.pis ca and pis_b = sorted_names Circuit.pis cb in
-  let pos_a = sorted_names Circuit.pos ca and pos_b = sorted_names Circuit.pos cb in
-  if pis_a <> pis_b then invalid_arg "Equiv.miter: PI name mismatch";
-  if pos_a <> pos_b then invalid_arg "Equiv.miter: PO name mismatch";
-  let m = Circuit.create (Circuit.library ca) in
-  let pi_map = Hashtbl.create 32 in
-  List.iter
-    (fun name -> Hashtbl.add pi_map name (Circuit.add_pi m ~name))
-    pis_a;
-  let drv_a = copy_into m ca ~pi_map ~prefix:"a$" in
-  let drv_b = copy_into m cb ~pi_map ~prefix:"b$" in
-  let diffs =
-    List.map
-      (fun (name, da) ->
-        let db = List.assoc name drv_b in
-        Circuit.add_cell m vxor2 [| da; db |])
-      drv_a
-  in
-  let rec or_tree = function
-    | [] -> Circuit.add_const m false
-    | [ x ] -> x
-    | x :: y :: rest -> or_tree (Circuit.add_cell m vor2 [| x; y |] :: rest)
-  in
-  let out = or_tree diffs in
-  let _po = Circuit.add_po m ~name:"miter_out" out in
-  (m, out)
 
 let check_exhaustive ca cb =
   let n = List.length (Circuit.pis ca) in
@@ -160,8 +106,8 @@ let check_swept ~conflict_limit ca cb =
     List.fold_left
       (fun acc name ->
         let before = Sweep.num_nodes g in
-        let d = sweep_new before (Sweep.gate g vxor2 [| da name; db name |]) in
-        Sweep.gate g vor2 [| acc; d |])
+        let d = sweep_new before (Sweep.gate g xor_cell [| da name; db name |]) in
+        Sweep.gate g or_cell [| acc; d |])
       zero (sorted_names Circuit.pos ca)
   in
   let different p = Different (List.mapi (fun k name -> (name, p.(k))) names) in
@@ -180,21 +126,10 @@ let check_swept ~conflict_limit ca cb =
   Obs.Metrics.observe sweep_metrics.seconds (Obs.Clock.now () -. t0);
   verdict
 
-let check ?(backtrack_limit = 20_000) ?(exhaustive_limit = 14)
-    ?(engine = `Sat) ca cb =
+let check ?(backtrack_limit = 20_000) ?(exhaustive_limit = 14) ca cb =
   let pis_a = sorted_names Circuit.pis ca and pis_b = sorted_names Circuit.pis cb in
   if pis_a <> pis_b then invalid_arg "Equiv.check: PI name mismatch";
   if sorted_names Circuit.pos ca <> sorted_names Circuit.pos cb then
     invalid_arg "Equiv.check: PO name mismatch";
   if List.length pis_a <= exhaustive_limit then check_exhaustive ca cb
-  else
-    match engine with
-    | `Sat -> check_swept ~conflict_limit:(10 * backtrack_limit) ca cb
-    | `Podem -> (
-      let m, out = miter ca cb in
-      match Podem.justify_one ~backtrack_limit m out with
-      | Podem.Untestable -> Equivalent
-      | Podem.Aborted _ -> Unknown
-      | Podem.Test assignment ->
-        Different
-          (List.map (fun (pi, v) -> (Circuit.name m pi, v)) assignment))
+  else check_swept ~conflict_limit:(10 * backtrack_limit) ca cb

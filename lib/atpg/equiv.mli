@@ -24,14 +24,11 @@ val or_cell : Gatelib.Cell.t
 val check :
   ?backtrack_limit:int ->
   ?exhaustive_limit:int ->
-  ?engine:[ `Sat | `Podem ] ->
   Netlist.Circuit.t ->
   Netlist.Circuit.t ->
   verdict
 (** [exhaustive_limit] defaults to 14 PIs.  Above it, the two netlists
     are swept and the reduced miter output is solved with the CDCL
-    solver ([`Sat], default; [backtrack_limit] scales its conflict
-    budget), or a monolithic miter is justified with classic PODEM
-    ([`Podem], kept for the ablation benchmark — it aborts far more
-    often on equivalence-style UNSAT proofs).  The sweep's counters and
-    time are under [equiv.sweep.*] and [equiv.sweep_seconds]. *)
+    solver under a conflict budget of [10 * backtrack_limit] (default
+    200,000).  The sweep's counters and time are under [equiv.sweep.*]
+    and [equiv.sweep_seconds]. *)

@@ -159,75 +159,3 @@ let extract circ ~roots ~support ~max_cut ~max_volume =
     Obs.Metrics.incr m_extracted;
     Some { internal; changed; order; cut; escapes }
   end
-
-type verdict =
-  | Proved
-  | Refuted of (Circuit.node_id * bool) list
-  | Gave_up of string
-
-(* Fault injection for the differential test layer: arm with
-   [inject_forge] and the next [prove] whose honest answer is a
-   refutation lies and claims [Proved] instead.  The windowed-vs-global
-   fuzz oracle must flag the lie. *)
-let forged = ref 0
-let inject_forge () = incr forged
-let forge_armed () = !forged > 0
-let clear_forge () = forged := 0
-
-let m_proved = Obs.Metrics.counter "window.proved"
-let m_refuted = Obs.Metrics.counter "window.refuted"
-let m_gave_up = Obs.Metrics.counter "window.gave_up"
-
-let prove ?(exhaustive_limit = 12) ?(conflict_limit = 2_000)
-    ?(deadline = Obs.Deadline.never) m out =
-  let real =
-    let pis = Circuit.pis m in
-    let n = List.length pis in
-    if n <= exhaustive_limit then begin
-      let words = max 1 ((1 lsl n) / 64) in
-      let eng = Sim.Engine.create m ~words in
-      Sim.Engine.exhaustive eng;
-      let v = Sim.Engine.value eng out in
-      let rec first_one j =
-        if j >= Array.length v then None
-        else if Int64.equal v.(j) 0L then first_one (j + 1)
-        else begin
-          let bit = ref 0 in
-          while
-            Int64.equal
-              (Int64.logand (Int64.shift_right_logical v.(j) !bit) 1L)
-              0L
-          do
-            incr bit
-          done;
-          Some ((j * 64) + !bit)
-        end
-      in
-      match first_one 0 with
-      | None -> Proved
-      | Some pattern ->
-        let pattern = pattern land ((1 lsl n) - 1) in
-        Refuted
-          (List.mapi (fun i pi -> (pi, pattern land (1 lsl i) <> 0)) pis)
-    end
-    else
-      match Cnf.justify_one ~conflict_limit ~deadline m out with
-      | Cnf.Impossible -> Proved
-      | Cnf.Justified a -> Refuted a
-      | Cnf.Gave_up Sat.Conflicts -> Gave_up "conflicts"
-      | Cnf.Gave_up Sat.Deadline -> Gave_up "deadline"
-  in
-  match real with
-  | Refuted _ when !forged > 0 ->
-    decr forged;
-    Obs.Metrics.incr m_proved;
-    Proved
-  | Proved ->
-    Obs.Metrics.incr m_proved;
-    Proved
-  | Refuted _ as r ->
-    Obs.Metrics.incr m_refuted;
-    r
-  | Gave_up _ as g ->
-    Obs.Metrics.incr m_gave_up;
-    g

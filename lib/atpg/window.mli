@@ -3,15 +3,16 @@
     A window is a small region of the netlist around a candidate edit:
     the truncated transitive fanout of the edit's entry points plus a
     greedily grown slice of shared fanin logic, bounded by a {e cut} of
-    at most [max_cut]-ish signals that become free inputs.  Proving
-    inside the window that every {e escape} — a changed signal with a
-    fanout leaving the window — keeps its value under all cut
-    assignments is sound for global equivalence: the cut inputs are
-    free (a superset of their reachable behaviour) and any real
-    difference would have to cross a silent escape.  A window
-    counterexample is {e not} a sound refutation (the cut assignment
-    may be unreachable, the boundary difference unobservable), so
-    callers must escalate it to a global check. *)
+    at most [max_cut]-ish signals that become free inputs.  This module
+    only selects the region; [Powder.Check.windowed] builds the miter
+    over it and proves it.  Proving inside the window that every
+    {e escape} — a changed signal with a fanout leaving the window —
+    keeps its value under all cut assignments is sound for global
+    equivalence: the cut inputs are free (a superset of their reachable
+    behaviour) and any real difference would have to cross a silent
+    escape.  A window counterexample is {e not} a sound refutation (the
+    cut assignment may be unreachable, the boundary difference
+    unobservable), so callers must escalate it to a global check. *)
 
 type t = {
   internal : (Netlist.Circuit.node_id, unit) Hashtbl.t;
@@ -48,34 +49,3 @@ val extract :
     are guaranteed an image in the window (cut or internal).  Returns
     [None] — escalate to a global check — when the final cut exceeds
     [2 * max_cut].  Deterministic for a given circuit state. *)
-
-type verdict =
-  | Proved  (** the output is constant 0 — globally sound *)
-  | Refuted of (Netlist.Circuit.node_id * bool) list
-      (** a window-local distinguishing assignment over the window's
-          PIs — NOT a sound global refutation *)
-  | Gave_up of string  (** "conflicts" or "deadline" *)
-
-val prove :
-  ?exhaustive_limit:int ->
-  ?conflict_limit:int ->
-  ?deadline:Obs.Deadline.t ->
-  Netlist.Circuit.t ->
-  Netlist.Circuit.node_id ->
-  verdict
-(** Prove a (window-sized) circuit's node constant 0: exhaustive
-    simulation when the circuit has at most [exhaustive_limit] (default
-    12) primary inputs, otherwise SAT with a modest [conflict_limit]
-    (default 2000). *)
-
-val inject_forge : unit -> unit
-(** Arm the fault-injection hook: the next {!prove} whose honest
-    verdict is [Refuted] returns a forged [Proved] instead (one-shot).
-    Exists so the windowed-vs-global differential fuzz leg can assert
-    it catches a lying window checker. *)
-
-val forge_armed : unit -> bool
-(** True while an {!inject_forge} fault is armed but not yet consumed. *)
-
-val clear_forge : unit -> unit
-(** Disarm any pending {!inject_forge} fault. *)

@@ -242,7 +242,7 @@ let oracle_split_fails ~case_seed c =
    the forged proof. *)
 let window_differs ~case_seed ?(forge = false) c =
   let cands = pred_candidates_of ~case_seed c in
-  if forge then Atpg.Window.inject_forge ();
+  if forge then Powder.Check.inject_window_forge ();
   let hit =
     List.exists
       (fun (s, _) ->
@@ -256,7 +256,7 @@ let window_differs ~case_seed ?(forge = false) c =
         | exception _ -> false)
       cands
   in
-  Atpg.Window.clear_forge ();
+  Powder.Check.clear_window_forge ();
   hit
 
 let predicate_for ~case_seed ~kind ~injected =
@@ -358,7 +358,7 @@ let run_case ~config ~deadline ~inject ~forge i =
   in
   (* armed once per case: the forge fires on the first windowed check
      whose honest verdict is a refutation *)
-  if forge then Atpg.Window.inject_forge ();
+  if forge then Powder.Check.inject_window_forge ();
   List.iter
     (fun (eng, (s, _)) ->
       if not (Powder.Subst.creates_cycle circ s) then begin
@@ -405,8 +405,8 @@ let run_case ~config ~deadline ~inject ~forge i =
                (Powder.Subst.describe circ s))
       end)
     cands;
-  let forge_consumed = forge && not (Atpg.Window.forge_armed ()) in
-  Atpg.Window.clear_forge ();
+  let forge_consumed = forge && not (Powder.Check.window_forge_armed ()) in
+  Powder.Check.clear_window_forge ();
   (* optimizer metamorphic run *)
   let pre = Circuit.clone circ in
   let opt = Circuit.clone circ in

@@ -38,8 +38,8 @@ type config = {
           later cases until it is actually consumed), with the guard
           disabled, so the end-to-end properties must catch it *)
   forge_window : bool;
-      (** arm {!Atpg.Window.inject_forge} so the window prover lies
-          once (a forged [Proved] on a real window refutation); the
+      (** arm {!Powder.Check.inject_window_forge} so the window check lies
+          once (a forged [W_proved] on a real window counterexample); the
           windowed-vs-global differential must catch the lie.  A forge
           consumed on a spurious window counterexample is harmless by
           luck, so it re-arms every case until caught. *)

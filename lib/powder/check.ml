@@ -16,49 +16,110 @@ let gave_up_podem = function
   | Atpg.Podem.Backtracks -> Gave_up { engine = "podem"; limit = "backtracks" }
   | Atpg.Podem.Deadline -> Gave_up { engine = "podem"; limit = "deadline" }
 
-(* The incremental miter as an overlay on the live circuit: duplicate
-   the changed cone with the substitution applied, XOR affected PO
-   drivers with their originals, OR the differences.  Ids below [n0]
-   are the circuit's own nodes, read in place; the miter's nodes take
-   [n0], [n0 + 1], ... in the order a clone of the circuit would have
-   allocated them, so the CNF encoder numbers variables and orders
-   clauses exactly as it would on that clone, and every solve follows
-   the same search. *)
+(* A miter as an overlay: ids below [n0] are the circuit's own nodes,
+   read in place; the miter's nodes take [n0], [n0 + 1], ... in the
+   order they were built.  The global miter overlays the live circuit
+   in the order a clone of it would have allocated them, and the window
+   miter ([n0 = 0]) stands alone in the order the window's own circuit
+   would have: the CNF encoder numbers variables by id and orders
+   clauses by them, so every solve follows that same search. *)
 type miter = {
   circ : Circuit.t;
   n0 : int;
-  extra : (Cell.t * Circuit.node_id array) array;  (* node [n0 + i] *)
-  twin : Circuit.node_id array;  (* the original a duplicate copies, or -1 *)
+  extra : Circuit.kind array;  (* node [n0 + i] *)
+  twin : Circuit.node_id array;  (* the node a duplicate copies, or -1 *)
+  inputs : Circuit.node_id list;  (* the free inputs, in pattern order *)
   out : Circuit.node_id;
 }
 
-let kind mt id =
-  if id < mt.n0 then Circuit.kind mt.circ id
-  else
-    let c, fs = mt.extra.(id - mt.n0) in
-    Circuit.Cell (c, fs)
-
+let kind mt id = if id < mt.n0 then Circuit.kind mt.circ id else mt.extra.(id - mt.n0)
 let num_ids mt = mt.n0 + Array.length mt.extra
 let view mt = { Atpg.Cnf.num_ids = num_ids mt; kind = kind mt }
 
-(* The miter, or None when no primary output is affected (the
-   substitution is then vacuously permissible). *)
-let build circ s =
-  let n0 = Circuit.num_nodes circ in
-  let extra = ref [] and twin = ref [] and next = ref n0 in
-  let add ?(of_ = -1) c fs =
-    extra := (c, fs) :: !extra;
-    twin := of_ :: !twin;
-    incr next;
-    !next - 1
-  in
-  let inv = Library.inverter (Circuit.library circ) in
+(* A miter under construction: its nodes so far, newest first, each
+   with the node it duplicates. *)
+type builder = {
+  base : int;
+  mutable next : int;
+  mutable nodes : (Circuit.kind * Circuit.node_id) list;
+}
+
+let builder base = { base; next = base; nodes = [] }
+
+let add b ?(of_ = -1) k =
+  b.nodes <- (k, of_) :: b.nodes;
+  b.next <- b.next + 1;
+  b.next - 1
+
+let add_cell b ?of_ c fs = add b ?of_ (Circuit.Cell (c, fs))
+
+(* The substitution's source, then a copy of each [changed] node of
+   [order] with the substitution applied: a retargeted pin reads the
+   source, a fanin that has a copy reads the copy, any other fanin its
+   image [img] in the miter.  Returns the source and the copies. *)
+let duplicate b circ s ~img ~changed order =
   let src =
     match Subst.plan_of circ s with
-    | Subst.P_existing v -> v
-    | Subst.P_new_inv b -> add inv [| b |]
-    | Subst.P_new_gate (c, b, d) -> add c [| b; d |]
+    | Subst.P_existing v -> img v
+    | Subst.P_new_inv x -> add_cell b (Library.inverter (Circuit.library circ)) [| img x |]
+    | Subst.P_new_gate (c, x, y) -> add_cell b c [| img x; img y |]
   in
+  let retargeted id pin f =
+    match s.Subst.target with
+    | Subst.Stem a -> f = a
+    | Subst.Branch { sink; pin = p } -> id = sink && pin = p
+  in
+  let dup = Hashtbl.create 64 in
+  Array.iter
+    (fun id ->
+      if changed id then
+        match Circuit.kind circ id with
+        | Circuit.Cell (c, fs) ->
+          let fs' =
+            Array.mapi
+              (fun pin f ->
+                if retargeted id pin f then src
+                else match Hashtbl.find_opt dup f with Some d -> d | None -> img f)
+              fs
+          in
+          Hashtbl.add dup id (add_cell b ~of_:(img id) c fs')
+        | Circuit.Pi | Circuit.Const _ | Circuit.Po _ -> ())
+    order;
+  (src, dup)
+
+(* XOR each (old, new) pair and OR the differences: the miter over
+   [inputs], or None when there is nothing to compare. *)
+let finish b circ ~inputs pairs =
+  let diffs =
+    List.fold_left (fun acc (o, n) -> add_cell b Equiv.xor_cell [| o; n |] :: acc) [] pairs
+    |> List.rev
+  in
+  let rec or_tree = function
+    | [ x ] -> x
+    | x :: y :: rest -> or_tree (add_cell b Equiv.or_cell [| x; y |] :: rest)
+    | [] -> assert false
+  in
+  match diffs with
+  | [] -> None
+  | _ ->
+    let out = or_tree diffs in
+    let nodes = Array.of_list (List.rev b.nodes) in
+    Some
+      {
+        circ;
+        n0 = b.base;
+        extra = Array.map fst nodes;
+        twin = Array.map snd nodes;
+        inputs;
+        out;
+      }
+
+(* The global miter: the changed cone is the substitution's TFO (and a
+   retargeted branch's sink), and every primary output whose driver
+   changes is compared.  None when no primary output is affected (the
+   substitution is then vacuously permissible). *)
+let build circ s =
+  let b = builder (Circuit.num_nodes circ) in
   let changed =
     match s.Subst.target with
     | Subst.Stem a -> Circuit.tfo circ a
@@ -67,84 +128,39 @@ let build circ s =
       t.(sink) <- true;
       t
   in
-  let dup = Hashtbl.create 64 in
-  let remap_stem_target =
-    match s.Subst.target with Subst.Stem a -> Some a | Subst.Branch _ -> None
+  let src, dup =
+    duplicate b circ s ~img:Fun.id ~changed:(Array.get changed) (Circuit.topo_order circ)
   in
-  let branch_target =
-    match s.Subst.target with
-    | Subst.Branch { sink; pin } -> Some (sink, pin)
-    | Subst.Stem _ -> None
-  in
-  Array.iter
-    (fun id ->
-      if changed.(id) then
-        match Circuit.kind circ id with
-        | Circuit.Cell (c, fs) ->
-          let fs' =
-            Array.mapi
-              (fun pin f ->
-                let substituted =
-                  (match remap_stem_target with Some a -> f = a | None -> false)
-                  ||
-                  match branch_target with
-                  | Some (sink, p) -> id = sink && pin = p
-                  | None -> false
-                in
-                if substituted then src
-                else match Hashtbl.find_opt dup f with Some d -> d | None -> f)
-              fs
-          in
-          Hashtbl.add dup id (add ~of_:id c fs')
-        | Circuit.Pi | Circuit.Const _ | Circuit.Po _ -> ())
-    (Circuit.topo_order circ);
-  let diffs =
+  let pairs =
     List.filter_map
       (fun po ->
         let d = Circuit.po_driver circ po in
         (* the PO's driver in the modified circuit: the source when the
            substitution retargets this PO itself, a duplicate when the
            driver lies in the changed cone, otherwise unchanged *)
-        let new_driver =
-          let directly_retargeted =
-            (match remap_stem_target with Some a -> d = a | None -> false)
-            ||
-            match branch_target with
-            | Some (sink, _) -> sink = po
-            | None -> false
-          in
-          if directly_retargeted then Some src
-          else Hashtbl.find_opt dup d
+        let retargeted =
+          match s.Subst.target with
+          | Subst.Stem a -> d = a
+          | Subst.Branch { sink; _ } -> sink = po
         in
-        match new_driver with
-        | Some d' when d' <> d -> Some (add Equiv.xor_cell [| d; d' |])
+        match if retargeted then Some src else Hashtbl.find_opt dup d with
+        | Some d' when d' <> d -> Some (d, d')
         | Some _ | None -> None)
       (Circuit.pos circ)
   in
-  match diffs with
-  | [] -> None
-  | _ ->
-    let rec or_tree = function
-      | [ x ] -> x
-      | x :: y :: rest -> or_tree (add Equiv.or_cell [| x; y |] :: rest)
-      | [] -> assert false
-    in
-    let out = or_tree diffs in
-    Some
-      {
-        circ;
-        n0;
-        extra = Array.of_list (List.rev !extra);
-        twin = Array.of_list (List.rev !twin);
-        out;
-      }
+  finish b circ ~inputs:(Circuit.pis circ) pairs
 
-(* The miter as a circuit of its own: a clone of the circuit with the
-   overlay's nodes added under the same ids, and a PO on the output.
-   Only the PODEM and BDD engines, which walk a [Circuit.t], need it. *)
+(* The global miter as a circuit of its own: a clone of the circuit
+   with the overlay's nodes added under the same ids, and a PO on the
+   output.  Only the PODEM and BDD engines, which walk a [Circuit.t],
+   need it. *)
 let materialize mt =
   let m = Circuit.clone mt.circ in
-  Array.iter (fun (c, fs) -> ignore (Circuit.add_cell m c fs)) mt.extra;
+  Array.iter
+    (function
+      | Circuit.Cell (c, fs) -> ignore (Circuit.add_cell m c fs)
+      | Circuit.Pi | Circuit.Const _ | Circuit.Po _ -> invalid_arg "Check.materialize")
+    mt.extra;
   ignore (Circuit.add_po m ~name:"incr_miter_out" mt.out);
   m
 
@@ -191,8 +207,8 @@ let first_one_bit v =
 
 (* Every input combination, laid out as [Sim.Engine.exhaustive] lays
    it out, simulated over the output's cone only. *)
-let check_exhaustive mt =
-  let pis = Circuit.pis mt.circ in
+let exhaustive mt =
+  let pis = mt.inputs in
   let n = List.length pis in
   let words = max 1 ((1 lsl n) / 64) in
   let values = Array.make (num_ids mt) [||] in
@@ -214,13 +230,20 @@ let check_exhaustive mt =
         values.(id) <- out)
     (fst (topo_cone mt));
   match first_one_bit values.(mt.out) with
-  | None -> Permissible
+  | None -> Atpg.Cnf.Impossible
   | Some pattern ->
     let pattern = pattern land ((1 lsl n) - 1) in
-    Not_permissible
-      (List.mapi
-         (fun i pi -> (Circuit.name mt.circ pi, pattern land (1 lsl i) <> 0))
-         pis)
+    Atpg.Cnf.Justified (List.mapi (fun i pi -> (pi, pattern land (1 lsl i) <> 0)) pis)
+
+(* The one decision procedure for every miter: exhaustive simulation
+   of the output's cone when the miter has at most [exhaustive_limit]
+   inputs, the SAT solver over the cone's CNF above that. *)
+let decide ~exhaustive_limit ~conflict_limit ~deadline ?on_stall mt =
+  if List.length mt.inputs <= exhaustive_limit then exhaustive mt
+  else
+    let v = view mt in
+    Atpg.Cnf.justify ~conflict_limit ~deadline ?on_stall v ~cone:(Atpg.Cnf.cone v mt.out)
+      ~pis:mt.inputs mt.out
 
 let sweep_metrics = Atpg.Sweep.metrics "check"
 
@@ -244,7 +267,7 @@ let sweep_pair_budget = 300
 let sweep_proves ~deadline mt =
   let t0 = Obs.Clock.now () in
   Obs.Metrics.incr sweep_metrics.escalations;
-  let pis = Circuit.pis mt.circ in
+  let pis = mt.inputs in
   let g =
     Atpg.Sweep.create ~deadline ~pair_budget:sweep_pair_budget
       ~npis:(List.length pis) sweep_metrics
@@ -312,37 +335,31 @@ let permissible ?(backtrack_limit = 20_000) ?(exhaustive_limit = 12)
     Obs.Metrics.observe m_miter_build_seconds (Obs.Clock.now () -. t0);
     match miter with
     | None -> Permissible
-    | Some mt ->
-      let pis = Circuit.pis circ in
-      if List.length pis <= exhaustive_limit then check_exhaustive mt
-      else begin
-        let assignment_names pairs =
-          List.map (fun (pi, v) -> (Circuit.name circ pi, v)) pairs
-        in
-        match engine with
-        | `Sat -> (
-          let v = view mt in
-          match
-            Atpg.Cnf.justify ~conflict_limit:(10 * backtrack_limit) ~deadline
-              ~on_stall:(fun () -> sweep && sweep_proves ~deadline mt)
-              v ~cone:(Atpg.Cnf.cone v mt.out) ~pis mt.out
-          with
-          | Atpg.Cnf.Impossible -> Permissible
-          | Atpg.Cnf.Justified a -> Not_permissible (assignment_names a)
-          | Atpg.Cnf.Gave_up why -> gave_up_sat why)
-        | `Podem -> (
-          match
-            Atpg.Podem.justify_one ~backtrack_limit ~deadline (materialize mt) mt.out
-          with
-          | Atpg.Podem.Untestable -> Permissible
-          | Atpg.Podem.Test a -> Not_permissible (assignment_names a)
-          | Atpg.Podem.Aborted why -> gave_up_podem why)
-        | `Bdd -> (
-          match Atpg.Bddcheck.justify_one (materialize mt) mt.out with
-          | Atpg.Bddcheck.Impossible -> Permissible
-          | Atpg.Bddcheck.Justified a -> Not_permissible (assignment_names a)
-          | Atpg.Bddcheck.Gave_up _ -> Gave_up { engine = "bdd"; limit = "nodes" })
-      end
+    | Some mt -> (
+      let names = List.map (fun (pi, v) -> (Circuit.name circ pi, v)) in
+      let wide = List.length mt.inputs > exhaustive_limit in
+      match engine with
+      | `Podem when wide -> (
+        match
+          Atpg.Podem.justify_one ~backtrack_limit ~deadline (materialize mt) mt.out
+        with
+        | Atpg.Podem.Untestable -> Permissible
+        | Atpg.Podem.Test a -> Not_permissible (names a)
+        | Atpg.Podem.Aborted why -> gave_up_podem why)
+      | `Bdd when wide -> (
+        match Atpg.Bddcheck.justify_one (materialize mt) mt.out with
+        | Atpg.Bddcheck.Impossible -> Permissible
+        | Atpg.Bddcheck.Justified a -> Not_permissible (names a)
+        | Atpg.Bddcheck.Gave_up _ -> Gave_up { engine = "bdd"; limit = "nodes" })
+      | `Sat | `Podem | `Bdd -> (
+        match
+          decide ~exhaustive_limit ~conflict_limit:(10 * backtrack_limit) ~deadline
+            ~on_stall:(fun () -> sweep && sweep_proves ~deadline mt)
+            mt
+        with
+        | Atpg.Cnf.Impossible -> Permissible
+        | Atpg.Cnf.Justified a -> Not_permissible (names a)
+        | Atpg.Cnf.Gave_up why -> gave_up_sat why))
 
 type window_verdict =
   | W_proved
@@ -353,9 +370,22 @@ let escalation_name = function
   | `Cex -> "cex"
   | `Gave_up -> "giveup"
 
-(* Windowed permissibility (the --window K path).  Instead of cloning
-   the whole circuit, build a fresh window-sized miter: cut signals
-   become free PIs, the shared slice is copied once, the changed cone is
+(* Fault injection for the differential test layer: arm with
+   [inject_window_forge] and the next window miter whose honest answer
+   is a counterexample claims [W_proved] instead.  The windowed-vs-
+   global fuzz oracle must flag the lie. *)
+let forged = ref 0
+let inject_window_forge () = incr forged
+let window_forge_armed () = !forged > 0
+let clear_window_forge () = forged := 0
+
+(* Conflicts the window's SAT search may spend: a window it cannot
+   decide cheaply escalates to the global check. *)
+let window_conflict_limit = 2_000
+
+(* Windowed permissibility (the --window K path).  The window miter is
+   built like the global one, over the window alone: cut signals become
+   free inputs, the shared slice is copied once, the changed cone is
    duplicated with the substitution applied, and every escape is XORed
    old-vs-new.  Window-UNSAT is globally sound (free cut inputs
    over-approximate reachable behaviour; silent escapes mean nothing
@@ -367,11 +397,10 @@ let windowed ?(exhaustive_limit = 12) ?(deadline = Obs.Deadline.never)
   else begin
     let module W = Atpg.Window in
     let a = Subst.substituted_signal circ s in
-    let plan = Subst.plan_of circ s in
     let support =
       a
       ::
-      (match plan with
+      (match Subst.plan_of circ s with
       | Subst.P_existing v -> [ v ]
       | Subst.P_new_inv b -> [ b ]
       | Subst.P_new_gate (_, b, d) -> [ b; d ])
@@ -392,79 +421,38 @@ let windowed ?(exhaustive_limit = 12) ?(deadline = Obs.Deadline.never)
       W.extract circ ~roots ~support ~max_cut ~max_volume:(16 * max_cut)
     with
     | None -> W_escalated `Overflow
-    | Some w ->
-      let lib = Circuit.library circ in
-      let m = Circuit.create lib in
+    | Some w -> (
+      let b = builder 0 in
       let map = Hashtbl.create 64 in
       let img id = Hashtbl.find map id in
+      (* the cut, ascending: constants stay constant, the rest become
+         the miter's free inputs *)
+      let inputs = ref [] in
       Array.iter
         (fun id ->
-          let n =
+          let x =
             match Circuit.kind circ id with
-            | Circuit.Const b ->
-              Circuit.add_const m ~name:("w_" ^ Circuit.name circ id) b
-            | _ -> Circuit.add_pi m ~name:("w_" ^ Circuit.name circ id)
+            | Circuit.Const v -> add b (Circuit.Const v)
+            | Circuit.Pi | Circuit.Cell _ | Circuit.Po _ ->
+              let x = add b Circuit.Pi in
+              inputs := x :: !inputs;
+              x
           in
-          Hashtbl.replace map id n)
+          Hashtbl.replace map id x)
         w.W.cut;
       Array.iter
         (fun id ->
           match Circuit.kind circ id with
           | Circuit.Cell (c, fs) ->
-            Hashtbl.replace map id (Circuit.add_cell m c (Array.map img fs))
+            Hashtbl.replace map id (add_cell b c (Array.map img fs))
           | Circuit.Pi | Circuit.Const _ | Circuit.Po _ -> ())
         w.W.order;
-      let src =
-        match plan with
-        | Subst.P_existing v -> img v
-        | Subst.P_new_inv b ->
-          Circuit.add_cell m (Library.inverter lib) [| img b |]
-        | Subst.P_new_gate (c, b, d) -> Circuit.add_cell m c [| img b; img d |]
+      let src, dup = duplicate b circ s ~img ~changed:(W.is_changed w) w.W.order in
+      let escapes =
+        List.filter_map
+          (fun e -> Option.map (fun d -> (img e, d)) (Hashtbl.find_opt dup e))
+          (Array.to_list w.W.escapes)
       in
-      let stem_target =
-        match s.Subst.target with Subst.Stem t -> Some t | Subst.Branch _ -> None
-      in
-      let branch_target =
-        match s.Subst.target with
-        | Subst.Branch { sink; pin } -> Some (sink, pin)
-        | Subst.Stem _ -> None
-      in
-      let dup = Hashtbl.create 64 in
-      Array.iter
-        (fun id ->
-          if W.is_changed w id then
-            match Circuit.kind circ id with
-            | Circuit.Cell (c, fs) ->
-              let fs' =
-                Array.mapi
-                  (fun pin f ->
-                    let substituted =
-                      (match stem_target with
-                      | Some t -> f = t
-                      | None -> false)
-                      ||
-                      match branch_target with
-                      | Some (sk, p) -> id = sk && pin = p
-                      | None -> false
-                    in
-                    if substituted then src
-                    else
-                      match Hashtbl.find_opt dup f with
-                      | Some d -> d
-                      | None -> img f)
-                  fs
-              in
-              Hashtbl.replace dup id (Circuit.add_cell m c fs')
-            | Circuit.Pi | Circuit.Const _ | Circuit.Po _ -> ())
-        w.W.order;
-      let diffs = ref [] in
-      Array.iter
-        (fun e ->
-          match Hashtbl.find_opt dup e with
-          | Some d ->
-            diffs := Circuit.add_cell m Equiv.xor_cell [| img e; d |] :: !diffs
-          | None -> ())
-        w.W.escapes;
       (* the target signal itself escaping: a retargeted use outside the
          window (truncated stem fanout, or a PO) sees a -> src directly *)
       let target_escapes =
@@ -477,23 +465,19 @@ let windowed ?(exhaustive_limit = 12) ?(deadline = Obs.Deadline.never)
             (Circuit.fanouts circ t)
         | Subst.Branch { sink; _ } -> Circuit.is_po_node circ sink
       in
-      if target_escapes then
-        diffs := Circuit.add_cell m Equiv.xor_cell [| img a; src |] :: !diffs;
-      (match List.rev !diffs with
-      | [] -> W_proved
-      | ds ->
-        let rec or_tree = function
-          | [ x ] -> x
-          | x :: y :: rest ->
-            or_tree (Circuit.add_cell m Equiv.or_cell [| x; y |] :: rest)
-          | [] -> assert false
-        in
-        let out = or_tree ds in
-        ignore (Circuit.add_po m ~name:"window_miter_out" out);
-        (match Atpg.Window.prove ~exhaustive_limit ~deadline m out with
-        | Atpg.Window.Proved -> W_proved
-        | Atpg.Window.Refuted _ -> W_escalated `Cex
-        | Atpg.Window.Gave_up _ -> W_escalated `Gave_up))
+      let pairs = if target_escapes then escapes @ [ (img a, src) ] else escapes in
+      match finish b circ ~inputs:(List.rev !inputs) pairs with
+      | None -> W_proved
+      | Some mt -> (
+        match
+          decide ~exhaustive_limit ~conflict_limit:window_conflict_limit ~deadline mt
+        with
+        | Atpg.Cnf.Impossible -> W_proved
+        | Atpg.Cnf.Justified _ when !forged > 0 ->
+          decr forged;
+          W_proved
+        | Atpg.Cnf.Justified _ -> W_escalated `Cex
+        | Atpg.Cnf.Gave_up _ -> W_escalated `Gave_up))
   end
 
 (* Exact refutation on the engine's pattern set: perturb the target to

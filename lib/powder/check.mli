@@ -15,7 +15,9 @@
     ({!Atpg.Sweep}) of the duplicated cone into the original: when
     that folds the output to 0 the check is proved, otherwise the
     search resumes untouched, so verdicts and counterexamples are those
-    of the search alone wherever it decides within its budget. *)
+    of the search alone wherever it decides within its budget.  The
+    windowed check ({!windowed}) builds the same miter over a window
+    and decides it with the same prover. *)
 
 type verdict =
   | Permissible
@@ -75,11 +77,28 @@ val windowed :
   Netlist.Circuit.t ->
   Subst.t ->
   window_verdict
-(** Windowed permissibility check: build a window-sized miter around
-    the substitution (see {!Atpg.Window}) instead of cloning the whole
-    circuit.  [max_cut] is the --window K knob: the window's free-input
-    budget.  [W_proved] implies the substitution is globally
-    permissible; any [W_escalated] verdict says nothing either way. *)
+(** Windowed permissibility check: the same miter as {!permissible}'s,
+    built over a window around the substitution (see {!Atpg.Window})
+    whose cut signals are free inputs and whose escapes are compared,
+    and decided by the same prover: exhaustive simulation up to
+    [exhaustive_limit] (default 12) free inputs, above that the SAT
+    solver with a 2,000-conflict cap and no sweep.  [max_cut] is the
+    --window K knob: the window's free-input budget.  [W_proved]
+    implies the substitution is globally permissible; any
+    [W_escalated] verdict says nothing either way. *)
+
+val inject_window_forge : unit -> unit
+(** Arm the fault-injection hook: the next {!windowed} check whose
+    honest answer is a window counterexample returns a forged
+    [W_proved] instead (one-shot).  Exists so the windowed-vs-global
+    differential fuzz leg can assert it catches a lying window check. *)
+
+val window_forge_armed : unit -> bool
+(** True while an {!inject_window_forge} fault is armed but not yet
+    consumed. *)
+
+val clear_window_forge : unit -> unit
+(** Disarm any pending {!inject_window_forge} fault. *)
 
 val refuted_on_patterns : Sim.Engine.t -> Subst.t -> bool
 (** Cheap exact refutation on an engine's current pattern set: true iff

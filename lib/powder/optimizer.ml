@@ -704,29 +704,25 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
           let desc = if Trace.active () then Subst.describe circ s else "" in
           let outcome =
             Trace.with_span "apply" (fun () ->
-                match !guard with
-                | Some v -> (
-                  match Guard.transactional_apply v circ s with
-                  | Guard.Applied src ->
+                let outcome =
+                  match !guard with
+                  | Some v -> Guard.transactional_apply v circ s
+                  | None -> Guard.Applied (Subst.apply circ s)
+                in
+                (match outcome with
+                | Guard.Applied src ->
+                  if Option.is_some !guard then
                     f.verified_applies <- f.verified_applies + 1;
-                    f.sig_resim_nodes <-
-                      f.sig_resim_nodes
-                      + Estimator.update_after_edit !est src
-                      + Engine.resim_after_edit !cex_eng src;
-                    Sim.Sigstore.update_after_edit !sigstore src;
-                    `Ok src
-                  | Guard.Rolled_back err -> `Rolled_back err)
-                | None ->
-                  let src = Subst.apply circ s in
                   f.sig_resim_nodes <-
                     f.sig_resim_nodes
                     + Estimator.update_after_edit !est src
                     + Engine.resim_after_edit !cex_eng src;
-                  Sim.Sigstore.update_after_edit !sigstore src;
-                  `Ok src)
+                  Sim.Sigstore.update_after_edit !sigstore src
+                | Guard.Rolled_back _ -> ());
+                outcome)
           in
           match outcome with
-          | `Rolled_back err ->
+          | Guard.Rolled_back err ->
             f.rolled_back <- f.rolled_back + 1;
             Trace.event_f "rollback" (fun () ->
                 [
@@ -738,7 +734,7 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
                 m "rolled back %s (%s)" (Subst.describe circ s)
                   (Guard.error_name err));
             `Continue
-          | `Ok _src ->
+          | Guard.Applied _ ->
             update_sta ();
             f.substitutions <- f.substitutions + 1;
             let realized = power_before -. Estimator.total !est in

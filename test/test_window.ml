@@ -123,8 +123,8 @@ let test_differential_200 () =
 (* Forged-verdict leg                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Arm the one-shot forge so the window prover lies (a real window
-   refutation becomes [Proved]).  A forge consumed on a spurious window
+(* Arm the one-shot forge so the window check lies (a real window
+   counterexample becomes [W_proved]).  A forge consumed on a spurious window
    counterexample is harmless by luck — the candidate really was
    permissible — so re-arm until the differential catches an actual
    lie.  The differential MUST catch it; if it never does, the guard
@@ -134,7 +134,7 @@ let test_forged_verdict_caught () =
   let i = ref 0 in
   while (not !caught) && !i < 400 do
     let seed, c = case_circuit !i in
-    Window.inject_forge ();
+    Check.inject_window_forge ();
     List.iter
       (fun (s, _) ->
         if not (Subst.creates_cycle c s) then
@@ -147,17 +147,17 @@ let test_forged_verdict_caught () =
       (candidates_of ~seed c 6);
     incr i
   done;
-  Window.clear_forge ();
+  Check.clear_window_forge ();
   Alcotest.(check bool)
     (Printf.sprintf "forged window verdict caught (within %d cases)" !i)
     true !caught
 
 let test_forge_arm_clear () =
-  Alcotest.(check bool) "disarmed at rest" false (Window.forge_armed ());
-  Window.inject_forge ();
-  Alcotest.(check bool) "armed after inject" true (Window.forge_armed ());
-  Window.clear_forge ();
-  Alcotest.(check bool) "disarmed after clear" false (Window.forge_armed ())
+  Alcotest.(check bool) "disarmed at rest" false (Check.window_forge_armed ());
+  Check.inject_window_forge ();
+  Alcotest.(check bool) "armed after inject" true (Check.window_forge_armed ());
+  Check.clear_window_forge ();
+  Alcotest.(check bool) "disarmed after clear" false (Check.window_forge_armed ())
 
 (* ------------------------------------------------------------------ *)
 (* Determinism                                                         *)
@@ -229,6 +229,67 @@ let test_window_matches_off () =
       Alcotest.(check string) (name ^ ": same report") (json ro) (json rw))
     [ "C880"; "cps" ]
 
+(* ------------------------------------------------------------------ *)
+(* Verdict pin                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The window's search is pinned: every [Check.windowed] call over the
+   first-round candidates of C880, cps and synth:2000, at cut budgets 8
+   and 16, digested in order as its verdict, whether it reached the SAT
+   solver, and the conflicts that solve spent.  The SAT-decided windows
+   and the five 2,000-conflict give-ups make the digest sensitive to the
+   variable and clause order of the window's CNF. *)
+let test_window_verdict_pin () =
+  let counter name =
+    match Obs.Metrics.find name with
+    | Some (`Counter c) -> c
+    | Some (`Gauge _ | `Histogram _) | None -> 0
+  in
+  let circuit name =
+    if name = "synth:2000" then Circuits.Generators.synth ~seed:1 ~gates:2000
+    else
+      match Circuits.Suite.find name with
+      | Some spec -> Circuits.Suite.mapped spec
+      | None -> Alcotest.failf "%s not in the suite" name
+  in
+  let buf = Buffer.create (1 lsl 16) in
+  let counts = Hashtbl.create 8 in
+  let bump k = Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k)) in
+  List.iter
+    (fun name ->
+      let c = circuit name in
+      let eng = Engine.create c ~words:8 in
+      Engine.randomize eng (Rng.create 5L);
+      let cands = Powder.Candidates.generate (Power.Estimator.create eng) in
+      List.iter
+        (fun max_cut ->
+          List.iter
+            (fun (s, _) ->
+              if not (Subst.creates_cycle c s) then begin
+                let s0 = counter "atpg.sat.solves"
+                and c0 = counter "atpg.sat.conflicts" in
+                let v =
+                  match Check.windowed ~max_cut c s with
+                  | Check.W_proved -> "proved"
+                  | Check.W_escalated r -> Check.escalation_name r
+                in
+                let sat = counter "atpg.sat.solves" > s0 in
+                bump v;
+                if sat then bump "sat";
+                Printf.bprintf buf "%s %d %s %b %d\n" name max_cut v sat
+                  (counter "atpg.sat.conflicts" - c0)
+              end)
+            cands)
+        [ 8; 16 ])
+    [ "C880"; "cps"; "synth:2000" ];
+  let count k = Option.value ~default:0 (Hashtbl.find_opt counts k) in
+  Alcotest.(check (list (pair string int)))
+    "verdicts per reason"
+    [ ("proved", 2102); ("cex", 4968); ("overflow", 2223); ("giveup", 5); ("sat", 4334) ]
+    (List.map (fun k -> (k, count k)) [ "proved"; "cex"; "overflow"; "giveup"; "sat" ]);
+  Alcotest.(check string) "verdict digest" "52a92091d0008218cf975cdd4b798d7e"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suite =
   [
     ( "window",
@@ -243,5 +304,6 @@ let suite =
           `Slow test_differential_200;
         Alcotest.test_case "forged verdict caught" `Slow
           test_forged_verdict_caught;
+        Alcotest.test_case "window verdict pin" `Quick test_window_verdict_pin;
       ] );
   ]
