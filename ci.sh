@@ -258,7 +258,12 @@ stage_smoke() {
   # its first conflict, and the signature store resyncs once per round
   # (accepts only mark rows stale), so its full rebuilds are at most
   # the rounds.  A deliberate search change updates these values
-  # together with test/golden/.
+  # together with test/golden/.  The simulation work is pinned too: the
+  # nodes the engine re-evaluates (full and incremental), the
+  # incremental updates, and the stems flipped for the observability
+  # table (the same at every job count).  A deliberate change to the
+  # simulation or to what it is asked updates them together with
+  # test/golden/.
   rounds=$(report_field rounds "$ref_json")
   awk -v rounds="$rounds" '
     $1 == "atpg.sat.conflicts" { c = $2 }
@@ -266,11 +271,17 @@ stage_smoke() {
     $1 == "check.sweep.proved" { p = $2 }
     $1 == "check.sweep.pair_proofs" { q = $2 }
     $1 == "sig/store.rebuilds" { r = $2 }
+    $1 == "sim.resim.nodes" { n = $2 }
+    $1 == "sim.resim_edit.calls" { u = $2 }
+    $1 == "sim.observability.stem.calls" { s = $2 }
     END {
       if (c != 73150) { print "atpg.sat.conflicts " c ", want 73150"; bad = 1 }
       if (e != 628) { print "check.sweep.escalations " e ", want 628"; bad = 1 }
       if (p != 287) { print "check.sweep.proved " p ", want 287"; bad = 1 }
       if (q != 609) { print "check.sweep.pair_proofs " q ", want 609"; bad = 1 }
+      if (n != 397006) { print "sim.resim.nodes " n ", want 397006"; bad = 1 }
+      if (u != 574) { print "sim.resim_edit.calls " u ", want 574"; bad = 1 }
+      if (s != 14474) { print "sim.observability.stem.calls " s ", want 14474"; bad = 1 }
       if (r == "" || r > rounds) {
         print "sig/store.rebuilds " r " exceeds the " rounds " rounds"; bad = 1
       }

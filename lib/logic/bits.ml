@@ -3,9 +3,10 @@
    OCaml boxes every [Int64] intermediate, so the trick throughout is
    to drop to native [int] arithmetic as early as possible: an [int64]
    is split into two 32-bit halves (each fits a 63-bit native int) and
-   all the SWAR reduction happens in registers.  [popcount64] replaces
-   the Kernighan clear-lowest-bit loop that used to burn ~91% of the
-   optimizer's candidate-generation budget in [disagreement] scoring. *)
+   all the SWAR reduction happens in registers.  The signature store
+   packs and compares rows ([pack_words], [equal_words]), candidate
+   generation scores packed rows ([popcount62]), and the engine and
+   the power model count ones ([popcount_words]). *)
 
 (* popcount of a value known to fit in 32 bits *)
 let popcount32 x =
@@ -26,49 +27,6 @@ let popcount_words (a : int64 array) =
     acc := !acc + popcount64 (Array.unsafe_get a j)
   done;
   !acc
-
-(* number of care positions where [a] and [b] disagree *)
-let masked_hamming (a : int64 array) (b : int64 array) (care : int64 array) =
-  let acc = ref 0 in
-  for j = 0 to Array.length a - 1 do
-    let d =
-      Int64.logand
-        (Int64.logxor (Array.unsafe_get a j) (Array.unsafe_get b j))
-        (Array.unsafe_get care j)
-    in
-    if not (Int64.equal d 0L) then acc := !acc + popcount64 d
-  done;
-  !acc
-
-(* [a] equals [b] on every care position (early exit on first mismatch) *)
-let masked_equal (a : int64 array) (b : int64 array) (care : int64 array) =
-  let n = Array.length a in
-  let rec go j =
-    j >= n
-    || Int64.equal
-         (Int64.logand
-            (Int64.logxor (Array.unsafe_get a j) (Array.unsafe_get b j))
-            (Array.unsafe_get care j))
-         0L
-       && go (j + 1)
-  in
-  go 0
-
-(* [a] equals [lognot b] on every care position *)
-let masked_equal_compl (a : int64 array) (b : int64 array) (care : int64 array)
-    =
-  let n = Array.length a in
-  let rec go j =
-    j >= n
-    || Int64.equal
-         (Int64.logand
-            (Int64.logxor (Array.unsafe_get a j)
-               (Int64.lognot (Array.unsafe_get b j)))
-            (Array.unsafe_get care j))
-         0L
-       && go (j + 1)
-  in
-  go 0
 
 let equal_words (a : int64 array) (b : int64 array) =
   let n = Array.length a in

@@ -13,18 +13,6 @@ val popcount64 : int64 -> int
 val popcount_words : int64 array -> int
 (** Total set bits across all words. *)
 
-val masked_hamming : int64 array -> int64 array -> int64 array -> int
-(** [masked_hamming a b care] counts care positions where [a] and [b]
-    disagree. *)
-
-val masked_equal : int64 array -> int64 array -> int64 array -> bool
-(** [masked_equal a b care]: [a] and [b] agree on every care position.
-    Early-exits on the first disagreeing word. *)
-
-val masked_equal_compl : int64 array -> int64 array -> int64 array -> bool
-(** [masked_equal_compl a b care]: [a] agrees with the complement of
-    [b] on every care position. *)
-
 val equal_words : int64 array -> int64 array -> bool
 (** Exact word-for-word equality (lengths must match too). *)
 

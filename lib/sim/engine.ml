@@ -6,18 +6,27 @@ type t = {
   circ : Circuit.t;
   w : int;
   mutable values : int64 array array; (* per node id *)
-  (* persistent scratch for perturb-and-restore observability: saved
-     rows are pooled per node (no per-call copies), [obs_changed] is
-     cleared on exit by walking the touched list *)
-  mutable obs_saved : int64 array array;
-  mutable obs_changed : Bytes.t;
-  (* rank-ordered worklist scratch: topo rank per node (rebuilt when
-     the memoized order changes identity), a binary min-heap of node
-     ids keyed by rank, and its membership flags *)
-  mutable obs_rank : int array;
-  mutable obs_rank_key : Circuit.node_id array;
-  mutable obs_heap : int array;
-  mutable obs_inq : Bytes.t;
+  (* fanin rows of the cell being evaluated, so an evaluation builds no
+     argument array *)
+  mutable ins : int64 array array;
+  (* Scratch of the fanout-propagation kernel, kept across calls and
+     sized with [values]: [rank] is each node's topological rank (-1:
+     never re-evaluated), built from the memoized order [rank_key] and
+     rebuilt when that order changes identity; [heap] is a binary
+     min-heap of [hn] node ids keyed by rank; [mark] is every node's
+     state in the current call (all [untouched] between calls);
+     [saved] pools one row per node for the words it had before the
+     call; [touched] stacks the [tn] nodes whose rows were saved;
+     [busy] refuses a nested call. *)
+  mutable rank : int array;
+  mutable rank_key : Circuit.node_id array;
+  mutable heap : int array;
+  mutable hn : int;
+  mutable mark : Bytes.t;
+  mutable saved : int64 array array;
+  mutable touched : int array;
+  mutable tn : int;
+  mutable busy : bool;
 }
 
 let create circ ~words =
@@ -26,12 +35,16 @@ let create circ ~words =
     circ;
     w = words;
     values = Array.init (Circuit.num_nodes circ) (fun _ -> Array.make words 0L);
-    obs_saved = [||];
-    obs_changed = Bytes.empty;
-    obs_rank = [||];
-    obs_rank_key = [||];
-    obs_heap = [||];
-    obs_inq = Bytes.empty;
+    ins = [||];
+    rank = [||];
+    rank_key = [||];
+    heap = [||];
+    hn = 0;
+    mark = Bytes.empty;
+    saved = [||];
+    touched = [||];
+    tn = 0;
+    busy = false;
   }
 
 let circuit t = t.circ
@@ -101,19 +114,26 @@ let eval_cell_words func (ins : int64 array array) (out : int64 array) w =
     | _ -> generic ())
   | _ -> generic ()
 
+(* Evaluate a cell with fanins [fs] into [out], pin [pin] reading [v]
+   instead of its driver's words (no pin overridden when [pin] is -1). *)
+let eval_cell t c fs ~pin v out =
+  let k = Array.length fs in
+  if Array.length t.ins < k then t.ins <- Array.make k [||];
+  for i = 0 to k - 1 do
+    t.ins.(i) <- (if i = pin then v else t.values.(fs.(i)))
+  done;
+  eval_cell_words c.Cell.func t.ins out t.w
+
 let eval_node t id =
   match Circuit.kind t.circ id with
   | Circuit.Pi -> ()
   | Circuit.Const b -> Array.fill t.values.(id) 0 t.w (if b then -1L else 0L)
   | Circuit.Po d -> Array.blit t.values.(d) 0 t.values.(id) 0 t.w
-  | Circuit.Cell (c, fs) ->
-    let ins = Array.map (fun f -> t.values.(f)) fs in
-    eval_cell_words c.Cell.func ins t.values.(id) t.w
+  | Circuit.Cell (c, fs) -> eval_cell t c fs ~pin:(-1) [||] t.values.(id)
 
 (* telemetry: how much node re-evaluation each update costs, so the
    TFO-resim share of the optimizer's budget is visible *)
 let m_resim_all_calls = Obs.Metrics.counter "sim.resim_all.calls"
-let m_resim_tfo_calls = Obs.Metrics.counter "sim.resim_tfo.calls"
 let m_resim_nodes = Obs.Metrics.counter "sim.resim.nodes"
 let m_obs_stem_calls = Obs.Metrics.counter "sim.observability.stem.calls"
 let m_obs_branch_calls = Obs.Metrics.counter "sim.observability.branch.calls"
@@ -127,121 +147,238 @@ let resim_all t =
   Obs.Metrics.incr m_resim_all_calls;
   Obs.Metrics.add m_resim_nodes (Array.length order + List.length pos)
 
+(* ------------------------------------------------------------------ *)
+(* Fanout propagation: one event-driven kernel.                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Every incremental update changes some rows and re-simulates what
+   lies downstream of them.  A node is re-evaluated only when one of
+   its direct fanins changed words (unchanged fanins reproduce its old
+   words exactly), and the frontier is drained in topological rank
+   order, so every fanin is final before its sink is evaluated.  Each
+   node is queued and evaluated at most once per call, so the values
+   left behind equal a full [resim_all].  Two modes share it:
+   [resim_after_edit] (commit) keeps the new words, and
+   [with_perturbation] (trial), which the observability masks use,
+   restores every touched row afterwards. *)
+
+(* node states in [mark]: queued or evaluated nodes are [visited] until
+   their words are found changed *)
+let untouched = '\000'
+let visited = '\001'
+let changed = '\002'
+
+let push t id =
+  if t.rank.(id) >= 0 && Bytes.unsafe_get t.mark id = untouched then begin
+    Bytes.unsafe_set t.mark id visited;
+    let heap = t.heap and rank = t.rank in
+    let i = ref t.hn in
+    t.hn <- t.hn + 1;
+    while !i > 0 && rank.(heap.((!i - 1) / 2)) > rank.(id) do
+      heap.(!i) <- heap.((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done;
+    heap.(!i) <- id
+  end
+
+let pop t =
+  let heap = t.heap and rank = t.rank in
+  let top = heap.(0) in
+  t.hn <- t.hn - 1;
+  let n = t.hn and last = heap.(t.hn) in
+  let i = ref 0 and sifting = ref true in
+  while !sifting do
+    let l = (2 * !i) + 1 in
+    let c = if l + 1 < n && rank.(heap.(l + 1)) < rank.(heap.(l)) then l + 1 else l in
+    if c < n && rank.(heap.(c)) < rank.(last) then begin
+      heap.(!i) <- heap.(c);
+      i := c
+    end
+    else sifting := false
+  done;
+  heap.(!i) <- last;
+  top
+
+let rec push_sinks t = function
+  | [] -> ()
+  | p :: rest ->
+    push t p.Circuit.sink;
+    push_sinks t rest
+
+(* Save [id]'s words into its pooled row and stack it as touched. *)
+let save t id =
+  let row =
+    let r = t.saved.(id) in
+    if Array.length r < t.w then begin
+      let r = Array.make t.w 0L in
+      t.saved.(id) <- r;
+      r
+    end
+    else r
+  in
+  Array.blit t.values.(id) 0 row 0 t.w;
+  Bytes.unsafe_set t.mark id visited;
+  t.touched.(t.tn) <- id;
+  t.tn <- t.tn + 1
+
+(* Whether [id]'s words differ from its saved row; if so, mark it
+   changed and queue its sinks. *)
+let note_change t id =
+  let v = t.values.(id) and old = t.saved.(id) in
+  let j = ref 0 in
+  while !j < t.w && Int64.equal v.(!j) old.(!j) do
+    incr j
+  done;
+  !j < t.w
+  && begin
+    Bytes.unsafe_set t.mark id changed;
+    push_sinks t (Circuit.fanouts t.circ id);
+    true
+  end
+
+(* Drain the heap; [on_change] fires once per node whose words changed,
+   in rank order.  Returns the number of nodes evaluated. *)
+let propagate t on_change =
+  let evaluated = ref 0 in
+  while t.hn > 0 do
+    let id = pop t in
+    save t id;
+    eval_node t id;
+    incr evaluated;
+    if note_change t id then on_change id
+  done;
+  !evaluated
+
+(* Start a call: size the scratch with [values] and rank the nodes by
+   the circuit's current topological order (the POs after it, in [pos]
+   order).  Dead nodes keep rank -1 and are never queued. *)
+let enter t =
+  if t.busy then invalid_arg "Engine: nested fanout propagation";
+  ensure_capacity t;
+  let cap = Array.length t.values in
+  if Array.length t.saved < cap then begin
+    let saved = Array.make cap [||] in
+    Array.blit t.saved 0 saved 0 (Array.length t.saved);
+    t.saved <- saved;
+    t.heap <- Array.make cap 0;
+    t.touched <- Array.make cap 0;
+    t.mark <- Bytes.make cap untouched;
+    t.rank <- Array.make cap (-1);
+    t.rank_key <- [||]
+  end;
+  let order = Circuit.topo_order t.circ in
+  if not (t.rank_key == order) then begin
+    Array.fill t.rank 0 cap (-1);
+    Array.iteri (fun r id -> t.rank.(id) <- r) order;
+    List.iteri
+      (fun i po -> t.rank.(po) <- Array.length order + i)
+      (Circuit.pos t.circ);
+    t.rank_key <- order
+  end;
+  t.busy <- true
+
+(* End a call: unqueue what an exception left queued, put the saved
+   rows back when [restore], and clear every mark. *)
+let leave t ~restore =
+  for i = 0 to t.hn - 1 do
+    Bytes.unsafe_set t.mark t.heap.(i) untouched
+  done;
+  t.hn <- 0;
+  for i = 0 to t.tn - 1 do
+    let id = t.touched.(i) in
+    if restore then Array.blit t.saved.(id) 0 t.values.(id) 0 t.w;
+    Bytes.unsafe_set t.mark id untouched
+  done;
+  t.tn <- 0;
+  t.busy <- false
+
+(* One kernel call: [f] runs between [enter] and [leave], however it
+   ends. *)
+let run t ~restore f =
+  enter t;
+  match f () with
+  | r ->
+    leave t ~restore;
+    r
+  | exception e ->
+    leave t ~restore;
+    raise e
+
 let m_resim_edit_calls = Obs.Metrics.counter "sim.resim_edit.calls"
 let m_sig_resim_nodes = Obs.Metrics.counter "sig/resim_nodes"
 
-(* Incremental re-simulation after a structural edit at [s]: a levelized
-   update queue seeded with [s] and its direct fanout sinks (the nodes
-   whose fanins a substitution rewires), draining in topological order
-   and enqueueing a node's fanouts only when its words actually changed.
-   Equivalent to [resim_tfo] word for word — the pruning only skips
-   nodes whose inputs are provably unchanged — but touches the changed
-   cone instead of the whole transitive fanout, which is what makes
-   per-accept signature maintenance cheap.  [on_change] fires once per
-   node whose words changed, in topological order. *)
-let resim_after_edit ?on_change t s =
-  ensure_capacity t;
-  let order = Circuit.topo_order t.circ in
-  let n_order = Array.length order in
-  let pos_list = Circuit.pos t.circ in
-  let level = Array.make (Array.length t.values) (-1) in
-  Array.iteri (fun i id -> level.(id) <- i) order;
-  List.iteri (fun i po -> level.(po) <- n_order + i) pos_list;
-  (* binary min-heap of node ids keyed by topological position *)
-  let heap = ref (Array.make 64 (-1)) in
-  let hn = ref 0 in
-  let queued = Array.make (Array.length t.values) false in
-  let swap i j =
-    let h = !heap in
-    let tmp = h.(i) in
-    h.(i) <- h.(j);
-    h.(j) <- tmp
+(* Commit mode: seeded with the edit root and its direct fanout sinks
+   (the nodes whose fanins a substitution rewires). *)
+let resim_after_edit ?(on_change = ignore) t s =
+  let evaluated =
+    run t ~restore:false (fun () ->
+        push t s;
+        push_sinks t (Circuit.fanouts t.circ s);
+        propagate t on_change)
   in
-  let push id =
-    if level.(id) >= 0 && not queued.(id) then begin
-      queued.(id) <- true;
-      if !hn >= Array.length !heap then begin
-        let bigger = Array.make (2 * Array.length !heap) (-1) in
-        Array.blit !heap 0 bigger 0 !hn;
-        heap := bigger
-      end;
-      !heap.(!hn) <- id;
-      incr hn;
-      let i = ref (!hn - 1) in
-      while !i > 0 && level.(!heap.((!i - 1) / 2)) > level.(!heap.(!i)) do
-        swap ((!i - 1) / 2) !i;
-        i := (!i - 1) / 2
-      done
-    end
-  in
-  let pop () =
-    let h = !heap in
-    let top = h.(0) in
-    decr hn;
-    h.(0) <- h.(!hn);
-    let i = ref 0 in
-    let continue_ = ref true in
-    while !continue_ do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let m = ref !i in
-      if l < !hn && level.(h.(l)) < level.(h.(!m)) then m := l;
-      if r < !hn && level.(h.(r)) < level.(h.(!m)) then m := r;
-      if !m <> !i then begin
-        swap !i !m;
-        i := !m
-      end
-      else continue_ := false
-    done;
-    top
-  in
-  push s;
-  List.iter (fun p -> push p.Circuit.sink) (Circuit.fanouts t.circ s);
-  let scratch = Array.make t.w 0L in
-  let evaluated = ref 0 in
-  while !hn > 0 do
-    let id = pop () in
-    Array.blit t.values.(id) 0 scratch 0 t.w;
-    eval_node t id;
-    incr evaluated;
-    let changed =
-      let v = t.values.(id) in
-      let rec differs j =
-        j < t.w && (not (Int64.equal v.(j) scratch.(j)) || differs (j + 1))
-      in
-      differs 0
-    in
-    if changed then begin
-      (match on_change with None -> () | Some f -> f id);
-      List.iter (fun p -> push p.Circuit.sink) (Circuit.fanouts t.circ id)
-    end
-  done;
   Obs.Metrics.incr m_resim_edit_calls;
-  Obs.Metrics.add m_resim_nodes !evaluated;
-  Obs.Metrics.add m_sig_resim_nodes !evaluated;
-  !evaluated
+  Obs.Metrics.add m_resim_nodes evaluated;
+  Obs.Metrics.add m_sig_resim_nodes evaluated;
+  evaluated
 
-let resim_tfo t s =
+(* Trial mode: [first] is saved before [perturb] writes it, so every
+   row the call writes is a touched row, and restoring the touched rows
+   restores the engine exactly. *)
+let with_perturbation t ~first ~perturb ~measure =
+  run t ~restore:true (fun () ->
+      save t first;
+      perturb t;
+      ignore (note_change t first : bool);
+      ignore (propagate t ignore : int);
+      measure t)
+
+(* Trial measure: the patterns on which some primary output changed.  A
+   PO is touched exactly when its driver changed (or it is [first]),
+   so the touched stack holds every PO that can differ. *)
+let po_diff t =
+  let diff = Array.make t.w 0L in
+  for i = 0 to t.tn - 1 do
+    match Circuit.kind t.circ t.touched.(i) with
+    | Circuit.Po d when Bytes.get t.mark d = changed ->
+      let v = t.values.(d) and old = t.saved.(d) in
+      for j = 0 to t.w - 1 do
+        diff.(j) <- Int64.logor diff.(j) (Int64.logxor v.(j) old.(j))
+      done
+    | Circuit.Po _ | Circuit.Pi | Circuit.Const _ | Circuit.Cell _ -> ()
+  done;
+  diff
+
+let stem_observability t s =
+  Obs.Metrics.incr m_obs_stem_calls;
+  let flip t =
+    let v = t.values.(s) in
+    for j = 0 to t.w - 1 do
+      v.(j) <- Int64.lognot v.(j)
+    done
+  in
+  with_perturbation t ~first:s ~perturb:flip ~measure:po_diff
+
+let recompute_with_pin_override t ~sink ~pin v =
+  match Circuit.kind t.circ sink with
+  | Circuit.Cell (c, fs) -> eval_cell t c fs ~pin v t.values.(sink)
+  | Circuit.Po _ ->
+    if pin <> 0 then invalid_arg "Engine.recompute_with_pin_override";
+    Array.blit v 0 t.values.(sink) 0 t.w
+  | Circuit.Pi | Circuit.Const _ ->
+    invalid_arg "Engine.recompute_with_pin_override: no pins"
+
+let branch_observability t ~sink ~pin =
   ensure_capacity t;
-  let tfo = Circuit.tfo t.circ s in
-  eval_node t s;
-  let evaluated = ref 1 in
-  let order = Circuit.topo_order t.circ in
-  Array.iter
-    (fun id ->
-      if tfo.(id) then begin
-        eval_node t id;
-        incr evaluated
-      end)
-    order;
-  List.iter
-    (fun po ->
-      if tfo.(po) then begin
-        eval_node t po;
-        incr evaluated
-      end)
-    (Circuit.pos t.circ);
-  Obs.Metrics.incr m_resim_tfo_calls;
-  Obs.Metrics.add m_resim_nodes !evaluated
+  Obs.Metrics.incr m_obs_branch_calls;
+  match Circuit.kind t.circ sink with
+  | Circuit.Po _ -> Array.make t.w (-1L) (* an output branch is always observed *)
+  | Circuit.Cell (_, fs) ->
+    let flipped = Array.map Int64.lognot t.values.(fs.(pin)) in
+    with_perturbation t ~first:sink
+      ~perturb:(fun t -> recompute_with_pin_override t ~sink ~pin flipped)
+      ~measure:po_diff
+  | Circuit.Pi | Circuit.Const _ ->
+    invalid_arg "Engine.branch_observability: sink has no pins"
 
 let randomize t ?input_probs rng =
   ensure_capacity t;
@@ -310,219 +447,6 @@ let count_ones t id = Logic.Bits.popcount_words t.values.(id)
 
 let prob_one t id = float_of_int (count_ones t id) /. float_of_int (num_patterns t)
 
-let equal_signature t a b =
-  let va = t.values.(a) and vb = t.values.(b) in
-  let rec go j = j >= t.w || (Int64.equal va.(j) vb.(j) && go (j + 1)) in
-  go 0
-
-let complement_signature t a b =
-  let va = t.values.(a) and vb = t.values.(b) in
-  let rec go j =
-    j >= t.w || (Int64.equal va.(j) (Int64.lognot vb.(j)) && go (j + 1))
-  in
-  go 0
-
-(* Flip-and-resimulate machinery for observability masks.  Saves the
-   affected slice, perturbs, replays, diffs the POs, restores. *)
-(* Event-driven perturb-diff-restore: after perturbing [first], a node
-   is re-evaluated only when one of its direct fanins actually changed
-   — unchanged fanins reproduce the old words exactly, so the wave
-   dies where the perturbation is logically masked.  The frontier is a
-   binary min-heap on topo rank: a node is pushed when a fanin
-   changes, and popping in rank order guarantees every fanin is final
-   before the node re-evaluates, exactly like the topo sweep it
-   replaces — without visiting the untouched rest of the circuit.
-   Saved rows come from a per-engine pool and all flags are cleared on
-   exit by walking the touched list, so a call allocates nothing
-   proportional to the circuit. *)
-let observability_core t ~first ~perturb =
-  let circ = t.circ in
-  let n = Circuit.num_nodes circ in
-  if Array.length t.obs_saved < n then begin
-    let bigger = Array.make (max n (2 * Array.length t.obs_saved)) [||] in
-    Array.blit t.obs_saved 0 bigger 0 (Array.length t.obs_saved);
-    t.obs_saved <- bigger
-  end;
-  if Bytes.length t.obs_changed < n then begin
-    let bigger = Bytes.make (max n (2 * Bytes.length t.obs_changed)) '\000' in
-    Bytes.blit t.obs_changed 0 bigger 0 (Bytes.length t.obs_changed);
-    t.obs_changed <- bigger
-  end;
-  if Array.length t.obs_heap < n then t.obs_heap <- Array.make n 0;
-  if Bytes.length t.obs_inq < n then begin
-    let bigger = Bytes.make n '\000' in
-    Bytes.blit t.obs_inq 0 bigger 0 (Bytes.length t.obs_inq);
-    t.obs_inq <- bigger
-  end;
-  let order = Circuit.topo_order t.circ in
-  if not (t.obs_rank_key == order) then begin
-    let rank = Array.make n max_int in
-    Array.iteri (fun r id -> rank.(id) <- r) order;
-    t.obs_rank <- rank;
-    t.obs_rank_key <- order
-  end;
-  let rank = t.obs_rank in
-  let heap = t.obs_heap in
-  let inq = t.obs_inq in
-  let hn = ref 0 in
-  let push id =
-    if Bytes.unsafe_get inq id = '\000' then begin
-      Bytes.unsafe_set inq id '\001';
-      let i = ref !hn in
-      incr hn;
-      Array.unsafe_set heap !i id;
-      let continue_ = ref true in
-      while !continue_ && !i > 0 do
-        let p = (!i - 1) / 2 in
-        if rank.(Array.unsafe_get heap p) > rank.(Array.unsafe_get heap !i)
-        then begin
-          let tmp = Array.unsafe_get heap p in
-          Array.unsafe_set heap p (Array.unsafe_get heap !i);
-          Array.unsafe_set heap !i tmp;
-          i := p
-        end
-        else continue_ := false
-      done
-    end
-  in
-  let pop () =
-    let top = Array.unsafe_get heap 0 in
-    decr hn;
-    Array.unsafe_set heap 0 (Array.unsafe_get heap !hn);
-    let i = ref 0 in
-    let continue_ = ref true in
-    while !continue_ do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let m = ref !i in
-      if l < !hn
-         && rank.(Array.unsafe_get heap l) < rank.(Array.unsafe_get heap !m)
-      then m := l;
-      if r < !hn
-         && rank.(Array.unsafe_get heap r) < rank.(Array.unsafe_get heap !m)
-      then m := r;
-      if !m = !i then continue_ := false
-      else begin
-        let tmp = Array.unsafe_get heap !m in
-        Array.unsafe_set heap !m (Array.unsafe_get heap !i);
-        Array.unsafe_set heap !i tmp;
-        i := !m
-      end
-    done;
-    Bytes.unsafe_set inq top '\000';
-    top
-  in
-  let changed = t.obs_changed in
-  let save id =
-    let row =
-      let r = t.obs_saved.(id) in
-      if Array.length r < t.w then begin
-        let r = Array.make t.w 0L in
-        t.obs_saved.(id) <- r;
-        r
-      end
-      else r
-    in
-    Array.blit t.values.(id) 0 row 0 t.w
-  in
-  let differs id =
-    let old = t.obs_saved.(id) and v = t.values.(id) in
-    let rec go j =
-      j < t.w && ((not (Int64.equal v.(j) old.(j))) || go (j + 1))
-    in
-    go 0
-  in
-  let touched = ref [] in
-  let push_fanouts id =
-    List.iter
-      (fun p ->
-        if Circuit.is_live circ p.Circuit.sink then push p.Circuit.sink)
-      (Circuit.fanouts circ id)
-  in
-  save first;
-  touched := first :: !touched;
-  perturb ();
-  if differs first then begin
-    Bytes.unsafe_set changed first '\001';
-    push_fanouts first
-  end;
-  while !hn > 0 do
-    let id = pop () in
-    save id;
-    touched := id :: !touched;
-    eval_node t id;
-    if differs id then begin
-      Bytes.unsafe_set changed id '\001';
-      push_fanouts id
-    end
-  done;
-  let diff = Array.make t.w 0L in
-  List.iter
-    (fun po ->
-      let d = Circuit.po_driver circ po in
-      if Bytes.unsafe_get changed d = '\001' then begin
-        let old = t.obs_saved.(d) and v = t.values.(d) in
-        for j = 0 to t.w - 1 do
-          diff.(j) <- Int64.logor diff.(j) (Int64.logxor v.(j) old.(j))
-        done
-      end)
-    (Circuit.pos circ);
-  List.iter
-    (fun id ->
-      Array.blit t.obs_saved.(id) 0 t.values.(id) 0 t.w;
-      Bytes.unsafe_set changed id '\000')
-    !touched;
-  diff
-
-let stem_observability t s =
-  ensure_capacity t;
-  Obs.Metrics.incr m_obs_stem_calls;
-  let flip () =
-    let v = t.values.(s) in
-    for j = 0 to t.w - 1 do
-      v.(j) <- Int64.lognot v.(j)
-    done
-  in
-  observability_core t ~first:s ~perturb:flip
-
-let branch_observability t ~sink ~pin =
-  ensure_capacity t;
-  Obs.Metrics.incr m_obs_branch_calls;
-  match Circuit.kind t.circ sink with
-  | Circuit.Po _ -> Array.make t.w (-1L) (* an output branch is always observed *)
-  | Circuit.Cell (c, fs) ->
-    let recompute_with_flipped_pin () =
-      let ins =
-        Array.mapi
-          (fun i f ->
-            if i = pin then Array.map Int64.lognot t.values.(f)
-            else t.values.(f))
-          fs
-      in
-      eval_cell_words c.Cell.func ins t.values.(sink) t.w
-    in
-    observability_core t ~first:sink ~perturb:recompute_with_flipped_pin
-  | Circuit.Pi | Circuit.Const _ ->
-    invalid_arg "Engine.branch_observability: sink has no pins"
-
-let with_perturbation t ~first ~perturb ~measure =
-  ensure_capacity t;
-  let tfo = Circuit.tfo t.circ first in
-  let order = Circuit.topo_order t.circ in
-  let affected =
-    first
-    :: (Array.to_list order |> List.filter (fun id -> tfo.(id) && id <> first))
-  in
-  let affected =
-    affected
-    @ List.filter (fun po -> tfo.(po)) (Circuit.pos t.circ)
-  in
-  let saved = List.map (fun id -> (id, Array.copy t.values.(id))) affected in
-  perturb t;
-  List.iter (fun id -> if id <> first then eval_node t id) affected;
-  let result = measure t in
-  List.iter (fun (id, v) -> Array.blit v 0 t.values.(id) 0 t.w) saved;
-  result
-
 let set_value t id v =
   ensure_capacity t;
   if Array.length v <> t.w then invalid_arg "Engine.set_value";
@@ -536,19 +460,6 @@ let apply_gate_words func ins =
     let out = Array.make w 0L in
     eval_cell_words func ins out w;
     out
-
-let recompute_with_pin_override t ~sink ~pin v =
-  match Circuit.kind t.circ sink with
-  | Circuit.Cell (c, fs) ->
-    let ins =
-      Array.mapi (fun i f -> if i = pin then v else t.values.(f)) fs
-    in
-    eval_cell_words c.Cell.func ins t.values.(sink) t.w
-  | Circuit.Po _ ->
-    if pin <> 0 then invalid_arg "Engine.recompute_with_pin_override";
-    Array.blit v 0 t.values.(sink) 0 t.w
-  | Circuit.Pi | Circuit.Const _ ->
-    invalid_arg "Engine.recompute_with_pin_override: no pins"
 
 let po_signatures t =
   List.map

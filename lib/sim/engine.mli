@@ -5,7 +5,15 @@
     weighted random vectors (Monte-Carlo power estimation, candidate
     signatures) or exhaustive enumeration (exact equivalence and
     probabilities on small circuits).  After the circuit is edited, call
-    {!resim_tfo} (cheap, the POWDER inner loop) or {!resim_all}. *)
+    {!resim_after_edit} (cheap, the POWDER inner loop) or {!resim_all}.
+
+    {!resim_after_edit}, {!with_perturbation} and the observability
+    masks share one event-driven fanout-propagation kernel: a node is
+    re-evaluated only when a fanin's words changed, in topological
+    order, so the values it leaves (or shows [measure]) equal a full
+    {!resim_all}.  The kernel keeps its scratch in the engine, so a
+    call from inside another (from [perturb], [measure] or
+    [on_change]) raises [Invalid_argument]. *)
 
 type t
 
@@ -40,29 +48,21 @@ val exhaustive : t -> unit
 val resim_all : t -> unit
 (** Recompute every node in topological order. *)
 
-val resim_tfo : t -> Netlist.Circuit.node_id -> unit
-(** Recompute only the transitive fanout of a node (the node itself is
-    re-evaluated too). *)
-
 val resim_after_edit :
   ?on_change:(Netlist.Circuit.node_id -> unit) -> t -> Netlist.Circuit.node_id -> int
 (** Incremental re-simulation after a structural edit at the given
-    node: a levelized update queue seeded with the node and its direct
-    fanout sinks, draining in topological order and propagating only
-    through nodes whose words actually changed.  Produces exactly the
-    values of {!resim_tfo} (and hence of a full {!resim_all}) but
-    touches only the changed cone.  [on_change] fires once per
-    changed node, in topological order.  Returns the number of nodes
-    re-evaluated (counted on the ["sig/resim_nodes"] metric). *)
+    node: the kernel seeded with the node and its direct fanout sinks,
+    keeping the new words.  Produces exactly the values of a full
+    {!resim_all} but touches only the changed cone.  [on_change] fires
+    once per changed node, in topological order.  Returns the number
+    of nodes re-evaluated (counted on the ["sig/resim_nodes"]
+    metric). *)
 
 val value : t -> Netlist.Circuit.node_id -> int64 array
 (** Current signature of a node (shared array; do not mutate). *)
 
 val count_ones : t -> Netlist.Circuit.node_id -> int
 val prob_one : t -> Netlist.Circuit.node_id -> float
-
-val equal_signature : t -> Netlist.Circuit.node_id -> Netlist.Circuit.node_id -> bool
-val complement_signature : t -> Netlist.Circuit.node_id -> Netlist.Circuit.node_id -> bool
 
 val stem_observability : t -> Netlist.Circuit.node_id -> int64 array
 (** Mask of patterns on which complementing the stem changes at least
@@ -77,10 +77,11 @@ val with_perturbation :
   perturb:(t -> unit) ->
   measure:(t -> 'a) ->
   'a
-(** Save the values of [first] and its transitive fanout, run [perturb]
-    (which may overwrite node values), re-simulate the fanout, run
-    [measure], then restore all saved values.  The circuit structure
-    must not be modified by the callbacks. *)
+(** Save [first]'s words, run [perturb] (which writes [first]'s words
+    and no other row), re-simulate what the change reaches, run
+    [measure], then restore every row the call wrote (also when a
+    callback raises).  The circuit structure must not be modified by
+    the callbacks. *)
 
 val set_value : t -> Netlist.Circuit.node_id -> int64 array -> unit
 (** Overwrite a node's words (copied). *)

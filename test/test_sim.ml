@@ -53,33 +53,23 @@ let test_randomize_prob_bias () =
     Alcotest.(check bool) "x1 near half" true (p1 > 0.44 && p1 < 0.56)
   | _ -> Alcotest.fail "two pis"
 
-let test_resim_tfo_consistency () =
+let rows eng =
+  Array.init (Circuit.num_nodes (Engine.circuit eng)) (fun id ->
+      Array.copy (Engine.value eng id))
+
+let test_resim_after_edit_is2 () =
   let c, _, _, _, d, e, _ = Build.fig2_a () in
   let eng = Engine.create c ~words:4 in
   Engine.randomize eng (Rng.create 3L);
-  (* apply the IS2 edit, resim only the TFO, compare against full resim *)
+  (* apply the IS2 edit, resim incrementally, compare against full resim *)
   Circuit.set_fanin c d 0 e;
-  Engine.resim_tfo eng d;
-  let incr_sigs = Engine.po_signatures eng in
+  ignore (Engine.resim_after_edit eng d);
+  let incr_rows = rows eng in
   Engine.resim_all eng;
-  let full_sigs = Engine.po_signatures eng in
-  List.iter2
-    (fun (n1, v1) (n2, v2) ->
-      Alcotest.(check string) "name" n1 n2;
-      Alcotest.(check bool) "words equal" true (v1 = v2))
-    incr_sigs full_sigs
-
-let test_signature_equal_complement () =
-  let c = Build.parity_chain 3 in
-  let eng = Engine.create c ~words:1 in
-  Engine.exhaustive eng;
-  (* x0 xor x1 node vs its own value *)
-  match Circuit.live_gates c with
-  | g1 :: _ ->
-    Alcotest.(check bool) "self equal" true (Engine.equal_signature eng g1 g1);
-    Alcotest.(check bool) "self not complement" false
-      (Engine.complement_signature eng g1 g1)
-  | [] -> Alcotest.fail "gates expected"
+  Array.iteri
+    (fun id v ->
+      Alcotest.(check (array int64)) (Circuit.name c id) (Engine.value eng id) v)
+    incr_rows
 
 let test_stem_observability_parity () =
   (* in a parity chain every internal signal is observable on every
@@ -134,6 +124,120 @@ let test_with_perturbation_restores () =
     Alcotest.(check int) "forced to ones" 128 ones_during;
     Alcotest.(check bool) "restored" true (before = Engine.value eng g)
   | [] -> Alcotest.fail "gates expected"
+
+(* The kernel's trial mode against an independent reference: the same
+   perturbation made structural in a clone (an inverter on each fanout
+   pin of the stem, or on the one branch) and simulated by [resim_all].
+   Returns the clone's engine and the inverter. *)
+let structural_reference eng pins ~driver =
+  let c = Circuit.clone (Engine.circuit eng) in
+  let inv = Gatelib.Library.find (Circuit.library c) "inv1" in
+  let x = Circuit.add_cell c inv [| driver |] in
+  List.iter (fun (sink, pin) -> Circuit.set_fanin c sink pin x) pins;
+  let ref_eng = Engine.create c ~words:(Engine.words eng) in
+  List.iter (fun pi -> Engine.set_value ref_eng pi (Engine.value eng pi)) (Circuit.pis c);
+  Engine.resim_all ref_eng;
+  (ref_eng, x)
+
+let po_xor eng ref_eng =
+  let diff = Array.make (Engine.words eng) 0L in
+  List.iter
+    (fun po ->
+      Array.iteri
+        (fun j v ->
+          diff.(j) <- Int64.logor diff.(j) (Int64.logxor v (Engine.value ref_eng po).(j)))
+        (Engine.value eng po))
+    (Circuit.pos (Engine.circuit eng));
+  diff
+
+let nested_raises eng s =
+  match Engine.stem_observability eng s with
+  | _ -> false
+  | exception Invalid_argument _ -> true
+
+(* Over 50 fuzzed netlists, every stem flip and every branch pin
+   override through the kernel's trial mode: [measure] sees the
+   reference's values on every node, the observability masks are the
+   reference's PO differences, every row is restored, and a nested
+   kernel call raises [Invalid_argument] (also when it escapes
+   [measure]). *)
+let test_kernel_differential () =
+  let trials = ref 0 in
+  for seed = 0 to 49 do
+    let c = Fuzz.Gen.generate (Fuzz.Gen.spec_of_seed (Int64.of_int (700 + seed))) in
+    let n = Circuit.num_nodes c in
+    let eng = Engine.create c ~words:2 in
+    Engine.randomize eng (Rng.stream (Int64.of_int seed) "test/kernel");
+    let before = rows eng in
+    let check_restored what =
+      for id = 0 to n - 1 do
+        Alcotest.(check (array int64))
+          (Printf.sprintf "%s: row %d restored" what id)
+          before.(id) (Engine.value eng id)
+      done
+    in
+    (* [first] perturbed by [perturb] against [ref_eng], in which node
+       [first_ref] carries [first]'s perturbed words; [mask] computes
+       the engine's observability mask of the same perturbation *)
+    let compare what ~first ~perturb (ref_eng, first_ref) mask =
+      let seen =
+        Engine.with_perturbation eng ~first ~perturb ~measure:(fun e ->
+            Alcotest.(check bool) (what ^ ": nested call raises") true
+              (nested_raises e first);
+            rows e)
+      in
+      for id = 0 to n - 1 do
+        let want = Engine.value ref_eng (if id = first then first_ref else id) in
+        Alcotest.(check (array int64)) (Printf.sprintf "%s: node %d" what id) want seen.(id)
+      done;
+      Alcotest.(check (array int64)) (what ^ ": mask") (po_xor eng ref_eng) (mask ());
+      check_restored what;
+      incr trials
+    in
+    let flip s e = Engine.set_value e s (Array.map Int64.lognot (Engine.value e s)) in
+    Circuit.iter_live c (fun s ->
+        if not (Circuit.is_po_node c s) then begin
+          let pins =
+            List.map (fun p -> (p.Circuit.sink, p.Circuit.pin_index)) (Circuit.fanouts c s)
+          in
+          compare
+            (Printf.sprintf "seed %d stem %d" seed s)
+            ~first:s ~perturb:(flip s)
+            (structural_reference eng pins ~driver:s)
+            (fun () -> Engine.stem_observability eng s)
+        end);
+    Circuit.iter_live c (fun sink ->
+        Array.iteri
+          (fun pin d ->
+            let perturb e =
+              Engine.recompute_with_pin_override e ~sink ~pin
+                (Array.map Int64.lognot (Engine.value e d))
+            in
+            let ref_eng, _ = structural_reference eng [ (sink, pin) ] ~driver:d in
+            compare
+              (Printf.sprintf "seed %d branch %d.%d" seed sink pin)
+              ~first:sink ~perturb (ref_eng, sink)
+              (fun () -> Engine.branch_observability eng ~sink ~pin))
+          (Circuit.fanins c sink));
+    (* a nested call that escapes [measure] still leaves the engine
+       restored and usable *)
+    match Circuit.live_gates c with
+    | [] -> ()
+    | g :: _ ->
+      let escaped =
+        match
+          Engine.with_perturbation eng ~first:g ~perturb:(flip g) ~measure:(fun e ->
+              Engine.stem_observability e g)
+        with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      Alcotest.(check bool) "escaping nested call raises" true escaped;
+      check_restored (Printf.sprintf "seed %d after the escape" seed);
+      ignore (Engine.stem_observability eng g);
+      check_restored (Printf.sprintf "seed %d usable after the escape" seed)
+  done;
+  Alcotest.(check bool) (Printf.sprintf "%d trials" !trials) true (!trials > 2000)
 
 let prop_exhaustive_po_prob_parity =
   QCheck.Test.make ~name:"parity output prob is 1/2" ~count:5
@@ -234,12 +338,14 @@ let suite =
         Alcotest.test_case "eval_single vs engine" `Quick test_eval_single_matches_engine;
         Alcotest.test_case "uniform input probs" `Quick test_prob_uniform_inputs;
         Alcotest.test_case "randomize bias" `Quick test_randomize_prob_bias;
-        Alcotest.test_case "resim_tfo consistency" `Quick test_resim_tfo_consistency;
-        Alcotest.test_case "signature predicates" `Quick test_signature_equal_complement;
+        Alcotest.test_case "resim_after_edit after IS2 == resim_all" `Quick
+          test_resim_after_edit_is2;
         Alcotest.test_case "stem observability (parity)" `Quick test_stem_observability_parity;
         Alcotest.test_case "branch observability mask" `Quick test_branch_observability_masked;
         Alcotest.test_case "observability preserves state" `Quick test_observability_preserves_state;
         Alcotest.test_case "with_perturbation restores" `Quick test_with_perturbation_restores;
+        Alcotest.test_case "kernel trial == clone + resim_all" `Quick
+          test_kernel_differential;
         QCheck_alcotest.to_alcotest prop_exhaustive_po_prob_parity;
         Alcotest.test_case "randomize_sharded shard streams" `Quick
           test_randomize_sharded_streams;
