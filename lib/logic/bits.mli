@@ -1,20 +1,9 @@
-(** Allocation-free bit kernels for simulation signatures.
-
-    All word-vector operations assume the operands have equal length
-    (the signature word count is uniform across a store); none of them
-    allocate on the OCaml heap beyond the boxed [Int64] reads, which is
-    what makes them fit the candidate-generation hot loop. *)
+(** Allocation-free bit kernels for simulation signatures: flat
+    unboxed word stores, their packing into 62-bit limbs in native ints,
+    and popcounts. *)
 
 val popcount32 : int -> int
 (** Population count of a native int known to fit in 32 bits. *)
-
-val popcount64 : int64 -> int
-
-val popcount_words : int64 array -> int
-(** Total set bits across all words. *)
-
-val equal_words : int64 array -> int64 array -> bool
-(** Exact word-for-word equality (lengths must match too). *)
 
 val popcount62 : int -> int
 (** Population count of a value known to fit in 62 bits (a packed
@@ -29,3 +18,34 @@ val pack_words : int64 array -> int array
     across rows, so xor/and/popcount of packed rows equal the
     word-level results; it lets hot loops run entirely on unboxed
     ints. *)
+
+val limbs_for_words : int -> int
+(** Limbs {!pack_words} makes of that many words. *)
+
+val unpack_words : int array -> int -> int64 array
+(** [unpack_words p n]: the [n] words {!pack_words} packed into [p]. *)
+
+(** {2 Flat word stores} *)
+
+type words = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** Unboxed [int64] words side by side.  The kind and layout are part
+    of the type, so [b.{i}] compiles to a plain load or store in any
+    module (no [Int64] box per word), whatever the cross-module
+    optimisation settings. *)
+
+val words_create : int -> words
+(** Zero-filled. *)
+
+val words_of_array : int64 array -> words
+val words_to_array : words -> int -> int -> int64 array
+(** [words_to_array b off len]: a copy of [len] words from [off]. *)
+
+val popcount_slice : words -> int -> int -> int
+(** [popcount_slice b off len]: set bits of [len] words from [off]. *)
+
+val pack_slice : words -> int -> int -> int array -> int -> unit
+(** [pack_slice b off len dst bit] packs [len] words from [off] into
+    [dst] as {!pack_words} would, starting at packed bit position [bit]
+    (so a row folded from several stores packs segment by segment:
+    [bit] is 64 times the words already packed).  Ors into [dst], whose
+    limbs from there on must be 0. *)

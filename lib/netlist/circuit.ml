@@ -327,7 +327,8 @@ let tfi t s =
    it. *)
 type scratch = {
   mutable stamp : int array;
-  mutable pending : int array;  (* [dominated_region]: pins left to count *)
+  mutable pending : int array;  (* [dominated_members]: pins left to count *)
+  mutable found : node_id array; (* [dominated_members]: the members so far *)
   mutable stack : node_id array;
   mutable epoch : int;
   mutable sp : int;
@@ -335,7 +336,7 @@ type scratch = {
 
 let scratch_key =
   Domain.DLS.new_key (fun () ->
-      { stamp = [||]; pending = [||]; stack = [||]; epoch = 0; sp = 0 })
+      { stamp = [||]; pending = [||]; found = [||]; stack = [||]; epoch = 0; sp = 0 })
 
 let scratch_for t =
   let sc = Domain.DLS.get scratch_key in
@@ -343,6 +344,7 @@ let scratch_for t =
     let n = max t.count (2 * Array.length sc.stamp) in
     sc.stamp <- Array.make n 0;
     sc.pending <- Array.make n 0;
+    sc.found <- Array.make n 0;
     sc.stack <- Array.make n 0;
     sc.epoch <- 0
   end;
@@ -392,17 +394,17 @@ let reaches t a b =
     !found
   end
 
-let dominated_region_members t s =
-  (* A node is dominated iff it has fanouts and every fanout sink is a
-     dominated non-PO node.  Walking back from [s], each fanin counts
-     down its fanout pins into the region and joins it when the last
-     one is counted: the same fixed point as a reverse-topological
-     sweep of TFI(s), but the walk costs O(|Dom(s)| + boundary). *)
+(* A node is dominated iff it has fanouts and every fanout sink is a
+   dominated non-PO node.  Walking back from [s], each fanin counts down
+   its fanout pins into the region and joins it when the last one is
+   counted: the same fixed point as a reverse-topological sweep of
+   TFI(s), but the walk costs O(|Dom(s)| + boundary) and allocates only
+   the member array. *)
+let dominated_members t s =
   let n = node t s in
   let sc = scratch_for t in
-  let dom = Array.make t.count false in
-  dom.(s) <- true;
-  let members = ref [ s ] in
+  let nm = ref 1 in
+  sc.found.(0) <- s;
   let is_po = match n.kind with Po _ -> true | Pi | Const _ | Cell _ -> false in
   sc.stamp.(s) <- sc.epoch;
   sc.pending.(s) <- 0;
@@ -417,17 +419,50 @@ let dominated_region_members t s =
         end;
         sc.pending.(f) <- sc.pending.(f) - 1;
         if sc.pending.(f) = 0 then begin
-          dom.(f) <- true;
-          members := f :: !members;
+          sc.found.(!nm) <- f;
+          incr nm;
           push sc f
         end)
       (fanins t d)
   done;
-  let members = Array.of_list !members in
+  let members = Array.sub sc.found 0 !nm in
   Array.sort Int.compare members;
+  members
+
+let dominated_region_members t s =
+  let members = dominated_members t s in
+  let dom = Array.make t.count false in
+  Array.iter (fun id -> dom.(id) <- true) members;
   (dom, members)
 
 let dominated_region t s = fst (dominated_region_members t s)
+
+(* One region mask per domain, all false between calls: a call sets the
+   members' entries and clears exactly those again, so a stem costs
+   O(|Dom(s)|), not an O(circuit) mask. *)
+type region_mask = { mutable mask : bool array; mutable held : bool }
+
+let region_mask_key = Domain.DLS.new_key (fun () -> { mask = [||]; held = false })
+
+let with_dominated_region t s f =
+  let rm = Domain.DLS.get region_mask_key in
+  if rm.held then invalid_arg "Circuit.with_dominated_region: nested call";
+  if Array.length rm.mask < t.count then
+    rm.mask <- Array.make (max t.count (2 * Array.length rm.mask)) false;
+  let mask = rm.mask and members = ref [||] in
+  let region () =
+    if Array.length !members = 0 then begin
+      members := dominated_members t s;
+      Array.iter (fun id -> mask.(id) <- true) !members
+    end;
+    (mask, !members)
+  in
+  rm.held <- true;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun id -> mask.(id) <- false) !members;
+      rm.held <- false)
+    (fun () -> f region)
 
 let inputs_of_region t region =
   let result = ref [] in

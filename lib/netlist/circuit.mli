@@ -89,7 +89,26 @@ val dominated_region : t -> node_id -> bool array
 
 val dominated_region_members : t -> node_id -> bool array * node_id array
 (** {!dominated_region} together with its members in ascending id
-    order, found by a backward walk costing O(|Dom(s)| + boundary). *)
+    order, found by a backward walk costing O(|Dom(s)| + boundary).
+    The mask is a fresh O(circuit) array; per-stem callers use
+    {!with_dominated_region}. *)
+
+val dominated_members : t -> node_id -> node_id array
+(** The members of [Dom(s)] in ascending id order, by the same walk,
+    allocating nothing else. *)
+
+val with_dominated_region :
+  t -> node_id -> ((unit -> bool array * node_id array) -> 'a) -> 'a
+(** [with_dominated_region t s f] runs [f region].  The first
+    [region ()] walks [Dom(s)] ({!dominated_members}) and sets the
+    members' entries of a mask kept per domain, all false between
+    calls; every call returns that mask and the members, ascending.
+    When [f] returns or raises, the members' entries are cleared again,
+    so a stem costs O(|Dom(s)|), never an O(circuit) mask.  The mask is
+    valid only inside [f]; [f] may clear and restore member entries
+    ([Subst.gain_ab] does) but must set no other entry.  Do not
+    edit the circuit inside [f].
+    @raise Invalid_argument on a nested call on the same domain. *)
 
 val inputs_of_region : t -> bool array -> node_id list
 (** Nodes outside the region with at least one fanout pin inside it. *)

@@ -117,13 +117,21 @@ let event_f name mk_fields = if active () then emit name (mk_fields ())
 
 let span_histogram name = Metrics.histogram ("span." ^ name)
 
+(* Words this domain has allocated so far: every minor allocation
+   ([Gc.minor_words] counts the minor heap's current fill too) plus the
+   blocks allocated directly in the major heap, which are the major
+   words that were not promoted from the minor heap. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. (major -. promoted)
+
 let with_span ?(fields = []) name f =
   let h = span_histogram name in
   let t0 = Clock.now () in
   (* allocation delta is only sampled when a sink is recording, so the
      null-sink fast path keeps its two-clock-reads cost; a sink
      installed mid-span yields one meaningless delta, nothing worse *)
-  let a0 = if active () then Gc.allocated_bytes () else Float.nan in
+  let a0 = if active () then allocated_words () else Float.nan in
   (* capture the ref: the finally-pop must hit the same stack even if a
      pool task swaps the domain's stack while [f] runs (caller help) *)
   let st = span_stack () in
@@ -135,7 +143,8 @@ let with_span ?(fields = []) name f =
       Metrics.observe h dt;
       if active () then begin
         let da =
-          if Float.is_nan a0 then 0.0 else Gc.allocated_bytes () -. a0
+          if Float.is_nan a0 then 0.0
+          else (allocated_words () -. a0) *. float_of_int (Sys.word_size / 8)
         in
         emit "span_end" (("dur_s", Float dt) :: ("alloc_b", Float da) :: fields)
       end;

@@ -23,8 +23,9 @@
     ([span_begin]/[span_end] for spans, anything else for point
     events), [path] is the enclosing span stack outermost-first, and
     span ends carry ["dur_s"] (seconds) and ["alloc_b"] (bytes
-    allocated by this domain while the span was open, via
-    [Gc.allocated_bytes]) fields. *)
+    allocated by this domain while the span was open: the
+    [Gc.minor_words] delta plus the words allocated directly in the
+    major heap) fields. *)
 
 type value = Bool of bool | Int of int | Float of float | String of string
 

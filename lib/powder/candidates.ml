@@ -53,22 +53,20 @@ let m_sig_hits = Obs.Metrics.counter "sig/hits"
 let m_sig_filtered = Obs.Metrics.counter "sig/filtered"
 let m_is3_candidates = Obs.Metrics.counter "is3/candidates"
 
+(* A target's folded care row is not kept here: its scan packs it from
+   the store's observability table into the scratch ([prepare_care]). *)
 type target_info = {
   target : Subst.target;
   a : Circuit.node_id;         (* substituted signal *)
-  care : int array;            (* folded care row, packed (Bits.pack_words) *)
   root : Circuit.node_id option;
       (* cone root: sources in TFO(root) + root risk a cycle *)
 }
 
-let stem_targets circ store =
+let stem_targets circ =
   List.filter_map
     (fun id ->
       if Circuit.num_fanouts circ id = 0 then None
-      else
-        Some
-          { target = Subst.Stem id; a = id;
-            care = Bits.pack_words (Sigstore.stem_obs store id); root = Some id })
+      else Some { target = Subst.Stem id; a = id; root = Some id })
     (Circuit.live_gates circ)
 
 let is_signal_node circ id =
@@ -78,17 +76,15 @@ let is_signal_node circ id =
   | Circuit.Pi | Circuit.Cell _ -> true
   | Circuit.Const _ | Circuit.Po _ -> false
 
-let branch_targets circ store =
-  let buf = Sigstore.branch_buf store in
+let branch_targets circ =
   let out = ref [] in
   Circuit.iter_live circ (fun id ->
       if is_signal_node circ id && Circuit.num_fanouts circ id >= 2 then
         List.iter
           (fun p ->
             let sink = p.Circuit.sink and pin = p.Circuit.pin_index in
-            let care = Sigstore.packed_branch_obs store buf ~sink ~pin in
             let root = if Circuit.is_po_node circ sink then None else Some sink in
-            out := { target = Subst.Branch { sink; pin }; a = id; care; root } :: !out)
+            out := { target = Subst.Branch { sink; pin }; a = id; root } :: !out)
           (Circuit.fanouts circ id));
   List.rev !out
 
@@ -598,7 +594,7 @@ let m_gain_ab = Obs.Metrics.counter "sig/gain_ab"
 (* Everything one target's scan writes besides its candidates, reused
    across the targets of a scan chunk like [marks] and never shared
    between pool tasks.  Each target overwrites what it reads:
-   [prepare_care] points [icare] at its care row and sets
+   [prepare_care] packs its care row into [icare] and sets
    [nzh.(0 .. nh)] and [pcnt.(0 .. nh)]; the pool sets
    [rows.(0 .. npool * nh)], [self2.(0 .. npool)] and [f1]/[f0.(0 .. nh)];
    no read goes past those bounds, so nothing an earlier target left
@@ -607,7 +603,8 @@ type scratch = {
   mk : marks;
   ls : lane_scratch;
   mp : minpool;
-  mutable icare : int array; (* the target's packed care row *)
+  icare : int array;  (* the target's packed care row *)
+  bb : Sigstore.branch_buf; (* workspace of a branch target's care row *)
   nzh : int array;    (* limbs with nonzero care, densest first *)
   pcnt : int array;   (* [pcnt.(k)]: care positions in limb [nzh.(k)] *)
   mutable nh : int;   (* how many limbs [nzh] lists *)
@@ -621,17 +618,22 @@ let scratch_create ~config ~limbs circ store =
   let pl = max 0 config.pool_limit in
   let ints n = Array.make n 0 in
   { mk = marks_create circ; ls = lane_scratch_create store;
-    mp = minpool_create pl; icare = [||]; nzh = ints limbs;
+    mp = minpool_create pl; icare = ints limbs; bb = Sigstore.branch_buf store;
+    nzh = ints limbs;
     pcnt = ints limbs; nh = 0; rows = ints (pl * limbs);
     self2 = Array.make pl false; f1 = ints limbs; f0 = ints limbs }
 
-(* Points [sc] at [ti]'s care row and lists its nonzero limbs in [nzh],
-   densest first, index ascending on ties (insertion sort: a row has
-   about 20 limbs).  Returns the care population. *)
-let prepare_care sc ti =
-  sc.icare <- ti.care;
+(* Packs [ti]'s care row into [sc.icare] (a stem's from the store's
+   table, a branch's by the local rule over it) and lists its nonzero
+   limbs in [nzh], densest first, index ascending on ties (insertion
+   sort: a row has about 20 limbs).  Returns the care population. *)
+let prepare_care store sc ti =
+  (match ti.target with
+  | Subst.Stem a -> Sigstore.pack_stem_obs store a sc.icare
+  | Subst.Branch { sink; pin } ->
+    Sigstore.pack_branch_obs store sc.bb ~sink ~pin sc.icare);
   let nh = ref 0 and pop = ref 0 in
-  for h = 0 to Array.length ti.care - 1 do
+  for h = 0 to Array.length sc.icare - 1 do
     let x = sc.icare.(h) in
     if x <> 0 then begin
       let w = popcount62 x in
@@ -706,7 +708,9 @@ let load_pool store sc isig =
     sc.f0.(k) <- (isig.(h) lxor Bits.limb_mask) land icare.(h)
   done
 
-let scan_target ~config ~store ~est ~cells ~by_density v sc ti =
+(* [dom] hands out a stem target's dominated region ([scan_target]);
+   [None] for a branch. *)
+let scan_in_region ~config ~store ~est ~cells ~by_density v sc ti dom =
   let signals = v.signals in
   let nsig = Array.length signals in
   let compl = v.compl in
@@ -721,7 +725,7 @@ let scan_target ~config ~store ~est ~cells ~by_density v sc ti =
      the pool's abort bounds) grow as fast as possible.  Any fixed
      order yields the same results, so this is pure speed. *)
   let isig = Sigstore.irow store p_a in
-  let care_pop = prepare_care sc ti in
+  let care_pop = prepare_care store sc ti in
   (* The care prefix both Hash stages read off one lane count, and the
      pool ranks on: the densest care limbs covering at least
      [pool_rank_bits] care positions (all of them when the care set is
@@ -739,17 +743,6 @@ let scan_target ~config ~store ~est ~cells ~by_density v sc ti =
   let mk = sc.mk and ls = sc.ls in
   let circ = Estimator.circuit est in
   let forbidden_signals = mark_cone circ v mk ti.root in
-  (* Every substitution against the same stem shares Dom(a); compute it
-     at most once per target; [gain_ab] mutates the mask in place and
-     restores it before returning. *)
-  let dom =
-    match ti.target with
-    | Subst.Stem _ ->
-      Some
-        (lazy
-          (Circuit.dominated_region_members circ ti.a))
-    | Subst.Branch _ -> None
-  in
   let margin = 1e-12 in
   (* Upper bound on PG_A against this target, used to skip the full
      [gain_ab] region walk for sources that positive-gain filtering
@@ -782,7 +775,7 @@ let scan_target ~config ~store ~est ~cells ~by_density v sc ti =
                 (Subst.substituted_signal circ dummy)
          | Subst.Stem _ ->
            let d, m =
-             match dom with Some l -> Lazy.force l | None -> assert false
+             match dom with Some region -> region () | None -> assert false
            in
            let relief_over = ref 0.0 in
            Array.iter
@@ -855,7 +848,7 @@ let scan_target ~config ~store ~est ~cells ~by_density v sc ti =
   let admit source =
     incr gain_abs;
     let subst = { Subst.target = ti.target; source } in
-    let g = Subst.gain_ab ?dom:(Option.map Lazy.force dom) est subst in
+    let g = Subst.gain_ab ?dom:(Option.map (fun r -> r ()) dom) est subst in
     if (not config.require_positive) || Subst.total_gain g > margin then
       keep (subst, g)
   in
@@ -1091,6 +1084,18 @@ let scan_target ~config ~store ~est ~cells ~by_density v sc ti =
   ( best,
     { pairs_hit = !hits2; pairs_filtered = filtered; is3_candidates = !ti_is3 } )
 
+(* Every substitution against the same stem shares Dom(a): a stem
+   target's scan runs under one region, walked at most once, when first
+   asked for; [gain_ab] mutates its mask in place and restores it before
+   returning. *)
+let scan_target ~config ~store ~est ~cells ~by_density v sc ti =
+  let scan = scan_in_region ~config ~store ~est ~cells ~by_density v sc ti in
+  match ti.target with
+  | Subst.Stem a ->
+    Circuit.with_dominated_region (Estimator.circuit est) a (fun region ->
+        scan (Some region))
+  | Subst.Branch _ -> scan None
+
 (* Test-only: every generate also rescans its targets in reverse order
    through one scratch, and each through a fresh one, and fails unless
    every target's list and stats are the ones the run computed.  A read
@@ -1155,13 +1160,13 @@ let generate_stats ?(config = default_config) ?pool ?store
         let stem_ts =
           Obs.Trace.with_span span_targets_stem (fun () ->
               if stems || branches then Sigstore.compute_care store;
-              if stems then stem_targets circ store else [])
+              if stems then stem_targets circ else [])
         in
         stem_ts
         @
         if branches then
           Obs.Trace.with_span span_targets_branch (fun () ->
-              branch_targets circ store)
+              branch_targets circ)
         else [])
   in
   let targets = Array.of_list targets in
@@ -1181,7 +1186,7 @@ let generate_stats ?(config = default_config) ?pool ?store
      the rest of the scan, so it overshoots by at most one target *)
   let scan sc t = scan_target ~config ~store ~est ~cells ~by_density v sc t in
   (* every care row is a packed row of the store's width *)
-  let limbs = if Array.length targets = 0 then 0 else Array.length targets.(0).care in
+  let limbs = Bits.limbs_for_words (Sigstore.words store) in
   let fresh_scratch () = scratch_create ~config ~limbs circ store in
   let scan_chunk c =
     let sc = fresh_scratch () in

@@ -351,7 +351,7 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
         match List.assoc_opt (Circuit.name circ pi) assignment with
         | None -> ()
         | Some v ->
-          let values = Array.copy (Engine.value !cex_eng pi) in
+          let values = Engine.value !cex_eng pi in
           let mask = Int64.shift_left 1L bit in
           values.(word) <-
             (if v then Int64.logor values.(word) mask
@@ -520,37 +520,46 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
     let compute_ranked () =
       (* rank the still-valid unused candidates by fresh PG_A+PG_B;
          pool entries against the same stem share one dominated region
-         (the pool holds up to [per_target] candidates per target) *)
-      let doms = Hashtbl.create 64 in
-      let dom_for s =
-        match s.Subst.target with
-        | Subst.Branch _ -> None
-        | Subst.Stem a ->
-          Some
-            (match Hashtbl.find_opt doms a with
-            | Some d -> d
-            | None ->
-              let d = Circuit.dominated_region_members circ a in
-              Hashtbl.add doms a d;
-              d)
-      in
+         (the pool holds up to [per_target] candidates per target), so
+         they are scored together under one region walk *)
       Trace.with_span "rank" (fun () ->
           (* warm the topological memo: with it every [creates_cycle]
              query below only walks the part of the cone that precedes
              its goal *)
           ignore (Circuit.topo_order circ);
-          let ranked = ref [] in
+          let gains = Array.make (Array.length pool) None in
+          let by_stem = Hashtbl.create 64 in
           Array.iteri
             (fun i (s, _) ->
               if (not used.(i)) && still_valid circ s
                  && not (Subst.creates_cycle circ s)
-              then begin
-                let g = Subst.gain_ab ?dom:(dom_for s) !est s in
-                if scored s g > 0.0 then ranked := (i, s, g) :: !ranked
-                else used.(i) <- true
-              end
+              then
+                match s.Subst.target with
+                | Subst.Stem a ->
+                  Hashtbl.replace by_stem a
+                    (i :: Option.value ~default:[] (Hashtbl.find_opt by_stem a))
+                | Subst.Branch _ -> gains.(i) <- Some (Subst.gain_ab !est s)
               else used.(i) <- true)
             pool;
+          Hashtbl.iter
+            (fun a is ->
+              Circuit.with_dominated_region circ a (fun region ->
+                  List.iter
+                    (fun i ->
+                      gains.(i) <-
+                        Some (Subst.gain_ab ~dom:(region ()) !est (fst pool.(i))))
+                    is))
+            by_stem;
+          let ranked = ref [] in
+          Array.iteri
+            (fun i g ->
+              match g with
+              | Some g ->
+                let s = fst pool.(i) in
+                if scored s g > 0.0 then ranked := (i, s, g) :: !ranked
+                else used.(i) <- true
+              | None -> ())
+            gains;
           List.sort
             (fun (_, s1, g1) (_, s2, g2) ->
               Float.compare (scored s2 g2) (scored s1 g1))

@@ -135,8 +135,7 @@ let update_after_edit t s =
   Obs.Metrics.add m_update_nodes !refreshed;
   evaluated
 
-let transition_of_words words ~total_patterns =
-  let ones = Logic.Bits.popcount_words words in
+let transition_of_ones ones ~total_patterns =
   let p = float_of_int ones /. float_of_int total_patterns in
   2.0 *. p *. (1.0 -. p)
 

@@ -48,8 +48,9 @@ val update_after_edit : t -> Netlist.Circuit.node_id -> int
     [power_estimate_update]).  Returns the number of nodes the engine
     re-evaluated. *)
 
-val transition_of_words : int64 array -> total_patterns:int -> float
-(** Transition probability a signature implies. *)
+val transition_of_ones : int -> total_patterns:int -> float
+(** Transition probability a signature with that many set bits (of
+    [total_patterns]) implies. *)
 
 val region_power : t -> bool array -> float
 (** Summed [C * E] of the stems inside a node mask — the first term of

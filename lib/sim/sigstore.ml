@@ -2,12 +2,12 @@ module Circuit = Netlist.Circuit
 module Bits = Logic.Bits
 
 (* A class groups the live signals whose signatures are equal up to
-   complement.  [canon] is the polarity-canonical signature (lowest bit
-   of word 0 forced to 0); a member whose signature is the complement
-   of [canon] carries [compl = true]. *)
+   complement.  [icanon] is the polarity-canonical signature (lowest
+   bit of word 0 forced to 0), packed as 62-bit limbs
+   ([Bits.pack_words]); a member whose signature is the complement of
+   the canon carries [compl = true]. *)
 type cls = {
-  canon : int64 array;
-  icanon : int array; (* canon packed as 62-bit limbs (Bits.pack_words) *)
+  icanon : int array;
   mutable members : int list; (* positions, descending while building *)
   mutable member_arr : int array; (* ascending, frozen after build *)
 }
@@ -22,8 +22,9 @@ type t = {
   mutable stale : bool array;
   mutable signals : Circuit.node_id array;
   mutable pos_of : int array; (* node id -> position in [signals], -1 *)
-  mutable rows : int64 array array; (* per position: base words @ cex words *)
-  mutable irows : int array array; (* rows packed as 62-bit limbs *)
+  (* per position: base words @ cex words, packed as 62-bit limbs
+     straight from the engines' buffers *)
+  mutable irows : int array array;
   mutable compl_ : bool array; (* per position: complemented wrt canon *)
   mutable cls_of : int array; (* per position -> class index *)
   mutable classes : cls array;
@@ -33,10 +34,13 @@ type t = {
   mutable icanon_flat : int array;
   mutable icanon_stride : int;
   index : (int, int list ref) Hashtbl.t; (* signature hash -> class ids *)
-  (* observability table, per node id: the folded stem care row of every
-     live cell ([||] elsewhere); [None] until [compute_care] and after
-     any maintenance *)
-  mutable care : int64 array array option;
+  (* observability table: node [id]'s folded stem care row is words
+     [id * words .. ] of [care_rows], filled for every live cell
+     ([has_care]); [care_ok] is false until [compute_care] and after any
+     maintenance.  The buffer is kept across tables. *)
+  mutable care_rows : Bits.words;
+  mutable has_care : bool array;
+  mutable care_ok : bool;
   (* the class canons transposed into lanes; [None] until
      [compute_lanes] and after any maintenance *)
   mutable lanes : lanes option;
@@ -75,7 +79,6 @@ let create ?cex ~base () =
     stale = [||];
     signals = [||];
     pos_of = [||];
-    rows = [||];
     irows = [||];
     compl_ = [||];
     cls_of = [||];
@@ -83,7 +86,9 @@ let create ?cex ~base () =
     icanon_flat = [||];
     icanon_stride = 0;
     index = Hashtbl.create 1024;
-    care = None;
+    care_rows = Bits.words_create 0;
+    has_care = [||];
+    care_ok = false;
     lanes = None;
   }
 
@@ -96,41 +101,53 @@ let is_signal_node circ id =
   | Circuit.Pi | Circuit.Cell _ -> true
   | Circuit.Const _ | Circuit.Po _ -> false
 
-(* signature row of a node: base engine words then cex engine words,
-   copied out so later engine updates cannot mutate a frozen snapshot *)
+(* Packed signature row of a node: base engine words then cex engine
+   words, packed out of the engines' buffers so later engine updates
+   cannot mutate a frozen snapshot. *)
 let snapshot_row t id =
+  let row = Array.make (Bits.limbs_for_words (words t)) 0 in
   let bw = base_words t in
-  let row = Array.make (words t) 0L in
-  Array.blit (Engine.value t.base id) 0 row 0 bw;
+  Bits.pack_slice (Engine.buffer t.base) (id * bw) bw row 0;
   (match t.cex with
   | None -> ()
-  | Some e -> Array.blit (Engine.value e id) 0 row bw (Engine.words e));
+  | Some e ->
+    let cw = Engine.words e in
+    Bits.pack_slice (Engine.buffer e) (id * cw) cw row (64 * bw));
   row
 
-let hash_words (a : int64 array) =
-  let h = ref 0x9E3779B97F4A7C15L in
+let hash_limbs (a : int array) =
+  let h = ref 0 in
   for j = 0 to Array.length a - 1 do
-    h :=
-      Int64.mul
-        (Int64.logxor !h
-           (Int64.add (Array.unsafe_get a j)
-              (Int64.shift_left !h 6)))
-        0xFF51AFD7ED558CCDL
+    h := (!h * 0x2545F4914F6CDD1D) lxor Array.unsafe_get a j
   done;
-  Int64.to_int !h land max_int
+  !h land max_int
 
-let complemented_canon (row : int64 array) =
-  Int64.equal (Int64.logand row.(0) 1L) 1L
+let equal_limbs (a : int array) (b : int array) =
+  let n = Array.length a in
+  let rec go j = j >= n || (Array.unsafe_get a j = Array.unsafe_get b j && go (j + 1)) in
+  n = Array.length b && go 0
 
-let canon_of row =
-  if complemented_canon row then Array.map Int64.lognot row
-  else Array.copy row
+(* Bit 0 of limb 0 is bit 0 of word 0 *)
+let complemented_canon (row : int array) = row.(0) land 1 = 1
+
+(* The packed complement of a packed row of [nwords] words: every
+   position flipped, the unused top of the last limb left 0. *)
+let complement_limbs nwords (row : int array) =
+  let n = Array.length row in
+  let last = (64 * nwords) - (62 * (n - 1)) in
+  Array.mapi
+    (fun j x ->
+      x lxor if j < n - 1 then Bits.limb_mask else (1 lsl last) - 1)
+    row
+
+let canon_of t row =
+  if complemented_canon row then complement_limbs (words t) row else row
 
 (* Find (or create) the class of [row]; returns (class id, complemented). *)
 let intern t nclasses_ref row =
   let comp = complemented_canon row in
-  let canon = if comp then Array.map Int64.lognot row else row in
-  let h = hash_words canon in
+  let canon = canon_of t row in
+  let h = hash_limbs canon in
   let bucket =
     match Hashtbl.find_opt t.index h with
     | Some b -> b
@@ -143,10 +160,7 @@ let intern t nclasses_ref row =
     | [] ->
       let id = !nclasses_ref in
       incr nclasses_ref;
-      let c =
-        { canon; icanon = Bits.pack_words canon; members = [];
-          member_arr = [||] }
-      in
+      let c = { icanon = canon; members = []; member_arr = [||] } in
       if id >= Array.length t.classes then begin
         let bigger =
           Array.make (max 64 (2 * Array.length t.classes)) c
@@ -158,7 +172,7 @@ let intern t nclasses_ref row =
       bucket := id :: !bucket;
       (id, comp)
     | id :: rest ->
-      if Bits.equal_words t.classes.(id).canon canon then (id, comp)
+      if equal_limbs t.classes.(id).icanon canon then (id, comp)
       else find rest
   in
   find !bucket
@@ -174,8 +188,7 @@ let resync t ~refresh =
       if is_signal_node circ id then acc := id :: !acc);
   let signals = Array.of_list (List.rev !acc) in
   let n = Array.length signals in
-  let old_pos_of = t.pos_of and old_rows = t.rows and old_irows = t.irows in
-  let rows = Array.make n [||] in
+  let old_pos_of = t.pos_of and old_irows = t.irows in
   let irows = Array.make n [||] in
   let refreshed = ref 0 in
   Array.iteri
@@ -186,12 +199,9 @@ let resync t ~refresh =
         else None
       in
       match old with
-      | Some op when not (refresh id) ->
-        rows.(p) <- old_rows.(op);
-        irows.(p) <- old_irows.(op)
+      | Some op when not (refresh id) -> irows.(p) <- old_irows.(op)
       | _ ->
-        rows.(p) <- snapshot_row t id;
-        irows.(p) <- Bits.pack_words rows.(p);
+        irows.(p) <- snapshot_row t id;
         incr refreshed)
     signals;
   let pos_of = Array.make (Circuit.num_nodes circ) (-1) in
@@ -202,7 +212,7 @@ let resync t ~refresh =
   let cls_of = Array.make n (-1) in
   let compl_ = Array.make n false in
   for p = 0 to n - 1 do
-    let id, comp = intern t nclasses rows.(p) in
+    let id, comp = intern t nclasses irows.(p) in
     cls_of.(p) <- id;
     compl_.(p) <- comp;
     let c = t.classes.(id) in
@@ -220,11 +230,10 @@ let resync t ~refresh =
     classes;
   t.icanon_flat <- flat;
   t.icanon_stride <- stride;
-  t.care <- None;
+  t.care_ok <- false;
   t.lanes <- None;
   t.signals <- signals;
   t.pos_of <- pos_of;
-  t.rows <- rows;
   t.irows <- irows;
   t.compl_ <- compl_;
   t.cls_of <- cls_of;
@@ -239,7 +248,7 @@ let rebuild t =
 
 let invalidate t =
   t.dirty <- true;
-  t.care <- None;
+  t.care_ok <- false;
   t.lanes <- None
 
 (* An accepted substitution rooted at [src] changes the words of [src]
@@ -252,7 +261,7 @@ let invalidate t =
    circuit still has it. *)
 let update_after_edit t src =
   if not t.dirty then begin
-    t.care <- None;
+    t.care_ok <- false;
     t.lanes <- None;
     let tfo = Circuit.tfo (circuit t) src in
     tfo.(src) <- true;
@@ -282,12 +291,12 @@ let signals t =
   t.signals
 let num_signals t = Array.length t.signals
 let position t id = if id < Array.length t.pos_of then t.pos_of.(id) else -1
-let row t p = t.rows.(p)
+let row t p = Bits.unpack_words t.irows.(p) (words t)
 let irow t p = t.irows.(p)
 let num_classes t =
   synced "num_classes" t;
   Array.length t.classes
-let class_canon t c = t.classes.(c).canon
+let class_canon t c = Bits.unpack_words t.classes.(c).icanon (words t)
 let class_icanon t c = t.classes.(c).icanon
 let icanon_flat t = t.icanon_flat
 let icanon_stride t = t.icanon_stride
@@ -297,16 +306,17 @@ let class_of t p = t.cls_of.(p)
 
 let lookup t sig_ =
   if Array.length sig_ <> words t then invalid_arg "Sigstore.lookup";
-  let comp = complemented_canon sig_ in
-  let canon = canon_of sig_ in
-  let h = hash_words canon in
+  let row = Bits.pack_words sig_ in
+  let comp = complemented_canon row in
+  let canon = canon_of t row in
+  let h = hash_limbs canon in
   match Hashtbl.find_opt t.index h with
   | None -> None
   | Some bucket ->
     let rec find = function
       | [] -> None
       | id :: rest ->
-        if Bits.equal_words t.classes.(id).canon canon then Some (id, comp)
+        if equal_limbs t.classes.(id).icanon canon then Some (id, comp)
         else find rest
     in
     find !bucket
@@ -318,63 +328,81 @@ let lookup t sig_ =
 let m_local_rows = Obs.Metrics.counter "sim.observability.local_rows"
 
 (* Stem observability by flip-and-resimulate on each engine (each
-   pattern column is independent), concatenated in row order.  Mutates
-   and restores engine state, so it must run sequentially. *)
+   pattern column is independent), concatenated in row order into
+   [id]'s table row.  Mutates and restores engine state, so it must run
+   sequentially. *)
 let stem_care t id =
-  let base = Engine.stem_observability t.base id in
+  let off = id * words t in
+  Engine.stem_observability_into t.base id t.care_rows off;
   match t.cex with
-  | None -> base
-  | Some e -> Array.append base (Engine.stem_observability e id)
+  | None -> ()
+  | Some e -> Engine.stem_observability_into e id t.care_rows (off + base_words t)
 
 (* Workspace of the local branch rule: the negated pin input, the
-   re-evaluated cell output, the fanin words handed to the evaluator
+   re-evaluated cell output, the fanin rows handed to the evaluator
    (only the first [arity] entries are read) and the folded row. *)
 type branch_buf = {
-  neg : int64 array;
-  flipped : int64 array;
-  ins : int64 array array;
-  row : int64 array;
+  neg : Bits.words;
+  flipped : Bits.words;
+  srcs : Bits.words array;
+  offs : int array;
+  row : Bits.words;
 }
 
 let branch_buf t =
   let w =
     max (base_words t) (match t.cex with None -> 0 | Some e -> Engine.words e)
   in
-  { neg = Array.make w 0L; flipped = Array.make w 0L;
-    ins = Array.make Logic.Tt.max_vars [||]; row = Array.make (words t) 0L }
+  let neg = Bits.words_create w in
+  { neg; flipped = Bits.words_create w; srcs = Array.make Logic.Tt.max_vars neg;
+    offs = Array.make Logic.Tt.max_vars 0; row = Bits.words_create (words t) }
+
+(* [local_branch]'s rule on engine [e], whose words sit at [off] in
+   the folded row, reading the engine's buffer in place *)
+let local_words t b e off c fs ~sink ~pin =
+  let w = Engine.words e and vals = Engine.buffer e in
+  for i = 0 to Array.length fs - 1 do
+    b.srcs.(i) <- vals;
+    b.offs.(i) <- fs.(i) * w
+  done;
+  let o = fs.(pin) * w in
+  for j = 0 to w - 1 do
+    b.neg.{j} <- Int64.lognot vals.{o + j}
+  done;
+  b.srcs.(pin) <- b.neg;
+  b.offs.(pin) <- 0;
+  Engine.eval_cell_into c.Gatelib.Cell.func b.srcs b.offs b.flipped 0 w;
+  let o = sink * w and obs = (sink * words t) + off in
+  for j = 0 to w - 1 do
+    b.row.{off + j} <-
+      Int64.logand (Int64.logxor b.flipped.{j} vals.{o + j}) t.care_rows.{obs + j}
+  done
 
 (* Care of the branch into pin [pin] of [sink] by the local rule, given
-   the table rows [care] of every cell after [sink] in topological
-   order, written into [b.row]: all ones into a PO, otherwise the
-   patterns on which flipping the pin flips [sink]'s output, restricted
-   to those on which flipping [sink] is observed. *)
-let local_branch t care b ~sink ~pin =
-  let circ = circuit t in
-  match Circuit.kind circ sink with
-  | Circuit.Po _ -> Array.fill b.row 0 (words t) (-1L)
-  | Circuit.Cell (c, fs) ->
-    let obs = care.(sink) in
-    let fill e off =
-      let w = Engine.words e in
-      for i = 0 to Array.length fs - 1 do
-        b.ins.(i) <- Engine.value e fs.(i)
-      done;
-      let v = Engine.value e fs.(pin) in
-      for j = 0 to w - 1 do
-        b.neg.(j) <- Int64.lognot v.(j)
-      done;
-      b.ins.(pin) <- b.neg;
-      Engine.eval_cell_words c.Gatelib.Cell.func b.ins b.flipped w;
-      let v = Engine.value e sink in
-      for j = 0 to w - 1 do
-        b.row.(off + j) <-
-          Int64.logand (Int64.logxor b.flipped.(j) v.(j)) obs.(off + j)
-      done
-    in
-    fill t.base 0;
-    Option.iter (fun e -> fill e (base_words t)) t.cex
+   the table rows of every cell after [sink] in topological order,
+   written into [b.row]: all ones into a PO, otherwise the patterns on
+   which flipping the pin flips [sink]'s output, restricted to those on
+   which flipping [sink] is observed. *)
+let local_branch t b ~sink ~pin =
+  match Circuit.kind (circuit t) sink with
+  | Circuit.Po _ -> Bigarray.Array1.fill b.row (-1L)
+  | Circuit.Cell (c, fs) -> (
+    local_words t b t.base 0 c fs ~sink ~pin;
+    match t.cex with
+    | None -> ()
+    | Some e -> local_words t b e (base_words t) c fs ~sink ~pin)
   | Circuit.Pi | Circuit.Const _ ->
     invalid_arg "Sigstore.branch_obs: sink has no pins"
+
+(* The fanout pins into live sinks; the list itself when all are
+   live, as it nearly always is *)
+let rec live_fanouts circ = function
+  | [] -> []
+  | p :: rest as l ->
+    let rest' = live_fanouts circ rest in
+    if not (Circuit.is_live circ p.Circuit.sink) then rest'
+    else if rest' == rest then l
+    else p :: rest'
 
 (* Reverse topological order puts every cell's fanout sinks before the
    cell itself, so a single-fanout stem reads its sink's finished row.
@@ -384,7 +412,11 @@ let local_branch t care b ~sink ~pin =
 let compute_care t =
   synced "compute_care" t;
   let circ = circuit t in
-  let care = Array.make (Circuit.num_nodes circ) [||] in
+  let n = Circuit.num_nodes circ and nw = words t in
+  if Bigarray.Array1.dim t.care_rows < n * nw then
+    t.care_rows <- Bits.words_create (max (n * nw) (2 * Bigarray.Array1.dim t.care_rows));
+  let care = t.care_rows in
+  let has = Array.make n false in
   let b = branch_buf t in
   let order = Circuit.topo_order circ in
   let local = ref 0 in
@@ -392,46 +424,60 @@ let compute_care t =
     let id = order.(r) in
     match Circuit.kind circ id with
     | Circuit.Cell _ ->
-      let live =
-        List.filter
-          (fun p -> Circuit.is_live circ p.Circuit.sink)
-          (Circuit.fanouts circ id)
-      in
-      care.(id) <-
-        (match live with
-        | [] ->
-          incr local;
-          Array.make (words t) 0L
-        | [ p ] ->
-          incr local;
-          local_branch t care b ~sink:p.Circuit.sink ~pin:p.Circuit.pin_index;
-          Array.copy b.row
-        | _ :: _ :: _ -> stem_care t id)
+      (match live_fanouts circ (Circuit.fanouts circ id) with
+      | [] ->
+        incr local;
+        for j = 0 to nw - 1 do
+          care.{(id * nw) + j} <- 0L
+        done
+      | [ p ] ->
+        incr local;
+        local_branch t b ~sink:p.Circuit.sink ~pin:p.Circuit.pin_index;
+        for j = 0 to nw - 1 do
+          care.{(id * nw) + j} <- b.row.{j}
+        done
+      | _ :: _ :: _ -> stem_care t id);
+      has.(id) <- true
     | Circuit.Pi | Circuit.Const _ | Circuit.Po _ -> ()
   done;
   Obs.Metrics.add m_local_rows !local;
-  t.care <- Some care
+  t.has_care <- has;
+  t.care_ok <- true
 
 let table t =
-  match t.care with
-  | Some care -> care
-  | None -> invalid_arg "Sigstore: observability table not computed"
+  if not t.care_ok then invalid_arg "Sigstore: observability table not computed"
 
-let stem_obs t id =
-  let care = table t in
-  if id >= Array.length care || Array.length care.(id) = 0 then
+let stem_row t id =
+  table t;
+  if id >= Array.length t.has_care || not t.has_care.(id) then
     invalid_arg "Sigstore.stem_obs: not a live cell";
-  care.(id)
+  id * words t
+
+let stem_obs t id = Bits.words_to_array t.care_rows (stem_row t id) (words t)
+
+let pack_stem_obs t id dst =
+  let off = stem_row t id in
+  Array.fill dst 0 (Array.length dst) 0;
+  Bits.pack_slice t.care_rows off (words t) dst 0
 
 let branch_obs_in t b ~sink ~pin =
-  let care = table t in
+  table t;
+  (match Circuit.kind (circuit t) sink with
+  | Circuit.Cell _ when not (sink < Array.length t.has_care && t.has_care.(sink)) ->
+    invalid_arg "Sigstore.branch_obs: sink is not a live cell"
+  | Circuit.Cell _ | Circuit.Po _ | Circuit.Pi | Circuit.Const _ -> ());
   Obs.Metrics.incr m_local_rows;
-  local_branch t care b ~sink ~pin;
-  b.row
+  local_branch t b ~sink ~pin
 
-let branch_obs t ~sink ~pin = branch_obs_in t (branch_buf t) ~sink ~pin
+let branch_obs t ~sink ~pin =
+  let b = branch_buf t in
+  branch_obs_in t b ~sink ~pin;
+  Bits.words_to_array b.row 0 (words t)
 
-let packed_branch_obs t b ~sink ~pin = Bits.pack_words (branch_obs_in t b ~sink ~pin)
+let pack_branch_obs t b ~sink ~pin dst =
+  branch_obs_in t b ~sink ~pin;
+  Array.fill dst 0 (Array.length dst) 0;
+  Bits.pack_slice b.row 0 (words t) dst 0
 
 (* ------------------------------------------------------------------ *)
 (* Lane view                                                          *)

@@ -84,16 +84,19 @@ val position : t -> Netlist.Circuit.node_id -> int
 (** Position of a node in {!signals}, or -1. *)
 
 val row : t -> int -> int64 array
-(** Signature row by position (shared array; do not mutate). *)
+(** Signature row by position (a fresh unpacked copy of {!irow}). *)
 
 val irow : t -> int -> int array
-(** {!row} packed into 62-bit limbs ({!Logic.Bits.pack_words}):
-    unboxed-int mirror for the scan hot loops. *)
+(** The signature row packed into 62-bit limbs
+    ({!Logic.Bits.pack_words}), as the store keeps it: packed straight
+    from the engines' buffers, so the scan hot loops run on unboxed
+    ints.  Shared array; do not mutate. *)
 
 val num_classes : t -> int
 
 val class_canon : t -> int -> int64 array
-(** Polarity-canonical signature of a class (bit 0 of word 0 is 0). *)
+(** Polarity-canonical signature of a class (bit 0 of word 0 is 0);
+    a fresh unpacked copy of {!class_icanon}. *)
 
 val class_icanon : t -> int -> int array
 (** {!class_canon} packed into 62-bit limbs. *)
@@ -142,9 +145,15 @@ val compute_care : t -> unit
     maintenance call. *)
 
 val stem_obs : t -> Netlist.Circuit.node_id -> int64 array
-(** Care row of a live cell's stem (shared array; do not mutate).
+(** Care row of a live cell's stem (a fresh copy).
     @raise Invalid_argument if the table is not computed or the node
     is not a live cell. *)
+
+val pack_stem_obs : t -> Netlist.Circuit.node_id -> int array -> unit
+(** {!stem_obs} packed ({!Logic.Bits.pack_words}) straight from the
+    table into the given array, which must hold the row's limbs; nothing
+    allocated.  A pure read: safe from pool tasks.
+    @raise Invalid_argument as {!stem_obs}. *)
 
 val branch_obs : t -> sink:Netlist.Circuit.node_id -> pin:int -> int64 array
 (** Care row of the branch into pin [pin] of [sink] (all ones when
@@ -154,15 +163,15 @@ val branch_obs : t -> sink:Netlist.Circuit.node_id -> pin:int -> int64 array
     no pins. *)
 
 type branch_buf
-(** Workspace of {!packed_branch_obs}; not to be shared between
+(** Workspace of {!pack_branch_obs}; not to be shared between
     domains. *)
 
 val branch_buf : t -> branch_buf
 
-val packed_branch_obs :
-  t -> branch_buf -> sink:Netlist.Circuit.node_id -> pin:int -> int array
-(** {!branch_obs} packed ({!Logic.Bits.pack_words}), computed in the
-    workspace instead of fresh fanin copies. *)
+val pack_branch_obs :
+  t -> branch_buf -> sink:Netlist.Circuit.node_id -> pin:int -> int array -> unit
+(** {!branch_obs} packed ({!Logic.Bits.pack_words}) into the given
+    array, computed in the workspace; nothing allocated. *)
 
 (** {2 Lane view}
 

@@ -271,3 +271,106 @@ let fuzzed_gain_tests =
   ]
 
 let suite = suite @ [ ("powder-fuzzed-gain", fuzzed_gain_tests) ]
+
+(* [gain_ab] over the shared per-domain region mask of
+   [Circuit.with_dominated_region] gives the floats of a fresh
+   [dominated_region_members] mask, bit for bit, on every stem
+   candidate of a first cps generate and of fuzzed netlists (their
+   generated candidates plus a random signal and inverted source per
+   stem); the shared mask is all false after every call, also after a
+   callback that raises or a refused nested call. *)
+let test_shared_region_mask () =
+  let compared = ref 0 in
+  let bits g = (Int64.bits_of_float g.Subst.pg_a, Int64.bits_of_float g.Subst.pg_b) in
+  (* the mask a later call sees holds exactly that call's members *)
+  let clean circ what =
+    match Circuit.live_gates circ with
+    | [] -> ()
+    | probe :: _ ->
+      Circuit.with_dominated_region circ probe (fun region ->
+          let mask, members = region () in
+          Array.iteri
+            (fun id set ->
+              if set <> Array.mem id members then
+                Alcotest.failf "%s: the shared region mask was not all false" what)
+            mask)
+  in
+  let compare_on label circ est substs =
+    let clean = clean circ in
+    List.iter
+      (fun s ->
+        match s.Subst.target with
+        | Subst.Branch _ -> ()
+        | Subst.Stem a ->
+          let fresh = Subst.gain_ab ~dom:(Circuit.dominated_region_members circ a) est s in
+          let shared =
+            Circuit.with_dominated_region circ a (fun region ->
+                Subst.gain_ab ~dom:(region ()) est s)
+          in
+          clean label;
+          let unshared = Subst.gain_ab est s in
+          clean label;
+          if bits fresh <> bits shared || bits fresh <> bits unshared then
+            Alcotest.failf "%s: %s gains differ between masks" label
+              (Subst.describe circ s);
+          incr compared)
+      substs;
+    (match Circuit.live_gates circ with
+    | [] -> ()
+    | a :: _ -> (
+      (match
+         Circuit.with_dominated_region circ a (fun region ->
+             ignore (region ());
+             raise Exit)
+       with
+      | () -> ()
+      | exception Exit -> ());
+      clean (label ^ " after a raising callback");
+      match
+        Circuit.with_dominated_region circ a (fun region ->
+            ignore (region ());
+            Circuit.with_dominated_region circ a (fun _ -> ()))
+      with
+      | () -> Alcotest.failf "%s: a nested region was not refused" label
+      | exception Invalid_argument _ -> clean (label ^ " after a nested call")))
+  in
+  let cps =
+    match Circuits.Suite.find "cps" with
+    | Some spec -> Circuits.Suite.mapped spec
+    | None -> Alcotest.fail "cps is not in the suite"
+  in
+  let eng = Engine.create cps ~words:16 in
+  Engine.randomize_sharded ~seed:Optimizer.default_config.Optimizer.seed eng;
+  let est = Estimator.create eng in
+  compare_on "cps" cps est (List.map fst (Candidates.generate est));
+  let cps_count = !compared in
+  for seed = 1 to 30 do
+    let c = Fuzz.Gen.generate (Fuzz.Gen.spec_of_seed (Int64.of_int (700 + seed))) in
+    let eng = Engine.create c ~words:4 in
+    Engine.randomize eng (Sim.Rng.create (Int64.of_int seed));
+    let est = Estimator.create eng in
+    let rng = Random.State.make [| seed |] in
+    let nodes = Array.of_list (Circuit.pis c @ Circuit.live_gates c) in
+    let random =
+      List.concat_map
+        (fun a ->
+          let b = nodes.(Random.State.int rng (Array.length nodes)) in
+          [ { Subst.target = Subst.Stem a; source = Subst.Signal b };
+            { Subst.target = Subst.Stem a; source = Subst.Inverted b } ])
+        (Circuit.live_gates c)
+    in
+    compare_on (Printf.sprintf "fuzz seed %d" seed) c est
+      (List.map fst (Candidates.generate est) @ random)
+  done;
+  (* 443 and 2515 today *)
+  Alcotest.(check bool) "cps stem candidates compared" true (cps_count > 400);
+  Alcotest.(check bool) "fuzzed stem candidates compared" true
+    (!compared - cps_count > 2000)
+
+let suite =
+  suite
+  @ [
+      ( "powder-region-mask",
+        [ Alcotest.test_case "shared region mask == fresh mask" `Quick
+            test_shared_region_mask ] );
+    ]

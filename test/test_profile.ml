@@ -165,6 +165,28 @@ let test_alloc_delta () =
       (b >= 1_000_000.0)
   | _ -> Alcotest.fail "span_end carries no alloc_b field"
 
+(* The delta counts every minor allocation: a span that builds a
+   100,000-cell list (three words a cell) reports at least 2.4 MB. *)
+let test_alloc_delta_minor () =
+  let captured = ref [] in
+  Trace.set_sink
+    (Trace.make_sink
+       ~emit:(fun e -> captured := e :: !captured)
+       ~close:(fun () -> ()));
+  Trace.with_span "alloc-list" (fun () ->
+      let rec build n acc = if n = 0 then acc else build (n - 1) (n :: acc) in
+      ignore (Sys.opaque_identity (build 100_000 [])));
+  Trace.close_sink ();
+  let span_end =
+    List.find (fun e -> e.Trace.name = "span_end") !captured
+  in
+  match List.assoc_opt "alloc_b" span_end.Trace.fields with
+  | Some (Trace.Float b) ->
+    Alcotest.(check bool)
+      (Printf.sprintf "alloc delta covers the list (%.0f)" b)
+      true (b >= 2_400_000.0)
+  | _ -> Alcotest.fail "span_end carries no alloc_b field"
+
 (* ------------------------------------------------------------------ *)
 (* Run manifest.                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -310,6 +332,8 @@ let suite =
         Alcotest.test_case "chrome sink well-formed" `Quick
           test_chrome_sink_wellformed;
         Alcotest.test_case "allocation delta" `Quick test_alloc_delta;
+        Alcotest.test_case "allocation delta counts minor words" `Quick
+          test_alloc_delta_minor;
         Alcotest.test_case "run manifest" `Quick test_runinfo;
         Alcotest.test_case "run_start header" `Quick test_run_start_header;
         Alcotest.test_case "histogram quantiles" `Quick test_quantiles;
