@@ -384,7 +384,7 @@ let optimize_cmd =
         check_seconds;
         round_seconds;
         verify_applies;
-        checkpoint_file = checkpoint;
+        checkpoint_sink = Option.map Powder.Checkpoint.save checkpoint;
         checkpoint_every =
           (if checkpoint_every > 0 then checkpoint_every
            else if checkpoint <> None then 1
@@ -492,7 +492,9 @@ let pareto_cmd =
         (fun () ->
           (* fresh circuit per point: each constraint optimizes its own copy *)
           Pareto.Sweep.run ~config:a.config ~specs:constraints
-            ~jobs:a.config.Optimizer.jobs ?checkpoint_dir ~name:a.circuit a.load)
+            ~jobs:a.config.Optimizer.jobs
+            ?checkpoint:(Option.map Powder.Checkpoint.dir_store checkpoint_dir)
+            ~name:a.circuit a.load)
     in
     ()
   in
@@ -965,9 +967,9 @@ let serve_cmd =
   in
   let state =
     Arg.(required & opt (some string) None & info [ "state" ] ~docv:"DIR"
-           ~doc:"State directory: queue snapshot, per-job checkpoints, \
-                 result files.  A restart with the same directory recovers \
-                 pending work.")
+           ~doc:"State directory: the journal (queue snapshots and per-job \
+                 checkpoints) and the result files.  A restart with the \
+                 same directory recovers pending work.")
   in
   let output =
     Arg.(value & opt (some string) None & info [ "output" ] ~docv:"FILE"

@@ -9,7 +9,7 @@
 #             and planted-mutant refutation on cps, the cps goldens
 #             (global, keep-initial, --window 16)
 #     fuzz    differential fuzz campaign + injected-fault catch
-#     serve   batch service drain + crash/kill chaos legs
+#     serve   batch service drain + crash, kill -TERM and kill -KILL legs
 #     bench   paper tables (bench/main.exe quick) + powderbench: every
 #             workload correct, no failed operations
 #     pareto  frontier sweep: jobs determinism, frontier invariants,
@@ -425,6 +425,34 @@ EOF
     cmp "$serve_dir/ref/results/$id.blif" "$serve_dir/kill/results/$id.blif"
     dune exec bin/json_check.exe -- --compare-reports \
       "$serve_dir/ref/results/$id.json" "$serve_dir/kill/results/$id.json"
+  done
+
+  echo "== chaos: kill -KILL mid-drain, restart recovers bit-identically =="
+  # The input is a FIFO held open, so the server cannot finish its drain
+  # on its own; the hard kill lands as soon as the first job's result is
+  # on disk, with the other two queued or mid-slice.  Nothing runs at
+  # exit: the restart sees only what the journal made durable.
+  mkfifo "$serve_dir/feed"
+  "$cli" serve --input "$serve_dir/feed" --state "$serve_dir/hard" \
+    >/dev/null &
+  serve_pid=$!
+  exec 3>"$serve_dir/feed"
+  cat "$serve_dir/big.jsonl" >&3
+  polls=0
+  until [ -e "$serve_dir/hard/results/k1.json" ] || [ "$polls" -ge 1200 ]; do
+    sleep 0.05
+    polls=$((polls + 1))
+  done
+  kill -KILL "$serve_pid" 2>/dev/null || true
+  wait "$serve_pid" 2>/dev/null || true
+  exec 3>&-
+  test -e "$serve_dir/hard/results/k1.json"
+  hard_timeout 300 "$cli" serve --input /dev/null --state "$serve_dir/hard" \
+    | grep -q 'recovered=[1-9]'
+  for id in k1 k2 k3; do
+    cmp "$serve_dir/ref/results/$id.blif" "$serve_dir/hard/results/$id.blif"
+    dune exec bin/json_check.exe -- --compare-reports \
+      "$serve_dir/ref/results/$id.json" "$serve_dir/hard/results/$id.json"
   done
   rm -rf "$serve_dir"
 }

@@ -42,12 +42,6 @@ let m_dominated = Obs.Metrics.counter "pareto.dominated"
 let g_frontier = Obs.Metrics.gauge "pareto.frontier_size"
 let g_glitch_delta = Obs.Metrics.gauge "pareto.glitch_delta"
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    (try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ())
-  end
-
 let point_of spec (r : Optimizer.report) =
   {
     Frontier.label = spec_to_string spec;
@@ -60,9 +54,8 @@ let point_of spec (r : Optimizer.report) =
   }
 
 let run ?(config = Optimizer.default_config) ?(specs = default_specs) ?(jobs = 1)
-    ?checkpoint_dir ~name build =
+    ?checkpoint ~name build =
   if specs = [] then invalid_arg "Pareto.Sweep.run: empty constraint list";
-  Option.iter mkdir_p checkpoint_dir;
   let t0 = Obs.Clock.now () in
   let run_point spec =
     let label = spec_to_string spec in
@@ -76,25 +69,21 @@ let run ?(config = Optimizer.default_config) ?(specs = default_specs) ?(jobs = 1
       | Scale s -> Optimizer.Ratio (s -. 1.0)
       | Unbounded -> Optimizer.Unconstrained
     in
-    let ck_file =
-      Option.map
-        (fun dir -> Filename.concat dir ("point-" ^ label ^ ".json"))
-        checkpoint_dir
-    in
+    let key = "point-" ^ label in
     let resume =
-      match ck_file with
-      | Some f when Sys.file_exists f -> (
-        match Checkpoint.load f with Ok ck -> Some ck | Error _ -> None)
-      | _ -> None
+      match Option.bind checkpoint (fun (s : Checkpoint.store) -> s.load key) with
+      | Some (Ok ck) -> Some ck
+      | Some (Error _) | None -> None
     in
     let cfg =
       {
         config with
         Optimizer.delay;
         jobs = 1;
-        checkpoint_file = ck_file;
+        checkpoint_sink =
+          Option.map (fun (s : Checkpoint.store) -> s.save key) checkpoint;
         checkpoint_every =
-          (match ck_file with
+          (match checkpoint with
           | Some _ when config.Optimizer.checkpoint_every <= 0 -> 1
           | _ -> config.Optimizer.checkpoint_every);
       }

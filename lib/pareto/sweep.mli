@@ -46,20 +46,22 @@ val run :
   ?config:Powder.Optimizer.config ->
   ?specs:spec list ->
   ?jobs:int ->
-  ?checkpoint_dir:string ->
+  ?checkpoint:Powder.Checkpoint.store ->
   name:string ->
   (unit -> Netlist.Circuit.t) ->
   report
 (** Run one optimizer per spec on a fresh circuit from the builder.
     [config] seeds every point's optimizer config; its [delay],
-    [checkpoint_file] and [jobs] fields are overridden per point (the
+    [checkpoint_sink] and [jobs] fields are overridden per point (the
     cost model, seed, budgets etc. are shared).  [jobs] (default 1)
     fans the points out over a {!Par.Pool}.
 
-    [checkpoint_dir] makes each point crash-resumable: point [s]
-    checkpoints to [dir/point-<label>.json] (created eagerly;
-    [checkpoint_every] defaults to 1 if the config left it at 0), and
-    an existing loadable checkpoint there is resumed — so re-running an
+    [checkpoint] makes each point crash-resumable: point [s]
+    checkpoints to the store's key [point-<label>] ([checkpoint_every]
+    defaults to 1 if the config left it at 0; with
+    {!Powder.Checkpoint.dir_store} that is the file
+    [dir/point-<label>.json]), and an existing loadable checkpoint
+    under that key is resumed — so re-running an
     interrupted sweep redoes only the unfinished points and produces
     the same report as an uninterrupted run.  A corrupt or
     version-mismatched checkpoint is ignored and the point restarts.

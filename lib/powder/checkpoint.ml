@@ -112,34 +112,13 @@ let error_to_string = function
   | Bad_version { found; expected } ->
     Printf.sprintf "checkpoint: version %d, expected %d" found expected
 
-(* Crash-atomic and durable: the payload is written to a sibling tmp
-   file, fsync'd, then renamed over the target; finally the directory
-   entry itself is fsync'd.  A kill or power cut at any instant leaves
-   either the complete old checkpoint or the complete new one — and
-   [load] rejects anything else with a typed error. *)
-let save file c =
-  let payload = J.to_string (to_json c) ^ "\n" in
-  let tmp = file ^ ".tmp" in
-  let fd = Unix.openfile tmp [ O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o644 in
-  let closed = ref false in
-  Fun.protect
-    ~finally:(fun () -> if not !closed then Unix.close fd)
-    (fun () ->
-      let n = String.length payload in
-      let off = ref 0 in
-      while !off < n do
-        off := !off + Unix.write_substring fd payload !off (n - !off)
-      done;
-      Unix.fsync fd;
-      Unix.close fd;
-      closed := true);
-  Sys.rename tmp file;
-  match Unix.openfile (Filename.dirname file) [ O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | dfd ->
-    (* directory fsync is best-effort: not every filesystem allows it *)
-    (try Unix.fsync dfd with Unix.Unix_error _ -> ());
-    (try Unix.close dfd with Unix.Unix_error _ -> ())
+let encode c = J.to_string (to_json c)
+
+(* Crash-atomic and durable through [Persist.write_atomic]: a kill or
+   power cut at any instant leaves either the complete old checkpoint
+   or the complete new one — and [load] rejects anything else with a
+   typed error. *)
+let save file c = Persist.write_atomic file (encode c ^ "\n")
 
 let ( let* ) = Result.bind
 
@@ -278,6 +257,13 @@ let of_json j =
           degradation_level;
         }
 
+let decode = function
+  | "" -> Error (Corrupt "empty file")
+  | text -> (
+    match J.of_string (String.trim text) with
+    | Error e -> Error (Corrupt ("invalid JSON: " ^ e))
+    | Ok j -> of_json j)
+
 let load file =
   match
     let ic = open_in_bin file in
@@ -287,8 +273,28 @@ let load file =
   with
   | exception Sys_error e -> Error (Io e)
   | exception End_of_file -> Error (Corrupt "truncated file")
-  | "" -> Error (Corrupt "empty file")
-  | text -> (
-    match J.of_string (String.trim text) with
-    | Error e -> Error (Corrupt ("invalid JSON: " ^ e))
-    | Ok j -> of_json j)
+  | text -> decode text
+
+type store = {
+  load : string -> (t, error) result option;
+  save : string -> t -> unit;
+  drop : string -> unit;
+}
+
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
+  end
+
+let dir_store dir =
+  mkdir_p dir;
+  let file key = Filename.concat dir (key ^ ".json") in
+  {
+    load =
+      (fun key ->
+        let f = file key in
+        if Sys.file_exists f then Some (load f) else None);
+    save = (fun key c -> save (file key) c);
+    drop = (fun key -> try Sys.remove (file key) with Sys_error _ -> ());
+  }

@@ -65,13 +65,40 @@ type error =
 
 val error_to_string : error -> string
 
+val encode : t -> string
+(** The serialized form: one JSON object ({!save} adds a newline). *)
+
+val decode : string -> (t, error) result
+(** Inverse of {!encode}; never raises: empty, truncated or garbled text
+    comes back as [Corrupt], a schema mismatch as [Bad_version]. *)
+
 val save : string -> t -> unit
-(** Crash-atomic and durable: write to [file ^ ".tmp"], fsync, rename
-    over [file], fsync the directory.  A kill or power cut at any
-    instant leaves either the previous complete checkpoint or the new
-    one — never a torn write.  Raises [Unix.Unix_error] / [Sys_error]
-    only on real I/O failure (disk full, bad path). *)
+(** Crash-atomic and durable ({!Persist.write_atomic}): write to
+    [file ^ ".tmp"], fsync, rename over [file], fsync the directory.  A
+    kill or power cut at any instant leaves either the previous complete
+    checkpoint or the new one — never a torn write.  Raises
+    [Unix.Unix_error] / [Sys_error] only on real I/O failure (disk full,
+    bad path). *)
 
 val load : string -> (t, error) result
 (** Never raises: unreadable files come back as [Io], truncated or
     garbled ones as [Corrupt], schema mismatches as [Bad_version]. *)
+
+(** {2 Stores}
+
+    One interface for every resume layer: a store holds checkpoints by
+    key.  The CLI's [--checkpoint-dir] keeps one file per key
+    ({!dir_store}); the serve supervisor keeps them as records of its
+    journal, keyed by job and point. *)
+
+type store = {
+  load : string -> (t, error) result option;
+      (** [None]: nothing saved under the key, or it was dropped;
+          [Some (Error _)]: the saved checkpoint does not decode *)
+  save : string -> t -> unit;
+      (** durable when it returns *)
+  drop : string -> unit;  (** a no-op on an absent key *)
+}
+
+val dir_store : string -> store
+(** Key [k] is the file [dir/k.json]; [dir] is created eagerly. *)

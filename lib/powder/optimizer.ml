@@ -33,7 +33,7 @@ type config = {
   verify_applies : bool;
   verify_words : int;
   checkpoint_every : int;
-  checkpoint_file : string option;
+  checkpoint_sink : (Checkpoint.t -> unit) option;
   jobs : int;
   window : int option;
   cost : cost_model;
@@ -60,7 +60,7 @@ let default_config =
     verify_applies = true;
     verify_words = 8;
     checkpoint_every = 0;
-    checkpoint_file = None;
+    checkpoint_sink = None;
     jobs = 1;
     window = None;
     cost = Zero_delay;
@@ -894,14 +894,14 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
           continue_ := false
       end;
       sample_gc ~round:f.rounds;
-      (* Checkpoint barrier (also taken with no file configured, so a
+      (* Checkpoint barrier (also taken with no sink configured, so a
          checkpointing run and a resumed one share identical state). *)
       if config.checkpoint_every > 0 && f.rounds mod config.checkpoint_every = 0
       then begin
         let blif = canonicalize () in
-        match config.checkpoint_file with
+        match config.checkpoint_sink with
         | None -> ()
-        | Some file ->
+        | Some sink ->
           (* The checkpoint carries the raw stop reason, never the
              promoted one: "converged" at a round cap means different
              things to different resumers (a slice driver's per-slice
@@ -909,7 +909,7 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
              max_substitutions / max_rounds happens at report time
              against the resuming config's own bounds. *)
           let status = if !continue_ then "running" else !stopped_by in
-          Checkpoint.save file
+          sink
             {
               Checkpoint.round = f.rounds;
               status;

@@ -64,9 +64,12 @@ type config = {
           independent re-simulation + [Circuit.validate]) *)
   verify_words : int;           (** guard verifier pattern words *)
   checkpoint_every : int;
-      (** canonicalize and (if a file is set) checkpoint every N
+      (** canonicalize and (if a sink is set) checkpoint every N
           rounds; 0 disables both *)
-  checkpoint_file : string option;
+  checkpoint_sink : (Checkpoint.t -> unit) option;
+      (** receives each checkpoint, and must make it durable before it
+          returns: [Checkpoint.save file] for one file, a
+          {!Checkpoint.store}'s [save key] for a keyed store *)
   jobs : int;
       (** parallel executors for candidate generation's scan (a
           {!Par.Pool} of [jobs - 1] worker domains plus the main
@@ -208,7 +211,7 @@ val optimize : ?config:config -> ?resume:Checkpoint.t -> Netlist.Circuit.t -> re
     Checkpointing: with [checkpoint_every = n > 0] the optimizer
     canonicalizes its state every [n] rounds (BLIF round-trip +
     engine rebuild + counterexample replay) and, when
-    [checkpoint_file] is set, saves a {!Checkpoint.t}.  Passing
+    [checkpoint_sink] is set, hands it a {!Checkpoint.t}.  Passing
     [?resume] continues such a run: the caller's circuit is
     overwritten in place from the checkpointed BLIF, counters and
     counterexamples are restored, the seed is taken from the

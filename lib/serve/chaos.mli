@@ -16,8 +16,10 @@
     - [Deadline_storm]: the job's first attempt runs under an
       already-expired deadline.  The supervisor must recognize the
       spurious timeout (the job's own budget is untouched) and retry.
-    - [Checkpoint_corrupt]: the job's checkpoint file is truncated
-      after its first completed slice.  The supervisor must surface
+    - [Checkpoint_corrupt]: after the job's first completed slice, a
+      checkpoint record holding the first half of its checkpoint is
+      appended to the journal (an intact frame, a garbled payload).
+      The supervisor must surface
       the typed [Powder.Checkpoint] error, roll back, and restart the
       job from scratch. *)
 
@@ -43,7 +45,7 @@ val storm_now : t -> id:string -> bool
 
 val corrupt_now : t -> id:string -> bool
 (** [Checkpoint_corrupt] only: fires once per job id (call it after a
-    non-final slice has written a checkpoint). *)
+    non-final slice has saved a checkpoint). *)
 
 val malformed_lines : t -> string list
 (** [Malformed_job] only: the lines to splice into the input, once. *)

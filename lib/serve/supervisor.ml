@@ -85,20 +85,18 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let queue_file c = Filename.concat c.state_dir "queue.json"
-let ck_dir c = Filename.concat c.state_dir "ck"
-let ck_file c id = Filename.concat (ck_dir c) (id ^ ".json")
-
-(* pareto jobs checkpoint per frontier point, into a directory *)
-let ck_pareto_dir c id = Filename.concat (ck_dir c) (id ^ ".pareto")
+let journal_file c = Filename.concat c.state_dir "journal"
 let results_dir c = Filename.concat c.state_dir "results"
-let result_json c id = Filename.concat (results_dir c) (id ^ ".json")
-let result_blif c id = Filename.concat (results_dir c) (id ^ ".blif")
+
+(* result file names, relative to the state directory (the journal's) *)
+let result_json id = Filename.concat "results" (id ^ ".json")
+let result_blif id = Filename.concat "results" (id ^ ".blif")
 
 (* ---- supervisor state ---- *)
 
 type st = {
   config : config;
+  journal : Journal.t;
   queue : Jobq.t;
   fleet : Obs.Fleet.t;
   emit : J.t -> unit;
@@ -120,8 +118,7 @@ let m_snapshots = Obs.Metrics.counter "serve.queue_snapshots"
 
 let persist_queue ?extra st =
   Obs.Metrics.incr m_snapshots;
-  Persist.write_atomic (queue_file st.config)
-    (J.to_string (Jobq.to_json ?extra st.queue) ^ "\n")
+  Journal.set_queue st.journal (J.to_string (Jobq.to_json ?extra st.queue))
 
 (* The acks of a run of submits wait for one queue snapshot that holds
    them all, so an acked job is always durable.  Any other event
@@ -142,24 +139,13 @@ and event st name fields =
   flush_acks st;
   st.emit (J.Obj (("ev", J.String name) :: fields))
 
-let remove_quiet file = try Sys.remove file with Sys_error _ -> ()
-
-let rec rm_rf path =
-  match Sys.is_directory path with
-  | true ->
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    (try Sys.rmdir path with Sys_error _ -> ())
-  | false -> remove_quiet path
-  | exception Sys_error _ -> ()
-
 let line_prefix line =
   if String.length line <= 80 then line else String.sub line 0 80 ^ "..."
 
 (* ---- request handling ---- *)
 
 let known st id =
-  Obs.Fleet.state_of st.fleet ~id <> None
-  || Sys.file_exists (result_json st.config id)
+  Obs.Fleet.state_of st.fleet ~id <> None || Journal.finished st.journal id
 
 let reject st ~injected e line =
   st.rejected <- st.rejected + 1;
@@ -260,15 +246,16 @@ type payload =
 
 type prepared = { entry : Jobq.entry; task : unit -> payload * float }
 
-let has_checkpoint c (job : Protocol.job) =
-  match job.Protocol.kind with
-  | Protocol.Optimize -> Sys.file_exists (ck_file c job.Protocol.id)
-  | Protocol.Pareto -> Sys.file_exists (ck_pareto_dir c job.Protocol.id)
+(* A job's checkpoints are journal records keyed by its id: an
+   optimize job's under [optimize_key], a pareto job's one per frontier
+   point (the sweep's [point-<label>] keys). *)
+let optimize_key = "optimize"
 
-let remove_checkpoint c (job : Protocol.job) =
-  match job.Protocol.kind with
-  | Protocol.Optimize -> remove_quiet (ck_file c job.Protocol.id)
-  | Protocol.Pareto -> rm_rf (ck_pareto_dir c job.Protocol.id)
+let has_checkpoint st (job : Protocol.job) =
+  Journal.has_job st.journal job.Protocol.id
+
+let remove_checkpoint st (job : Protocol.job) =
+  Journal.drop st.journal ~job:job.Protocol.id ()
 
 (* Resolve the checkpoint (surfacing corruption as a typed event and a
    rollback) and build the slice closure.  Chaos decisions are made
@@ -277,22 +264,23 @@ let remove_checkpoint c (job : Protocol.job) =
 let prepare_optimize st (entry : Jobq.entry) =
   let job = entry.Jobq.job in
   let id = job.Protocol.id in
-  let file = ck_file st.config id in
+  let store = Journal.checkpoints st.journal ~job:id in
   let resume =
-    if entry.Jobq.resumable && Sys.file_exists file then
-      match Powder.Checkpoint.load file with
-      | Ok ck -> Some ck
-      | Error e ->
+    if not entry.Jobq.resumable then None
+    else
+      match store.Powder.Checkpoint.load optimize_key with
+      | None -> None
+      | Some (Ok ck) -> Some ck
+      | Some (Error e) ->
         event st "checkpoint_corrupt"
           [
             ("id", J.String id);
             ("error", J.String (Powder.Checkpoint.error_to_string e));
           ];
         Obs.Fleet.count st.fleet "rollbacks";
-        remove_quiet file;
+        store.Powder.Checkpoint.drop optimize_key;
         entry.Jobq.resumable <- false;
         None
-    else None
   in
   let o = job.Protocol.options in
   let base_round =
@@ -325,7 +313,7 @@ let prepare_optimize st (entry : Jobq.entry) =
       max_rounds = slice_max;
       run_seconds;
       checkpoint_every = 1;
-      checkpoint_file = Some file;
+      checkpoint_sink = Some (store.Powder.Checkpoint.save optimize_key);
       jobs = 1;
     }
   in
@@ -343,15 +331,15 @@ let prepare_optimize st (entry : Jobq.entry) =
   { entry; task }
 
 (* A pareto job is one slice: the sweep runs every constraint point to
-   completion, checkpointing each point to the job's .pareto directory
-   so a crashed or stormed slice retries by re-running only the
+   completion, checkpointing each point to the journal under the job's
+   id so a crashed or stormed slice retries by re-running only the
    unfinished points (finished ones resume to their final report
    instantly). *)
 let prepare_pareto st (entry : Jobq.entry) =
   let job = entry.Jobq.job in
   let id = job.Protocol.id in
   let o = job.Protocol.options in
-  let dir = ck_pareto_dir st.config id in
+  let store = Journal.checkpoints st.journal ~job:id in
   let budget_left =
     match o.Protocol.budget_seconds with
     | None -> None
@@ -392,7 +380,7 @@ let prepare_pareto st (entry : Jobq.entry) =
   let task () =
     let t0 = Obs.Clock.now () in
     let sweep =
-      Pareto.Sweep.run ~config:opt_config ~specs ~jobs:1 ~checkpoint_dir:dir
+      Pareto.Sweep.run ~config:opt_config ~specs ~jobs:1 ~checkpoint:store
         ~name
         (fun () -> circuit_of_job job)
     in
@@ -412,7 +400,7 @@ let fail_job st (entry : Jobq.entry) ~klass ~why =
   st.failed <- st.failed + 1;
   Obs.Fleet.transition st.fleet ~id Obs.Fleet.Failed;
   Obs.Fleet.count st.fleet "failed";
-  remove_checkpoint st.config entry.Jobq.job;
+  remove_checkpoint st entry.Jobq.job;
   Hashtbl.remove st.retries id;
   event st "job_failed"
     [
@@ -436,7 +424,7 @@ let transient st (entry : Jobq.entry) ~now ~why =
   | Some delay ->
     entry.Jobq.retries <- entry.Jobq.retries + 1;
     entry.Jobq.not_before <- now +. delay;
-    entry.Jobq.resumable <- has_checkpoint st.config entry.Jobq.job;
+    entry.Jobq.resumable <- has_checkpoint st entry.Jobq.job;
     Obs.Fleet.count st.fleet "retries";
     Obs.Fleet.transition st.fleet ~id Obs.Fleet.Retrying;
     event st "retry"
@@ -448,7 +436,7 @@ let transient st (entry : Jobq.entry) ~now ~why =
       ];
     Jobq.requeue st.queue entry
 
-let finalize_common st (entry : Jobq.entry) ~report_json ~done_fields =
+let finalize_common st (entry : Jobq.entry) ~blif ~report_json ~done_fields =
   let job = entry.Jobq.job in
   let id = job.Protocol.id in
   let report_json =
@@ -457,9 +445,10 @@ let finalize_common st (entry : Jobq.entry) ~report_json ~done_fields =
       J.Obj (("run", Obs.Runinfo.to_json (manifest st job)) :: fields)
     | other -> other
   in
-  Persist.write_atomic (result_json st.config id)
-    (J.to_string report_json ^ "\n");
-  remove_checkpoint st.config job;
+  (* one record holds the results and drops the job's checkpoints *)
+  Journal.finish st.journal ~job:id
+    ((match blif with Some b -> [ (result_blif id, b) ] | None -> [])
+    @ [ (result_json id, J.to_string report_json ^ "\n") ]);
   Hashtbl.remove st.retries id;
   st.completed <- st.completed + 1;
   Obs.Fleet.transition st.fleet ~id Obs.Fleet.Done;
@@ -480,10 +469,7 @@ let finalize_common st (entry : Jobq.entry) ~report_json ~done_fields =
       ])
 
 let finalize st (entry : Jobq.entry) (report : Powder.Optimizer.report) blif =
-  Persist.write_atomic
-    (result_blif st.config entry.Jobq.job.Protocol.id)
-    blif;
-  finalize_common st entry
+  finalize_common st entry ~blif:(Some blif)
     ~report_json:(Powder.Optimizer.report_to_json report)
     ~done_fields:
       [
@@ -497,7 +483,7 @@ let finalize st (entry : Jobq.entry) (report : Powder.Optimizer.report) blif =
 (* No result BLIF for a sweep: every frontier point is a different
    netlist; the per-point reports live inside the result JSON. *)
 let finalize_pareto st (entry : Jobq.entry) (sweep : Pareto.Sweep.report) =
-  finalize_common st entry
+  finalize_common st entry ~blif:None
     ~report_json:(Pareto.Sweep.to_json sweep)
     ~done_fields:
       [
@@ -512,14 +498,15 @@ let finalize_pareto st (entry : Jobq.entry) (sweep : Pareto.Sweep.report) =
                0 sweep.Pareto.Sweep.points) );
       ]
 
-(* corrupt half the checkpoint: enough to garble the JSON, with the
-   file still present so the load path (not a missing-file path) runs *)
-let truncate_ck file =
-  match Unix.stat file with
-  | { Unix.st_size; _ } when st_size > 1 ->
-    Unix.truncate file (st_size / 2)
+(* corrupt the checkpoint: append a put of its first half, enough to
+   garble the JSON in an intact record, so the decode path (not a
+   missing-key path) runs *)
+let garble_ck st id =
+  match Journal.find st.journal ~job:id ~key:optimize_key with
+  | Some payload when String.length payload > 1 ->
+    Journal.put st.journal ~job:id ~key:optimize_key
+      (String.sub payload 0 (String.length payload / 2))
   | _ -> ()
-  | exception Unix.Unix_error _ -> ()
 
 let handle_outcome st prep result =
   let entry = prep.entry in
@@ -603,8 +590,7 @@ let handle_outcome st prep result =
         (* mid-job slice boundary *)
         entry.Jobq.resumable <- true;
         (match st.config.chaos with
-        | Some c when Chaos.corrupt_now c ~id ->
-          truncate_ck (ck_file st.config id)
+        | Some c when Chaos.corrupt_now c ~id -> garble_ck st id
         | _ -> ());
         Obs.Fleet.transition st.fleet ~id Obs.Fleet.Queued;
         Jobq.requeue st.queue entry
@@ -669,18 +655,16 @@ let run_batch st entries =
 (* ---- startup recovery ---- *)
 
 let recover st =
-  let qf = queue_file st.config in
-  if Sys.file_exists qf then begin
+  match Journal.queue st.journal with
+  | None -> ()
+  | Some snapshot ->
     let parsed =
-      match Persist.read_file qf with
+      match J.of_string snapshot with
       | Error e -> Error e
-      | Ok s -> (
-        match J.of_string s with
-        | Error e -> Error e
-        | Ok j -> (
-          match Jobq.of_json j with
-          | Error e -> Error (Protocol.error_detail e)
-          | Ok q -> Ok q))
+      | Ok j -> (
+        match Jobq.of_json j with
+        | Error e -> Error (Protocol.error_detail e)
+        | Ok q -> Ok q)
     in
     match parsed with
     | Error e ->
@@ -692,15 +676,14 @@ let recover st =
       List.iter
         (fun (e : Jobq.entry) ->
           let id = e.Jobq.job.Protocol.id in
-          if Sys.file_exists (result_json st.config id) then
-            done_ := id :: !done_
+          if Journal.finished st.journal id then done_ := id :: !done_
           else begin
             let e' = Jobq.submit st.queue e.Jobq.job in
             e'.Jobq.attempts <- e.Jobq.attempts;
             e'.Jobq.retries <- e.Jobq.retries;
             e'.Jobq.preemptions <- e.Jobq.preemptions;
             e'.Jobq.consumed <- e.Jobq.consumed;
-            e'.Jobq.resumable <- has_checkpoint st.config e.Jobq.job;
+            e'.Jobq.resumable <- has_checkpoint st e.Jobq.job;
             Hashtbl.replace st.submit_time id (Obs.Clock.now ());
             Obs.Fleet.transition st.fleet ~id Obs.Fleet.Queued;
             st.recovered <- st.recovered + 1;
@@ -716,7 +699,6 @@ let recover st =
             ( "already_done",
               J.List (List.rev_map (fun s -> J.String s) !done_) );
           ]
-  end
 
 (* ---- the event loop ---- *)
 
@@ -726,11 +708,12 @@ let sleepf s =
 
 let run config ~source ~emit ?(should_stop = fun () -> false) () =
   mkdir_p config.state_dir;
-  mkdir_p (ck_dir config);
   mkdir_p (results_dir config);
+  let journal = Journal.open_ (journal_file config) in
   let st =
     {
       config;
+      journal;
       queue = Jobq.create ();
       fleet = Obs.Fleet.create ();
       emit;
@@ -747,7 +730,10 @@ let run config ~source ~emit ?(should_stop = fun () -> false) () =
       acks = [];
     }
   in
-  Fun.protect ~finally:(fun () -> Par.Pool.shutdown st.pool) @@ fun () ->
+  Fun.protect ~finally:(fun () ->
+      Par.Pool.shutdown st.pool;
+      Journal.close journal)
+  @@ fun () ->
   event st "run_start"
     [
       ("tool", J.String "powder_serve");

@@ -8,7 +8,7 @@
 
     A job is never run to completion in one go.  Each scheduling turn
     advances it by [slice_rounds] optimizer rounds with
-    [checkpoint_every = 1] and a per-job checkpoint file — so every
+    [checkpoint_every = 1] and a per-job checkpoint — so every
     round is a canonicalization barrier and the job can be preempted,
     retried, or killed at any slice boundary and resumed
     {e bit-identically} (the [Powder.Checkpoint] resume contract).
@@ -34,11 +34,19 @@
     {2 State directory}
 
     {v
-    state/queue.json        pending + running jobs (atomic snapshot)
-    state/ck/<id>.json      per-job optimizer checkpoint
+    state/journal           queue snapshots and per-job checkpoints
     state/results/<id>.json final report (with embedded run manifest)
     state/results/<id>.blif optimized netlist
     v}
+
+    Every durable write is one fsync'd append to the {!Journal}: a
+    queue snapshot, a checkpoint put (an optimize job's under its id, a
+    pareto job's per frontier point), a checkpoint drop, or a finished
+    job's result record, which holds its result files and drops its
+    checkpoints.  The result files themselves are written without an
+    fsync and put back from their records on the next start if a kill
+    lost them.  Nothing in the state directory is renamed over or
+    unlinked while jobs run, except by the journal's compaction.
 
     The queue is snapshotted once per run of submits within a burst of
     input lines (up to 64 read at once), before those submits are
@@ -46,9 +54,10 @@
     event (a [status] reply, a rejection, ...) first emits the pending
     acks, so events keep the order of the lines that caused them.
 
-    On startup the supervisor recovers [queue.json]: jobs whose result
-    files already exist are skipped, the rest re-enter the queue
-    (resuming from their checkpoints when present). *)
+    On startup the supervisor recovers the journal's last queue
+    snapshot: jobs with a result record are skipped, the rest re-enter
+    the queue (resuming from their checkpoints when
+    present). *)
 
 type config = {
   state_dir : string;

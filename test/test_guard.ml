@@ -422,7 +422,7 @@ let resume_matches ?(half_jobs = 1) ?(resume_jobs = 1) name =
         { config with
           jobs = half_jobs;
           max_rounds = 2;
-          checkpoint_file = Some file;
+          checkpoint_sink = Some (Checkpoint.save file);
         }
       c_half
   in

@@ -260,8 +260,8 @@ let test_sweep_checkpoint_resume () =
   with_temp_dir (fun dir ->
       let specs = [ Sweep.Scale 1.0; Sweep.Unbounded ] in
       let run () =
-        Sweep.run ~config:test_config ~specs ~checkpoint_dir:dir ~name:"rd84"
-          rd84
+        Sweep.run ~config:test_config ~specs
+          ~checkpoint:(Powder.Checkpoint.dir_store dir) ~name:"rd84" rd84
       in
       let first = strip_volatile (Sweep.to_json (run ())) in
       (* every point leaves a checkpoint behind *)
@@ -285,8 +285,8 @@ let test_sweep_checkpoint_resume () =
     let config = { test_config with Optimizer.seed; max_rounds } in
     strip_volatile
       (Sweep.to_json
-         (Sweep.run ~config ~specs:[ Sweep.Unbounded ] ~checkpoint_dir:dir
-            ~name:"rd84" rd84))
+         (Sweep.run ~config ~specs:[ Sweep.Unbounded ]
+            ~checkpoint:(Powder.Checkpoint.dir_store dir) ~name:"rd84" rd84))
   in
   let reference = with_temp_dir (fun dir -> sweep ~dir 1L 2) in
   let resumed =

@@ -241,7 +241,7 @@ let test_gain_identity_on_fuzzed_accepts () =
         max_rounds = 4;
         max_substitutions = 50;
         checkpoint_every = 0;
-        checkpoint_file = None;
+        checkpoint_sink = None;
         check_seconds = Some 2.0;
         run_seconds = Some 5.0;
       }

@@ -25,7 +25,7 @@ let rec rm_rf path =
   else Sys.remove path
 
 let read_file path =
-  match Serve.Persist.read_file path with
+  match Powder.Persist.read_file path with
   | Ok s -> s
   | Error e -> Alcotest.fail e
 
@@ -267,6 +267,8 @@ let test_fleet_quantiles () =
 let test_e2e_drain () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let replaced = Obs.Metrics.counter "persist.replaced" in
+  let replaced_before = Obs.Metrics.counter_value replaced in
   let outcome, events =
     run_supervisor ~dir
       (list_source
@@ -293,7 +295,13 @@ let test_e2e_drain () =
       Alcotest.(check bool)
         (id ^ " blif written") true
         (Sys.file_exists (Filename.concat dir ("results/" ^ id ^ ".blif"))))
-    [ "e1"; "e2"; "e3" ]
+    [ "e1"; "e2"; "e3" ];
+  (* every durable write but the results went to the journal, and no
+     write landed on an existing file *)
+  Alcotest.(check int) "no file replaced" 0
+    (Obs.Metrics.counter_value replaced - replaced_before);
+  Alcotest.(check (list string)) "state layout" [ "journal"; "results" ]
+    (List.sort compare (Array.to_list (Sys.readdir dir)))
 
 let test_server_survives_corpus () =
   let dir = temp_dir () in
@@ -478,14 +486,21 @@ let test_restart_recovery () =
    keeps the input order at the cost of one more snapshot. *)
 let test_burst_one_snapshot () =
   let snapshots = Obs.Metrics.counter "serve.queue_snapshots" in
-  (* the (event, snapshots written so far, jobs in queue.json) of every
-     event but [run_start] when [lines] arrive as one burst *)
+  (* the (event, snapshots written so far, jobs in the journal's last
+     queue record) of every event but [run_start] when [lines] arrive
+     as one burst *)
   let burst lines =
     let dir = temp_dir () in
     Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
     let before = Obs.Metrics.counter_value snapshots in
     let queued () =
-      match Obs.Json.of_string (read_file (Filename.concat dir "queue.json")) with
+      let snapshot =
+        match Serve.Journal.read (Filename.concat dir "journal") with
+        | Ok { Serve.Journal.queue = Some q; _ } -> q
+        | Ok _ -> Alcotest.fail "no queue record in the journal"
+        | Error e -> Alcotest.fail e
+      in
+      match Obs.Json.of_string snapshot with
       | Ok j -> (
         match Serve.Jobq.of_json j with
         | Ok q -> Serve.Jobq.length q
@@ -524,6 +539,163 @@ let test_burst_one_snapshot () =
     [ ack2; ack2; ("status", 1, 2); ack5; ack5; ack5; ("shutdown_requested", 2, 5) ]
     events
 
+(* ------------------------------------------------------------------ *)
+(* The journal.                                                        *)
+(* ------------------------------------------------------------------ *)
+
+module Journal = Serve.Journal
+
+let with_journal_dir f =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
+let read_journal path =
+  match Journal.read path with Ok img -> img | Error e -> Alcotest.fail e
+
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+let puts = Alcotest.(list (pair (pair string string) string))
+
+(* A kill can cut the journal anywhere inside the record being
+   appended.  Every such cut must recover the state before that record,
+   and the first append after recovery must read back. *)
+let test_journal_torn_tail () =
+  with_journal_dir @@ fun dir ->
+  let path = Filename.concat dir "journal" in
+  let j = Journal.open_ path in
+  Journal.set_queue j "q1";
+  Journal.put j ~job:"a" ~key:"optimize" "ck-a1";
+  Journal.put j ~job:"b" ~key:"point-1.00x" "ck-b1";
+  let last = (Journal.stats j).Journal.size in
+  Journal.put j ~job:"a" ~key:"optimize" "ck-a2";
+  Journal.close j;
+  let full = read_file path in
+  Alcotest.(check bool) "the last record is on disk" true
+    (String.length full > last);
+  let previous = [ (("a", "optimize"), "ck-a1"); (("b", "point-1.00x"), "ck-b1") ] in
+  for cut = last to String.length full - 1 do
+    let name = Printf.sprintf "cut at %d" cut in
+    let p = Filename.concat dir (Printf.sprintf "cut-%d" cut) in
+    write_file p (String.sub full 0 cut);
+    let j = Journal.open_ p in
+    Alcotest.(check (option string)) (name ^ ": queue") (Some "q1") (Journal.queue j);
+    Alcotest.(check (option string)) (name ^ ": a") (Some "ck-a1")
+      (Journal.find j ~job:"a" ~key:"optimize");
+    Alcotest.(check int) (name ^ ": torn bytes") (cut - last)
+      (Journal.stats j).Journal.torn_bytes;
+    Journal.put j ~job:"c" ~key:"optimize" "after";
+    Journal.close j;
+    let img = read_journal p in
+    Alcotest.(check int) (name ^ ": nothing torn after recovery") img.Journal.bytes
+      img.Journal.intact;
+    Alcotest.(check (option string)) (name ^ ": queue after") (Some "q1")
+      img.Journal.queue;
+    Alcotest.check puts (name ^ ": append reads back")
+      (previous @ [ (("c", "optimize"), "after") ])
+      img.Journal.puts;
+    Sys.remove p
+  done
+
+(* Compaction keeps the latest record of every key and loses every
+   dropped one; it runs on its own once dead bytes pass the bound, and
+   on open when the file holds dead records. *)
+let test_journal_compaction () =
+  with_journal_dir @@ fun dir ->
+  let path = Filename.concat dir "journal" in
+  let j = Journal.open_ path in
+  Journal.set_queue j "q1";
+  Journal.put j ~job:"a" ~key:"k1" "a1";
+  Journal.put j ~job:"a" ~key:"k2" "x";
+  Journal.put j ~job:"b" ~key:"k" "b1";
+  Journal.set_queue j "q2";
+  Journal.put j ~job:"a" ~key:"k1" "a2";
+  Journal.drop j ~job:"b" ();
+  Journal.put j ~job:"c" ~key:"k" "c1";
+  Journal.drop j ~job:"a" ~key:"k2" ();
+  let expected = [ (("a", "k1"), "a2"); (("c", "k"), "c1") ] in
+  Alcotest.(check int) "no compaction below the bound" 0
+    (Journal.stats j).Journal.compactions;
+  Journal.close j;
+  (* dead records compact on open *)
+  let j = Journal.open_ path in
+  let st = Journal.stats j in
+  Alcotest.(check int) "compacted on open" 1 st.Journal.compactions;
+  Alcotest.(check int) "only live bytes remain" st.Journal.live st.Journal.size;
+  Journal.close j;
+  let img = read_journal path in
+  Alcotest.(check int) "one record per live key" 3 img.Journal.records;
+  Alcotest.(check (option string)) "latest queue" (Some "q2") img.Journal.queue;
+  Alcotest.check puts "latest puts, dropped keys gone" expected img.Journal.puts;
+  (* reopening a compact journal rewrites nothing *)
+  let j = Journal.open_ path in
+  Alcotest.(check int) "clean open" 0 (Journal.stats j).Journal.compactions;
+  (* dead bytes past max(8 MiB, 4 x live) compact after the append *)
+  let big = String.make (1024 * 1024) 'z' in
+  for i = 1 to 9 do
+    Journal.put j ~job:"big" ~key:"k" (string_of_int i ^ big)
+  done;
+  let st = Journal.stats j in
+  Alcotest.(check int) "compacted once past the bound" 1 st.Journal.compactions;
+  Journal.set_queue j "q3";
+  Journal.close j;
+  let j = Journal.open_ path in
+  Alcotest.(check (option string)) "big survives" (Some ("9" ^ big))
+    (Journal.find j ~job:"big" ~key:"k");
+  Journal.close j;
+  let img = read_journal path in
+  Alcotest.(check (option string)) "queue survives" (Some "q3") img.Journal.queue;
+  Alcotest.(check int) "records after reopen" 4 img.Journal.records;
+  (* a result record drops the job's checkpoints, and a result file a
+     kill lost comes back from it on open *)
+  let j = Journal.open_ path in
+  Journal.finish j ~job:"a" [ ("a.out", "result of a") ];
+  Alcotest.(check bool) "finished" true (Journal.finished j "a");
+  Alcotest.(check bool) "checkpoints dropped" false (Journal.has_job j "a");
+  Journal.close j;
+  let out = Filename.concat dir "a.out" in
+  Alcotest.(check string) "result file written" "result of a" (read_file out);
+  Sys.remove out;
+  Journal.close (Journal.open_ path);
+  Alcotest.(check string) "result file put back" "result of a" (read_file out);
+  let img = read_journal path in
+  Alcotest.(check (list string)) "result record live" [ "a" ] img.Journal.finished;
+  Alcotest.check puts "only big's checkpoint left"
+    [ (("big", "k"), "9" ^ big); (("c", "k"), "c1") ]
+    img.Journal.puts
+
+(* Both serve slots checkpoint at once: appends from two domains must
+   all read back intact. *)
+let test_journal_concurrent () =
+  with_journal_dir @@ fun dir ->
+  let path = Filename.concat dir "journal" in
+  let j = Journal.open_ path in
+  let n = 200 in
+  let payload d i = String.make (16 + (i mod 37)) (Char.chr (Char.code 'a' + d)) in
+  let writer d () =
+    for i = 0 to n - 1 do
+      Journal.put j ~job:(Printf.sprintf "d%d" d) ~key:(string_of_int i)
+        (payload d i)
+    done
+  in
+  let domains = List.init 2 (fun d -> Domain.spawn (writer d)) in
+  List.iter Domain.join domains;
+  Journal.close j;
+  let img = read_journal path in
+  Alcotest.(check int) "every append intact" (2 * n) img.Journal.records;
+  Alcotest.(check int) "no torn bytes" img.Journal.bytes img.Journal.intact;
+  let expected =
+    List.concat_map
+      (fun d ->
+        List.init n (fun i ->
+            ((Printf.sprintf "d%d" d, string_of_int i), payload d i)))
+      [ 0; 1 ]
+    |> List.sort compare
+  in
+  Alcotest.check puts "every payload reads back" expected img.Journal.puts
+
 let suite =
   [
     ( "serve",
@@ -555,5 +727,9 @@ let suite =
           test_burst_one_snapshot;
         Alcotest.test_case "kill and restart recovery" `Quick
           test_restart_recovery;
+        Alcotest.test_case "journal: torn tail" `Quick test_journal_torn_tail;
+        Alcotest.test_case "journal: compaction" `Quick test_journal_compaction;
+        Alcotest.test_case "journal: concurrent appends" `Quick
+          test_journal_concurrent;
       ] );
   ]
