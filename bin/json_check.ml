@@ -26,19 +26,9 @@ let parse_file path =
    (hostname, pid, timestamp, ... — see [Obs.Runinfo.volatile_fields]):
    seed, circuit and options hash MUST match for the comparison to be
    meaningful. *)
-let strip_volatile = function
-  | Obs.Json.Obj fields ->
-    Obs.Json.Obj
-      (List.filter_map
-         (fun (k, v) ->
-           if k = "cpu_seconds" || k = "phase_seconds" || k = "jobs" then None
-           else if k = "run" then Some (k, Obs.Runinfo.strip_volatile v)
-           else Some (k, v))
-         fields)
-  | other -> other
-
 let compare_reports a b =
-  let ja = strip_volatile (parse_file a) and jb = strip_volatile (parse_file b) in
+  let strip = Powder.Optimizer.strip_volatile in
+  let ja = strip (parse_file a) and jb = strip (parse_file b) in
   if ja = jb then Printf.printf "%s and %s: reports match\n" a b
   else begin
     (match (ja, jb) with

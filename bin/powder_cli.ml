@@ -134,6 +134,13 @@ let classes =
        & info [ "classes" ] ~docv:"LIST"
            ~doc:"Enabled substitution classes, e.g. os2,is2.")
 
+(* Bad input is the user's error, not the program's: one line on stderr
+   and the exit code of a failed command (123), never the internal
+   error (125) an escaping exception gets. *)
+let input_error msg =
+  prerr_endline ("powder_cli: " ^ msg);
+  exit Cmd.Exit.some_error
+
 (* Synthetic scale-benchmark circuits: synth10k, synth100k, or
    synth:GATES[:SEED] for arbitrary sizes. *)
 let synth_circuit name =
@@ -146,11 +153,11 @@ let synth_circuit name =
     | [ "synth"; g ] -> (
       match int_of_string_opt g with
       | Some gates when gates > 0 -> build ~seed:1 ~gates
-      | _ -> failwith ("bad gate count in " ^ name))
+      | _ -> input_error ("bad gate count in " ^ name))
     | [ "synth"; g; s ] -> (
       match (int_of_string_opt g, int_of_string_opt s) with
       | Some gates, Some seed when gates > 0 -> build ~seed ~gates
-      | _ -> failwith ("bad gate count or seed in " ^ name))
+      | _ -> input_error ("bad gate count or seed in " ^ name))
     | _ -> None)
 
 let load_circuit in_file circuit_name =
@@ -158,16 +165,16 @@ let load_circuit in_file circuit_name =
   | Some file, None -> (
     match Blif.Blif_io.circuit_of_file Gatelib.Library.lib2 file with
     | Ok c -> c
-    | Error e -> failwith ("cannot read " ^ file ^ ": " ^ Blif.Blif_io.error_to_string e))
+    | Error e -> input_error (file ^ ": " ^ Blif.Blif_io.error_to_string e))
   | None, Some name -> (
     match synth_circuit name with
     | Some c -> c
     | None -> (
       match Circuits.Suite.find name with
       | Some spec -> Circuits.Suite.mapped spec
-      | None -> failwith ("unknown benchmark circuit " ^ name)))
-  | Some _, Some _ -> failwith "give either --in or --circuit, not both"
-  | None, None -> failwith "an input is required: --in FILE or --circuit NAME"
+      | None -> input_error ("unknown benchmark circuit " ^ name)))
+  | Some _, Some _ -> input_error "give either --in or --circuit, not both"
+  | None, None -> input_error "an input is required: --in FILE or --circuit NAME"
 
 let emit out_file circ =
   match out_file with
@@ -641,10 +648,10 @@ let report_cmd =
 let map_cmd =
   let run in_file out_file objective =
     match in_file with
-    | None -> failwith "--in FILE (a .names BLIF network) is required"
+    | None -> input_error "--in FILE (a .names BLIF network) is required"
     | Some file -> (
       match Blif.Blif_io.network_of_file file with
-      | Error e -> failwith (Blif.Blif_io.error_to_string e)
+      | Error e -> input_error (file ^ ": " ^ Blif.Blif_io.error_to_string e)
       | Ok net ->
         let aig = Aig.Network.to_aig net in
         let obj =

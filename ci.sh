@@ -7,7 +7,7 @@
 #     smoke   end-to-end runs: telemetry, profiling, checkpointing,
 #             parallel determinism, signature determinism, --verify
 #             and planted-mutant refutation on cps, the cps goldens
-#             (global, keep-initial, --window 16)
+#             (global, keep-initial, --window 16), hostile inputs
 #     fuzz    differential fuzz campaign + injected-fault catch
 #     serve   batch service drain + crash, kill -TERM and kill -KILL legs
 #     bench   paper tables (bench/main.exe quick) + powderbench: every
@@ -334,6 +334,27 @@ stage_smoke() {
       }
     }' "$gc_txt"
   rm -f "$gc_txt"
+
+  echo "== smoke: hostile inputs fail with one line and exit 123 =="
+  # Every file of the test/hostile/ corpus (and a path that does not
+  # exist) is a user error: exactly one "powder_cli: ..." line on
+  # stderr and exit 123, never the 125 of an escaping exception.
+  err_txt=$(mktemp /tmp/powder_ci_err_XXXXXX.txt)
+  for f in test/hostile/*.blif test/hostile/missing.blif; do
+    set +e
+    hard_timeout 60 "$cli" optimize -i "$f" >/dev/null 2>"$err_txt"
+    code=$?
+    set -e
+    lines=$(wc -l < "$err_txt")
+    if [ "$code" -ne 123 ] || [ "$lines" -ne 1 ] \
+      || ! grep -q '^powder_cli: ' "$err_txt"; then
+      echo "$f: exit $code with $lines stderr lines, want 123 and 1:" >&2
+      cat "$err_txt" >&2
+      exit 1
+    fi
+    cat "$err_txt"
+  done
+  rm -f "$err_txt"
 }
 
 # ------------------------------------------------------------------ #

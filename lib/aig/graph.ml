@@ -129,10 +129,6 @@ let eval_values t pi_values =
   done;
   values
 
-let eval_lit t pi_values l =
-  let values = eval_values t pi_values in
-  values.(node_of l) <> is_complement l
-
 let eval t pi_values =
   let values = eval_values t pi_values in
   List.map

@@ -51,8 +51,6 @@ val fanout_count : t -> int array
 val eval : t -> bool array -> (string * bool) list
 (** Evaluate all POs for PI values given in [pis] order. *)
 
-val eval_lit : t -> bool array -> lit -> bool
-
 val level : t -> int array
 (** Logic depth per node. *)
 

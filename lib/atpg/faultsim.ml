@@ -10,10 +10,6 @@ let trial fault =
   | Fault.Branch (sink, pin) ->
     (sink, fun eng -> Engine.recompute_with_pin_cell eng ~sink ~pin v [||])
 
-let detection_mask eng fault =
-  let first, perturb = trial fault in
-  Engine.with_perturbation eng ~first ~perturb ~measure:Engine.po_diff
-
 let detects eng fault =
   let first, perturb = trial fault in
   Engine.with_perturbation eng ~first ~perturb ~measure:Engine.po_changed

@@ -4,10 +4,6 @@
     observability masks); this module exposes classic fault-grading on
     top of it. *)
 
-val detection_mask : Sim.Engine.t -> Fault.t -> int64 array
-(** Patterns (bit per pattern) on which the fault changes some primary
-    output.  Engine state is preserved. *)
-
 val detects : Sim.Engine.t -> Fault.t -> bool
 
 type coverage = {

@@ -30,9 +30,6 @@ type state = {
 
 exception Abort_search of give_up
 
-let last_backtracks = ref 0
-let backtracks_of_last_call () = !last_backtracks
-
 let fault_of_mode = function Fault_mode f -> Some f | Justify _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -313,7 +310,6 @@ let run st =
     try if search st then Test (extract_test st) else Untestable
     with Abort_search why -> Aborted why
   in
-  last_backtracks := st.backtracks;
   Obs.Metrics.observe m_search_seconds (Obs.Clock.now () -. t0);
   Obs.Metrics.incr m_searches;
   Obs.Metrics.add m_backtracks st.backtracks;

@@ -38,5 +38,3 @@ val justify_one :
     proves the signal is constant 0.  Used on miter outputs for the
     permissibility check. *)
 
-val backtracks_of_last_call : unit -> int
-(** Diagnostic: backtracks consumed by the most recent call. *)

@@ -1,8 +1,6 @@
 type v3 = V0 | V1 | VX
 
 let v3_of_bool b = if b then V1 else V0
-let equal_v3 a b = a = b
-let is_definite = function V0 | V1 -> true | VX -> false
 let to_char = function V0 -> '0' | V1 -> '1' | VX -> 'x'
 
 type t = { good : v3; faulty : v3 }
@@ -10,7 +8,6 @@ type t = { good : v3; faulty : v3 }
 let x = { good = VX; faulty = VX }
 let of_bool b = { good = v3_of_bool b; faulty = v3_of_bool b }
 let d = { good = V1; faulty = V0 }
-let dbar = { good = V0; faulty = V1 }
 
 let is_d_or_dbar v =
   match (v.good, v.faulty) with

@@ -5,8 +5,6 @@
 type v3 = V0 | V1 | VX
 
 val v3_of_bool : bool -> v3
-val equal_v3 : v3 -> v3 -> bool
-val is_definite : v3 -> bool
 val to_char : v3 -> char
 
 type t = { good : v3; faulty : v3 }
@@ -16,7 +14,6 @@ val of_bool : bool -> t
 val d : t
 (** good 1 / faulty 0 *)
 
-val dbar : t
 val is_d_or_dbar : t -> bool
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -11,7 +11,6 @@ type t = {
 let is_internal w id = Hashtbl.mem w.internal id
 let is_changed w id = Hashtbl.mem w.changed id
 let cut_size w = Array.length w.cut
-let volume w = Array.length w.order
 
 let m_extracted = Obs.Metrics.counter "window.extracted"
 let m_overflow = Obs.Metrics.counter "window.overflow"

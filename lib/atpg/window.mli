@@ -32,7 +32,6 @@ type t = {
 val is_internal : t -> Netlist.Circuit.node_id -> bool
 val is_changed : t -> Netlist.Circuit.node_id -> bool
 val cut_size : t -> int
-val volume : t -> int
 
 val extract :
   Netlist.Circuit.t ->

@@ -18,8 +18,6 @@ let error_to_string e =
   else if e.context = "" then Printf.sprintf "line %d: %s" e.line e.message
   else Printf.sprintf "line %d: %s (in %S)" e.line e.message e.context
 
-let pp_parse_error fmt e = Format.pp_print_string fmt (error_to_string e)
-
 let clip s = if String.length s <= 60 then s else String.sub s 0 57 ^ "..."
 
 (* ------------------------------------------------------------------ *)
@@ -171,14 +169,21 @@ let network_of_string text =
     | Error e -> Error { line = 0; context = ""; message = e })
   | Error e -> Error e
 
+(* An unreadable file is an error like any other.  The system's message
+   mostly starts with the path, which the caller already has. *)
 let read_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> Ok text
+  | exception Sys_error m ->
+    let prefix = path ^ ": " in
+    let reason =
+      if String.starts_with ~prefix m then
+        String.sub m (String.length prefix) (String.length m - String.length prefix)
+      else m
+    in
+    Error { line = 0; context = ""; message = "cannot read file: " ^ reason }
 
-let network_of_file path = network_of_string (read_file path)
+let network_of_file path = Result.bind (read_file path) network_of_string
 
 let network_to_string net =
   let buf = Buffer.create 1024 in
@@ -196,11 +201,6 @@ let network_to_string net =
     net.Network.nodes;
   Buffer.add_string buf ".end\n";
   Buffer.contents buf
-
-let network_to_file path net =
-  let oc = open_out path in
-  output_string oc (network_to_string net);
-  close_out oc
 
 (* ------------------------------------------------------------------ *)
 (* Mapped circuits.                                                    *)
@@ -306,11 +306,26 @@ let circuit_of_string lib text =
   let consts = ref [] (* (net, value) *) in
   let pending_names = ref None in
   let seen_model = ref false in
+  (* the line that defined each net (a PI, a constant or a gate output)
+     and each PO name: the netlist holds every name once *)
+  let defined = Hashtbl.create 64 and po_names = Hashtbl.create 16 in
   let err0 message = Error { line = 0; context = ""; message } in
   let rec process = function
     | [] -> Ok ()
     | (no, line) :: rest -> (
       let err message = Error { line = no; context = clip line; message } in
+      let define table what names =
+        List.fold_left
+          (fun acc name ->
+            let* () = acc in
+            match Hashtbl.find_opt table name with
+            | Some first ->
+              err (Printf.sprintf "duplicate %s %s (first on line %d)" what name first)
+            | None ->
+              Hashtbl.add table name no;
+              Ok ())
+          (Ok ()) names
+      in
       match words line with
       | [] -> process rest
       | ".model" :: _ ->
@@ -320,9 +335,11 @@ let circuit_of_string lib text =
           process rest
         end
       | ".inputs" :: ins ->
+        let* () = define defined "name" ins in
         inputs := !inputs @ ins;
         process rest
       | ".outputs" :: outs ->
+        let* () = define po_names "output" outs in
         outputs := !outputs @ outs;
         process rest
       | [ ".end" ] -> Ok ()
@@ -350,6 +367,8 @@ let circuit_of_string lib text =
                       else find_pin (j + 1)
                     in
                     (match find_pin 0 with
+                    | Some j when List.mem_assoc j pins ->
+                      err ("duplicate pin " ^ formal)
                     | Some j -> Ok ((j, actual) :: pins, out)
                     | None -> err ("unknown pin " ^ formal)))
               (Ok ([], None))
@@ -361,6 +380,7 @@ let circuit_of_string lib text =
             if List.length pins <> Cell.arity cell then
               err ("gate pin count mismatch: " ^ cell_name)
             else begin
+              let* () = define defined "name" [ out ] in
               gates := (cell, pins, out) :: !gates;
               process rest
             end))
@@ -368,6 +388,7 @@ let circuit_of_string lib text =
         pending_names := Some (`Alias (src, dst));
         process rest
       | [ ".names"; net ] ->
+        let* () = define defined "name" [ net ] in
         pending_names := Some (`Const net);
         consts := (net, false) :: !consts;
         process rest
@@ -440,10 +461,12 @@ let circuit_of_string lib text =
       | o :: rest ->
         let* d = resolve o in
         let name = if Hashtbl.mem ids o && Circuit.name circ d = o then o ^ "$po" else o in
-        ignore (Circuit.add_po circ ~name d);
-        attach rest
+        (* a net literally named [o$po] takes the PO's name *)
+        match Circuit.add_po circ ~name d with
+        | _ -> attach rest
+        | exception Invalid_argument m -> err0 m
     in
     attach !outputs
   end
 
-let circuit_of_file lib path = circuit_of_string lib (read_file path)
+let circuit_of_file lib path = Result.bind (read_file path) (circuit_of_string lib)

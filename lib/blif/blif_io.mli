@@ -19,15 +19,19 @@ type parse_error = {
 val error_to_string : parse_error -> string
 (** ["line N: <message> (in <context>)"], omitting absent parts. *)
 
-val pp_parse_error : Format.formatter -> parse_error -> unit
-
 val network_of_string : string -> (Aig.Network.t, parse_error) result
 val network_of_file : string -> (Aig.Network.t, parse_error) result
+(** An unreadable file is a [line = 0] error ["cannot read file: ..."];
+    the [_of_file] readers never raise. *)
+
 val network_to_string : Aig.Network.t -> string
-val network_to_file : string -> Aig.Network.t -> unit
 
 val circuit_of_string :
   Gatelib.Library.t -> string -> (Netlist.Circuit.t, parse_error) result
+(** A name defined twice (two PIs, constants or gate outputs sharing
+    it, or a repeated output) is an error on the line of its second
+    definition. *)
+
 val circuit_of_file :
   Gatelib.Library.t -> string -> (Netlist.Circuit.t, parse_error) result
 val circuit_to_string : Netlist.Circuit.t -> string

@@ -115,12 +115,6 @@ let t481_core g ~variant lits =
   let r1 = xor_v q.(2) q.(3) in
   xor_v r0 (G.compl_ r1)
 
-let t481_like () =
-  let g = G.create () in
-  let x = Bv.input g "x" 16 in
-  G.add_po g "f" (t481_core g ~variant:0 x);
-  g
-
 let t481_bloated () =
   (* Shannon-expand on x0 and x1: four structurally distinct cofactor
      copies glued by a mux tree — the redundant starting point the

@@ -27,10 +27,6 @@ val sym9_twolevel : unit -> Aig.Graph.t
 (** Same function from its minterm-interval expansion (9symml-style
     alternative structure). *)
 
-val t481_like : unit -> Aig.Graph.t
-(** 16-input function with a tiny multi-level form hidden behind a wide
-    two-level representation, in the spirit of t481. *)
-
 val alu181 : unit -> Aig.Graph.t
 (** The 74181 4-bit ALU: inputs a0-3, b0-3, s0-3, m, cn; outputs f0-3,
     cout, aeqb, px, gx (alu4's function). *)

@@ -13,12 +13,6 @@ let mutation_name = function
 
 type family = Multilevel | Two_level | Symmetric | Arithmetic
 
-let family_name = function
-  | Multilevel -> "multilevel"
-  | Two_level -> "two_level"
-  | Symmetric -> "symmetric"
-  | Arithmetic -> "arithmetic"
-
 type spec = {
   seed : int64;
   family : family;

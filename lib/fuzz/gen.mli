@@ -28,8 +28,6 @@ type family =
                      wrong permissibility verdicts *)
   | Arithmetic   (** comparator / multiplier *)
 
-val family_name : family -> string
-
 type spec = {
   seed : int64;       (** the case seed every other field derives from *)
   family : family;

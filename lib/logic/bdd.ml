@@ -123,8 +123,6 @@ let size m f =
   walk f;
   Hashtbl.length seen + 2
 
-let live_nodes m = m.count
-
 let any_sat m f =
   if f = 0 then None
   else begin

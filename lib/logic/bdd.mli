@@ -39,9 +39,6 @@ val eval : manager -> t -> (int -> bool) -> bool
 val size : manager -> t -> int
 (** Nodes reachable from this root. *)
 
-val live_nodes : manager -> int
-(** Total nodes ever created in the manager. *)
-
 val any_sat : manager -> t -> (int * bool) list option
 (** A satisfying partial assignment (variable, value), or [None] for
     the constant-false function. *)

@@ -2,9 +2,6 @@
     unboxed word stores, their packing into 62-bit limbs in native ints,
     and popcounts. *)
 
-val popcount32 : int -> int
-(** Population count of a native int known to fit in 32 bits. *)
-
 val popcount62 : int -> int
 (** Population count of a value known to fit in 62 bits (a packed
     limb). *)

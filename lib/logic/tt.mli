@@ -64,9 +64,6 @@ val permute : t -> int array -> t
 (** [permute t perm] renames variable [i] of [t] to [perm.(i)].
     [perm] must be a permutation of [0 .. num_vars t - 1]. *)
 
-val swap_adjacent : t -> int -> t
-(** [swap_adjacent t i] exchanges variables [i] and [i+1]. *)
-
 val project : t -> int list -> t
 (** [project t vars] is the table over [List.length vars] variables
     obtained by keeping only [vars] (which must contain the support of

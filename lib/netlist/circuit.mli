@@ -93,14 +93,10 @@ val dominated_region_members : t -> node_id -> bool array * node_id array
     The mask is a fresh O(circuit) array; per-stem callers use
     {!with_dominated_region}. *)
 
-val dominated_members : t -> node_id -> node_id array
-(** The members of [Dom(s)] in ascending id order, by the same walk,
-    allocating nothing else. *)
-
 val with_dominated_region :
   t -> node_id -> ((unit -> bool array * node_id array) -> 'a) -> 'a
 (** [with_dominated_region t s f] runs [f region].  The first
-    [region ()] walks [Dom(s)] ({!dominated_members}) and sets the
+    [region ()] walks [Dom(s)] (ascending ids) and sets the
     members' entries of a mask kept per domain, all false between
     calls; every call returns that mask and the members, ascending.
     When [f] returns or raises, the members' entries are cleared again,

@@ -61,9 +61,6 @@ val histogram_quantile : histogram -> float -> float
     true value.  0 when the histogram is empty.  Dumps and
     {!to_json} report p50/p90/p99/max from this. *)
 
-val quantile_points : (string * float) list
-(** The standard summary points: [p50], [p90], [p99]. *)
-
 val histogram_buckets : histogram -> (float * int) list
 (** Non-empty buckets only, as [(upper_bound_seconds, count)] in
     increasing bound order. *)

@@ -49,10 +49,8 @@ val to_json : t -> Json.t
 val strip_volatile : Json.t -> Json.t
 (** Drop {!volatile_fields} from a manifest JSON object. *)
 
-val to_fields : t -> (string * Trace.value) list
-(** The manifest as flat trace-event fields. *)
-
 val emit_run_start : t -> unit
-(** Emit the [run_start] header event carrying {!to_fields}.  Call
+(** Emit the [run_start] header event carrying the manifest as flat
+    trace-event fields.  Call
     immediately after installing a trace sink so the header is the
     first record of the stream. *)

@@ -30,21 +30,6 @@ let json_of_event e =
      :: ("path", Json.String (String.concat "/" e.path))
      :: List.map (fun (k, v) -> (k, json_of_value v)) e.fields)
 
-let console_sink fmt =
-  let pp_value ppf = function
-    | Bool b -> Format.pp_print_bool ppf b
-    | Int i -> Format.pp_print_int ppf i
-    | Float f -> Format.fprintf ppf "%.4g" f
-    | String s -> Format.pp_print_string ppf s
-  in
-  make_sink
-    ~emit:(fun e ->
-      Format.fprintf fmt "[%10.6f] %-12s %s" e.ts e.name
-        (String.concat "/" e.path);
-      List.iter (fun (k, v) -> Format.fprintf fmt " %s=%a" k pp_value v) e.fields;
-      Format.fprintf fmt "@.")
-    ~close:(fun () -> Format.pp_print_flush fmt ())
-
 let jsonl_sink file =
   let oc = open_out file in
   let buf = Buffer.create 256 in

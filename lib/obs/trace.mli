@@ -48,7 +48,6 @@ val tee_sink : sink list -> sink
     them all.  Used to feed a JSONL file, the profiler and the Chrome
     exporter from one run. *)
 
-val console_sink : Format.formatter -> sink
 val jsonl_sink : string -> sink
 (** Opens [file] for writing; one JSON object per event per line.
     Buffered — events are guaranteed on disk only after
@@ -88,9 +87,6 @@ val span_seconds : string -> float
     {!Metrics.reset} (sum of histogram [span.<name>]). *)
 
 val span_count : string -> int
-
-val json_of_event : event -> Json.t
-(** The JSONL encoding, exposed so consumers can re-serialize. *)
 
 val json_of_value : value -> Json.t
 

@@ -128,17 +128,6 @@ let run ?(config = Optimizer.default_config) ?(specs = default_specs) ?(jobs = 1
     cpu_seconds = Obs.Clock.now () -. t0;
   }
 
-(* The embedded per-point reports carry the optimizer's volatile timing
-   fields; dropping them here is what makes the sweep JSON (minus its
-   own top-level jobs/cpu_seconds) byte-identical across job counts. *)
-let volatile_fields = [ "cpu_seconds"; "phase_seconds"; "jobs" ]
-
-let strip_report_json = function
-  | Obs.Json.Obj fields ->
-    Obs.Json.Obj
-      (List.filter (fun (k, _) -> not (List.mem k volatile_fields)) fields)
-  | j -> j
-
 let to_json r =
   let open Obs.Json in
   Obj
@@ -155,7 +144,11 @@ let to_json r =
       ( "reports",
         Obj
           (List.map
-             (fun (l, rep) -> (l, strip_report_json (Optimizer.report_to_json rep)))
+             (fun (l, rep) ->
+               (* the optimizer's volatile fields dropped here are what
+                  make the sweep JSON (minus its own top-level
+                  jobs/cpu_seconds) byte-identical across job counts *)
+               (l, Optimizer.strip_volatile (Optimizer.report_to_json rep)))
              r.reports) );
       ("cpu_seconds", Float r.cpu_seconds);
     ]

@@ -61,9 +61,6 @@ type stats = {
       (** 3-signal matches emitted on branch targets — [is3/candidates] *)
 }
 
-val zero_stats : stats
-val add_stats : stats -> stats -> stats
-
 val generate :
   ?config:config ->
   ?pool:Par.Pool.t ->

@@ -15,8 +15,6 @@ let error_name = function
   | Validation_failure -> "validation_failure"
   | Budget_exhausted -> "budget_exhausted"
 
-let pp_error fmt e = Format.pp_print_string fmt (error_name e)
-
 let m_rollbacks = Metrics.counter "powder.guard.rollbacks"
 let m_verified = Metrics.counter "powder.guard.verified_applies"
 let m_check_timeout = Metrics.counter "powder.guard.errors.check_timeout"
@@ -69,14 +67,10 @@ type verifier = {
   mutable expected : (string * int64 array) list;
 }
 
-let make_verifier ?(words = 8) ~seed ~input_probs circ =
-  let eng = Engine.create circ ~words in
+let make_verifier ~seed ~input_probs circ =
+  let eng = Engine.create circ ~words:8 in
   Engine.randomize eng ~input_probs (Sim.Rng.create seed);
   { eng; expected = Engine.po_signatures eng }
-
-let refresh v =
-  Engine.resim_all v.eng;
-  v.expected <- Engine.po_signatures v.eng
 
 let same_signatures a b =
   List.length a = List.length b

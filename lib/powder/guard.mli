@@ -24,8 +24,6 @@ type error =
 val error_name : error -> string
 (** Stable snake_case name, used as metric suffix and in reports. *)
 
-val pp_error : Format.formatter -> error -> unit
-
 val count_error : error -> unit
 (** Increment the matching [powder.guard.errors.*] counter. *)
 
@@ -54,16 +52,11 @@ type verifier
     holding the PO signatures expected before the next apply. *)
 
 val make_verifier :
-  ?words:int ->
   seed:int64 ->
   input_probs:(Netlist.Circuit.node_id -> float) ->
   Netlist.Circuit.t ->
   verifier
-
-val refresh : verifier -> unit
-(** Re-simulate and re-cache expected signatures; call after any
-    circuit change made outside {!transactional_apply} (e.g. the
-    checkpoint canonicalization barrier). *)
+(** Draws 8 words (512 patterns) per signal from [seed]. *)
 
 type apply_outcome =
   | Applied of Netlist.Circuit.node_id

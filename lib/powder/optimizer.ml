@@ -21,8 +21,6 @@ type config = {
   preselect : int;
   delay : delay_mode;
   classes : Subst.klass list;
-  per_target : int;
-  pool_limit : int;
   backtrack_limit : int;
   exhaustive_limit : int;
   max_substitutions : int;
@@ -31,7 +29,6 @@ type config = {
   round_seconds : float option;
   run_seconds : float option;
   verify_applies : bool;
-  verify_words : int;
   checkpoint_every : int;
   checkpoint_sink : (Checkpoint.t -> unit) option;
   jobs : int;
@@ -48,8 +45,6 @@ let default_config =
     preselect = 12;
     delay = Unconstrained;
     classes = Subst.all_klasses;
-    per_target = 4;
-    pool_limit = 16;
     backtrack_limit = 10_000;
     exhaustive_limit = 12;
     max_substitutions = 10_000;
@@ -58,7 +53,6 @@ let default_config =
     round_seconds = None;
     run_seconds = None;
     verify_applies = true;
-    verify_words = 8;
     checkpoint_every = 0;
     checkpoint_sink = None;
     jobs = 1;
@@ -226,6 +220,115 @@ let klass_of_name name =
    ladder escalates one level. *)
 let escalate_after_timeouts = 3
 
+let delay_constraint config initial_delay =
+  match config.delay with
+  | Unconstrained -> None
+  | Keep_initial -> Some initial_delay
+  | Ratio r -> Some (initial_delay *. (1.0 +. r))
+  | Absolute d -> Some d
+
+(* Glitch-aware costing (--cost glitch): the timed estimator runs on its
+   own derived seed stream, so turning it on perturbs nothing in the
+   zero-delay engines, and both the total measurements and the per-node
+   hazard factors are deterministic for a given seed. *)
+let glitch_seed config = Sim.Rng.derive config.seed "powder/glitch"
+
+let measure_glitch config circ =
+  match config.cost with
+  | Zero_delay -> None
+  | Glitch { pairs } ->
+    Some
+      (Power.Glitch.estimate ~pairs ~seed:(glitch_seed config)
+         ~input_prob:config.input_prob circ)
+        .Power.Glitch.timed_switched_cap
+
+(* Counterexample pattern set: every refuted candidate contributes its
+   distinguishing vector, which then screens future candidates for free
+   (classic simulation/SAT refinement).  Counterexample [k] of the run's
+   log owns pattern column [k mod (64 * cex_words)], so replaying the
+   log rebuilds the engine bit for bit. *)
+let cex_words = 4
+
+let write_cex_bits circ cex_eng k assignment =
+  let k = k mod (64 * cex_words) in
+  let word = k / 64 and bit = k mod 64 in
+  List.iter
+    (fun pi ->
+      match List.assoc_opt (Circuit.name circ pi) assignment with
+      | None -> ()
+      | Some v ->
+        let values = Engine.value cex_eng pi in
+        let mask = Int64.shift_left 1L bit in
+        values.(word) <-
+          (if v then Int64.logor values.(word) mask
+           else Int64.logand values.(word) (Int64.lognot mask));
+        Engine.set_value cex_eng pi values)
+    (Circuit.pis circ)
+
+(* The run's simulation state.  Everything in it derives from the
+   circuit, the seed and the counterexample log, which is what lets a
+   barrier rebuild it and a resume reproduce it. *)
+type state = {
+  est : Estimator.t;  (* over the base engine of [words] words *)
+  cex_eng : Engine.t;
+  sigstore : Sim.Sigstore.t;
+      (* over both engines: candidate generation reads it, the accept
+         path maintains it incrementally, and a new counterexample
+         invalidates it (it rewrites one pattern column in every row) *)
+  guard : Guard.verifier option;
+  factors : float array option;  (* glitch hazard multipliers, by node id *)
+  mutable sta : Timing.t;
+  mutable sta_cursor : Circuit.edit_cursor;
+      (* the edit-log position [sta] reflects *)
+}
+
+(* The one place the state is built: at the run start, at every
+   canonicalization barrier, and on resume.  Every stream is
+   seed-derived, so the same circuit, config and log give the same
+   state. *)
+let build_state ~config ~constraint_ ~cex circ =
+  let prob_of pi = config.input_prob (Circuit.name circ pi) in
+  let eng = Engine.create circ ~words:config.words in
+  Engine.randomize_sharded ~input_probs:prob_of ~seed:config.seed eng;
+  let est = Estimator.create eng in
+  let cex_eng = Engine.create circ ~words:cex_words in
+  Engine.randomize cex_eng ~input_probs:prob_of
+    (Sim.Rng.stream config.seed "powder/cex");
+  List.iteri (write_cex_bits circ cex_eng) cex;
+  if cex <> [] then Engine.resim_all cex_eng;
+  let sigstore = Sim.Sigstore.create ~cex:cex_eng ~base:eng () in
+  let guard =
+    if config.verify_applies then
+      Some
+        (Guard.make_verifier
+           ~seed:(Sim.Rng.derive config.seed "powder/guard")
+           ~input_probs:prob_of circ)
+    else None
+  in
+  let factors =
+    match config.cost with
+    | Zero_delay -> None
+    | Glitch { pairs } ->
+      Some
+        (Power.Glitch.node_factors ~pairs ~seed:(glitch_seed config)
+           ~input_prob:config.input_prob circ)
+  in
+  let sta =
+    Trace.with_span "sta" (fun () ->
+        Timing.analyze ?required_time:constraint_ circ)
+  in
+  { est; cex_eng; sigstore; guard; factors; sta; sta_cursor = Circuit.edit_cursor circ }
+
+(* Overwrite [circ] in place, keeping the caller's handle valid, with
+   the netlist a BLIF string describes. *)
+let load_blif circ blif =
+  match Blif.Blif_io.circuit_of_string (Circuit.library circ) blif with
+  | Ok c2 -> Circuit.overwrite circ c2
+  | Error e ->
+    invalid_arg
+      ("Optimizer: cannot load checkpoint netlist: "
+      ^ Blif.Blif_io.error_to_string e)
+
 let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
   let t0 = Obs.Clock.now () in
   (* every simulation stream derives from the seed, so a resumed run
@@ -238,87 +341,52 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
   (* span histograms are process-global; remember their current sums so
      this run's phase breakdown is a delta, not a lifetime total *)
   let phase_base = List.map (fun n -> (n, Trace.span_seconds n)) phase_names in
-  let analyze_timed ?required_time c =
-    Trace.with_span "sta" (fun () -> Timing.analyze ?required_time c)
-  in
   let log = Logs.debug in
-  (* Resume: swap in the checkpointed netlist before any engine sees the
-     circuit.  [overwrite] keeps the caller's handle valid. *)
-  (match resume with
-  | None -> ()
-  | Some (ck : Checkpoint.t) -> (
-    match Blif.Blif_io.circuit_of_string (Circuit.library circ) ck.blif with
-    | Ok c2 -> Circuit.overwrite circ c2
-    | Error e ->
-      invalid_arg
-        ("Optimizer.optimize: cannot resume: " ^ Blif.Blif_io.error_to_string e)));
-  let prob_of pi = config.input_prob (Circuit.name circ pi) in
-  let eng = ref (Engine.create circ ~words:config.words) in
-  Engine.randomize_sharded ~input_probs:prob_of ~seed:config.seed !eng;
-  let est = ref (Estimator.create !eng) in
-  let initial_power =
+  (* The counterexample log, newest first: checkpoints carry it and
+     every build replays it. *)
+  let cex_log = ref [] and cex_count = ref 0 in
+  let build constraint_ =
+    build_state ~config ~constraint_ ~cex:(List.rev !cex_log) circ
+  in
+  (* A resume is a barrier: the circuit comes from the checkpoint's
+     BLIF, the log from the checkpoint, and the state from the same
+     build the uninterrupted run made there.  The initial measurements
+     (hence the delay constraint) carry over from the run it continues;
+     a fresh run takes them from the input circuit. *)
+  let (initial_power, initial_area, initial_delay, initial_glitch_power), st =
     match resume with
-    | Some ck -> ck.Checkpoint.initial_power
-    | None -> Estimator.total !est
+    | Some ck ->
+      load_blif circ ck.Checkpoint.blif;
+      cex_log := List.rev ck.Checkpoint.cex;
+      cex_count := List.length ck.Checkpoint.cex;
+      let d = ck.Checkpoint.initial_delay in
+      ( ( ck.Checkpoint.initial_power,
+          ck.Checkpoint.initial_area,
+          d,
+          ck.Checkpoint.initial_glitch_power ),
+        build (delay_constraint config d) )
+    | None ->
+      let d =
+        Trace.with_span "sta" (fun () -> Timing.circuit_delay (Timing.analyze circ))
+      in
+      let glitch = measure_glitch config circ in
+      let st = build (delay_constraint config d) in
+      ((Estimator.total st.est, Circuit.area circ, d, glitch), st)
   in
-  let initial_area =
-    match resume with
-    | Some ck -> ck.Checkpoint.initial_area
-    | None -> Circuit.area circ
-  in
-  let initial_delay =
-    match resume with
-    | Some ck -> ck.Checkpoint.initial_delay
-    | None -> Timing.circuit_delay (analyze_timed circ)
-  in
-  let constraint_ =
-    match config.delay with
-    | Unconstrained -> None
-    | Keep_initial -> Some initial_delay
-    | Ratio r -> Some (initial_delay *. (1.0 +. r))
-    | Absolute d -> Some d
-  in
-  (* Glitch-aware costing (--cost glitch): the timed estimator runs on
-     its own derived seed stream, so turning it on perturbs nothing in
-     the zero-delay engines, and both the total measurements and the
-     per-node hazard factors are deterministic for a given seed. *)
-  let glitch_seed = Sim.Rng.derive config.seed "powder/glitch" in
-  let measure_glitch () =
-    match config.cost with
-    | Zero_delay -> None
-    | Glitch { pairs } ->
-      Some
-        (Power.Glitch.estimate ~pairs ~seed:glitch_seed
-           ~input_prob:config.input_prob circ)
-          .Power.Glitch.timed_switched_cap
-  in
-  let glitch_factors () =
-    match config.cost with
-    | Zero_delay -> None
-    | Glitch { pairs } ->
-      Some
-        (Power.Glitch.node_factors ~pairs ~seed:glitch_seed
-           ~input_prob:config.input_prob circ)
-  in
-  let factors = ref (glitch_factors ()) in
-  let initial_glitch_power =
-    match resume with
-    | Some ck -> ck.Checkpoint.initial_glitch_power
-    | None -> measure_glitch ()
-  in
-  let sta = ref (analyze_timed ?required_time:constraint_ circ) in
-  (* Incremental STA: the cursor marks the edit-log position the current
-     [!sta] snapshot reflects; each accept pulls the suffix and updates
-     only the affected cone.  Rolled-back applies leave unchanged-value
-     edits in the log — harmless, the update prunes them. *)
-  let sta_cursor = ref (Circuit.edit_cursor circ) in
+  let constraint_ = delay_constraint config initial_delay in
+  let st = ref st in
+  (* Incremental STA: each accept pulls the edit-log suffix since the
+     snapshot and updates only the affected cone.  Rolled-back applies
+     leave unchanged-value edits in the log — harmless, the update
+     prunes them. *)
   let update_sta () =
+    let s = !st in
     Trace.with_span "sta" (fun () ->
-        (match Circuit.edits_since circ !sta_cursor with
+        (match Circuit.edits_since circ s.sta_cursor with
         | Some dirty ->
-          sta := Timing.update ?required_time:constraint_ !sta ~dirty
-        | None -> sta := Timing.analyze ?required_time:constraint_ circ);
-        sta_cursor := Circuit.edit_cursor circ)
+          s.sta <- Timing.update ?required_time:constraint_ s.sta ~dirty
+        | None -> s.sta <- Timing.analyze ?required_time:constraint_ circ);
+        s.sta_cursor <- Circuit.edit_cursor circ)
   in
   let stats = Hashtbl.create 4 in
   List.iter
@@ -332,94 +400,23 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
     Hashtbl.replace giveups key
       (1 + Option.value ~default:0 (Hashtbl.find_opt giveups key))
   in
-  (* Counterexample pattern set: every refuted candidate contributes its
-     distinguishing vector, which then screens future candidates for
-     free (classic simulation/SAT refinement).  The full history is kept
-     (newest first) so checkpoints can replay it. *)
-  let cex_words = 4 in
-  let cex_eng = ref (Engine.create circ ~words:cex_words) in
-  Engine.randomize !cex_eng ~input_probs:prob_of
-    (Sim.Rng.stream config.seed "powder/cex");
-  let cex_cursor = ref 0 in
-  let cex_log = ref [] in
-  let write_cex_bits assignment =
-    let k = !cex_cursor mod (64 * cex_words) in
-    incr cex_cursor;
-    let word = k / 64 and bit = k mod 64 in
-    List.iter
-      (fun pi ->
-        match List.assoc_opt (Circuit.name circ pi) assignment with
-        | None -> ()
-        | Some v ->
-          let values = Engine.value !cex_eng pi in
-          let mask = Int64.shift_left 1L bit in
-          values.(word) <-
-            (if v then Int64.logor values.(word) mask
-             else Int64.logand values.(word) (Int64.lognot mask));
-          Engine.set_value !cex_eng pi values)
-      (Circuit.pis circ)
-  in
-  (* Signature store over both engines: candidate generation reads it,
-     the accept path maintains it incrementally, and counterexample
-     injection invalidates it (a new cex rewrites one pattern column in
-     EVERY row, so the next generate rebuilds).  Recreated whenever the
-     engines themselves are recreated. *)
-  let sigstore = ref (Sim.Sigstore.create ~cex:!cex_eng ~base:!eng ()) in
   let inject_cex assignment =
+    let s = !st in
     cex_log := assignment :: !cex_log;
-    write_cex_bits assignment;
-    Engine.resim_all !cex_eng;
-    Sim.Sigstore.invalidate !sigstore
+    write_cex_bits circ s.cex_eng !cex_count assignment;
+    incr cex_count;
+    Engine.resim_all s.cex_eng;
+    Sim.Sigstore.invalidate s.sigstore
   in
-  let verify_seed = Sim.Rng.derive config.seed "powder/guard" in
-  let guard =
-    ref
-      (if config.verify_applies then
-         Some
-           (Guard.make_verifier ~words:config.verify_words ~seed:verify_seed
-              ~input_probs:prob_of circ)
-       else None)
-  in
-  (* Rebuild every engine from the (canonicalized or resumed) circuit,
-     re-deriving all simulation state from seeds and the counterexample
-     log.  This is what makes resume deterministic: both an
-     uninterrupted checkpointing run and a resumed one pass through the
-     identical rebuild at every barrier. *)
-  let rebuild_engines () =
-    eng := Engine.create circ ~words:config.words;
-    Engine.randomize_sharded ~input_probs:prob_of ~seed:config.seed !eng;
-    est := Estimator.create !eng;
-    cex_eng := Engine.create circ ~words:cex_words;
-    Engine.randomize !cex_eng ~input_probs:prob_of
-      (Sim.Rng.stream config.seed "powder/cex");
-    cex_cursor := 0;
-    List.iter write_cex_bits (List.rev !cex_log);
-    Engine.resim_all !cex_eng;
-    (match !guard with
-    | None -> ()
-    | Some _ ->
-      guard :=
-        Some
-          (Guard.make_verifier ~words:config.verify_words ~seed:verify_seed
-             ~input_probs:prob_of circ));
-    sigstore := Sim.Sigstore.create ~cex:!cex_eng ~base:!eng ();
-    factors := glitch_factors ();
-    sta := analyze_timed ?required_time:constraint_ circ;
-    sta_cursor := Circuit.edit_cursor circ
-  in
-  (* Canonicalization barrier: serialize, reparse, and continue on the
-     reparsed circuit.  A BLIF round trip renumbers nodes, and candidate
-     generation iterates in node-id order — so the checkpointed BLIF
-     must BE the state the run continues from, or resume would diverge. *)
+  (* Canonicalization barrier: serialize, reparse, continue on the
+     reparsed circuit and rebuild the state.  A BLIF round trip
+     renumbers nodes, and candidate generation iterates in node-id
+     order — so the checkpointed BLIF must BE the state the run
+     continues from, or resume would diverge. *)
   let canonicalize () =
     let blif = Blif.Blif_io.circuit_to_string circ in
-    (match Blif.Blif_io.circuit_of_string (Circuit.library circ) blif with
-    | Ok c2 -> Circuit.overwrite circ c2
-    | Error e ->
-      failwith
-        ("Optimizer: checkpoint canonicalization failed: "
-        ^ Blif.Blif_io.error_to_string e));
-    rebuild_engines ();
+    load_blif circ blif;
+    st := build constraint_;
     blif
   in
   (* Restore counters and accumulated state from the checkpoint. *)
@@ -433,14 +430,7 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
         match klass_of_name name with
         | Some k -> Hashtbl.replace stats k { accepted; power_gain; area_gain }
         | None -> ())
-      ck.Checkpoint.by_class;
-    cex_log := List.rev ck.Checkpoint.cex;
-    cex_cursor := 0;
-    List.iter write_cex_bits ck.Checkpoint.cex;
-    Engine.resim_all !cex_eng;
-    (match !guard with
-    | None -> ()
-    | Some v -> Guard.refresh v));
+      ck.Checkpoint.by_class);
   let degradation =
     ref (match resume with Some ck -> ck.Checkpoint.degradation_level | None -> 0)
   in
@@ -500,12 +490,12 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
      from the canonical circuit at every rebuild barrier; nodes created
      since (new inverters/gates) default to 1. *)
   let node_factor id =
-    match !factors with
+    match !st.factors with
     | None -> 1.0
     | Some f -> if id < Array.length f then f.(id) else 1.0
   in
   let scored s (g : Subst.gain) =
-    match !factors with
+    match !st.factors with
     | None -> Subst.total_gain g
     | Some _ ->
       let tgt = node_factor (Subst.substituted_signal circ s) in
@@ -520,7 +510,8 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
     let compute_ranked () =
       (* rank the still-valid unused candidates by fresh PG_A+PG_B;
          pool entries against the same stem share one dominated region
-         (the pool holds up to [per_target] candidates per target), so
+         (the pool holds up to [Candidates.default_config]'s
+         [per_target] candidates per target), so
          they are scored together under one region walk *)
       Trace.with_span "rank" (fun () ->
           (* warm the topological memo: with it every [creates_cycle]
@@ -538,7 +529,7 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
                 | Subst.Stem a ->
                   Hashtbl.replace by_stem a
                     (i :: Option.value ~default:[] (Hashtbl.find_opt by_stem a))
-                | Subst.Branch _ -> gains.(i) <- Some (Subst.gain_ab !est s)
+                | Subst.Branch _ -> gains.(i) <- Some (Subst.gain_ab !st.est s)
               else used.(i) <- true)
             pool;
           Hashtbl.iter
@@ -547,7 +538,7 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
                   List.iter
                     (fun i ->
                       gains.(i) <-
-                        Some (Subst.gain_ab ~dom:(region ()) !est (fst pool.(i))))
+                        Some (Subst.gain_ab ~dom:(region ()) !st.est (fst pool.(i))))
                     is))
             by_stem;
           let ranked = ref [] in
@@ -579,7 +570,7 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
         Trace.with_span "refine-pgc" (fun () ->
             List.filter_map
               (fun (i, s, _) ->
-                let g = Subst.gain_full !est s in
+                let g = Subst.gain_full !st.est s in
                 if scored s g > 0.0 then Some (i, s, g)
                 else begin
                   used.(i) <- true;
@@ -635,14 +626,14 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
         let delay_fine =
           match constraint_ with
           | None -> true
-          | Some _ -> Subst.delay_ok !sta s
+          | Some _ -> Subst.delay_ok !st.sta s
         in
         if not delay_fine then begin
           f.rejected_by_delay <- f.rejected_by_delay + 1;
           reject rank s "delay";
           true
         end
-        else if Check.refuted_on_patterns !cex_eng s then begin
+        else if Check.refuted_on_patterns !st.cex_eng s then begin
           f.rejected_by_cex <- f.rejected_by_cex + 1;
           reject rank s "cex";
           true
@@ -708,25 +699,25 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
         match verdict with
         | Check.Permissible -> (
           consecutive_timeouts := 0;
-          let power_before = Estimator.total !est in
+          let power_before = Estimator.total !st.est in
           let area_before = Circuit.area circ in
           let desc = if Trace.active () then Subst.describe circ s else "" in
           let outcome =
             Trace.with_span "apply" (fun () ->
                 let outcome =
-                  match !guard with
+                  match !st.guard with
                   | Some v -> Guard.transactional_apply v circ s
                   | None -> Guard.Applied (Subst.apply circ s)
                 in
                 (match outcome with
                 | Guard.Applied src ->
-                  if Option.is_some !guard then
+                  if Option.is_some !st.guard then
                     f.verified_applies <- f.verified_applies + 1;
                   f.sig_resim_nodes <-
                     f.sig_resim_nodes
-                    + Estimator.update_after_edit !est src
-                    + Engine.resim_after_edit !cex_eng src;
-                  Sim.Sigstore.update_after_edit !sigstore src
+                    + Estimator.update_after_edit !st.est src
+                    + Engine.resim_after_edit !st.cex_eng src;
+                  Sim.Sigstore.update_after_edit !st.sigstore src
                 | Guard.Rolled_back _ -> ());
                 outcome)
           in
@@ -746,7 +737,7 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
           | Guard.Applied _ ->
             update_sta ();
             f.substitutions <- f.substitutions + 1;
-            let realized = power_before -. Estimator.total !est in
+            let realized = power_before -. Estimator.total !st.est in
             let area_delta = area_before -. Circuit.area circ in
             let k = Subst.klass s in
             let st = Hashtbl.find stats k in
@@ -831,20 +822,15 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
       f.rounds <- f.rounds + 1;
       round_deadline := Deadline.of_option config.round_seconds;
       let cand_config =
-        {
-          Candidates.default_config with
-          classes = effective_classes ();
-          per_target = config.per_target;
-          pool_limit = config.pool_limit;
-        }
+        { Candidates.default_config with classes = effective_classes () }
       in
       let pool, gen_stats =
         Trace.with_span "generate" (fun () ->
-            let cands, st =
+            let cands, gs =
               Candidates.generate_stats ~config:cand_config ?pool:dom_pool
-                ~store:!sigstore ~deadline:run_deadline !est
+                ~store:!st.sigstore ~deadline:run_deadline !st.est
             in
-            (Array.of_list cands, st))
+            (Array.of_list cands, gs))
       in
       (* a budget that expired inside generate left a partial pool:
          the run stops on the budget without using it *)
@@ -917,7 +903,7 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
               seed = config.seed;
               blif;
               cex = List.rev !cex_log;
-              cex_cursor = !cex_cursor;
+              cex_cursor = !cex_count;
               candidates_generated = f.candidates_generated;
               checks_run = f.checks_run;
               rejected_by_delay = f.rejected_by_delay;
@@ -963,13 +949,13 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
       stopped_by := "max_substitutions"
     else if f.rounds >= config.max_rounds then stopped_by := "max_rounds"
   end;
-  let final_sta = analyze_timed circ in
+  let final_sta = Trace.with_span "sta" (fun () -> Timing.analyze circ) in
   let phase_seconds =
     List.map (fun (n, base) -> (n, Trace.span_seconds n -. base)) phase_base
   in
   {
     initial_power;
-    final_power = Estimator.total !est;
+    final_power = Estimator.total !st.est;
     initial_area;
     final_area = Circuit.area circ;
     initial_delay;
@@ -977,7 +963,7 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
     delay_constraint = constraint_;
     cost_model = cost_model_name config.cost;
     initial_glitch_power;
-    final_glitch_power = measure_glitch ();
+    final_glitch_power = measure_glitch config circ;
     by_class = List.map (fun k -> (k, Hashtbl.find stats k)) Subst.all_klasses;
     funnel = f;
     giveup_breakdown = giveup_breakdown ();
@@ -1111,3 +1097,15 @@ let report_to_json r =
         Obj (List.map (fun (n, s) -> (n, Float s)) r.phase_seconds) );
       ("cpu_seconds", Float r.cpu_seconds);
     ]
+
+let strip_volatile = function
+  | Obs.Json.Obj fields ->
+    Obs.Json.Obj
+      (List.filter_map
+         (fun (k, v) ->
+           match k with
+           | "cpu_seconds" | "phase_seconds" | "jobs" -> None
+           | "run" -> Some (k, Obs.Runinfo.strip_volatile v)
+           | _ -> Some (k, v))
+         fields)
+  | other -> other

@@ -46,8 +46,8 @@ type config = {
   preselect : int;              (** candidates re-estimated with PG_C per pick *)
   delay : delay_mode;
   classes : Subst.klass list;
-  per_target : int;
-  pool_limit : int;
+      (** substitution classes generate may propose; the generator's
+          other knobs are {!Candidates.default_config}'s *)
   backtrack_limit : int;        (** PODEM/SAT abort threshold *)
   exhaustive_limit : int;       (** max PI count for exhaustive equivalence *)
   max_substitutions : int;
@@ -61,8 +61,8 @@ type config = {
       (** wall-clock budget for the whole run; expiry stops cleanly *)
   verify_applies : bool;
       (** wrap every apply in a {!Guard} transaction (journal +
-          independent re-simulation + [Circuit.validate]) *)
-  verify_words : int;           (** guard verifier pattern words *)
+          independent re-simulation + [Circuit.validate]); [false]
+          builds no verifier *)
   checkpoint_every : int;
       (** canonicalize and (if a sink is set) checkpoint every N
           rounds; 0 disables both *)
@@ -209,14 +209,18 @@ val optimize : ?config:config -> ?resume:Checkpoint.t -> Netlist.Circuit.t -> re
     [stopped_by = "run_budget"].
 
     Checkpointing: with [checkpoint_every = n > 0] the optimizer
-    canonicalizes its state every [n] rounds (BLIF round-trip +
-    engine rebuild + counterexample replay) and, when
-    [checkpoint_sink] is set, hands it a {!Checkpoint.t}.  Passing
-    [?resume] continues such a run: the caller's circuit is
-    overwritten in place from the checkpointed BLIF, counters and
-    counterexamples are restored, the seed is taken from the
-    checkpoint (the config's [seed] is ignored), and the run proceeds
-    exactly as the uninterrupted checkpointing run would have.
+    canonicalizes its state every [n] rounds (BLIF round-trip, then
+    the simulation state is rebuilt from the circuit, the seed and the
+    counterexample log) and, when [checkpoint_sink] is set, hands it a
+    {!Checkpoint.t}.  Passing [?resume] continues such a run through
+    the same barrier: the caller's circuit is overwritten in place
+    from the checkpointed BLIF, the state is built from the
+    checkpoint's counterexample log, counters are restored, the seed
+    is taken from the checkpoint (the config's [seed] is ignored), and
+    the run proceeds exactly as the uninterrupted checkpointing run
+    would have.
+
+    @raise Invalid_argument when the checkpointed BLIF does not parse.
 
     Parallelism: with [jobs > 1] only candidate generation's scan runs
     on a [Par.Pool] (see {!Candidates.generate_stats}).  Exact checks
@@ -242,3 +246,11 @@ val report_to_json : report -> Obs.Json.t
 (** Machine-readable report: every field of {!report} plus the derived
     reduction percentages, with [by_class] and [phase_seconds] as
     nested objects. *)
+
+val strip_volatile : Obs.Json.t -> Obs.Json.t
+(** Drop what a clock or the job count decides from a report object:
+    the top-level [cpu_seconds], [phase_seconds] and [jobs] fields,
+    and the volatile fields of an embedded [run] manifest
+    ({!Obs.Runinfo.strip_volatile}).  What remains is identical across
+    [jobs] values and across a kill and resume.  Anything but an
+    object is returned unchanged. *)

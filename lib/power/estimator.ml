@@ -19,7 +19,6 @@ type t = {
 
 let signal_prob_of_node eng id = Engine.prob_one eng id
 
-let signal_prob t id = t.p.(id)
 let transition_prob t id = 2.0 *. t.p.(id) *. (1.0 -. t.p.(id))
 
 let engine t = t.eng

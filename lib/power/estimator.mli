@@ -17,7 +17,6 @@ val create : Sim.Engine.t -> t
 val engine : t -> Sim.Engine.t
 val circuit : t -> Netlist.Circuit.t
 
-val signal_prob : t -> Netlist.Circuit.node_id -> float
 val transition_prob : t -> Netlist.Circuit.node_id -> float
 
 val node_power : t -> Netlist.Circuit.node_id -> float

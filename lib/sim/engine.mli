@@ -102,10 +102,6 @@ val with_perturbation :
     callback raises).  The circuit structure must not be modified by
     the callbacks. *)
 
-val po_diff : t -> int64 array
-(** Inside [measure] of {!with_perturbation}: the patterns on which
-    some primary output differs from its words before the call. *)
-
 val po_changed : t -> bool
 (** Inside [measure] of {!with_perturbation}: whether some primary
     output differs from its words before the call, on some pattern. *)

@@ -235,6 +235,3 @@ let critical_path t =
     end
   in
   match worst_po with None -> [] | Some d -> walk d []
-
-let pp_summary fmt t =
-  Format.fprintf fmt "delay=%.2f required=%.2f" t.delay t.req_time

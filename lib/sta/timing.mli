@@ -45,5 +45,3 @@ val required_time : t -> float
 
 val critical_path : t -> Netlist.Circuit.node_id list
 (** One latest-arrival path, inputs first, ending at a PO driver. *)
-
-val pp_summary : Format.formatter -> t -> unit

@@ -165,6 +165,37 @@ let test_unknown_cell_rejected () =
     Alcotest.(check bool) "mentions cell" true
       (String.length e.Blif.message > 0)
 
+(* Hostile inputs: each file of test/hostile/ (and a path that does not
+   exist) must come back from the file reader as a typed error with the
+   expected line, never as an exception.  ci.sh feeds the same files to
+   powder_cli, which must exit 123 on each. *)
+let hostile_corpus =
+  [
+    ("missing.blif", 0);
+    ("unknown_cell.blif", 4);
+    ("garbage_line.blif", 4);
+    ("duplicate_net.blif", 4);
+    ("truncated_gate.blif", 4);
+    ("duplicate_pin.blif", 4);
+    ("duplicate_output.blif", 3);
+    ("dangling_po.blif", 0);
+  ]
+
+let test_hostile_corpus () =
+  (* dune runtest runs in the test directory, dune exec in the root *)
+  let dir = if Sys.file_exists "hostile" then "hostile" else "test/hostile" in
+  Alcotest.(check (list string)) "every corpus file is listed"
+    (List.sort compare (Array.to_list (Sys.readdir dir)))
+    (List.sort compare
+       (List.filter (fun f -> f <> "missing.blif") (List.map fst hostile_corpus)));
+  List.iter
+    (fun (name, line) ->
+      match Blif.circuit_of_file Gatelib.Library.lib2 (Filename.concat dir name) with
+      | Ok _ -> Alcotest.failf "%s: accepted" name
+      | Error e -> Alcotest.(check int) (name ^ ": error line") line e.Blif.line
+      | exception ex -> Alcotest.failf "%s: raised %s" name (Printexc.to_string ex))
+    hostile_corpus
+
 let blif_tests =
   [
         Alcotest.test_case "parse network" `Quick test_parse_network;
@@ -178,6 +209,7 @@ let blif_tests =
         Alcotest.test_case "truncated .gate" `Quick test_truncated_gate_rejected;
         Alcotest.test_case "duplicate .model (mapped)" `Quick
           test_duplicate_model_rejected_mapped;
+        Alcotest.test_case "hostile corpus" `Quick test_hostile_corpus;
   ]
 
 (* ------------------------------------------------------------------ *)

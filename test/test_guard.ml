@@ -400,13 +400,14 @@ let test_checkpoint_save_atomic () =
   | Error e -> Alcotest.fail (Checkpoint.error_to_string e));
   Sys.remove file
 
-let resume_matches ?(half_jobs = 1) ?(resume_jobs = 1) name =
+(* Interrupt a checkpointing run at round 2 and resume it to round 4:
+   the resumed report (minus its volatile fields) and netlist must be
+   the uninterrupted run's.  [~cex] also requires the round-2
+   checkpoint to carry counterexamples, so the resume replays a log. *)
+let resume_matches ?(half_jobs = 1) ?(resume_jobs = 1) ?(cex = false)
+    ?(config = Optimizer.default_config) name =
   let config =
-    { Optimizer.default_config with
-      words = 4;
-      max_rounds = 4;
-      checkpoint_every = 2;
-    }
+    { config with Optimizer.words = 4; max_rounds = 4; checkpoint_every = 2 }
   in
   (* reference: one uninterrupted run that checkpoints (no file needed
      — the canonicalization barrier alone defines the trajectory) *)
@@ -432,23 +433,15 @@ let resume_matches ?(half_jobs = 1) ?(resume_jobs = 1) name =
     | Error e -> Alcotest.fail (Checkpoint.error_to_string e)
   in
   Sys.remove file;
+  if cex then
+    Alcotest.(check bool) "round-2 checkpoint has counterexamples" true
+      (ck.Checkpoint.cex <> []);
   let c_res = mapped name in
   let r_res =
     Optimizer.optimize ~config:{ config with jobs = resume_jobs } ~resume:ck c_res
   in
-  Alcotest.(check int) "substitutions" r_ref.Optimizer.funnel.substitutions
-    r_res.Optimizer.funnel.substitutions;
-  Alcotest.(check int) "rounds" r_ref.Optimizer.funnel.rounds r_res.Optimizer.funnel.rounds;
-  Alcotest.(check int) "candidates" r_ref.Optimizer.funnel.candidates_generated
-    r_res.Optimizer.funnel.candidates_generated;
-  Alcotest.(check int) "checks" r_ref.Optimizer.funnel.checks_run
-    r_res.Optimizer.funnel.checks_run;
-  Alcotest.(check string) "stopped_by" r_ref.Optimizer.stopped_by
-    r_res.Optimizer.stopped_by;
-  Alcotest.(check (float 0.0)) "final power" r_ref.Optimizer.final_power
-    r_res.Optimizer.final_power;
-  Alcotest.(check (float 0.0)) "final area" r_ref.Optimizer.final_area
-    r_res.Optimizer.final_area;
+  let json r = Obs.Json.to_string (Optimizer.strip_volatile (Optimizer.report_to_json r)) in
+  Alcotest.(check string) "identical report" (json r_ref) (json r_res);
   Alcotest.(check string) "identical netlist"
     (Blif.Blif_io.circuit_to_string c_ref)
     (Blif.Blif_io.circuit_to_string c_res)
@@ -462,6 +455,18 @@ let test_resume_z5xp1 () = resume_matches "Z5xp1"
    reference trajectory. *)
 let test_resume_jobs_agnostic () =
   resume_matches ~half_jobs:8 ~resume_jobs:2 "alu2"
+
+(* Glitch costing rebuilds its hazard factors at the resume barrier *)
+let test_resume_glitch () =
+  resume_matches ~cex:true
+    ~config:{ Optimizer.default_config with cost = Optimizer.Glitch { pairs = 16 } }
+    "comp"
+
+(* Without apply verification the build makes no guard verifier *)
+let test_resume_unverified () =
+  resume_matches ~cex:true
+    ~config:{ Optimizer.default_config with verify_applies = false }
+    "comp"
 
 let suite =
   [
@@ -502,5 +507,9 @@ let suite =
         Alcotest.test_case "resume matches Z5xp1" `Quick test_resume_z5xp1;
         Alcotest.test_case "resume is jobs-agnostic" `Quick
           test_resume_jobs_agnostic;
+        Alcotest.test_case "resume matches with glitch cost" `Quick
+          test_resume_glitch;
+        Alcotest.test_case "resume matches without verifier" `Quick
+          test_resume_unverified;
       ] );
   ]

@@ -138,12 +138,6 @@ let test_config =
 let rd84 () =
   Circuits.Suite.mapped (Option.get (Circuits.Suite.find "rd84"))
 
-let strip_volatile = function
-  | Obs.Json.Obj fields ->
-    Obs.Json.Obj
-      (List.filter (fun (k, _) -> k <> "jobs" && k <> "cpu_seconds") fields)
-  | j -> j
-
 let test_sweep_structure () =
   let specs = [ Sweep.Scale 1.0; Sweep.Scale 1.25; Sweep.Unbounded ] in
   let r = Sweep.run ~config:test_config ~specs ~name:"rd84" rd84 in
@@ -209,8 +203,8 @@ let test_sweep_jobs_deterministic () =
   let run jobs =
     Sweep.run ~config:test_config ~specs ~jobs ~name:"rd84" rd84
   in
-  let j1 = strip_volatile (Sweep.to_json (run 1)) in
-  let j2 = strip_volatile (Sweep.to_json (run 2)) in
+  let j1 = Optimizer.strip_volatile (Sweep.to_json (run 1)) in
+  let j2 = Optimizer.strip_volatile (Sweep.to_json (run 2)) in
   Alcotest.(check string) "jobs 1 and 2 byte-identical"
     (Obs.Json.to_string j1) (Obs.Json.to_string j2)
 
@@ -263,7 +257,7 @@ let test_sweep_checkpoint_resume () =
         Sweep.run ~config:test_config ~specs
           ~checkpoint:(Powder.Checkpoint.dir_store dir) ~name:"rd84" rd84
       in
-      let first = strip_volatile (Sweep.to_json (run ())) in
+      let first = Optimizer.strip_volatile (Sweep.to_json (run ())) in
       (* every point leaves a checkpoint behind *)
       List.iter
         (fun sp ->
@@ -275,7 +269,7 @@ let test_sweep_checkpoint_resume () =
         specs;
       (* a re-run resumes from the finished checkpoints and reproduces
          the uninterrupted report byte-for-byte *)
-      let second = strip_volatile (Sweep.to_json (run ())) in
+      let second = Optimizer.strip_volatile (Sweep.to_json (run ())) in
       Alcotest.(check string) "resumed sweep identical"
         (Obs.Json.to_string first) (Obs.Json.to_string second));
   (* a sweep stopped after round 1 and re-run over the same directory
@@ -283,7 +277,7 @@ let test_sweep_checkpoint_resume () =
      the two would produce a netlist neither seed does *)
   let sweep ~dir seed max_rounds =
     let config = { test_config with Optimizer.seed; max_rounds } in
-    strip_volatile
+    Optimizer.strip_volatile
       (Sweep.to_json
          (Sweep.run ~config ~specs:[ Sweep.Unbounded ]
             ~checkpoint:(Powder.Checkpoint.dir_store dir) ~name:"rd84" rd84))

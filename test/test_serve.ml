@@ -404,15 +404,7 @@ let chaos_case fault () =
     (fun (id, _, rep) (_, _, rep') ->
       let strip s =
         match Obs.Json.of_string s with
-        | Ok (Obs.Json.Obj fs) ->
-          Obs.Json.Obj
-            (List.filter_map
-               (fun (k, v) ->
-                 if k = "cpu_seconds" || k = "phase_seconds" || k = "jobs"
-                 then None
-                 else if k = "run" then Some (k, Obs.Runinfo.strip_volatile v)
-                 else Some (k, v))
-               fs)
+        | Ok (Obs.Json.Obj _ as j) -> Powder.Optimizer.strip_volatile j
         | _ -> Alcotest.fail (id ^ ": report is not a JSON object")
       in
       Alcotest.(check bool)

@@ -188,22 +188,20 @@ let test_windowed_deterministic () =
    the same netlist, and reports that differ only in the [window_*]
    funnel counters and the [window/*] escalation reasons. *)
 let test_window_matches_off () =
-  let rec strip = function
+  let rec strip_window = function
     | Obs.Json.Obj fields ->
       Obs.Json.Obj
         (List.filter_map
            (fun (k, v) ->
-             let window =
-               String.starts_with ~prefix:"window_" k
-               || String.starts_with ~prefix:"window/" k
-             in
-             if window || List.mem k [ "cpu_seconds"; "phase_seconds"; "jobs" ]
+             if String.starts_with ~prefix:"window_" k
+                || String.starts_with ~prefix:"window/" k
              then None
-             else Some (k, strip v))
+             else Some (k, strip_window v))
            fields)
-    | Obs.Json.List l -> Obs.Json.List (List.map strip l)
+    | Obs.Json.List l -> Obs.Json.List (List.map strip_window l)
     | other -> other
   in
+  let strip j = strip_window (Powder.Optimizer.strip_volatile j) in
   List.iter
     (fun name ->
       let run window =
