@@ -376,13 +376,13 @@ let optimize_cmd =
       if not resume then None
       else
         match checkpoint with
-        | None -> failwith "--resume requires --checkpoint FILE"
+        | None -> input_error "--resume requires --checkpoint FILE"
         | Some f ->
           if not (Sys.file_exists f) then None
           else (
             match Powder.Checkpoint.load f with
             | Ok ck -> Some ck
-            | Error e -> failwith (Powder.Checkpoint.error_to_string e))
+            | Error e -> input_error (f ^ ": " ^ Powder.Checkpoint.error_to_string e))
     in
     let config =
       {
@@ -569,10 +569,13 @@ let report_cmd =
         Filename.concat dir "profile.json"
       else dir
     in
+    let text =
+      try read_file path with Sys_error e -> input_error ("cannot read profile: " ^ e)
+    in
     let j =
-      match J.of_string (read_file path) with
+      match J.of_string text with
       | Ok j -> j
-      | Error e -> failwith (path ^ ": " ^ e)
+      | Error e -> input_error (path ^ ": " ^ e)
     in
     (match J.member "run" j with
     | Some run ->

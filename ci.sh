@@ -338,22 +338,31 @@ stage_smoke() {
   echo "== smoke: hostile inputs fail with one line and exit 123 =="
   # Every file of the test/hostile/ corpus (and a path that does not
   # exist) is a user error: exactly one "powder_cli: ..." line on
-  # stderr and exit 123, never the 125 of an escaping exception.
+  # stderr and exit 123, never the 125 of an escaping exception.  So
+  # are --resume without --checkpoint, a --checkpoint file that is not
+  # a checkpoint, and a report on a missing or unparsable profile.
   err_txt=$(mktemp /tmp/powder_ci_err_XXXXXX.txt)
-  for f in test/hostile/*.blif test/hostile/missing.blif; do
+  user_error() {
     set +e
-    hard_timeout 60 "$cli" optimize -i "$f" >/dev/null 2>"$err_txt"
+    hard_timeout 60 "$cli" "$@" >/dev/null 2>"$err_txt"
     code=$?
     set -e
     lines=$(wc -l < "$err_txt")
     if [ "$code" -ne 123 ] || [ "$lines" -ne 1 ] \
       || ! grep -q '^powder_cli: ' "$err_txt"; then
-      echo "$f: exit $code with $lines stderr lines, want 123 and 1:" >&2
+      echo "$*: exit $code with $lines stderr lines, want 123 and 1:" >&2
       cat "$err_txt" >&2
       exit 1
     fi
     cat "$err_txt"
+  }
+  for f in test/hostile/*.blif test/hostile/missing.blif; do
+    user_error optimize -i "$f"
   done
+  user_error optimize -c rd84 --resume
+  user_error optimize -c rd84 --resume --checkpoint test/hostile/garbage_line.blif
+  user_error report test/hostile/missing.blif
+  user_error report test/hostile/garbage_line.blif
   rm -f "$err_txt"
 }
 

@@ -31,5 +31,3 @@ let to_string circ f =
   | Stem id -> Printf.sprintf "%s/%s" (Circuit.name circ id) polarity
   | Branch (sink, pin) ->
     Printf.sprintf "%s.pin%d/%s" (Circuit.name circ sink) pin polarity
-
-let equal a b = a = b

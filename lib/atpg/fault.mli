@@ -15,4 +15,3 @@ val all_faults : Netlist.Circuit.t -> t list
     every branch. *)
 
 val to_string : Netlist.Circuit.t -> t -> string
-val equal : t -> t -> bool

@@ -9,10 +9,6 @@ type result =
   | Untestable
   | Aborted of give_up
 
-let pp_give_up fmt = function
-  | Backtracks -> Format.pp_print_string fmt "backtracks"
-  | Deadline -> Format.pp_print_string fmt "deadline"
-
 type mode = Fault_mode of Fault.t | Justify of Circuit.node_id
 
 type state = {

@@ -17,8 +17,6 @@ type result =
   | Aborted of give_up
       (** gave up without an answer; the payload says which limit fired *)
 
-val pp_give_up : Format.formatter -> give_up -> unit
-
 val generate_test :
   ?backtrack_limit:int ->
   ?deadline:Obs.Deadline.t ->

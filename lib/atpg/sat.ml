@@ -2,10 +2,6 @@ type give_up = Conflicts | Deadline
 
 type result = Sat of bool array | Unsat | Timeout of give_up
 
-let pp_give_up fmt = function
-  | Conflicts -> Format.pp_print_string fmt "conflicts"
-  | Deadline -> Format.pp_print_string fmt "deadline"
-
 (* Unchecked int-array access for the search.  Every index is a literal
    or variable of a clause [load] range-checked, a clause offset, or a
    trail, heap or level position the solver's own invariants bound. *)

@@ -35,8 +35,6 @@ type result =
   | Timeout of give_up
       (** gave up without an answer; the payload says which limit fired *)
 
-val pp_give_up : Format.formatter -> give_up -> unit
-
 val lit_of : int -> bool -> int
 
 val stall_conflicts : int

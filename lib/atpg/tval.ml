@@ -1,7 +1,6 @@
 type v3 = V0 | V1 | VX
 
 let v3_of_bool b = if b then V1 else V0
-let to_char = function V0 -> '0' | V1 -> '1' | VX -> 'x'
 
 type t = { good : v3; faulty : v3 }
 
@@ -13,15 +12,6 @@ let is_d_or_dbar v =
   match (v.good, v.faulty) with
   | V1, V0 | V0, V1 -> true
   | (V0 | V1 | VX), (V0 | V1 | VX) -> false
-
-let equal a b = a = b
-
-let pp fmt v =
-  match (v.good, v.faulty) with
-  | V1, V0 -> Format.pp_print_char fmt 'D'
-  | V0, V1 -> Format.pp_print_string fmt "D'"
-  | g, f when g = f -> Format.pp_print_char fmt (to_char g)
-  | g, f -> Format.fprintf fmt "%c/%c" (to_char g) (to_char f)
 
 let eval_cell func inputs =
   let k = Logic.Tt.num_vars func in

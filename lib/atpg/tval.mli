@@ -5,7 +5,6 @@
 type v3 = V0 | V1 | VX
 
 val v3_of_bool : bool -> v3
-val to_char : v3 -> char
 
 type t = { good : v3; faulty : v3 }
 
@@ -15,8 +14,6 @@ val d : t
 (** good 1 / faulty 0 *)
 
 val is_d_or_dbar : t -> bool
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 val eval_cell : Logic.Tt.t -> v3 array -> v3
 (** Three-valued cell evaluation: definite iff all completions of the X

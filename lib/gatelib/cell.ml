@@ -16,7 +16,3 @@ let make ~name ~func ~area ~pin_caps ?(out_cap = 0.0) ~tau ~drive_res () =
   { name; func; area; pin_caps; out_cap; tau; drive_res }
 
 let eval c inputs = Logic.Tt.eval c.func inputs
-
-let pp fmt c =
-  Format.fprintf fmt "%s(area=%g, tau=%g, r=%g, f=%a)" c.name c.area c.tau
-    c.drive_res Logic.Tt.pp c.func

@@ -31,4 +31,3 @@ val make :
 (** @raise Invalid_argument if [Array.length pin_caps <> Tt.num_vars func]. *)
 
 val eval : t -> bool array -> bool
-val pp : Format.formatter -> t -> unit

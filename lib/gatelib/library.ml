@@ -30,8 +30,6 @@ let inverter t =
   | Some c -> c
   | None -> raise Not_found
 
-let buffer t = cheapest (fun c -> Tt.equal c.Cell.func (Tt.var 1 0)) t
-
 let two_input_cells t =
   List.filter
     (fun c -> Cell.arity c = 2 && List.length (Tt.support c.Cell.func) = 2)
@@ -197,8 +195,3 @@ let minimal =
       simple ~name:"xor2" ~func:(v 2 0 ^: v 2 1) ~area:4. ~pin_cap:2.0 ~tau:1.0
         ~drive_res:0.1;
     ]
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>";
-  List.iter (fun c -> Format.fprintf fmt "%a@," Cell.pp c) t.ordered;
-  Format.fprintf fmt "@]"

@@ -18,9 +18,6 @@ val inverter : t -> Cell.t
 (** The cheapest (by area) cell computing [NOT x].
     @raise Not_found if the library has none. *)
 
-val buffer : t -> Cell.t option
-(** The cheapest cell computing the identity, if any. *)
-
 val two_input_cells : t -> Cell.t list
 (** All cells of arity 2 whose function depends on both inputs; these
     are the gates OS3/IS3 substitutions may insert. *)
@@ -48,5 +45,3 @@ val lib2_sized : t
 
 val minimal : t
 (** Tiny library (INV, NAND2, AND2, OR2, XOR2) for focused tests. *)
-
-val pp : Format.formatter -> t -> unit

@@ -33,7 +33,6 @@ type words = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 val words_create : int -> words
 (** Zero-filled. *)
 
-val words_of_array : int64 array -> words
 val words_to_array : words -> int -> int -> int64 array
 (** [words_to_array b off len]: a copy of [len] words from [off]. *)
 

@@ -77,9 +77,3 @@ let of_string s =
       | _ -> invalid_arg "Cube.of_string")
     s;
   !c
-
-let compare a b =
-  let c = Int.compare a.pos b.pos in
-  if c <> 0 then c else Int.compare a.neg b.neg
-
-let equal a b = a.pos = b.pos && a.neg = b.neg

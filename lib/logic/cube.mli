@@ -43,6 +43,3 @@ val to_string : int -> t -> string
 val of_string : string -> t
 (** Inverse of {!to_string}; accepts ['0'], ['1'], ['-']/['x'].
     @raise Invalid_argument on other characters. *)
-
-val compare : t -> t -> int
-val equal : t -> t -> bool

@@ -213,8 +213,3 @@ let espresso t =
     else loop next (iterations - 1)
   in
   if t.cs = [] then t else loop (minimize t) 3
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>";
-  List.iter (fun c -> Format.fprintf fmt "%s@," (Cube.to_string t.n c)) t.cs;
-  Format.fprintf fmt "@]"

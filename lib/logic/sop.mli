@@ -45,5 +45,3 @@ val espresso : t -> t
     followed by IRREDUNDANT (drop cubes covered by the rest), iterated
     to a fixpoint.  Single-output, no external don't-care set;
     deterministic.  Function-preserving for any arity. *)
-
-val pp : Format.formatter -> t -> unit

@@ -31,8 +31,6 @@ let and_ a b = check2 a b; { a with w = Int64.logand a.w b.w }
 let or_ a b = check2 a b; { a with w = Int64.logor a.w b.w }
 let xor a b = check2 a b; { a with w = Int64.logxor a.w b.w }
 let nand a b = not_ (and_ a b)
-let nor a b = not_ (or_ a b)
-let xnor a b = not_ (xor a b)
 
 let eval_int t m = Int64.logand (Int64.shift_right_logical t.w m) 1L = 1L
 
@@ -48,10 +46,6 @@ let is_const_false t = Int64.equal t.w 0L
 let is_const_true t = Int64.equal t.w (mask t.n)
 
 let equal a b = a.n = b.n && Int64.equal a.w b.w
-let compare a b =
-  let c = Int.compare a.n b.n in
-  if c <> 0 then c else Int64.compare a.w b.w
-let hash t = Hashtbl.hash (t.n, t.w)
 
 let cofactor i v t =
   if i < 0 || i >= t.n then invalid_arg "Tt.cofactor";

@@ -32,8 +32,6 @@ val and_ : t -> t -> t
 val or_ : t -> t -> t
 val xor : t -> t -> t
 val nand : t -> t -> t
-val nor : t -> t -> t
-val xnor : t -> t -> t
 
 val eval : t -> bool array -> bool
 (** [eval t inputs] with [Array.length inputs = num_vars t]. *)
@@ -45,8 +43,6 @@ val is_const_false : t -> bool
 val is_const_true : t -> bool
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
 
 val cofactor : int -> bool -> t -> t
 (** [cofactor i v t] fixes variable [i] to [v]; arity is preserved (the

@@ -429,14 +429,6 @@ let dominated_members t s =
   Array.sort Int.compare members;
   members
 
-let dominated_region_members t s =
-  let members = dominated_members t s in
-  let dom = Array.make t.count false in
-  Array.iter (fun id -> dom.(id) <- true) members;
-  (dom, members)
-
-let dominated_region t s = fst (dominated_region_members t s)
-
 (* One region mask per domain, all false between calls: a call sets the
    members' entries and clears exactly those again, so a stem costs
    O(|Dom(s)|), not an O(circuit) mask. *)
@@ -464,15 +456,8 @@ let with_dominated_region t s f =
       rm.held <- false)
     (fun () -> f region)
 
-let inputs_of_region t region =
-  let result = ref [] in
-  for id = t.count - 1 downto 0 do
-    let n = t.nodes.(id) in
-    if n.live && not region.(id)
-       && List.exists (fun p -> p.sink < t.count && region.(p.sink)) n.fanouts
-    then result := id :: !result
-  done;
-  !result
+let dominated_region t s =
+  with_dominated_region t s (fun region -> Array.sub (fst (region ())) 0 t.count)
 
 (* ------------------------------------------------------------------ *)
 (* Edits                                                               *)

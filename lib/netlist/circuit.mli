@@ -85,13 +85,9 @@ val reaches : t -> node_id -> node_id -> bool
 
 val dominated_region : t -> node_id -> bool array
 (** [Dom(s)]: nodes all of whose paths to any PO pass through [s];
-    includes [s].  Per the paper's Section 2. *)
-
-val dominated_region_members : t -> node_id -> bool array * node_id array
-(** {!dominated_region} together with its members in ascending id
-    order, found by a backward walk costing O(|Dom(s)| + boundary).
-    The mask is a fresh O(circuit) array; per-stem callers use
-    {!with_dominated_region}. *)
+    includes [s].  Per the paper's Section 2.  A fresh O(circuit) copy
+    of the mask {!with_dominated_region} walks (so it raises where that
+    does); per-stem callers use {!with_dominated_region}. *)
 
 val with_dominated_region :
   t -> node_id -> ((unit -> bool array * node_id array) -> 'a) -> 'a
@@ -105,9 +101,6 @@ val with_dominated_region :
     ([Subst.gain_ab] does) but must set no other entry.  Do not
     edit the circuit inside [f].
     @raise Invalid_argument on a nested call on the same domain. *)
-
-val inputs_of_region : t -> bool array -> node_id list
-(** Nodes outside the region with at least one fanout pin inside it. *)
 
 (** {1 Edits} *)
 

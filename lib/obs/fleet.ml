@@ -47,11 +47,6 @@ let counter_ref t name =
     r
 
 let count t name = incr (counter_ref t name)
-let add t name n = counter_ref t name := !(counter_ref t name) + n
-
-let counter_value t name =
-  match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
-
 let observe_latency t secs =
   t.latencies <- secs :: t.latencies;
   t.latency_count <- t.latency_count + 1;

@@ -40,11 +40,6 @@ val jobs_total : t -> int
 val count : t -> string -> unit
 (** Increment the named event counter (created on first use). *)
 
-val add : t -> string -> int -> unit
-
-val counter_value : t -> string -> int
-(** 0 when the counter was never touched. *)
-
 val observe_latency : t -> float -> unit
 (** Record one completed job's submit-to-done latency, in seconds. *)
 

@@ -262,34 +262,3 @@ let dump fmt () =
         end)
     (names ());
   Format.fprintf fmt "@]"
-
-let to_json () =
-  Json.Obj
-    (List.map
-       (fun name ->
-         let v =
-           match Hashtbl.find registry name with
-           | Counter c ->
-             Json.Obj [ ("type", Json.String "counter"); ("value", Json.Int c.count) ]
-           | Gauge g ->
-             Json.Obj [ ("type", Json.String "gauge"); ("value", Json.Float g.gvalue) ]
-           | Histogram h ->
-             Json.Obj
-               [
-                 ("type", Json.String "histogram");
-                 ("count", Json.Int h.obs_count);
-                 ("sum", Json.Float h.obs_sum);
-                 ("p50", Json.Float (histogram_quantile h 0.5));
-                 ("p90", Json.Float (histogram_quantile h 0.9));
-                 ("p99", Json.Float (histogram_quantile h 0.99));
-                 ("max", Json.Float h.obs_max);
-                 ( "buckets",
-                   Json.List
-                     (List.map
-                        (fun (ub, n) ->
-                          Json.Obj [ ("le", Json.Float ub); ("count", Json.Int n) ])
-                        (histogram_buckets h)) );
-               ]
-         in
-         (name, v))
-       (names ()))

@@ -82,9 +82,6 @@ val dump : Format.formatter -> unit -> unit
 (** Human-readable dump of every registered metric, sorted by name.
     Histograms print count / sum / mean and their non-empty buckets. *)
 
-val to_json : unit -> Json.t
-(** The whole registry as one JSON object keyed by metric name. *)
-
 (** {2 Shards}
 
     Per-task collectors for worker domains.  A worker installs a shard

@@ -41,8 +41,6 @@ type sink
 val make_sink : emit:(event -> unit) -> close:(unit -> unit) -> sink
 (** Custom sink (used by tests to capture events in memory). *)
 
-val null_sink : sink
-
 val tee_sink : sink list -> sink
 (** Fan every event out to each sink in order; closing the tee closes
     them all.  Used to feed a JSONL file, the profiler and the Chrome

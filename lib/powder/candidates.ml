@@ -789,7 +789,7 @@ let scan_in_region ~config ~store ~est ~cells ~by_density v sc ti dom =
                         *. Estimator.transition_prob est f)
                  (Circuit.fanins circ v))
              m;
-           Estimator.region_power_members est d m +. !relief_over
+           Estimator.region_power est d m +. !relief_over
        in
        (moved, (pa *. (1.0 +. 1e-9)) +. 1e-9))
   in

@@ -173,14 +173,13 @@ let trial s =
 
 (* The removed region is Dom(a) minus whatever still feeds the
    substituting signal(s): those cones survive the sweep.  The [dom]
-   mask is mutated in place and restored afterwards — [keep_cone]
-   clears at most |TFI(root) ∩ Dom(a)| entries, so the undo list keeps
-   the per-candidate cost proportional to the region instead of the
-   whole circuit (copying the mask per candidate made generation
-   quadratic on large netlists). *)
+   mask is mutated in place: [keep_cone] only clears region members,
+   so setting every member's entry again afterwards restores it, at
+   the cost of the member walk the power sums already make (copying
+   the mask per candidate made generation quadratic on large
+   netlists). *)
 let stem_pg_a est s (dom, members) =
   let circ = Estimator.circuit est in
-  let cleared = ref [] in
   (* Strip TFI(root) ∩ Dom(a) by a backward walk restricted to the
      region: any region node with a path to [root] has all the
      path's intermediate nodes in the region too (an intermediate
@@ -189,20 +188,18 @@ let stem_pg_a est s (dom, members) =
      TFI(root) ∩ Dom(a).  Overlapping cones compose: a node cleared
      by an earlier cone was reached through fanins that were also
      cleared, so nothing a later walk is blocked from was kept. *)
+  let rec strip id =
+    Array.iter
+      (fun f ->
+        if dom.(f) then begin
+          dom.(f) <- false;
+          strip f
+        end)
+      (Circuit.fanins circ id)
+  in
   let keep_cone root =
     if dom.(root) then begin
       dom.(root) <- false;
-      cleared := root :: !cleared;
-      let rec strip id =
-        Array.iter
-          (fun f ->
-            if dom.(f) then begin
-              dom.(f) <- false;
-              cleared := f :: !cleared;
-              strip f
-            end)
-          (Circuit.fanins circ id)
-      in
       strip root
     end
   in
@@ -213,10 +210,10 @@ let stem_pg_a est s (dom, members) =
     keep_cone b;
     keep_cone d);
   let pg =
-    Estimator.region_power_members est dom members
-    +. Estimator.region_input_relief_members est dom members
+    Estimator.region_power est dom members
+    +. Estimator.region_input_relief est dom members
   in
-  List.iter (fun id -> dom.(id) <- true) !cleared;
+  Array.iter (fun id -> dom.(id) <- true) members;
   pg
 
 let gain_ab ?dom est s =

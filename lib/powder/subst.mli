@@ -77,7 +77,8 @@ val gain_ab :
     pair {!Netlist.Circuit.with_dominated_region} hands out) — callers
     scoring many substitutions against the same stem compute both once
     and pass them here.  The function clears the surviving source
-    cones' entries in place and sets them again before it returns.
+    cones' entries in place and sets every member's entry again before
+    it returns, so the members must be exactly the mask's set entries.
     Without [?dom] a stem's region is walked under
     {!Netlist.Circuit.with_dominated_region}, so a caller holding that
     region must pass it. *)

@@ -51,22 +51,19 @@ val transition_of_ones : int -> total_patterns:int -> float
 (** Transition probability a signature with that many set bits (of
     [total_patterns]) implies. *)
 
-val region_power : t -> bool array -> float
-(** Summed [C * E] of the stems inside a node mask — the first term of
-    [PG_A] (Equation 3). *)
+val region_power : t -> bool array -> int array -> float
+(** [region_power t region members]: summed [C * E] of the stems of a
+    node mask, the first term of [PG_A] (Equation 3).  [members] lists
+    every node of the mask in ascending id order (as
+    {!Netlist.Circuit.with_dominated_region} hands them out); entries
+    the mask has cleared are skipped.  The sum runs in ascending id
+    order, so it is bit-equal to a whole-circuit scan of the mask. *)
 
-val region_input_relief : t -> bool array -> float
+val region_input_relief : t -> bool array -> int array -> float
 (** Second term of [PG_A]: [sum_{i in inputs(Dom)} C'(i) * E(i)], where
     [C'(i)] is the part of [i]'s load presented by pins inside the
-    region. *)
-
-val region_power_members : t -> bool array -> int array -> float
-(** {!region_power} over an explicit member list instead of a
-    full-circuit sweep.  [members] must include every node of the mask,
-    in ascending id order; the result (including float rounding) is
-    identical to {!region_power}. *)
-
-val region_input_relief_members : t -> bool array -> int array -> float
-(** {!region_input_relief} driven from the region's member list: the
-    region's inputs are recovered from the members' fanins instead of a
-    full-circuit sweep.  Same result, including float rounding. *)
+    region.  The inputs are the members' fanins outside the mask,
+    summed in ascending id order, and each [C'(i)] over [i]'s fanout
+    pins in {!Netlist.Circuit.fanouts} order: the floats of a
+    whole-circuit scan.  Same [members] contract as {!region_power}.
+    The inputs are gathered in a per-domain buffer, not a list. *)

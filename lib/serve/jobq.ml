@@ -58,9 +58,6 @@ let pop_runnable t ~now =
 
 let requeue t e = t.entries <- t.entries @ [ e ]
 
-let best_priority t ~now =
-  Option.map (fun e -> e.job.Protocol.priority) (find_best t ~now)
-
 let next_wakeup t ~now =
   match find_best t ~now with
   | Some _ -> None

@@ -44,10 +44,6 @@ val requeue : t -> entry -> unit
 (** Put a popped entry back (after a retry delay was set on it, or a
     preemption).  Its [seq] is preserved, so it keeps its FIFO slot. *)
 
-val best_priority : t -> now:float -> int option
-(** Priority of the entry [pop_runnable] would return, without
-    removing it — the preemption test. *)
-
 val next_wakeup : t -> now:float -> float option
 (** Earliest [not_before] strictly in the future, if no entry is
     runnable now: how long a drain loop may sleep.  [None] when the

@@ -26,8 +26,6 @@ let bits_with_prob t p =
     !w
   end
 
-let split t = create (next t)
-
 let derive base label =
   let t = create base in
   (* absorb the label one byte per splitmix step, then finalize with

@@ -12,9 +12,6 @@ val next_float : t -> float
 val bits_with_prob : t -> float -> int64
 (** A 64-bit word whose bits are independently 1 with probability [p]. *)
 
-val split : t -> t
-(** A statistically independent child generator. *)
-
 val derive : int64 -> string -> int64
 (** [derive base label] is a domain-separated child seed: a splitmix
     hash of [base] and the stream label.  Every subsystem that needs

@@ -78,19 +78,26 @@ let test_dominators () =
   | Some nc -> Alcotest.(check bool) "nc in dom(abc)" true dom_abc.(nc)
   | None -> Alcotest.fail "nc not found")
 
+(* inputs(Dom(s)): the members' fanins outside the region, the set
+   Equation 3's input relief sums over *)
 let test_inputs_of_region () =
   let c, ab, abc, _ = Build.redundant_and () in
   let dom_abc = Circuit.dominated_region c abc in
-  let ins = Circuit.inputs_of_region c dom_abc in
+  let ins =
+    Circuit.with_dominated_region c abc (fun region ->
+        let mask, members = region () in
+        Array.to_list members
+        |> List.concat_map (fun m -> Array.to_list (Circuit.fanins c m))
+        |> List.filter (fun f -> not mask.(f))
+        |> List.sort_uniq compare)
+  in
   (* ab feeds abc from outside (it escapes through its direct edge to
      the or-gate); pi "c" only feeds nc, so it lies INSIDE the region
      and is not one of its inputs *)
-  Alcotest.(check bool) "ab is an input" true (List.mem ab ins);
-  (match Circuit.find_by_name c "c" with
-  | Some ci ->
-    Alcotest.(check bool) "pi c dominated" true dom_abc.(ci);
-    Alcotest.(check bool) "pi c not an input" false (List.mem ci ins)
-  | None -> Alcotest.fail "pi c not found")
+  Alcotest.(check (list int)) "ab is the only input" [ ab ] ins;
+  match Circuit.find_by_name c "c" with
+  | Some ci -> Alcotest.(check bool) "pi c dominated" true dom_abc.(ci)
+  | None -> Alcotest.fail "pi c not found"
 
 let test_topo_order () =
   let c = Build.random_circuit ~seed:7 ~n_pis:8 ~n_gates:40 in
@@ -258,8 +265,15 @@ let new_row c a =
     ~pin:(fun c sink b -> Circuit.would_cycle_pin c sink 0 b)
     ~stem:Circuit.would_cycle_stem
     ~dom:(fun c s ->
-      let mask, members = Circuit.dominated_region_members c s in
-      (mask, Array.to_list members))
+      let n = Circuit.num_nodes c in
+      let mask, members =
+        Circuit.with_dominated_region c s (fun region ->
+            let mask, members = region () in
+            (Array.sub mask 0 n, Array.to_list members))
+      in
+      if Circuit.dominated_region c s <> mask then
+        Alcotest.failf "node %d: dominated_region differs from the shared mask" s;
+      (mask, members))
 
 let reference_row c a =
   traversal_row c a ~reaches:ref_reaches ~pin:ref_would_cycle_pin

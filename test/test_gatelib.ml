@@ -108,85 +108,4 @@ let suite_base =
         QCheck_alcotest.to_alcotest prop_match_is_sound;
   ]
 
-(* ------------------------------------------------------------------ *)
-(* genlib parser                                                       *)
-(* ------------------------------------------------------------------ *)
-
-module Genlib = Gatelib.Genlib
-
-let sample_genlib =
-  {|# a tiny library
-GATE inv 928 O=!a;  PIN * INV 1.0 999 0.9 0.3 0.9 0.3
-GATE nand2 1392 O=!(a*b);  PIN * INV 1.0 999 1.0 0.2 1.0 0.2
-GATE aoi21 1856 O=!(a*b+c);
-  PIN a INV 1.1 999 1.2 0.4 1.0 0.2
-  PIN b INV 1.1 999 1.2 0.4 1.0 0.2
-  PIN c INV 1.3 999 1.2 0.4 1.0 0.2
-GATE zero 0 O=CONST0;
-GATE weird 100 O=a'*b + a b';  PIN * NONINV 1.0 999 1.0 0.1 1.0 0.1
-|}
-
-let test_genlib_parse () =
-  match Genlib.parse sample_genlib with
-  | Error e -> Alcotest.fail e
-  | Ok lib ->
-    Alcotest.(check int) "cells" 5 (List.length (Library.cells lib));
-    let inv = Library.find lib "inv" in
-    Alcotest.(check bool) "inv func" true
-      (Tt.equal inv.Cell.func (Tt.not_ (Tt.var 1 0)));
-    Alcotest.(check (float 1e-9)) "inv tau" 0.9 inv.Cell.tau;
-    Alcotest.(check (float 1e-9)) "inv drive" 0.3 inv.Cell.drive_res;
-    let aoi = Library.find lib "aoi21" in
-    Alcotest.(check int) "aoi arity" 3 (Cell.arity aoi);
-    Alcotest.(check (float 1e-9)) "aoi pin c cap" 1.3 aoi.Cell.pin_caps.(2);
-    (* weird uses postfix ' and juxtaposition: a'b + !ab' = a xor b *)
-    let weird = Library.find lib "weird" in
-    Alcotest.(check bool) "weird = xor" true
-      (Tt.equal weird.Cell.func (Tt.xor (Tt.var 2 0) (Tt.var 2 1)))
-
-let test_genlib_precedence () =
-  let text = "GATE g 1 O=a*b+c;  PIN * INV 1 999 1 0.1 1 0.1\n" in
-  match Genlib.parse text with
-  | Error e -> Alcotest.fail e
-  | Ok lib ->
-    let g = Library.find lib "g" in
-    let expected =
-      Tt.or_ (Tt.and_ (Tt.var 3 0) (Tt.var 3 1)) (Tt.var 3 2)
-    in
-    Alcotest.(check bool) "a*b+c" true (Tt.equal g.Cell.func expected)
-
-let test_genlib_errors () =
-  Alcotest.(check bool) "latch rejected" true
-    (Result.is_error (Genlib.parse "LATCH l 1 O=a;"));
-  Alcotest.(check bool) "garbage rejected" true
-    (Result.is_error (Genlib.parse "GATE g 1 O=a &&& b;"));
-  Alcotest.(check bool) "empty rejected" true (Result.is_error (Genlib.parse ""))
-
-let test_genlib_roundtrip () =
-  (* print lib2 and re-parse: every cell must come back with the same
-     function up to pin permutation, same area *)
-  let text = Genlib.to_genlib Library.lib2 in
-  match Genlib.parse text with
-  | Error e -> Alcotest.fail e
-  | Ok lib2' ->
-    List.iter
-      (fun (c : Cell.t) ->
-        let c' = Library.find lib2' c.Cell.name in
-        Alcotest.(check (float 1e-9)) (c.Cell.name ^ " area") c.Cell.area c'.Cell.area;
-        (* same function modulo input permutation *)
-        let tiny = Library.of_cells [ c' ] in
-        Alcotest.(check bool)
-          (c.Cell.name ^ " function")
-          true
-          (Library.match_tt tiny c.Cell.func <> []))
-      (Library.cells Library.lib2)
-
-let genlib_tests =
-  [
-    Alcotest.test_case "genlib parse" `Quick test_genlib_parse;
-    Alcotest.test_case "genlib precedence" `Quick test_genlib_precedence;
-    Alcotest.test_case "genlib errors" `Quick test_genlib_errors;
-    Alcotest.test_case "genlib roundtrip lib2" `Quick test_genlib_roundtrip;
-  ]
-
-let suite = [ ("gatelib", suite_base @ genlib_tests) ]
+let suite = [ ("gatelib", suite_base) ]

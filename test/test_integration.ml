@@ -123,10 +123,50 @@ let test_optimizer_report_consistency () =
   in
   Alcotest.(check int) "class counts sum" report.Optimizer.funnel.substitutions class_count
 
+(* Bad input is a user error at the command line too: a resume without
+   a checkpoint, a checkpoint file that is not one, and a report on a
+   missing or unparsable profile each exit 123 with one "powder_cli:"
+   line on stderr, never the 125 of an escaping exception. *)
+let test_cli_user_errors () =
+  (* dune runtest runs in the test directory, dune exec in the root *)
+  let cli, hostile =
+    if Sys.file_exists "../bin/powder_cli.exe" then ("../bin/powder_cli.exe", "hostile")
+    else ("_build/default/bin/powder_cli.exe", "test/hostile")
+  in
+  let not_ours = Filename.concat hostile "garbage_line.blif" in
+  let missing = Filename.concat hostile "missing.blif" in
+  let err = Filename.temp_file "powder_cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      List.iter
+        (fun args ->
+          let code =
+            Sys.command (Filename.quote_command cli args ~stdout:"/dev/null" ~stderr:err)
+          in
+          let lines =
+            In_channel.with_open_bin err In_channel.input_all
+            |> String.split_on_char '\n'
+            |> List.filter (( <> ) "")
+          in
+          let what = String.concat " " args in
+          Alcotest.(check int) (what ^ ": exit code") 123 code;
+          match lines with
+          | [ line ] when String.starts_with ~prefix:"powder_cli: " line -> ()
+          | _ -> Alcotest.failf "%s: stderr %S, want one powder_cli: line" what
+                   (String.concat "\n" lines))
+        [
+          [ "optimize"; "-c"; "rd84"; "--resume" ];
+          [ "optimize"; "-c"; "rd84"; "--resume"; "--checkpoint"; not_ours ];
+          [ "report"; missing ];
+          [ "report"; not_ours ];
+        ])
+
 let suite =
   [
     ( "integration",
       [
+        Alcotest.test_case "cli user errors exit 123" `Quick test_cli_user_errors;
         Alcotest.test_case "flow on exact circuits" `Slow test_flow_small_exact;
         Alcotest.test_case "flow on wide circuit" `Slow test_flow_wide;
         Alcotest.test_case "delay-constrained flow" `Slow test_flow_delay_constrained;

@@ -272,16 +272,60 @@ let fuzzed_gain_tests =
 
 let suite = suite @ [ ("powder-fuzzed-gain", fuzzed_gain_tests) ]
 
+(* The candidates the region tests score: every candidate of a first
+   cps generate, then of 30 fuzz netlists (their generated candidates
+   plus a random signal and inverted source per stem).  [on_set label
+   circ est substs] sees each set, and both the cps and the fuzz sets
+   must hold enough stem candidates. *)
+let on_region_cases on_set =
+  let stems =
+    List.filter (fun s ->
+        match s.Subst.target with Subst.Stem _ -> true | Subst.Branch _ -> false)
+  in
+  let cps =
+    match Circuits.Suite.find "cps" with
+    | Some spec -> Circuits.Suite.mapped spec
+    | None -> Alcotest.fail "cps is not in the suite"
+  in
+  let eng = Engine.create cps ~words:16 in
+  Engine.randomize_sharded ~seed:Optimizer.default_config.Optimizer.seed eng;
+  let est = Estimator.create eng in
+  let substs = List.map fst (Candidates.generate est) in
+  on_set "cps" cps est substs;
+  let cps_count = List.length (stems substs) in
+  let fuzz_count = ref 0 in
+  for seed = 1 to 30 do
+    let c = Fuzz.Gen.generate (Fuzz.Gen.spec_of_seed (Int64.of_int (700 + seed))) in
+    let eng = Engine.create c ~words:4 in
+    Engine.randomize eng (Sim.Rng.create (Int64.of_int seed));
+    let est = Estimator.create eng in
+    let rng = Random.State.make [| seed |] in
+    let nodes = Array.of_list (Circuit.pis c @ Circuit.live_gates c) in
+    let random =
+      List.concat_map
+        (fun a ->
+          let b = nodes.(Random.State.int rng (Array.length nodes)) in
+          [ { Subst.target = Subst.Stem a; source = Subst.Signal b };
+            { Subst.target = Subst.Stem a; source = Subst.Inverted b } ])
+        (Circuit.live_gates c)
+    in
+    let substs = List.map fst (Candidates.generate est) @ random in
+    on_set (Printf.sprintf "fuzz seed %d" seed) c est substs;
+    fuzz_count := !fuzz_count + List.length (stems substs)
+  done;
+  (* 443 and 2515 today *)
+  Alcotest.(check bool) "cps stem candidates compared" true (cps_count > 400);
+  Alcotest.(check bool) "fuzzed stem candidates compared" true (!fuzz_count > 2000)
+
+let gain_bits g = (Int64.bits_of_float g.Subst.pg_a, Int64.bits_of_float g.Subst.pg_b)
+
 (* [gain_ab] over the shared per-domain region mask of
    [Circuit.with_dominated_region] gives the floats of a fresh
-   [dominated_region_members] mask, bit for bit, on every stem
-   candidate of a first cps generate and of fuzzed netlists (their
-   generated candidates plus a random signal and inverted source per
-   stem); the shared mask is all false after every call, also after a
-   callback that raises or a refused nested call. *)
+   [Circuit.dominated_region] mask, with members read off that mask,
+   bit for bit, on every stem of {!on_region_cases}; the shared mask is
+   all false after every call, also after a callback that raises or a
+   refused nested call. *)
 let test_shared_region_mask () =
-  let compared = ref 0 in
-  let bits g = (Int64.bits_of_float g.Subst.pg_a, Int64.bits_of_float g.Subst.pg_b) in
   (* the mask a later call sees holds exactly that call's members *)
   let clean circ what =
     match Circuit.live_gates circ with
@@ -302,7 +346,13 @@ let test_shared_region_mask () =
         match s.Subst.target with
         | Subst.Branch _ -> ()
         | Subst.Stem a ->
-          let fresh = Subst.gain_ab ~dom:(Circuit.dominated_region_members circ a) est s in
+          let mask = Circuit.dominated_region circ a in
+          let members =
+            List.init (Array.length mask) Fun.id
+            |> List.filter (fun i -> mask.(i))
+            |> Array.of_list
+          in
+          let fresh = Subst.gain_ab ~dom:(mask, members) est s in
           let shared =
             Circuit.with_dominated_region circ a (fun region ->
                 Subst.gain_ab ~dom:(region ()) est s)
@@ -310,10 +360,10 @@ let test_shared_region_mask () =
           clean label;
           let unshared = Subst.gain_ab est s in
           clean label;
-          if bits fresh <> bits shared || bits fresh <> bits unshared then
+          if gain_bits fresh <> gain_bits shared || gain_bits fresh <> gain_bits unshared
+          then
             Alcotest.failf "%s: %s gains differ between masks" label
-              (Subst.describe circ s);
-          incr compared)
+              (Subst.describe circ s))
       substs;
     (match Circuit.live_gates circ with
     | [] -> ()
@@ -334,43 +384,62 @@ let test_shared_region_mask () =
       | () -> Alcotest.failf "%s: a nested region was not refused" label
       | exception Invalid_argument _ -> clean (label ^ " after a nested call")))
   in
-  let cps =
-    match Circuits.Suite.find "cps" with
-    | Some spec -> Circuits.Suite.mapped spec
-    | None -> Alcotest.fail "cps is not in the suite"
+  on_region_cases compare_on
+
+(* Equation 3 written out over the whole circuit: Dom(a) minus
+   TFI(root) and root for each source cone root inside it, then the
+   region's stems' power and the relief at its inputs, both summed by
+   a scan in ascending id order. *)
+let whole_circuit_pg_a est s a =
+  let circ = Estimator.circuit est in
+  let dom = Circuit.dominated_region circ a in
+  let keep root =
+    if dom.(root) then
+      Array.iteri
+        (fun id t -> if t || id = root then dom.(id) <- false)
+        (Circuit.tfi circ root)
   in
-  let eng = Engine.create cps ~words:16 in
-  Engine.randomize_sharded ~seed:Optimizer.default_config.Optimizer.seed eng;
-  let est = Estimator.create eng in
-  compare_on "cps" cps est (List.map fst (Candidates.generate est));
-  let cps_count = !compared in
-  for seed = 1 to 30 do
-    let c = Fuzz.Gen.generate (Fuzz.Gen.spec_of_seed (Int64.of_int (700 + seed))) in
-    let eng = Engine.create c ~words:4 in
-    Engine.randomize eng (Sim.Rng.create (Int64.of_int seed));
-    let est = Estimator.create eng in
-    let rng = Random.State.make [| seed |] in
-    let nodes = Array.of_list (Circuit.pis c @ Circuit.live_gates c) in
-    let random =
-      List.concat_map
-        (fun a ->
-          let b = nodes.(Random.State.int rng (Array.length nodes)) in
-          [ { Subst.target = Subst.Stem a; source = Subst.Signal b };
-            { Subst.target = Subst.Stem a; source = Subst.Inverted b } ])
-        (Circuit.live_gates c)
-    in
-    compare_on (Printf.sprintf "fuzz seed %d" seed) c est
-      (List.map fst (Candidates.generate est) @ random)
+  (match Subst.plan_of circ s with
+  | Subst.P_existing v -> keep v
+  | Subst.P_new_inv b -> keep b
+  | Subst.P_new_gate (_, b, d) ->
+    keep b;
+    keep d);
+  let power = ref 0.0 and relief = ref 0.0 in
+  for id = 0 to Circuit.num_nodes circ - 1 do
+    if Circuit.is_live circ id && dom.(id) then
+      power := !power +. Estimator.node_power est id
   done;
-  (* 443 and 2515 today *)
-  Alcotest.(check bool) "cps stem candidates compared" true (cps_count > 400);
-  Alcotest.(check bool) "fuzzed stem candidates compared" true
-    (!compared - cps_count > 2000)
+  for id = 0 to Circuit.num_nodes circ - 1 do
+    let into = List.filter (fun p -> dom.(p.Circuit.sink)) (Circuit.fanouts circ id) in
+    if Circuit.is_live circ id && (not dom.(id)) && into <> [] then
+      relief :=
+        !relief
+        +. (List.fold_left (fun c p -> c +. Circuit.pin_cap circ p) 0.0 into
+           *. Estimator.transition_prob est id)
+  done;
+  !power +. !relief
+
+let test_pg_a_whole_circuit () =
+  on_region_cases (fun label circ est substs ->
+      List.iter
+        (fun s ->
+          match s.Subst.target with
+          | Subst.Branch _ -> ()
+          | Subst.Stem a ->
+            let want = whole_circuit_pg_a est s a in
+            let got = (Subst.gain_ab est s).Subst.pg_a in
+            if Int64.bits_of_float got <> Int64.bits_of_float want then
+              Alcotest.failf "%s: %s PG_A %h, whole-circuit Equation 3 %h" label
+                (Subst.describe circ s) got want)
+        substs)
 
 let suite =
   suite
   @ [
       ( "powder-region-mask",
         [ Alcotest.test_case "shared region mask == fresh mask" `Quick
-            test_shared_region_mask ] );
+            test_shared_region_mask;
+          Alcotest.test_case "PG_A == whole-circuit Equation 3" `Quick
+            test_pg_a_whole_circuit ] );
     ]

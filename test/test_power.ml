@@ -48,8 +48,11 @@ let test_po_nodes_not_counted () =
 let test_region_power () =
   let c, ab, abc, out = Build.redundant_and () in
   let est = make_estimator c in
-  let dom = Circuit.dominated_region c abc in
-  let region = Estimator.region_power est dom in
+  let region =
+    Circuit.with_dominated_region c abc (fun region ->
+        let dom, members = region () in
+        Estimator.region_power est dom members)
+  in
   (* region is abc + nc + pi c (whose only fanout is nc) *)
   let named n =
     match Circuit.find_by_name c n with
@@ -66,12 +69,32 @@ let test_region_power () =
 let test_region_input_relief () =
   let c, ab, abc, _ = Build.redundant_and () in
   let est = make_estimator c in
-  let dom = Circuit.dominated_region c abc in
   (* the only region input is ab, contributing its pin into abc (and2
      pin = 1.0); pi c lies inside the region *)
   let expected = 1.0 *. Estimator.transition_prob est ab in
-  Alcotest.(check (float 1e-9)) "relief" expected
-    (Estimator.region_input_relief est dom)
+  let named n =
+    match Circuit.find_by_name c n with
+    | Some id -> id
+    | None -> Alcotest.fail ("missing node " ^ n)
+  in
+  Circuit.with_dominated_region c abc (fun region ->
+      let dom, members = region () in
+      Alcotest.(check (float 1e-9)) "relief" expected
+        (Estimator.region_input_relief est dom members);
+      (* cleared members (a kept source cone: nc and its fanin c) drop
+         out of the power sum, and nc becomes an input: abc's two and2
+         pins (1.0 each) now relieve ab and nc *)
+      let nc = named "nc" and ci = named "c" in
+      dom.(nc) <- false;
+      dom.(ci) <- false;
+      Alcotest.(check (float 1e-9)) "relief around a kept cone"
+        (expected +. (1.0 *. Estimator.transition_prob est nc))
+        (Estimator.region_input_relief est dom members);
+      Alcotest.(check (float 1e-9)) "power around a kept cone"
+        (Estimator.node_power est abc)
+        (Estimator.region_power est dom members);
+      dom.(nc) <- true;
+      dom.(ci) <- true)
 
 let test_watts_scale () =
   let c = Build.parity_chain 3 in
