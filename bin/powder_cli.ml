@@ -109,19 +109,12 @@ let delay_mode =
 
 let classes =
   let parse s =
-    let of_name = function
-      | "os2" -> Ok Powder.Subst.Os2
-      | "is2" -> Ok Powder.Subst.Is2
-      | "os3" -> Ok Powder.Subst.Os3
-      | "is3" -> Ok Powder.Subst.Is3
-      | other -> Error (`Msg ("unknown class " ^ other))
-    in
     let rec go acc = function
       | [] -> Ok (List.rev acc)
       | x :: rest -> (
-        match of_name (String.lowercase_ascii x) with
-        | Ok k -> go (k :: acc) rest
-        | Error _ as e -> e)
+        match Powder.Subst.klass_of_name x with
+        | Some k -> go (k :: acc) rest
+        | None -> Error (`Msg ("unknown class " ^ String.lowercase_ascii x)))
     in
     go [] (String.split_on_char ',' s)
   in
@@ -364,9 +357,16 @@ let run_reported a ~seed ~options ~pp ~to_json run =
   | None -> ());
   report
 
+(* A checkpoint sink puts a barrier in every round, which can change
+   results, so it is part of the hashed run-manifest options; plain runs
+   add nothing, keeping their manifests as they were. *)
+let checkpoint_option = function
+  | None -> []
+  | Some _ -> [ ("checkpoint", "on") ]
+
 let optimize_cmd =
   let run a out_file delay verify metrics check_seconds round_seconds
-      checkpoint resume verify_applies checkpoint_every =
+      checkpoint resume verify_applies =
     let circ = a.load () in
     let original = Circuit.clone circ in
     (* A missing checkpoint file with --resume just starts fresh — that
@@ -392,10 +392,6 @@ let optimize_cmd =
         round_seconds;
         verify_applies;
         checkpoint_sink = Option.map Powder.Checkpoint.save checkpoint;
-        checkpoint_every =
-          (if checkpoint_every > 0 then checkpoint_every
-           else if checkpoint <> None then 1
-           else 0);
       }
     in
     (* a resumed run continues on the checkpoint's seed; the manifest
@@ -408,14 +404,18 @@ let optimize_cmd =
     let _report : Optimizer.report =
       run_reported a ~seed
         ~options:
-          [
+          ([
             ("delay", delay_to_string delay);
             ("verify_applies", string_of_bool verify_applies);
             ("check_seconds", opt_str string_of_float check_seconds);
             ("round_seconds", opt_str string_of_float round_seconds);
           ]
+          @ checkpoint_option checkpoint)
         ~pp:Optimizer.pp_report ~to_json:Optimizer.report_to_json
-        (fun () -> Optimizer.optimize ~config ?resume:resume_ck circ)
+        (fun () ->
+          try Optimizer.optimize ~config ?resume:resume_ck circ
+          with Optimizer.Bad_checkpoint m ->
+            input_error (Option.value checkpoint ~default:"-" ^ ": " ^ m))
     in
     if verify then begin
       match Atpg.Equiv.check ~exhaustive_limit:16 original circ with
@@ -453,8 +453,12 @@ let optimize_cmd =
   in
   let checkpoint =
     Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE"
-           ~doc:"Save a resumable checkpoint (atomically) every \
-                 $(b,--checkpoint-every) rounds.")
+           ~doc:"Save a resumable checkpoint (atomically) after every round. \
+                 Each round then ends in a canonicalization barrier (the \
+                 netlist is renumbered), so a checkpointing run is a \
+                 different, equally valid run from a plain one; only a \
+                 resume of it reproduces it byte for byte.  The manifest \
+                 records checkpoint=on.")
   in
   let resume =
     Arg.(value & flag & info [ "resume" ]
@@ -468,16 +472,10 @@ let optimize_cmd =
                  journal and independent re-simulation; mismatches are \
                  rolled back (default true).")
   in
-  let checkpoint_every =
-    Arg.(value & opt int 0 & info [ "checkpoint-every" ] ~docv:"N"
-           ~doc:"Checkpoint cadence in rounds (default 1 when \
-                 $(b,--checkpoint) is given).")
-  in
   Cmd.v
     (Cmd.info "optimize" ~doc:"Reduce power by permissible substitutions (POWDER).")
     Term.(const run $ run_args $ out_file $ delay_mode $ verify $ metrics
-          $ check_seconds $ round_seconds $ checkpoint $ resume $ verify_applies
-          $ checkpoint_every)
+          $ check_seconds $ round_seconds $ checkpoint $ resume $ verify_applies)
 
 (* ------------------------------------------------------------------ *)
 (* pareto: power/delay frontier exploration.                           *)
@@ -489,12 +487,13 @@ let pareto_cmd =
     let _report : Pareto.Sweep.report =
       run_reported a ~seed:a.config.Optimizer.seed
         ~options:
-          [
-            ("mode", "pareto");
-            ( "constraints",
-              String.concat ","
-                (List.map Pareto.Sweep.spec_to_string constraints) );
-          ]
+          ([
+             ("mode", "pareto");
+             ( "constraints",
+               String.concat ","
+                 (List.map Pareto.Sweep.spec_to_string constraints) );
+           ]
+          @ checkpoint_option checkpoint_dir)
         ~pp:Pareto.Sweep.pp ~to_json:Pareto.Sweep.to_json
         (fun () ->
           (* fresh circuit per point: each constraint optimizes its own copy *)
@@ -524,9 +523,13 @@ let pareto_cmd =
   let checkpoint_dir =
     Arg.(value & opt (some string) None & info [ "checkpoint-dir" ] ~docv:"DIR"
            ~doc:"Per-point crash recovery: each constraint checkpoints to \
-                 DIR/point-LABEL.json and an existing checkpoint there is \
-                 resumed, so re-running an interrupted sweep redoes only the \
-                 unfinished points.")
+                 DIR/point-LABEL.json after every round and an existing \
+                 checkpoint there is resumed, so re-running an interrupted \
+                 sweep redoes only the unfinished points; a checkpoint that \
+                 is corrupt or of another circuit restarts its point.  Each \
+                 round then ends in a canonicalization barrier, so the sweep \
+                 is a different, equally valid run from one without \
+                 $(b,--checkpoint-dir).  The manifest records checkpoint=on.")
   in
   Cmd.v
     (Cmd.info "pareto"

@@ -137,20 +137,22 @@ stage_smoke() {
 
   echo "== smoke: checkpoint round-trip (kill after 3 rounds, resume) =="
   ck=$(mktemp /tmp/powder_ci_ck_XXXXXX.json)
+  ref_ck=$(mktemp /tmp/powder_ci_refck_XXXXXX.json)
   full_json=$(mktemp /tmp/powder_ci_full_XXXXXX.json)
   resumed_json=$(mktemp /tmp/powder_ci_res_XXXXXX.json)
-  # reference: uninterrupted 6-round run checkpointing every 3 rounds
+  # reference: uninterrupted 6-round checkpointing run (a checkpoint
+  # sink puts a barrier in every round, which a plain run does not have)
   hard_timeout 300 dune exec bin/powder_cli.exe -- optimize --circuit alu2 \
-    --max-rounds 6 --checkpoint-every 3 --json "$full_json" >/dev/null
+    --max-rounds 6 --checkpoint "$ref_ck" --json "$full_json" >/dev/null
   # interrupted: stop after 3 rounds (the checkpoint survives), resume to 6
   rm -f "$ck"
   hard_timeout 300 dune exec bin/powder_cli.exe -- optimize --circuit alu2 \
-    --max-rounds 3 --checkpoint "$ck" --checkpoint-every 3 >/dev/null
+    --max-rounds 3 --checkpoint "$ck" >/dev/null
   hard_timeout 300 dune exec bin/powder_cli.exe -- optimize --circuit alu2 \
-    --max-rounds 6 --checkpoint "$ck" --checkpoint-every 3 --resume \
+    --max-rounds 6 --checkpoint "$ck" --resume \
     --json "$resumed_json" >/dev/null
   dune exec bin/json_check.exe -- --compare-reports "$full_json" "$resumed_json"
-  rm -f "$ck" "$full_json" "$resumed_json"
+  rm -f "$ck" "$ref_ck" "$full_json" "$resumed_json"
 
   echo "== smoke: pareto checkpoint round-trip (stop after 1 round, re-run) =="
   # Each sweep point checkpoints every round; a re-run over the same
@@ -340,8 +342,10 @@ stage_smoke() {
   # exist) is a user error: exactly one "powder_cli: ..." line on
   # stderr and exit 123, never the 125 of an escaping exception.  So
   # are --resume without --checkpoint, a --checkpoint file that is not
-  # a checkpoint, and a report on a missing or unparsable profile.
+  # a checkpoint, a checkpoint of another circuit, and a report on a
+  # missing or unparsable profile.
   err_txt=$(mktemp /tmp/powder_ci_err_XXXXXX.txt)
+  other_ck=$(mktemp /tmp/powder_ci_other_XXXXXX.json)
   user_error() {
     set +e
     hard_timeout 60 "$cli" "$@" >/dev/null 2>"$err_txt"
@@ -361,9 +365,12 @@ stage_smoke() {
   done
   user_error optimize -c rd84 --resume
   user_error optimize -c rd84 --resume --checkpoint test/hostile/garbage_line.blif
+  hard_timeout 60 "$cli" optimize -c rd84 --max-rounds 1 \
+    --checkpoint "$other_ck" >/dev/null
+  user_error optimize -c C880 --resume --checkpoint "$other_ck"
   user_error report test/hostile/missing.blif
   user_error report test/hostile/garbage_line.blif
-  rm -f "$err_txt"
+  rm -f "$err_txt" "$other_ck"
 }
 
 # ------------------------------------------------------------------ #

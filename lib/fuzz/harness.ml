@@ -96,8 +96,6 @@ let opt_config ~case_seed ~words ~verify =
     max_rounds = 4;
     max_substitutions = 50;
     verify_applies = verify;
-    checkpoint_every = 0;
-    checkpoint_sink = None;
     check_seconds = Some 2.0;
     round_seconds = None;
     run_seconds = Some 10.0;

@@ -82,13 +82,16 @@ let run ?(config = Optimizer.default_config) ?(specs = default_specs) ?(jobs = 1
         jobs = 1;
         checkpoint_sink =
           Option.map (fun (s : Checkpoint.store) -> s.save key) checkpoint;
-        checkpoint_every =
-          (match checkpoint with
-          | Some _ when config.Optimizer.checkpoint_every <= 0 -> 1
-          | _ -> config.Optimizer.checkpoint_every);
       }
     in
-    let r = Optimizer.optimize ~config:cfg ?resume circ in
+    (* a checkpoint the optimizer refuses (another circuit's, or one
+       whose netlist does not parse) is ignored like a corrupt one: it
+       refuses before touching [circ], so the point restarts on it *)
+    let r =
+      match Optimizer.optimize ~config:cfg ?resume circ with
+      | r -> r
+      | exception Optimizer.Bad_checkpoint _ -> Optimizer.optimize ~config:cfg circ
+    in
     Obs.Metrics.incr m_points;
     (label, r, point_of spec r)
   in

@@ -57,14 +57,18 @@ val run :
     fans the points out over a {!Par.Pool}.
 
     [checkpoint] makes each point crash-resumable: point [s]
-    checkpoints to the store's key [point-<label>] ([checkpoint_every]
-    defaults to 1 if the config left it at 0; with
+    checkpoints every round to the store's key [point-<label>] (with
     {!Powder.Checkpoint.dir_store} that is the file
     [dir/point-<label>.json]), and an existing loadable checkpoint
     under that key is resumed — so re-running an
     interrupted sweep redoes only the unfinished points and produces
-    the same report as an uninterrupted run.  A corrupt or
-    version-mismatched checkpoint is ignored and the point restarts.
+    the same report as an uninterrupted checkpointing sweep.  A sweep
+    with [checkpoint] is a different, equally valid run from one
+    without: every round is a canonicalization barrier (see
+    [Optimizer.config]'s [checkpoint_sink]).  A corrupt or
+    version-mismatched checkpoint, or one of another circuit
+    ({!Powder.Optimizer.Bad_checkpoint}), is ignored and the point
+    restarts.
 
     Telemetry: the sweep runs inside a [pareto.sweep] span with one
     [pareto.point] child span per constraint; counters

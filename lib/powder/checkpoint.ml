@@ -8,9 +8,6 @@ let magic = "powder-checkpoint"
 type t = {
   round : int;
   status : string;
-      (** ["running"] while the loop was still live at save time;
-          otherwise the final [stopped_by] label — resume returns the
-          finished report instead of re-running an empty round *)
   substitutions : int;
   seed : int64;
   blif : string;
@@ -34,13 +31,10 @@ type t = {
   window_escalated : int;
   giveup_breakdown : (string * int) list;
   by_class : (string * (int * float * float)) list;
-      (** class name -> (accepted, power_gain, area_gain) *)
   initial_power : float;
   initial_area : float;
   initial_delay : float;
   initial_glitch_power : float option;
-      (** measured at the original run start under [--cost glitch];
-          [None] under the zero-delay cost model *)
   degradation_level : int;
 }
 

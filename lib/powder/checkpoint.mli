@@ -2,12 +2,13 @@
     run, serialized as a single JSON object (the netlist rides along as
     an embedded BLIF string).
 
-    Determinism contract: the optimizer re-canonicalizes its own state
-    (serialize -> reparse -> rebuild engines -> replay counterexamples)
-    at every checkpoint boundary, because a BLIF round-trip renumbers
-    nodes and candidate generation iterates in node-id order.  A run
-    resumed from a checkpoint therefore continues exactly like an
-    uninterrupted run that checkpoints at the same cadence. *)
+    Determinism contract: a run with a checkpoint sink re-canonicalizes
+    its own state (serialize -> reparse -> rebuild engines -> replay
+    counterexamples) after every round, because a BLIF round-trip
+    renumbers nodes and candidate generation iterates in node-id order.
+    A run resumed from any of its checkpoints therefore continues
+    exactly like the uninterrupted checkpointing run (not like a plain
+    run, which takes no barrier). *)
 
 type t = {
   round : int;

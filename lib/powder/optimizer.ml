@@ -29,7 +29,6 @@ type config = {
   round_seconds : float option;
   run_seconds : float option;
   verify_applies : bool;
-  checkpoint_every : int;
   checkpoint_sink : (Checkpoint.t -> unit) option;
   jobs : int;
   window : int option;
@@ -53,7 +52,6 @@ let default_config =
     round_seconds = None;
     run_seconds = None;
     verify_applies = true;
-    checkpoint_every = 0;
     checkpoint_sink = None;
     jobs = 1;
     window = None;
@@ -85,50 +83,6 @@ type funnel = {
   mutable window_proved : int;
   mutable window_escalated : int;
 }
-
-let funnel_of_checkpoint (ck : Checkpoint.t) =
-  {
-    rounds = ck.round;
-    substitutions = ck.substitutions;
-    candidates_generated = ck.candidates_generated;
-    checks_run = ck.checks_run;
-    rejected_by_delay = ck.rejected_by_delay;
-    rejected_by_atpg = ck.rejected_by_atpg;
-    rejected_by_giveup = ck.rejected_by_giveup;
-    rejected_by_timeout = ck.rejected_by_timeout;
-    rejected_by_cex = ck.rejected_by_cex;
-    sig_hits = ck.sig_hits;
-    sig_filtered = ck.sig_filtered;
-    sig_resim_nodes = ck.sig_resim_nodes;
-    is3_candidates = ck.is3_candidates;
-    rolled_back = ck.rolled_back;
-    verified_applies = ck.verified_applies;
-    window_checks = ck.window_checks;
-    window_proved = ck.window_proved;
-    window_escalated = ck.window_escalated;
-  }
-
-let zero_funnel () =
-  {
-    rounds = 0;
-    substitutions = 0;
-    candidates_generated = 0;
-    checks_run = 0;
-    rejected_by_delay = 0;
-    rejected_by_atpg = 0;
-    rejected_by_giveup = 0;
-    rejected_by_timeout = 0;
-    rejected_by_cex = 0;
-    sig_hits = 0;
-    sig_filtered = 0;
-    sig_resim_nodes = 0;
-    is3_candidates = 0;
-    rolled_back = 0;
-    verified_applies = 0;
-    window_checks = 0;
-    window_proved = 0;
-    window_escalated = 0;
-  }
 
 type report = {
   initial_power : float;
@@ -212,9 +166,6 @@ let still_valid circ (s : Subst.t) =
     | Subst.Gate2 (_, b, c) -> node_ok b && node_ok c
   in
   target_ok && source_ok
-
-let klass_of_name name =
-  List.find_opt (fun k -> String.equal (Subst.klass_name k) name) Subst.all_klasses
 
 (* Consecutive per-check deadline expiries before the degradation
    ladder escalates one level. *)
@@ -319,61 +270,180 @@ let build_state ~config ~constraint_ ~cex circ =
   in
   { est; cex_eng; sigstore; guard; factors; sta; sta_cursor = Circuit.edit_cursor circ }
 
+exception Bad_checkpoint of string
+
+let interface c =
+  let names ids = List.sort compare (List.map (Circuit.name c) ids) in
+  (names (Circuit.pis c), names (Circuit.pos c))
+
 (* Overwrite [circ] in place, keeping the caller's handle valid, with
-   the netlist a BLIF string describes. *)
+   the netlist a BLIF string describes.  A netlist with other PI or PO
+   names is another circuit's and is refused before [circ] is touched. *)
 let load_blif circ blif =
+  let refuse m = raise (Bad_checkpoint ("checkpoint " ^ m)) in
   match Blif.Blif_io.circuit_of_string (Circuit.library circ) blif with
+  | Error e -> refuse ("netlist does not parse: " ^ Blif.Blif_io.error_to_string e)
+  | Ok c2 when interface c2 <> interface circ ->
+    refuse "of another circuit (its PI/PO names differ from the input's)"
   | Ok c2 -> Circuit.overwrite circ c2
-  | Error e ->
-    invalid_arg
-      ("Optimizer: cannot load checkpoint netlist: "
-      ^ Blif.Blif_io.error_to_string e)
+
+(* The loop's restorable state: everything a checkpoint carries besides
+   the netlist, the seed and the initial measurements.  [of_checkpoint]
+   and [to_checkpoint] are its only conversions. *)
+type progress = {
+  funnel : funnel;
+  by_class : (Subst.klass, class_stats) Hashtbl.t;
+  giveups : (string, int) Hashtbl.t;  (* keyed "engine/limit" *)
+  mutable degradation : int;
+  mutable running : bool;  (* false once the loop has decided to stop *)
+  mutable stopped_by : string;
+  mutable cex : (string * bool) list list;  (* newest first *)
+}
+
+(* A checkpoint taken after the loop decided to stop marks the run
+   finished: its progress is not [running], so resuming it reproduces
+   the finished report instead of running one more (empty) round. *)
+let of_checkpoint (ck : Checkpoint.t) =
+  let by_class = Hashtbl.create 4 in
+  List.iter
+    (fun k ->
+      Hashtbl.replace by_class k { accepted = 0; power_gain = 0.0; area_gain = 0.0 })
+    Subst.all_klasses;
+  List.iter
+    (fun (name, (accepted, power_gain, area_gain)) ->
+      Option.iter
+        (fun k -> Hashtbl.replace by_class k { accepted; power_gain; area_gain })
+        (Subst.klass_of_name name))
+    ck.by_class;
+  let giveups = Hashtbl.create 8 in
+  List.iter (fun (k, n) -> Hashtbl.replace giveups k n) ck.giveup_breakdown;
+  let running = String.equal ck.status "running" in
+  {
+    funnel =
+      {
+        rounds = ck.round;
+        substitutions = ck.substitutions;
+        candidates_generated = ck.candidates_generated;
+        checks_run = ck.checks_run;
+        rejected_by_delay = ck.rejected_by_delay;
+        rejected_by_atpg = ck.rejected_by_atpg;
+        rejected_by_giveup = ck.rejected_by_giveup;
+        rejected_by_timeout = ck.rejected_by_timeout;
+        rejected_by_cex = ck.rejected_by_cex;
+        sig_hits = ck.sig_hits;
+        sig_filtered = ck.sig_filtered;
+        sig_resim_nodes = ck.sig_resim_nodes;
+        is3_candidates = ck.is3_candidates;
+        rolled_back = ck.rolled_back;
+        verified_applies = ck.verified_applies;
+        window_checks = ck.window_checks;
+        window_proved = ck.window_proved;
+        window_escalated = ck.window_escalated;
+      };
+    by_class;
+    giveups;
+    degradation = ck.degradation_level;
+    running;
+    stopped_by = (if running then "converged" else ck.status);
+    cex = List.rev ck.cex;
+  }
+
+let giveup_breakdown p =
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) p.giveups [])
+
+(* Round 0's checkpoint ([None]: nothing counted, logged or stopped
+   yet) and every barrier's.  The status is the raw stop reason, never
+   the promoted one: "converged" at a round cap means different things
+   to different resumers (a slice driver's per-slice cap is not the
+   job's), so the promotion into max_substitutions / max_rounds happens
+   at report time against the resuming config's own bounds. *)
+let to_checkpoint ~seed ~initial ~blif (p : progress option) : Checkpoint.t =
+  let initial_power, initial_area, initial_delay, initial_glitch_power = initial in
+  let count get = match p with Some p -> get p.funnel | None -> 0 in
+  let of_progress none some = match p with Some p -> some p | None -> none in
+  {
+    round = count (fun f -> f.rounds);
+    status =
+      of_progress "running" (fun p -> if p.running then "running" else p.stopped_by);
+    substitutions = count (fun f -> f.substitutions);
+    seed;
+    blif;
+    cex = of_progress [] (fun p -> List.rev p.cex);
+    cex_cursor = of_progress 0 (fun p -> List.length p.cex);
+    candidates_generated = count (fun f -> f.candidates_generated);
+    checks_run = count (fun f -> f.checks_run);
+    rejected_by_delay = count (fun f -> f.rejected_by_delay);
+    rejected_by_atpg = count (fun f -> f.rejected_by_atpg);
+    rejected_by_giveup = count (fun f -> f.rejected_by_giveup);
+    rejected_by_timeout = count (fun f -> f.rejected_by_timeout);
+    rejected_by_cex = count (fun f -> f.rejected_by_cex);
+    sig_hits = count (fun f -> f.sig_hits);
+    sig_filtered = count (fun f -> f.sig_filtered);
+    sig_resim_nodes = count (fun f -> f.sig_resim_nodes);
+    is3_candidates = count (fun f -> f.is3_candidates);
+    rolled_back = count (fun f -> f.rolled_back);
+    verified_applies = count (fun f -> f.verified_applies);
+    window_checks = count (fun f -> f.window_checks);
+    window_proved = count (fun f -> f.window_proved);
+    window_escalated = count (fun f -> f.window_escalated);
+    giveup_breakdown = of_progress [] giveup_breakdown;
+    by_class =
+      of_progress [] (fun p ->
+          List.map
+            (fun k ->
+              let st = Hashtbl.find p.by_class k in
+              (Subst.klass_name k, (st.accepted, st.power_gain, st.area_gain)))
+            Subst.all_klasses);
+    initial_power;
+    initial_area;
+    initial_delay;
+    initial_glitch_power;
+    degradation_level = of_progress 0 (fun p -> p.degradation);
+  }
+
+(* The one start path.  A fresh run starts from round 0's checkpoint,
+   measured on the caller's circuit, which it keeps (so that checkpoint
+   carries no BLIF).  A resume starts from the saved one: only it
+   reloads the circuit, from the checkpoint's BLIF, and
+   the initial measurements (hence the delay constraint) carry over
+   from the run it continues.  Either way the state comes from the
+   build every barrier makes, on the checkpoint's seed and log. *)
+let start ~config ?resume circ =
+  match resume with
+  | Some (ck : Checkpoint.t) ->
+    load_blif circ ck.blif;
+    let config = { config with seed = ck.seed } in
+    ( ck,
+      build_state ~config
+        ~constraint_:(delay_constraint config ck.initial_delay)
+        ~cex:ck.cex circ )
+  | None ->
+    let d =
+      Trace.with_span "sta" (fun () -> Timing.circuit_delay (Timing.analyze circ))
+    in
+    let glitch = measure_glitch config circ in
+    let st =
+      build_state ~config ~constraint_:(delay_constraint config d) ~cex:[] circ
+    in
+    let initial = (Estimator.total st.est, Circuit.area circ, d, glitch) in
+    (to_checkpoint ~seed:config.seed ~initial ~blif:"" None, st)
 
 let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
   let t0 = Obs.Clock.now () in
-  (* every simulation stream derives from the seed, so a resumed run
-     must continue on the checkpoint's, whatever the caller passed *)
-  let config =
-    match resume with
-    | Some (ck : Checkpoint.t) -> { config with seed = ck.seed }
-    | None -> config
-  in
   (* span histograms are process-global; remember their current sums so
      this run's phase breakdown is a delta, not a lifetime total *)
   let phase_base = List.map (fun n -> (n, Trace.span_seconds n)) phase_names in
   let log = Logs.debug in
-  (* The counterexample log, newest first: checkpoints carry it and
-     every build replays it. *)
-  let cex_log = ref [] and cex_count = ref 0 in
-  let build constraint_ =
-    build_state ~config ~constraint_ ~cex:(List.rev !cex_log) circ
+  let ck, st = start ~config ?resume circ in
+  (* every simulation stream derives from the seed, so a resumed run
+     continues on the checkpoint's, whatever the caller passed *)
+  let config = { config with seed = ck.seed } in
+  let initial =
+    (ck.initial_power, ck.initial_area, ck.initial_delay, ck.initial_glitch_power)
   in
-  (* A resume is a barrier: the circuit comes from the checkpoint's
-     BLIF, the log from the checkpoint, and the state from the same
-     build the uninterrupted run made there.  The initial measurements
-     (hence the delay constraint) carry over from the run it continues;
-     a fresh run takes them from the input circuit. *)
-  let (initial_power, initial_area, initial_delay, initial_glitch_power), st =
-    match resume with
-    | Some ck ->
-      load_blif circ ck.Checkpoint.blif;
-      cex_log := List.rev ck.Checkpoint.cex;
-      cex_count := List.length ck.Checkpoint.cex;
-      let d = ck.Checkpoint.initial_delay in
-      ( ( ck.Checkpoint.initial_power,
-          ck.Checkpoint.initial_area,
-          d,
-          ck.Checkpoint.initial_glitch_power ),
-        build (delay_constraint config d) )
-    | None ->
-      let d =
-        Trace.with_span "sta" (fun () -> Timing.circuit_delay (Timing.analyze circ))
-      in
-      let glitch = measure_glitch config circ in
-      let st = build (delay_constraint config d) in
-      ((Estimator.total st.est, Circuit.area circ, d, glitch), st)
-  in
-  let constraint_ = delay_constraint config initial_delay in
+  let constraint_ = delay_constraint config ck.initial_delay in
+  let p = of_checkpoint ck in
+  let f = p.funnel in
   let st = ref st in
   (* Incremental STA: each accept pulls the edit-log suffix since the
      snapshot and updates only the affected cone.  Rolled-back applies
@@ -388,23 +458,14 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
         | None -> s.sta <- Timing.analyze ?required_time:constraint_ circ);
         s.sta_cursor <- Circuit.edit_cursor circ)
   in
-  let stats = Hashtbl.create 4 in
-  List.iter
-    (fun k -> Hashtbl.add stats k { accepted = 0; power_gain = 0.0; area_gain = 0.0 })
-    Subst.all_klasses;
-  let f =
-    match resume with Some ck -> funnel_of_checkpoint ck | None -> zero_funnel ()
-  in
-  let giveups : (string, int) Hashtbl.t = Hashtbl.create 8 in
   let bump_giveup key =
-    Hashtbl.replace giveups key
-      (1 + Option.value ~default:0 (Hashtbl.find_opt giveups key))
+    Hashtbl.replace p.giveups key
+      (1 + Option.value ~default:0 (Hashtbl.find_opt p.giveups key))
   in
   let inject_cex assignment =
     let s = !st in
-    cex_log := assignment :: !cex_log;
-    write_cex_bits circ s.cex_eng !cex_count assignment;
-    incr cex_count;
+    write_cex_bits circ s.cex_eng (List.length p.cex) assignment;
+    p.cex <- assignment :: p.cex;
     Engine.resim_all s.cex_eng;
     Sim.Sigstore.invalidate s.sigstore
   in
@@ -413,56 +474,31 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
      renumbers nodes, and candidate generation iterates in node-id
      order — so the checkpointed BLIF must BE the state the run
      continues from, or resume would diverge. *)
-  let canonicalize () =
+  let barrier sink =
     let blif = Blif.Blif_io.circuit_to_string circ in
     load_blif circ blif;
-    st := build constraint_;
-    blif
-  in
-  (* Restore counters and accumulated state from the checkpoint. *)
-  (match resume with
-  | None -> ()
-  | Some ck ->
-    List.iter (fun (k, n) -> Hashtbl.replace giveups k n)
-      ck.Checkpoint.giveup_breakdown;
-    List.iter
-      (fun (name, (accepted, power_gain, area_gain)) ->
-        match klass_of_name name with
-        | Some k -> Hashtbl.replace stats k { accepted; power_gain; area_gain }
-        | None -> ())
-      ck.Checkpoint.by_class);
-  let degradation =
-    ref (match resume with Some ck -> ck.Checkpoint.degradation_level | None -> 0)
+    st := build_state ~config ~constraint_ ~cex:(List.rev p.cex) circ;
+    sink (to_checkpoint ~seed:config.seed ~initial ~blif (Some p))
   in
   let consecutive_timeouts = ref 0 in
-  let continue_ = ref true in
-  let stopped_by = ref "converged" in
-  (* A checkpoint taken after the loop decided to stop marks the run
-     finished; resuming it must reproduce the finished report, not run
-     one more (empty) round that the uninterrupted run never saw. *)
-  (match resume with
-  | Some ck when not (String.equal ck.Checkpoint.status "running") ->
-    continue_ := false;
-    stopped_by := ck.Checkpoint.status
-  | _ -> ());
   let escalate reason =
-    if !degradation < 3 then begin
-      incr degradation;
+    if p.degradation < 3 then begin
+      p.degradation <- p.degradation + 1;
       Trace.event "degrade"
-        [ ("level", Trace.Int !degradation); ("reason", Trace.String reason) ];
-      log (fun m -> m "degradation level %d (%s)" !degradation reason)
+        [ ("level", Trace.Int p.degradation); ("reason", Trace.String reason) ];
+      log (fun m -> m "degradation level %d (%s)" p.degradation reason)
     end;
-    if !degradation >= 3 then begin
-      stopped_by := "degradation";
-      continue_ := false
+    if p.degradation >= 3 then begin
+      p.stopped_by <- "degradation";
+      p.running <- false
     end
   in
   let effective_backtrack_limit () =
-    if !degradation >= 1 then max 100 (config.backtrack_limit / 8)
+    if p.degradation >= 1 then max 100 (config.backtrack_limit / 8)
     else config.backtrack_limit
   in
   let effective_classes () =
-    if !degradation >= 2 then
+    if p.degradation >= 2 then
       List.filter
         (fun k -> match k with Subst.Os3 | Subst.Is3 -> false | _ -> true)
         config.classes
@@ -609,14 +645,14 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
       let walk_status () =
         if Deadline.expired run_deadline then begin
           Guard.count_error Guard.Budget_exhausted;
-          stopped_by := "run_budget";
+          p.stopped_by <- "run_budget";
           `Stop
         end
         else if Deadline.expired !round_deadline then begin
           Guard.count_error Guard.Budget_exhausted;
           `Round_over
         end
-        else if not !continue_ then `Stop
+        else if not p.running then `Stop
         else `Go
       in
       (* Cheap screens before the exact proof; marks the candidate used
@@ -740,8 +776,8 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
             let realized = power_before -. Estimator.total !st.est in
             let area_delta = area_before -. Circuit.area circ in
             let k = Subst.klass s in
-            let st = Hashtbl.find stats k in
-            Hashtbl.replace stats k
+            let st = Hashtbl.find p.by_class k in
+            Hashtbl.replace p.by_class k
               {
                 accepted = st.accepted + 1;
                 power_gain = st.power_gain +. realized;
@@ -806,17 +842,14 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
       in
       attempt refined
   in
-  let giveup_breakdown () =
-    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) giveups [])
-  in
   while
-    !continue_ && f.rounds < config.max_rounds
+    p.running && f.rounds < config.max_rounds
     && f.substitutions < config.max_substitutions
   do
     if Deadline.expired run_deadline then begin
       Guard.count_error Guard.Budget_exhausted;
-      stopped_by := "run_budget";
-      continue_ := false
+      p.stopped_by <- "run_budget";
+      p.running <- false
     end
     else begin
       f.rounds <- f.rounds + 1;
@@ -837,7 +870,7 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
       let pool =
         if Deadline.expired run_deadline then begin
           Guard.count_error Guard.Budget_exhausted;
-          stopped_by := "run_budget";
+          p.stopped_by <- "run_budget";
           [||]
         end
         else pool
@@ -848,7 +881,7 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
       f.candidates_generated <- f.candidates_generated + Array.length pool;
       Trace.event "round"
         [ ("round", Trace.Int f.rounds); ("pool", Trace.Int (Array.length pool)) ];
-      if Array.length pool = 0 then continue_ := false
+      if Array.length pool = 0 then p.running <- false
       else begin
         let used = Array.make (Array.length pool) false in
         let accepted_this_round = ref 0 in
@@ -872,69 +905,17 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
             escalate "round-budget"
           | `Stop ->
             batch_active := false;
-            continue_ := false
+            p.running <- false
         done;
         (* An expired round budget is not convergence: the next round
            runs with the escalated ladder instead of giving up. *)
         if !accepted_this_round = 0 && not !round_expired then
-          continue_ := false
+          p.running <- false
       end;
       sample_gc ~round:f.rounds;
-      (* Checkpoint barrier (also taken with no sink configured, so a
-         checkpointing run and a resumed one share identical state). *)
-      if config.checkpoint_every > 0 && f.rounds mod config.checkpoint_every = 0
-      then begin
-        let blif = canonicalize () in
-        match config.checkpoint_sink with
-        | None -> ()
-        | Some sink ->
-          (* The checkpoint carries the raw stop reason, never the
-             promoted one: "converged" at a round cap means different
-             things to different resumers (a slice driver's per-slice
-             cap is not the job's), so the promotion into
-             max_substitutions / max_rounds happens at report time
-             against the resuming config's own bounds. *)
-          let status = if !continue_ then "running" else !stopped_by in
-          sink
-            {
-              Checkpoint.round = f.rounds;
-              status;
-              substitutions = f.substitutions;
-              seed = config.seed;
-              blif;
-              cex = List.rev !cex_log;
-              cex_cursor = !cex_count;
-              candidates_generated = f.candidates_generated;
-              checks_run = f.checks_run;
-              rejected_by_delay = f.rejected_by_delay;
-              rejected_by_atpg = f.rejected_by_atpg;
-              rejected_by_giveup = f.rejected_by_giveup;
-              rejected_by_timeout = f.rejected_by_timeout;
-              rejected_by_cex = f.rejected_by_cex;
-              sig_hits = f.sig_hits;
-              sig_filtered = f.sig_filtered;
-              sig_resim_nodes = f.sig_resim_nodes;
-              is3_candidates = f.is3_candidates;
-              rolled_back = f.rolled_back;
-              verified_applies = f.verified_applies;
-              window_checks = f.window_checks;
-              window_proved = f.window_proved;
-              window_escalated = f.window_escalated;
-              giveup_breakdown = giveup_breakdown ();
-              by_class =
-                List.map
-                  (fun k ->
-                    let st = Hashtbl.find stats k in
-                    ( Subst.klass_name k,
-                      (st.accepted, st.power_gain, st.area_gain) ))
-                  Subst.all_klasses;
-              initial_power;
-              initial_area;
-              initial_delay;
-              initial_glitch_power;
-              degradation_level = !degradation;
-            }
-      end
+      (* Checkpoint barrier: every round a sink is set, so a
+         checkpointing run and a resume of it share identical state *)
+      Option.iter barrier config.checkpoint_sink
     end
   done;
   (* Promote "converged" into the bound that actually stopped the run.
@@ -944,31 +925,31 @@ let optimize_with ~pool:dom_pool ~jobs ~config ?resume circ =
      run printed.  The funnel's rounds / substitutions come from the
      checkpoint on resume, so the comparison is against the same
      counters either way. *)
-  if String.equal !stopped_by "converged" then begin
+  if String.equal p.stopped_by "converged" then begin
     if f.substitutions >= config.max_substitutions then
-      stopped_by := "max_substitutions"
-    else if f.rounds >= config.max_rounds then stopped_by := "max_rounds"
+      p.stopped_by <- "max_substitutions"
+    else if f.rounds >= config.max_rounds then p.stopped_by <- "max_rounds"
   end;
   let final_sta = Trace.with_span "sta" (fun () -> Timing.analyze circ) in
   let phase_seconds =
     List.map (fun (n, base) -> (n, Trace.span_seconds n -. base)) phase_base
   in
   {
-    initial_power;
+    initial_power = ck.initial_power;
     final_power = Estimator.total !st.est;
-    initial_area;
+    initial_area = ck.initial_area;
     final_area = Circuit.area circ;
-    initial_delay;
+    initial_delay = ck.initial_delay;
     final_delay = Timing.circuit_delay final_sta;
     delay_constraint = constraint_;
     cost_model = cost_model_name config.cost;
-    initial_glitch_power;
+    initial_glitch_power = ck.initial_glitch_power;
     final_glitch_power = measure_glitch config circ;
-    by_class = List.map (fun k -> (k, Hashtbl.find stats k)) Subst.all_klasses;
+    by_class = List.map (fun k -> (k, Hashtbl.find p.by_class k)) Subst.all_klasses;
     funnel = f;
-    giveup_breakdown = giveup_breakdown ();
-    degradation_level = !degradation;
-    stopped_by = !stopped_by;
+    giveup_breakdown = giveup_breakdown p;
+    degradation_level = p.degradation;
+    stopped_by = p.stopped_by;
     jobs;
     phase_seconds;
     cpu_seconds = Obs.Clock.now () -. t0;
@@ -985,7 +966,7 @@ let optimize ?(config = default_config) ?resume circ =
     ~finally:(fun () -> Option.iter Par.Pool.shutdown pool)
     (fun () -> optimize_with ~pool ~jobs ~config ?resume circ)
 
-let pp_report fmt r =
+let pp_report fmt (r : report) =
   let f = r.funnel in
   Format.fprintf fmt
     "@[<v>power: %.4f -> %.4f (%.1f%%)@,area: %.0f -> %.0f (%.1f%%)@,\
@@ -1028,7 +1009,7 @@ let pp_report fmt r =
     r.phase_seconds;
   Format.fprintf fmt "@,jobs: %d, cpu: %.2fs@]" r.jobs r.cpu_seconds
 
-let report_to_json r =
+let report_to_json (r : report) =
   let open Obs.Json in
   let f = r.funnel in
   Obj

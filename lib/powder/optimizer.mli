@@ -63,13 +63,17 @@ type config = {
       (** wrap every apply in a {!Guard} transaction (journal +
           independent re-simulation + [Circuit.validate]); [false]
           builds no verifier *)
-  checkpoint_every : int;
-      (** canonicalize and (if a sink is set) checkpoint every N
-          rounds; 0 disables both *)
   checkpoint_sink : (Checkpoint.t -> unit) option;
-      (** receives each checkpoint, and must make it durable before it
-          returns: [Checkpoint.save file] for one file, a
-          {!Checkpoint.store}'s [save key] for a keyed store *)
+      (** [Some sink]: take a canonicalization barrier after every round
+          (BLIF round trip, state rebuilt) and hand [sink] that round's
+          checkpoint, which it must make durable before it returns:
+          [Checkpoint.save file] for one file, a {!Checkpoint.store}'s
+          [save key] for a keyed store.  NOTE: a barrier renumbers the
+          nodes and generate iterates in id order, so a checkpointing
+          run is a different, equally valid run from a plain one (its
+          substitutions and final netlist may differ); only a resume of
+          it is byte-identical to it.  [None] (default) takes no
+          barrier. *)
   jobs : int;
       (** parallel executors for candidate generation's scan (a
           {!Par.Pool} of [jobs - 1] worker domains plus the main
@@ -194,6 +198,10 @@ val phase_names : string list
 val power_reduction_percent : report -> float
 val area_reduction_percent : report -> float
 
+exception Bad_checkpoint of string
+(** A [?resume] checkpoint {!optimize} refuses: its netlist does not
+    parse, or its PI or PO names differ from the input circuit's. *)
+
 val optimize : ?config:config -> ?resume:Checkpoint.t -> Netlist.Circuit.t -> report
 (** Optimizes the circuit in place.
 
@@ -208,19 +216,18 @@ val optimize : ?config:config -> ?resume:Checkpoint.t -> Netlist.Circuit.t -> re
     skip OS3/IS3 → stop), and a blown run budget stops cleanly with
     [stopped_by = "run_budget"].
 
-    Checkpointing: with [checkpoint_every = n > 0] the optimizer
-    canonicalizes its state every [n] rounds (BLIF round-trip, then
-    the simulation state is rebuilt from the circuit, the seed and the
-    counterexample log) and, when [checkpoint_sink] is set, hands it a
-    {!Checkpoint.t}.  Passing [?resume] continues such a run through
-    the same barrier: the caller's circuit is overwritten in place
-    from the checkpointed BLIF, the state is built from the
-    checkpoint's counterexample log, counters are restored, the seed
-    is taken from the checkpoint (the config's [seed] is ignored), and
-    the run proceeds exactly as the uninterrupted checkpointing run
+    Checkpointing: every run starts from a {!Checkpoint.t}.  A fresh
+    run starts from round 0's, measured on the caller's circuit.
+    Passing [?resume] continues a checkpointing run from a saved one:
+    the caller's circuit is overwritten in place from the checkpointed
+    BLIF, the simulation state is built from the circuit, the
+    checkpoint's seed (the config's [seed] is ignored) and its
+    counterexample log, as at every barrier, counters are restored,
+    and the run proceeds exactly as the uninterrupted checkpointing run
     would have.
 
-    @raise Invalid_argument when the checkpointed BLIF does not parse.
+    @raise Bad_checkpoint before the circuit is touched when the
+    checkpointed BLIF does not parse or is another circuit's.
 
     Parallelism: with [jobs > 1] only candidate generation's scan runs
     on a [Par.Pool] (see {!Candidates.generate_stats}).  Exact checks

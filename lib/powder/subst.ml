@@ -33,6 +33,10 @@ let klass_name = function
 
 let all_klasses = [ Os2; Is2; Os3; Is3 ]
 
+let klass_of_name name =
+  let name = String.uppercase_ascii name in
+  List.find_opt (fun k -> String.equal (klass_name k) name) all_klasses
+
 let substituted_signal circ s =
   match s.target with
   | Stem a -> a

@@ -26,6 +26,10 @@ val klass : t -> klass
 val klass_name : klass -> string
 val all_klasses : klass list
 
+val klass_of_name : string -> klass option
+(** Inverse of {!klass_name}, case-insensitive: ["os2"] and ["OS2"]
+    both name [Os2]. *)
+
 val substituted_signal : Netlist.Circuit.t -> t -> Netlist.Circuit.node_id
 (** The signal being replaced: the stem itself, or the driver of the
     branch pin. *)

@@ -312,7 +312,6 @@ let prepare_optimize st (entry : Jobq.entry) =
       seed = Int64.of_int o.Protocol.seed;
       max_rounds = slice_max;
       run_seconds;
-      checkpoint_every = 1;
       checkpoint_sink = Some (store.Powder.Checkpoint.save optimize_key);
       jobs = 1;
     }

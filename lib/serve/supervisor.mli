@@ -7,9 +7,8 @@
     {2 Slicing and determinism}
 
     A job is never run to completion in one go.  Each scheduling turn
-    advances it by [slice_rounds] optimizer rounds with
-    [checkpoint_every = 1] and a per-job checkpoint — so every
-    round is a canonicalization barrier and the job can be preempted,
+    advances it by [slice_rounds] optimizer rounds with a per-job
+    checkpoint sink — so every round is a canonicalization barrier and the job can be preempted,
     retried, or killed at any slice boundary and resumed
     {e bit-identically} (the [Powder.Checkpoint] resume contract).
     Because {b every} run is sliced this way, a run disturbed by chaos

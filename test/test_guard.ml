@@ -400,6 +400,9 @@ let test_checkpoint_save_atomic () =
   | Error e -> Alcotest.fail (Checkpoint.error_to_string e));
   Sys.remove file
 
+let report_json r =
+  Obs.Json.to_string (Optimizer.strip_volatile (Optimizer.report_to_json r))
+
 (* Interrupt a checkpointing run at round 2 and resume it to round 4:
    the resumed report (minus its volatile fields) and netlist must be
    the uninterrupted run's.  [~cex] also requires the round-2
@@ -407,10 +410,10 @@ let test_checkpoint_save_atomic () =
 let resume_matches ?(half_jobs = 1) ?(resume_jobs = 1) ?(cex = false)
     ?(config = Optimizer.default_config) name =
   let config =
-    { config with Optimizer.words = 4; max_rounds = 4; checkpoint_every = 2 }
+    { config with Optimizer.words = 4; max_rounds = 4; checkpoint_sink = Some ignore }
   in
-  (* reference: one uninterrupted run that checkpoints (no file needed
-     — the canonicalization barrier alone defines the trajectory) *)
+  (* reference: one uninterrupted checkpointing run (no file needed —
+     the barrier a sink puts in every round defines the trajectory) *)
   let c_ref = mapped name in
   let r_ref = Optimizer.optimize ~config c_ref in
   (* interrupted: stop at round 2 with a checkpoint file, then resume
@@ -440,8 +443,7 @@ let resume_matches ?(half_jobs = 1) ?(resume_jobs = 1) ?(cex = false)
   let r_res =
     Optimizer.optimize ~config:{ config with jobs = resume_jobs } ~resume:ck c_res
   in
-  let json r = Obs.Json.to_string (Optimizer.strip_volatile (Optimizer.report_to_json r)) in
-  Alcotest.(check string) "identical report" (json r_ref) (json r_res);
+  Alcotest.(check string) "identical report" (report_json r_ref) (report_json r_res);
   Alcotest.(check string) "identical netlist"
     (Blif.Blif_io.circuit_to_string c_ref)
     (Blif.Blif_io.circuit_to_string c_res)
@@ -467,6 +469,88 @@ let test_resume_unverified () =
   resume_matches ~cex:true
     ~config:{ Optimizer.default_config with verify_applies = false }
     "comp"
+
+(* Every checkpoint of one run is a valid start: resuming from each of
+   rounds 1..4 (through the serialized form) lands on the uninterrupted
+   run's report and netlist.  Two substitutions a round stretch rd84
+   over enough rounds. *)
+let test_resume_every_round () =
+  let cks = ref [] in
+  let config =
+    {
+      Optimizer.default_config with
+      words = 4;
+      repeat = 2;
+      checkpoint_sink =
+        Some
+          (fun ck ->
+            match Checkpoint.decode (Checkpoint.encode ck) with
+            | Ok ck -> cks := ck :: !cks
+            | Error e -> Alcotest.fail (Checkpoint.error_to_string e));
+    }
+  in
+  let c_ref = mapped "rd84" in
+  let r_ref = Optimizer.optimize ~config c_ref in
+  let cks = List.rev !cks in
+  Alcotest.(check bool) "run lasts at least 4 rounds" true (List.length cks >= 4);
+  List.iteri
+    (fun i ck ->
+      if i < 4 then begin
+        Alcotest.(check int) "checkpoint round" (i + 1) ck.Checkpoint.round;
+        let c = mapped "rd84" in
+        let r =
+          Optimizer.optimize ~config:{ config with checkpoint_sink = Some ignore }
+            ~resume:ck c
+        in
+        let what = Printf.sprintf "resume from round %d: " (i + 1) in
+        Alcotest.(check string) (what ^ "report") (report_json r_ref) (report_json r);
+        Alcotest.(check string) (what ^ "netlist")
+          (Blif.Blif_io.circuit_to_string c_ref)
+          (Blif.Blif_io.circuit_to_string c)
+      end)
+    cks
+
+(* A checkpoint of another circuit is refused before the input is
+   touched, and a pareto sweep restarts the point it was saved under. *)
+let test_foreign_checkpoint () =
+  let file = Filename.temp_file "powder_ck" ".json" in
+  let config =
+    { Optimizer.default_config with words = 4; max_rounds = 2;
+      checkpoint_sink = Some (Checkpoint.save file) }
+  in
+  ignore (Optimizer.optimize ~config (mapped "rd84"));
+  let ck =
+    match Checkpoint.load file with
+    | Ok ck -> ck
+    | Error e -> Alcotest.fail (Checkpoint.error_to_string e)
+  in
+  Sys.remove file;
+  let c = mapped "Z5xp1" in
+  let before = Blif.Blif_io.circuit_to_string c in
+  (match Optimizer.optimize ~config:{ config with checkpoint_sink = None } ~resume:ck c with
+  | _ -> Alcotest.fail "a checkpoint of another circuit was resumed"
+  | exception Optimizer.Bad_checkpoint _ -> ());
+  Alcotest.(check string) "input untouched" before (Blif.Blif_io.circuit_to_string c);
+  let sweep dir =
+    Pareto.Sweep.run ~config ~specs:[ Pareto.Sweep.Unbounded ]
+      ~checkpoint:(Checkpoint.dir_store dir) ~name:"Z5xp1"
+      (fun () -> mapped "Z5xp1")
+  in
+  let fresh_dir () =
+    let d = Filename.temp_file "powder_sweep" "" in
+    Sys.remove d;
+    d
+  in
+  let clean_dir = fresh_dir () and foreign_dir = fresh_dir () in
+  (Checkpoint.dir_store foreign_dir).save "point-unbounded" ck;
+  let json r = Obs.Json.to_string (Pareto.Sweep.to_json { r with Pareto.Sweep.cpu_seconds = 0.0 }) in
+  Alcotest.(check string) "foreign checkpoint restarts the point"
+    (json (sweep clean_dir)) (json (sweep foreign_dir));
+  List.iter
+    (fun d ->
+      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
+      Sys.rmdir d)
+    [ clean_dir; foreign_dir ]
 
 let suite =
   [
@@ -511,5 +595,9 @@ let suite =
           test_resume_glitch;
         Alcotest.test_case "resume matches without verifier" `Quick
           test_resume_unverified;
+        Alcotest.test_case "resume from every round" `Quick
+          test_resume_every_round;
+        Alcotest.test_case "checkpoint of another circuit" `Quick
+          test_foreign_checkpoint;
       ] );
   ]

@@ -124,8 +124,9 @@ let test_optimizer_report_consistency () =
   Alcotest.(check int) "class counts sum" report.Optimizer.funnel.substitutions class_count
 
 (* Bad input is a user error at the command line too: a resume without
-   a checkpoint, a checkpoint file that is not one, and a report on a
-   missing or unparsable profile each exit 123 with one "powder_cli:"
+   a checkpoint, a checkpoint file that is not one, a checkpoint of
+   another circuit, and a report on a missing or unparsable profile
+   each exit 123 with one "powder_cli:"
    line on stderr, never the 125 of an escaping exception. *)
 let test_cli_user_errors () =
   (* dune runtest runs in the test directory, dune exec in the root *)
@@ -136,8 +137,20 @@ let test_cli_user_errors () =
   let not_ours = Filename.concat hostile "garbage_line.blif" in
   let missing = Filename.concat hostile "missing.blif" in
   let err = Filename.temp_file "powder_cli" ".err" in
+  (* a checkpoint of rd84, which another circuit must refuse *)
+  let other = Filename.temp_file "powder_ck" ".json" in
+  (match Suite.find "rd84" with
+  | Some spec ->
+    ignore
+      (Optimizer.optimize
+         ~config:
+           { Optimizer.default_config with
+             max_rounds = 1;
+             checkpoint_sink = Some (Powder.Checkpoint.save other) }
+         (Suite.mapped spec))
+  | None -> Alcotest.fail "rd84 missing from suite");
   Fun.protect
-    ~finally:(fun () -> Sys.remove err)
+    ~finally:(fun () -> Sys.remove err; Sys.remove other)
     (fun () ->
       List.iter
         (fun args ->
@@ -158,6 +171,7 @@ let test_cli_user_errors () =
         [
           [ "optimize"; "-c"; "rd84"; "--resume" ];
           [ "optimize"; "-c"; "rd84"; "--resume"; "--checkpoint"; not_ours ];
+          [ "optimize"; "-c"; "Z5xp1"; "--resume"; "--checkpoint"; other ];
           [ "report"; missing ];
           [ "report"; not_ours ];
         ])

@@ -225,7 +225,7 @@ let suite = suite @ [ ("powder-determinism", deterministic_tests) ]
 
 (* Satellite: the PG_A + PG_B + PG_C decomposition telescopes exactly
    over every accepted substitution of a run.  With
-   [checkpoint_every = 0] one estimator survives the whole run, so the
+   no checkpoint sink one estimator survives the whole run, so the
    per-accept measured deltas bucketed by class must sum to the total
    power drop.  Collect at least 50 accepts across fuzzed netlists. *)
 let test_gain_identity_on_fuzzed_accepts () =
@@ -240,7 +240,6 @@ let test_gain_identity_on_fuzzed_accepts () =
         seed = Sim.Rng.derive case "test/gain";
         max_rounds = 4;
         max_substitutions = 50;
-        checkpoint_every = 0;
         checkpoint_sink = None;
         check_seconds = Some 2.0;
         run_seconds = Some 5.0;
