@@ -262,8 +262,7 @@ let fig6 () =
       (fun name ->
         Option.map
           (fun spec ->
-            (Pareto.Sweep.run ~config:base_config ~specs ~name (fun () ->
-                 Suite.mapped spec))
+            (Pareto.Sweep.run ~config:base_config ~specs ~name (Suite.mapped spec))
               .Pareto.Sweep.reports
             |> List.map snd)
           (Suite.find name))

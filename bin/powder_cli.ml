@@ -381,8 +381,12 @@ let optimize_cmd =
           if not (Sys.file_exists f) then None
           else (
             match Powder.Checkpoint.load f with
-            | Ok ck -> Some ck
-            | Error e -> input_error (f ^ ": " ^ Powder.Checkpoint.error_to_string e))
+            | Error e -> input_error (f ^ ": " ^ Powder.Checkpoint.error_to_string e)
+            | Ok ck -> (
+              (* refused here, before run_reported opens any output *)
+              match Optimizer.check_resume circ ck with
+              | () -> Some ck
+              | exception Optimizer.Bad_checkpoint m -> input_error (f ^ ": " ^ m)))
     in
     let config =
       {
@@ -412,10 +416,7 @@ let optimize_cmd =
           ]
           @ checkpoint_option checkpoint)
         ~pp:Optimizer.pp_report ~to_json:Optimizer.report_to_json
-        (fun () ->
-          try Optimizer.optimize ~config ?resume:resume_ck circ
-          with Optimizer.Bad_checkpoint m ->
-            input_error (Option.value checkpoint ~default:"-" ^ ": " ^ m))
+        (fun () -> Optimizer.optimize ~config ?resume:resume_ck circ)
     in
     if verify then begin
       match Atpg.Equiv.check ~exhaustive_limit:16 original circ with
@@ -483,7 +484,9 @@ let optimize_cmd =
 
 let pareto_cmd =
   let run a constraints checkpoint_dir =
-    ignore (a.load ());  (* fail on a bad input before any work is done *)
+    (* loaded (or mapped) once, before any output is opened; every
+       point optimizes its own copy *)
+    let circ = a.load () in
     let _report : Pareto.Sweep.report =
       run_reported a ~seed:a.config.Optimizer.seed
         ~options:
@@ -496,11 +499,10 @@ let pareto_cmd =
           @ checkpoint_option checkpoint_dir)
         ~pp:Pareto.Sweep.pp ~to_json:Pareto.Sweep.to_json
         (fun () ->
-          (* fresh circuit per point: each constraint optimizes its own copy *)
           Pareto.Sweep.run ~config:a.config ~specs:constraints
             ~jobs:a.config.Optimizer.jobs
             ?checkpoint:(Option.map Powder.Checkpoint.dir_store checkpoint_dir)
-            ~name:a.circuit a.load)
+            ~name:a.circuit circ)
     in
     ()
   in

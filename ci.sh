@@ -422,6 +422,25 @@ EOF
   done
   dune exec bin/json_check.exe -- --jsonl "$serve_dir/state/results.jsonl"
 
+  echo "== serve maps once: every job equals a standalone run =="
+  # Two identical rd84 jobs: the second starts from a clone of the
+  # netlist the supervisor mapped for the first, which must be as good
+  # as a fresh map.  A standalone optimize with a checkpoint sink (serve
+  # checkpoints every round too) gives the reference BLIF.
+  cat > "$serve_dir/twins.jsonl" <<'EOF'
+{"op":"submit","id":"t1","circuit":"rd84","options":{"words":4,"max_rounds":2,"seed":7}}
+{"op":"submit","id":"t2","circuit":"rd84","options":{"words":4,"max_rounds":2,"seed":7}}
+EOF
+  hard_timeout 300 dune exec bin/powder_cli.exe -- serve \
+    --input "$serve_dir/twins.jsonl" --state "$serve_dir/twins" \
+    | grep -q 'drained  completed=2 failed=0 rejected=0'
+  hard_timeout 300 dune exec bin/powder_cli.exe -- optimize -c rd84 --words 4 \
+    --max-rounds 2 --seed 7 --checkpoint "$serve_dir/twin.ck" \
+    -o "$serve_dir/twin.blif" >/dev/null
+  for id in t1 t2; do
+    cmp "$serve_dir/twin.blif" "$serve_dir/twins/results/$id.blif"
+  done
+
   echo "== chaos: worker crashes leave results byte-identical =="
   # Same 3 jobs under worker-crash injection: the supervisor retries the
   # crashed slices from their checkpoints and must land on exactly the

@@ -20,7 +20,7 @@ let () =
         Option.map
           (fun spec ->
             let sweep =
-              Pareto.Sweep.run ~config ~specs ~name (fun () -> Circuits.Suite.mapped spec)
+              Pareto.Sweep.run ~config ~specs ~name (Circuits.Suite.mapped spec)
             in
             List.map snd sweep.Pareto.Sweep.reports)
           (Circuits.Suite.find name))

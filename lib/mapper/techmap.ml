@@ -134,8 +134,11 @@ let activity p = 2.0 *. p *. (1.0 -. p)
 (* Mapping.                                                            *)
 (* ------------------------------------------------------------------ *)
 
+let m_maps = Obs.Metrics.counter "mapper.maps"
+
 let map ?(objective = Power) ?(cut_size = 4) ?(cuts_per_node = 8)
     ?(input_prob = fun _ -> 0.5) lib g =
+  Obs.Metrics.incr m_maps;
   let inv = try Library.inverter lib with Not_found ->
     invalid_arg "Techmap.map: library has no inverter"
   in

@@ -26,5 +26,6 @@ val map :
   Netlist.Circuit.t
 (** Defaults: [objective = Power], [cut_size = 4], [cuts_per_node = 8],
     [input_prob _ = 0.5].  PI and PO names carry over from the AIG.
+    Every call bumps the {!Obs.Metrics} counter [mapper.maps].
     @raise Invalid_argument if the library lacks an inverter or any
     2-input AND/NAND cell. *)

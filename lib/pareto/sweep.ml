@@ -54,16 +54,15 @@ let point_of spec (r : Optimizer.report) =
   }
 
 let run ?(config = Optimizer.default_config) ?(specs = default_specs) ?(jobs = 1)
-    ?checkpoint ~name build =
+    ?checkpoint ~name circ =
   if specs = [] then invalid_arg "Pareto.Sweep.run: empty constraint list";
   let t0 = Obs.Clock.now () in
-  let run_point spec =
+  let run_point (spec, circ) =
     let label = spec_to_string spec in
     Obs.Trace.with_span
       ~fields:[ ("point", Obs.Trace.String label) ]
       "pareto.point"
     @@ fun () ->
-    let circ = build () in
     let delay =
       match spec with
       | Scale s -> Optimizer.Ratio (s -. 1.0)
@@ -97,7 +96,11 @@ let run ?(config = Optimizer.default_config) ?(specs = default_specs) ?(jobs = 1
   in
   let results =
     Obs.Trace.with_span "pareto.sweep" @@ fun () ->
-    let arr = Array.of_list specs in
+    (* every point optimizes its own copy, made here on the caller's
+       domain before any fan-out *)
+    let arr =
+      Array.of_list (List.map (fun spec -> (spec, Netlist.Circuit.clone circ)) specs)
+    in
     let jobs = max 1 jobs in
     if jobs = 1 || Par.Pool.in_task () then Array.map run_point arr
     else

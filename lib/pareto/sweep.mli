@@ -1,5 +1,5 @@
 (** The frontier sweep driver: run the optimizer once per delay
-    constraint over fresh copies of the same mapped netlist and collect
+    constraint over copies of one mapped netlist and collect
     the resulting (power, delay) points into a dominance-pruned
     {!Frontier}.
 
@@ -48,13 +48,16 @@ val run :
   ?jobs:int ->
   ?checkpoint:Powder.Checkpoint.store ->
   name:string ->
-  (unit -> Netlist.Circuit.t) ->
+  Netlist.Circuit.t ->
   report
-(** Run one optimizer per spec on a fresh circuit from the builder.
-    [config] seeds every point's optimizer config; its [delay],
-    [checkpoint_sink] and [jobs] fields are overridden per point (the
-    cost model, seed, budgets etc. are shared).  [jobs] (default 1)
-    fans the points out over a {!Par.Pool}.
+(** Run one optimizer per spec, each on its own {!Netlist.Circuit.clone}
+    of the circuit.  The clones are made on the caller's domain before
+    any fan-out, and the caller's circuit is left untouched, so one
+    mapped netlist serves every point.  [config] seeds every point's
+    optimizer config; its [delay], [checkpoint_sink] and [jobs] fields
+    are overridden per point (the cost model, seed, budgets etc. are
+    shared).  [jobs] (default 1) fans the points out over a
+    {!Par.Pool}.
 
     [checkpoint] makes each point crash-resumable: point [s]
     checkpoints every round to the store's key [point-<label>] (with

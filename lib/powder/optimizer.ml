@@ -276,16 +276,22 @@ let interface c =
   let names ids = List.sort compare (List.map (Circuit.name c) ids) in
   (names (Circuit.pis c), names (Circuit.pos c))
 
-(* Overwrite [circ] in place, keeping the caller's handle valid, with
-   the netlist a BLIF string describes.  A netlist with other PI or PO
-   names is another circuit's and is refused before [circ] is touched. *)
-let load_blif circ blif =
+(* The netlist a checkpoint's BLIF describes.  A netlist with other PI
+   or PO names than [circ]'s is another circuit's and is refused. *)
+let checkpoint_netlist circ blif =
   let refuse m = raise (Bad_checkpoint ("checkpoint " ^ m)) in
   match Blif.Blif_io.circuit_of_string (Circuit.library circ) blif with
   | Error e -> refuse ("netlist does not parse: " ^ Blif.Blif_io.error_to_string e)
   | Ok c2 when interface c2 <> interface circ ->
     refuse "of another circuit (its PI/PO names differ from the input's)"
-  | Ok c2 -> Circuit.overwrite circ c2
+  | Ok c2 -> c2
+
+let check_resume circ (ck : Checkpoint.t) = ignore (checkpoint_netlist circ ck.blif)
+
+(* Overwrite [circ] in place, keeping the caller's handle valid, with
+   the netlist a BLIF string describes, refused before [circ] is
+   touched when it is another circuit's. *)
+let load_blif circ blif = Circuit.overwrite circ (checkpoint_netlist circ blif)
 
 (* The loop's restorable state: everything a checkpoint carries besides
    the netlist, the seed and the initial measurements.  [of_checkpoint]

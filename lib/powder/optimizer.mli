@@ -202,6 +202,12 @@ exception Bad_checkpoint of string
 (** A [?resume] checkpoint {!optimize} refuses: its netlist does not
     parse, or its PI or PO names differ from the input circuit's. *)
 
+val check_resume : Netlist.Circuit.t -> Checkpoint.t -> unit
+(** [check_resume circ ck] refuses [ck] exactly as [optimize ~resume:ck
+    circ] would, without touching [circ], so a caller can reject a bad
+    checkpoint before it opens any output.
+    @raise Bad_checkpoint *)
+
 val optimize : ?config:config -> ?resume:Checkpoint.t -> Netlist.Circuit.t -> report
 (** Optimizes the circuit in place.
 

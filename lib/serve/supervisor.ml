@@ -103,6 +103,8 @@ type st = {
   pool : Par.Pool.t;
   retries : (string, Retry.t) Hashtbl.t;
   submit_time : (string, float) Hashtbl.t;
+  (* suite circuit name -> its mapped netlist; see [job_circuit] *)
+  mapped : (string, Netlist.Circuit.t) Hashtbl.t;
   mutable draining : bool;
   mutable eof : bool;
   mutable stop : bool;
@@ -191,17 +193,33 @@ let handle_line st ?(injected = false) raw =
 
 (* ---- job execution ---- *)
 
-let circuit_of_job (job : Protocol.job) =
+(* The netlist a task starts from, resolved in [prepare] on the main
+   domain.  A suite circuit is mapped once per supervisor, on first
+   use, and every task gets its own clone: the cached netlist never
+   reaches a task and is never mutated.  A BLIF job parses its text in
+   the task.  Failures raise in the task, where they fail the job. *)
+let job_circuit st (job : Protocol.job) =
   match job.Protocol.source with
   | Protocol.Suite name -> (
     match Circuits.Suite.find name with
-    | Some spec -> Circuits.Suite.mapped spec
-    | None -> failwith ("fatal: suite circuit vanished: " ^ name))
+    | None -> fun () -> failwith ("fatal: suite circuit vanished: " ^ name)
+    | Some spec ->
+      let mapped =
+        match Hashtbl.find_opt st.mapped name with
+        | Some c -> c
+        | None ->
+          let c = Circuits.Suite.mapped spec in
+          Hashtbl.add st.mapped name c;
+          c
+      in
+      let circ = Netlist.Circuit.clone mapped in
+      fun () -> circ)
   | Protocol.Blif text -> (
-    match Blif.Blif_io.circuit_of_string Gatelib.Library.lib2 text with
-    | Ok c -> c
-    | Error e ->
-      failwith ("fatal: blif re-parse: " ^ Blif.Blif_io.error_to_string e))
+    fun () ->
+      match Blif.Blif_io.circuit_of_string Gatelib.Library.lib2 text with
+      | Ok c -> c
+      | Error e ->
+        failwith ("fatal: blif re-parse: " ^ Blif.Blif_io.error_to_string e))
 
 let manifest st (job : Protocol.job) =
   let o = job.Protocol.options in
@@ -316,9 +334,10 @@ let prepare_optimize st (entry : Jobq.entry) =
       jobs = 1;
     }
   in
+  let circuit = job_circuit st job in
   let task () =
     let t0 = Obs.Clock.now () in
-    let circ = circuit_of_job job in
+    let circ = circuit () in
     let report = Powder.Optimizer.optimize ~config:opt_config ?resume circ in
     let blif = Blif.Blif_io.circuit_to_string circ in
     let elapsed = Obs.Clock.now () -. t0 in
@@ -376,12 +395,12 @@ let prepare_pareto st (entry : Jobq.entry) =
     | Protocol.Suite n -> n
     | Protocol.Blif _ -> "blif:" ^ id
   in
+  let circuit = job_circuit st job in
   let task () =
     let t0 = Obs.Clock.now () in
     let sweep =
       Pareto.Sweep.run ~config:opt_config ~specs ~jobs:1 ~checkpoint:store
-        ~name
-        (fun () -> circuit_of_job job)
+        ~name (circuit ())
     in
     let elapsed = Obs.Clock.now () -. t0 in
     if crash then raise (Failure.Crashed "injected worker crash");
@@ -719,6 +738,7 @@ let run config ~source ~emit ?(should_stop = fun () -> false) () =
       pool = Par.Pool.create ~jobs:config.jobs ();
       retries = Hashtbl.create 16;
       submit_time = Hashtbl.create 16;
+      mapped = Hashtbl.create 8;
       draining = false;
       eof = false;
       stop = false;

@@ -533,8 +533,7 @@ let test_foreign_checkpoint () =
   Alcotest.(check string) "input untouched" before (Blif.Blif_io.circuit_to_string c);
   let sweep dir =
     Pareto.Sweep.run ~config ~specs:[ Pareto.Sweep.Unbounded ]
-      ~checkpoint:(Checkpoint.dir_store dir) ~name:"Z5xp1"
-      (fun () -> mapped "Z5xp1")
+      ~checkpoint:(Checkpoint.dir_store dir) ~name:"Z5xp1" (mapped "Z5xp1")
   in
   let fresh_dir () =
     let d = Filename.temp_file "powder_sweep" "" in

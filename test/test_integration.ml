@@ -127,7 +127,9 @@ let test_optimizer_report_consistency () =
    a checkpoint, a checkpoint file that is not one, a checkpoint of
    another circuit, and a report on a missing or unparsable profile
    each exit 123 with one "powder_cli:"
-   line on stderr, never the 125 of an escaping exception. *)
+   line on stderr, never the 125 of an escaping exception.  A refused
+   checkpoint is refused before any output is opened: the optimize
+   cases create neither their --json nor their --trace file. *)
 let test_cli_user_errors () =
   (* dune runtest runs in the test directory, dune exec in the root *)
   let cli, hostile =
@@ -137,6 +139,11 @@ let test_cli_user_errors () =
   let not_ours = Filename.concat hostile "garbage_line.blif" in
   let missing = Filename.concat hostile "missing.blif" in
   let err = Filename.temp_file "powder_cli" ".err" in
+  let json_out = Filename.temp_file "powder_cli" ".json"
+  and trace_out = Filename.temp_file "powder_cli" ".jsonl" in
+  Sys.remove json_out;
+  Sys.remove trace_out;
+  let outputs = [ "--json"; json_out; "--trace"; trace_out ] in
   (* a checkpoint of rd84, which another circuit must refuse *)
   let other = Filename.temp_file "powder_ck" ".json" in
   (match Suite.find "rd84" with
@@ -164,14 +171,19 @@ let test_cli_user_errors () =
           in
           let what = String.concat " " args in
           Alcotest.(check int) (what ^ ": exit code") 123 code;
+          List.iter
+            (fun f ->
+              Alcotest.(check bool) (what ^ ": " ^ f ^ " not created") false
+                (Sys.file_exists f))
+            [ json_out; trace_out ];
           match lines with
           | [ line ] when String.starts_with ~prefix:"powder_cli: " line -> ()
           | _ -> Alcotest.failf "%s: stderr %S, want one powder_cli: line" what
                    (String.concat "\n" lines))
         [
-          [ "optimize"; "-c"; "rd84"; "--resume" ];
-          [ "optimize"; "-c"; "rd84"; "--resume"; "--checkpoint"; not_ours ];
-          [ "optimize"; "-c"; "Z5xp1"; "--resume"; "--checkpoint"; other ];
+          [ "optimize"; "-c"; "rd84"; "--resume" ] @ outputs;
+          [ "optimize"; "-c"; "rd84"; "--resume"; "--checkpoint"; not_ours ] @ outputs;
+          [ "optimize"; "-c"; "Z5xp1"; "--resume"; "--checkpoint"; other ] @ outputs;
           [ "report"; missing ];
           [ "report"; not_ours ];
         ])

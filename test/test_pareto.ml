@@ -140,7 +140,7 @@ let rd84 () =
 
 let test_sweep_structure () =
   let specs = [ Sweep.Scale 1.0; Sweep.Scale 1.25; Sweep.Unbounded ] in
-  let r = Sweep.run ~config:test_config ~specs ~name:"rd84" rd84 in
+  let r = Sweep.run ~config:test_config ~specs ~name:"rd84" (rd84 ()) in
   Alcotest.(check int) "one point per spec" (List.length specs)
     (List.length r.Sweep.points);
   Alcotest.(check (list string)) "points in constraint order"
@@ -183,7 +183,7 @@ let test_sweep_delay_rejections () =
      candidates must die on the delay screen, and the surviving netlist
      must still meet the constraint *)
   let r =
-    Sweep.run ~config:test_config ~specs:[ Sweep.Scale 1.0 ] ~name:"rd84" rd84
+    Sweep.run ~config:test_config ~specs:[ Sweep.Scale 1.0 ] ~name:"rd84" (rd84 ())
   in
   let _, rep = List.hd r.Sweep.reports in
   Alcotest.(check bool) "rejected_by_delay > 0" true
@@ -201,18 +201,36 @@ let test_sweep_delay_rejections () =
 let test_sweep_jobs_deterministic () =
   let specs = [ Sweep.Scale 1.0; Sweep.Unbounded ] in
   let run jobs =
-    Sweep.run ~config:test_config ~specs ~jobs ~name:"rd84" rd84
+    Sweep.run ~config:test_config ~specs ~jobs ~name:"rd84" (rd84 ())
   in
   let j1 = Optimizer.strip_volatile (Sweep.to_json (run 1)) in
   let j2 = Optimizer.strip_volatile (Sweep.to_json (run 2)) in
   Alcotest.(check string) "jobs 1 and 2 byte-identical"
     (Obs.Json.to_string j1) (Obs.Json.to_string j2)
 
+(* One mapped netlist serves every point: a sweep optimizes clones and
+   leaves its input byte-identical, so a second sweep over the same
+   circuit, here on one domain instead of two, reproduces the first. *)
+let test_sweep_leaves_input () =
+  let circ = rd84 () in
+  let before = Blif.Blif_io.circuit_to_string circ in
+  let sweep jobs =
+    Sweep.run ~config:test_config ~specs:[ Sweep.Scale 1.0; Sweep.Unbounded ] ~jobs
+      ~name:"rd84" circ
+    |> Sweep.to_json |> Optimizer.strip_volatile |> Obs.Json.to_string
+  in
+  let first = sweep 2 in
+  Alcotest.(check string) "input BLIF untouched" before
+    (Blif.Blif_io.circuit_to_string circ);
+  Alcotest.(check string) "second sweep identical" first (sweep 1);
+  Alcotest.(check string) "input BLIF untouched after both" before
+    (Blif.Blif_io.circuit_to_string circ)
+
 let test_sweep_glitch_cost () =
   let config = Cost.apply (Cost.Glitch { pairs = 16 }) test_config in
   let r =
     Sweep.run ~config ~specs:[ Sweep.Scale 1.0; Sweep.Unbounded ] ~name:"rd84"
-      rd84
+      (rd84 ())
   in
   List.iter
     (fun p ->
@@ -255,7 +273,7 @@ let test_sweep_checkpoint_resume () =
       let specs = [ Sweep.Scale 1.0; Sweep.Unbounded ] in
       let run () =
         Sweep.run ~config:test_config ~specs
-          ~checkpoint:(Powder.Checkpoint.dir_store dir) ~name:"rd84" rd84
+          ~checkpoint:(Powder.Checkpoint.dir_store dir) ~name:"rd84" (rd84 ())
       in
       let first = Optimizer.strip_volatile (Sweep.to_json (run ())) in
       (* every point leaves a checkpoint behind *)
@@ -280,7 +298,8 @@ let test_sweep_checkpoint_resume () =
     Optimizer.strip_volatile
       (Sweep.to_json
          (Sweep.run ~config ~specs:[ Sweep.Unbounded ]
-            ~checkpoint:(Powder.Checkpoint.dir_store dir) ~name:"rd84" rd84))
+            ~checkpoint:(Powder.Checkpoint.dir_store dir)
+            ~name:"rd84" (rd84 ())))
   in
   let reference = with_temp_dir (fun dir -> sweep ~dir 1L 2) in
   let resumed =
@@ -305,6 +324,8 @@ let suite =
         Alcotest.test_case "delay constraint enforced" `Quick
           test_sweep_delay_rejections;
         Alcotest.test_case "jobs-deterministic" `Quick test_sweep_jobs_deterministic;
+        Alcotest.test_case "sweep leaves its input untouched" `Quick
+          test_sweep_leaves_input;
         Alcotest.test_case "glitch cost sweep" `Quick test_sweep_glitch_cost;
         Alcotest.test_case "checkpoint resume" `Quick test_sweep_checkpoint_resume;
       ] );

@@ -472,6 +472,63 @@ let test_restart_recovery () =
         (read_file (p ref_dir) = read_file (p kill_dir)))
     [ "r1"; "r2"; "r3" ]
 
+(* Each suite circuit is mapped once per supervisor, whatever the
+   number of slices and sweep points, and every slice optimizes its own
+   clone: each optimize result equals a direct run on a freshly mapped
+   circuit (with a checkpoint sink, as serve's slices have). *)
+let test_map_once () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let optimize id circuit seed max_rounds =
+    Printf.sprintf
+      {|{"op":"submit","id":%S,"circuit":%S,"options":{"words":4,"seed":%d,"max_rounds":%d}}|}
+      id circuit seed max_rounds
+  in
+  let optimized =
+    [ ("m1", "rd84", 11, 4); ("m2", "rd84", 12, 4); ("m3", "alu2", 13, 2) ]
+  in
+  let pareto =
+    {|{"op":"submit","id":"p1","kind":"pareto","circuit":"rd84",|}
+    ^ {|"options":{"words":4,"seed":14,"max_rounds":2,"cost":"glitch",|}
+    ^ {|"constraints":["1.0","unbounded"]}}|}
+  in
+  let maps = Obs.Metrics.counter "mapper.maps" in
+  let before = Obs.Metrics.counter_value maps in
+  let outcome, _ =
+    run_supervisor ~slice_rounds:2 ~jobs:2 ~dir
+      (list_source
+         (List.map (fun (id, c, seed, r) -> optimize id c seed r) optimized @ [ pareto ]))
+  in
+  Alcotest.(check int) "mapped once per circuit" 2
+    (Obs.Metrics.counter_value maps - before);
+  Alcotest.(check int) "all complete" 4 outcome.Supervisor.completed;
+  let report_json s =
+    match Obs.Json.of_string s with
+    | Ok (Obs.Json.Obj fields) ->
+      Obs.Json.to_string
+        (Powder.Optimizer.strip_volatile
+           (Obs.Json.Obj (List.filter (fun (k, _) -> k <> "run") fields)))
+    | _ -> Alcotest.fail "report is not a JSON object"
+  in
+  List.iter
+    (fun (id, circuit, seed, max_rounds) ->
+      let circ = Circuits.Suite.mapped (Option.get (Circuits.Suite.find circuit)) in
+      let config =
+        { Powder.Optimizer.default_config with
+          words = 4;
+          seed = Int64.of_int seed;
+          max_rounds;
+          checkpoint_sink = Some ignore }
+      in
+      let r = Powder.Optimizer.optimize ~config circ in
+      let result ext = read_file (Filename.concat dir ("results/" ^ id ^ ext)) in
+      Alcotest.(check string) (id ^ " BLIF = direct run")
+        (Blif.Blif_io.circuit_to_string circ) (result ".blif");
+      Alcotest.(check string) (id ^ " report = direct run")
+        (report_json (Obs.Json.to_string (Powder.Optimizer.report_to_json r)))
+        (report_json (result ".json")))
+    optimized
+
 (* A burst of submits is acknowledged only after one queue snapshot that
    holds every job of the burst: an acked job is always durable.  Another
    event inside the burst emits the acks before it, so the event stream
@@ -717,6 +774,7 @@ let suite =
           (chaos_case Serve.Chaos.Checkpoint_corrupt);
         Alcotest.test_case "submit burst: one snapshot, then acks" `Quick
           test_burst_one_snapshot;
+        Alcotest.test_case "each circuit mapped once" `Quick test_map_once;
         Alcotest.test_case "kill and restart recovery" `Quick
           test_restart_recovery;
         Alcotest.test_case "journal: torn tail" `Quick test_journal_torn_tail;
